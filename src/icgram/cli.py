@@ -23,8 +23,9 @@ import sys
 from pathlib import Path
 
 from .automata import Dfa, dfa_to_table, enumerate_regular, minimize, regex_to_dfa
-from .contextual import (ContextualGrammar, DerivationStep, derive_step,
-                         ensure_valid, enumerate_ic, member_ic, member_trace,
+from .contextual import (DEFAULT_FRONTIER_CAP, ContextualGrammar,
+                         DerivationStep, derive_step, ensure_valid,
+                         enumerate_ic, member_ic, member_trace,
                          selection_in_family, split_finite_selection,
                          Context, SelectionPair)
 from .ctxformat import format_contextual, parse_contextual
@@ -50,7 +51,7 @@ _CAP_KEYS = ("max_nonterminals", "max_rules", "max_rhs_len", "check_len",
 
 def _parse_caps(text: str | None) -> dict:
     """``--caps key=value,...``; keys from the search/monoid/frontier caps."""
-    out = {"monoid_cap": DEFAULT_MONOID_CAP, "frontier_cap": 200_000}
+    out = {"monoid_cap": DEFAULT_MONOID_CAP, "frontier_cap": DEFAULT_FRONTIER_CAP}
     fields = {}
     if text:
         for part in text.split(","):

@@ -442,11 +442,8 @@ def _pair_family_verdict(i: int, pair: SelectionPair, label: FamilyLabel,
         ok, ev = _STRUCTURAL_CHECKS[kind](minimize(pair.dfa))
         return PairVerdict(i, Verdict.YES if ok else Verdict.NO, ev.note)
     if kind == "ORD":
-        try:
-            v, ev = _check_ordered(minimize(pair.dfa), monoid_cap)
-            return PairVerdict(i, v, ev.note)
-        except ResourceLimitError as e:
-            return PairVerdict(i, Verdict.UNKNOWN, f"monoid cap exceeded ({e.cap})")
+        v, ev = _check_ordered(minimize(pair.dfa), monoid_cap)
+        return PairVerdict(i, v, ev.note)
     if kind in ("NC", "PS"):
         fn = _check_noncounting if kind == "NC" else _check_power_separating
         try:

@@ -1,17 +1,20 @@
 """Transition monoids of complete DFAs.
 
 Each element is the state transformation of some word, stored as a tuple
-``t`` with ``t[i] = index of the state reached from state i``.  The closure
-is computed breadth-first with numpy row gathers, so monoids near the cap
-(tens of thousands of elements on a handful of states) stay cheap; the
-shortlex-least witness word of every element is tracked along the way.
+``t`` with ``t[i] = index of the state reached from state i``.
+:func:`monoid_elements` walks the monoid breadth-first, one element at a
+time, extending each element by the letters in alphabet order; every
+element therefore comes out paired with the shortlex-least word inducing
+it, and the elements come out in the shortlex order of those words.
+Callers that look for one offending element (a counter, a mixed power)
+stop at the first one instead of building the whole monoid.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Iterator
 
 from .automata import Dfa
 from .errors import ResourceLimitError
@@ -19,66 +22,42 @@ from .words import EMPTY_WORD, Alphabet, Word
 
 DEFAULT_MONOID_CAP = 10_000
 
+Transformation = tuple[int, ...]
 
-def monoid_closure_arrays(d: Dfa, cap: int = DEFAULT_MONOID_CAP
-                          ) -> tuple[np.ndarray, list[Word]]:
-    """Closure of the generator transformations under composition.
 
-    Returns ``(elements, words)`` where ``elements`` is an ``(m, n)`` int
-    array whose row 0 is the identity, and ``words[k]`` is the shortlex-least
-    word inducing row ``k``.  Raises :class:`ResourceLimitError` beyond
-    ``cap`` elements.
+def _generators(d: Dfa) -> tuple[Transformation, ...]:
+    """One transformation per letter, aligned with ``d.alphabet``."""
+    index = {q: i for i, q in enumerate(d.states)}
+    return tuple(tuple(index[d.delta[(q, a)]] for q in d.states)
+                 for a in d.alphabet)
+
+
+def monoid_elements(d: Dfa, cap: int = DEFAULT_MONOID_CAP
+                    ) -> Iterator[tuple[Transformation, Word]]:
+    """Yield ``(transformation, shortlex-least word)`` for every element,
+    identity first, in the shortlex order of the words.
+
+    Raises :class:`ResourceLimitError` in place of yielding element
+    ``cap + 1``, so no element beyond the cap is ever seen by the caller.
     """
-    n = len(d.states)
-    state_index = {q: i for i, q in enumerate(d.states)}
-    gens = [np.array([state_index[d.delta[(q, a)]] for q in d.states], dtype=np.int64)
-            for a in d.alphabet]
-
-    def encode(rows: np.ndarray) -> np.ndarray:
-        # rows: (k, n) -> (k,) int64 keys; safe while n**n fits in int64
-        return rows @ base
-
-    if n <= 15:
-        base = np.array([n ** i for i in range(n)], dtype=np.int64)
-    else:  # avoid int64 overflow; fall back to a wider dtype via Python ints
-        base = None
-
-    identity = np.arange(n, dtype=np.int64)
-    rows: list[np.ndarray] = [identity]
-    words: list[Word] = [EMPTY_WORD]
-    if base is not None:
-        seen = {int(identity @ base)}
-    else:
-        seen = {tuple(identity)}
-    frontier = [0]
-    while frontier:
-        fm = np.stack([rows[i] for i in frontier])
-        next_frontier: list[int] = []
-        for a, g in zip(d.alphabet, gens):
-            new_rows = g[fm]  # transformation of (word . a)
-            if base is not None:
-                keys = encode(new_rows)
-                for j in range(len(frontier)):
-                    key = int(keys[j])
-                    if key not in seen:
-                        seen.add(key)
-                        rows.append(new_rows[j])
-                        words.append(words[frontier[j]] + (a,))
-                        next_frontier.append(len(rows) - 1)
-            else:
-                for j in range(len(frontier)):
-                    key = tuple(int(x) for x in new_rows[j])
-                    if key not in seen:
-                        seen.add(key)
-                        rows.append(new_rows[j])
-                        words.append(words[frontier[j]] + (a,))
-                        next_frontier.append(len(rows) - 1)
-            if len(rows) > cap:
-                raise ResourceLimitError(
-                    f"transition monoid exceeds cap of {cap} elements",
-                    cap=cap, reached=len(rows))
-        frontier = next_frontier
-    return np.stack(rows), words
+    letters = tuple(zip(d.alphabet, _generators(d)))
+    identity = tuple(range(len(d.states)))
+    seen = {identity}
+    queue = deque([(identity, EMPTY_WORD)])
+    yielded = 0
+    while queue:
+        if yielded == cap:
+            raise ResourceLimitError(
+                f"transition monoid exceeds cap of {cap} elements",
+                cap=cap, reached=cap + 1)
+        t, w = queue.popleft()
+        yield t, w
+        yielded += 1
+        for a, g in letters:
+            u = tuple([g[x] for x in t])  # transformation of w . a
+            if u not in seen:
+                seen.add(u)
+                queue.append((u, w + (a,)))
 
 
 @dataclass(frozen=True)
@@ -87,15 +66,15 @@ class TransitionMonoid:
 
     state_order: tuple
     alphabet: Alphabet
-    elements: tuple[tuple[int, ...], ...]
+    elements: tuple[Transformation, ...]
     words: tuple[Word, ...]
-    generators: tuple[tuple[int, ...], ...]  # aligned with alphabet order
+    generators: tuple[Transformation, ...]  # aligned with alphabet order
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
-    def index_of(self, t: tuple[int, ...]) -> int:
+    def index_of(self, t: Transformation) -> int:
         return self.elements.index(t)
 
     def compose(self, i: int, j: int) -> int:
@@ -103,7 +82,7 @@ class TransitionMonoid:
         u, v = self.elements[i], self.elements[j]
         return self.index_of(tuple(v[x] for x in u))
 
-    def element_of_word(self, w: Word) -> tuple[int, ...]:
+    def element_of_word(self, w: Word) -> Transformation:
         gen = dict(zip(self.alphabet, self.generators))
         cur = tuple(range(len(self.state_order)))
         for a in w:
@@ -115,9 +94,6 @@ class TransitionMonoid:
 def transition_monoid(d: Dfa, cap: int = DEFAULT_MONOID_CAP) -> TransitionMonoid:
     """Transition monoid of ``d`` (identity included as the image of the
     empty word)."""
-    rows, words = monoid_closure_arrays(d, cap)
-    elements = tuple(tuple(int(x) for x in row) for row in rows)
-    state_index = {q: i for i, q in enumerate(d.states)}
-    gens = tuple(tuple(state_index[d.delta[(q, a)]] for q in d.states)
-                 for a in d.alphabet)
-    return TransitionMonoid(tuple(d.states), d.alphabet, elements, tuple(words), gens)
+    elements, words = zip(*monoid_elements(d, cap))
+    return TransitionMonoid(tuple(d.states), d.alphabet, elements, words,
+                            _generators(d))

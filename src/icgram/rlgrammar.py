@@ -54,11 +54,6 @@ class RightLinearGrammar:
                     raise InvalidGrammarError(f"rule uses foreign symbol {s!r}")
 
 
-def count_resources(g: RightLinearGrammar) -> tuple[int, int]:
-    """(number of nonterminals, number of rules); erasing rules count."""
-    return len(g.nonterminals), len(g.rules)
-
-
 # --- compilation to an NFA ----------------------------------------------
 
 _FIN = ("$fin",)

@@ -25,15 +25,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .automata import (Dfa, access_words, complement, distinguishing_suffix,
                        distinguishing_word, ends_with_dfa, inclusion_witness,
                        language_is_finite, minimize, reachable_states,
                        shortest_accepted, _distance_to_accepting)
 from .errors import (AlphabetMismatchError, InternalConsistencyError,
                      ResourceLimitError, TextFormatError, UndecidedError)
-from .monoid import DEFAULT_MONOID_CAP, monoid_closure_arrays
+from .monoid import DEFAULT_MONOID_CAP, monoid_elements
 from .regex import Regex, is_union_free_syntax
 from .words import Alphabet, Word, word_to_text
 
@@ -296,6 +294,16 @@ def _check_combinational(dm: Dfa) -> tuple[bool, Evidence]:
         f"membership is not a function of the final symbol ({side} witness)", (w,))
 
 
+def _mixed_pair(dm: Dfa, pairs) -> frozenset | None:
+    """First state pair, in a fixed order, that mixes an accepting with a
+    rejecting state; None if there is none."""
+    for pair in sorted(pairs, key=lambda s: sorted(map(str, s))):
+        p, q = pair
+        if (p in dm.accepting) != (q in dm.accepting):
+            return pair
+    return None
+
+
 def _suffix_pair_fixpoint(dm: Dfa) -> tuple[set, int | None]:
     """Iterate the state-pair image map to its fixpoint.
 
@@ -308,13 +316,6 @@ def _suffix_pair_fixpoint(dm: Dfa) -> tuple[set, int | None]:
     pairs = {frozenset((p, q)) for i, p in enumerate(states)
              for q in states[i + 1:]}
 
-    def mixed(pair_set) -> frozenset | None:
-        for pair in sorted(pair_set, key=lambda s: sorted(map(str, s))):
-            p, q = sorted(pair, key=str)
-            if (p in dm.accepting) != (q in dm.accepting):
-                return pair
-        return None
-
     def step(pair_set) -> set:
         out = set()
         for pair in pair_set:
@@ -326,7 +327,7 @@ def _suffix_pair_fixpoint(dm: Dfa) -> tuple[set, int | None]:
         return out
 
     current = pairs
-    clean_at = 0 if mixed(current) is None else None
+    clean_at = 0 if _mixed_pair(dm, current) is None else None
     t = 0
     while True:
         nxt = step(current)
@@ -334,7 +335,7 @@ def _suffix_pair_fixpoint(dm: Dfa) -> tuple[set, int | None]:
             break
         current = nxt
         t += 1
-        if clean_at is None and mixed(current) is None:
+        if clean_at is None and _mixed_pair(dm, current) is None:
             clean_at = t
     return current, clean_at
 
@@ -342,25 +343,13 @@ def _suffix_pair_fixpoint(dm: Dfa) -> tuple[set, int | None]:
 def _definite_bound(dm: Dfa) -> int | None:
     """Suffix length that settles membership, or None if no bound exists."""
     current, clean_at = _suffix_pair_fixpoint(dm)
-    for pair in current:
-        p, q = tuple(pair)
-        if (p in dm.accepting) != (q in dm.accepting):
-            return None
-    return clean_at if clean_at is not None else 0
+    return None if _mixed_pair(dm, current) is not None else clean_at
 
 
 def _check_definite(dm: Dfa) -> tuple[bool, Evidence]:
     states = list(dm.states)
-
-    def bad(pair_set) -> frozenset | None:
-        for pair in sorted(pair_set, key=lambda s: sorted(map(str, s))):
-            p, q = sorted(pair, key=str)
-            if (p in dm.accepting) != (q in dm.accepting):
-                return pair
-        return None
-
     current, clean_at = _suffix_pair_fixpoint(dm)
-    bad_pair = bad(current)
+    bad_pair = _mixed_pair(dm, current)
     if bad_pair is None:
         assert clean_at is not None
         return True, Evidence(f"membership depends only on the last {clean_at} symbols")
@@ -512,8 +501,11 @@ def _check_ordered(dm: Dfa, monoid_cap: int = DEFAULT_MONOID_CAP, *,
             f"depends only on the last {k} symbols and the last-{k}-symbols "
             f"automaton does")
     if noncounting is None:
-        nc_ok, nc_ev = _check_noncounting(dm, monoid_cap)
-        noncounting = (Verdict.YES if nc_ok else Verdict.NO, nc_ev)
+        try:
+            nc_ok, nc_ev = _check_noncounting(dm, monoid_cap)
+            noncounting = (Verdict.YES if nc_ok else Verdict.NO, nc_ev)
+        except ResourceLimitError:
+            noncounting = (Verdict.UNKNOWN, Evidence())
     nc_verdict, nc_ev = noncounting
     if nc_verdict is Verdict.NO:
         return Verdict.NO, Evidence(
@@ -523,8 +515,8 @@ def _check_ordered(dm: Dfa, monoid_cap: int = DEFAULT_MONOID_CAP, *,
            "the minimal automaton admits no monotone order")
     if nc_verdict is Verdict.UNKNOWN:
         return Verdict.UNKNOWN, Evidence(
-            how + "; the repetition check hit the monoid cap, leaving "
-            "orderability undecided at this cap")
+            how + f"; the repetition check hit the monoid cap of {monoid_cap}, "
+            "leaving orderability undecided at this cap")
     return Verdict.UNKNOWN, Evidence(
         how + "; the language is neither definite nor repetition-counting, "
         "and orderability of a larger accepting automaton is not decided here")
@@ -590,26 +582,20 @@ def _check_circular(dm: Dfa) -> tuple[bool, Evidence]:
     return True, Evidence("closed under cyclic shifts")
 
 
-def _power_rows(rows: np.ndarray, times: int) -> np.ndarray:
-    """Square each row-transformation ``times`` times: t -> t^(2^times)."""
-    out = rows
-    for _ in range(times):
-        out = np.take_along_axis(out, out, axis=1)
-    return out
-
-
 def _check_noncounting(dm: Dfa, cap: int) -> tuple[bool, Evidence]:
-    rows, words = monoid_closure_arrays(dm, cap)
-    m = len(rows)
-    k = max(1, int(np.ceil(np.log2(m + 1))))
-    stable = _power_rows(rows, k)           # t^(2^k), beyond every pre-period
-    bumped = np.take_along_axis(rows, stable, axis=1)  # t^(2^k + 1)
-    diff = np.nonzero((stable != bumped).any(axis=1))[0]
-    if len(diff) == 0:
+    """Aperiodicity of the transition monoid, stopping at the first element
+    ``t`` (in shortlex order of its word) with ``t^N != t^(N+1)``."""
+    squarings = len(dm.states).bit_length()  # N = 2^squarings > pre-period
+    m = 0
+    for t, y in monoid_elements(dm, cap):
+        m += 1
+        stable = t
+        for _ in range(squarings):
+            stable = tuple([stable[x] for x in stable])
+        if stable != tuple([t[x] for x in stable]):
+            break
+    else:
         return True, Evidence(f"aperiodic transition monoid ({m} elements)")
-    i = int(diff[0])
-    t = tuple(int(x) for x in rows[i])
-    y = words[i]
     # pre-period of the power sequence t, t^2, ...
     seen: dict[tuple, int] = {}
     cur, e = t, 1
@@ -635,28 +621,26 @@ def _check_noncounting(dm: Dfa, cap: int) -> tuple[bool, Evidence]:
 
 
 def _check_power_separating(dm: Dfa, cap: int) -> tuple[bool, Evidence]:
-    rows, words = monoid_closure_arrays(dm, cap)
-    m, n = rows.shape
-    q0 = list(dm.states).index(dm.initial)
-    acc_mask = np.array([q in dm.accepting for q in dm.states])
-    idx = np.arange(m)
-    v = rows[:, q0]                      # state after x^1
-    states_seq = [v]
-    for _ in range(2 * n + 1):
-        v = rows[idx, v]
-        states_seq.append(v)
-    seq = np.stack(states_seq, axis=1)   # (m, 2n+2): exponents 1..2n+2
-    window = seq[:, n:]                  # exponents n+1 .. 2n+2, all on cycle
-    acc_win = acc_mask[window]
-    mixed = np.nonzero(acc_win.any(axis=1) & ~acc_win.all(axis=1))[0]
-    if len(mixed) == 0:
+    """Stops at the first element ``y`` (in shortlex order) whose powers
+    ``y^(n+1) .. y^(2n+2)``, all on the cycle, fall on both sides."""
+    n = len(dm.states)
+    q0 = dm.states.index(dm.initial)
+    accepting = [q in dm.accepting for q in dm.states]
+    for t, y in monoid_elements(dm, cap):
+        v = t[q0]                        # state after y^1
+        for _ in range(n):
+            v = t[v]                     # ... up to y^(n+1)
+        window = []
+        for _ in range(n + 2):
+            window.append(accepting[v])
+            v = t[v]
+        if any(window) and not all(window):
+            break
+    else:
         return True, Evidence(
             "high powers of every word are uniformly inside or outside")
-    i = int(mixed[0])
-    y = words[i]
-    row = acc_win[i]
-    j_in = int(np.nonzero(row)[0][0]) + n + 1
-    j_out = int(np.nonzero(~row)[0][0]) + n + 1
+    j_in = window.index(True) + n + 1
+    j_out = window.index(False) + n + 1
     return False, Evidence(
         f"arbitrarily high powers of {word_to_text(y, dm.alphabet)} fall on "
         f"both sides (exponents {j_in} vs {j_out}, repeating)",
@@ -720,15 +704,26 @@ def is_circular(d: Dfa, U: Alphabet) -> bool:
     return _check_circular(minimize(d))[0]
 
 
-def is_noncounting(d: Dfa, U: Alphabet, *, monoid_cap: int = DEFAULT_MONOID_CAP) -> bool:
+def _monoid_cap_note(e: ResourceLimitError) -> str:
+    return f"monoid cap exceeded (cap {e.cap}); undecided at this cap"
+
+
+def _decide_by_monoid(check, d: Dfa, U: Alphabet, monoid_cap: int) -> bool:
+    """Boolean form of a monoid check; the cap raises :class:`UndecidedError`."""
     _require_alphabet(d, U)
-    return _check_noncounting(minimize(d), monoid_cap)[0]
+    try:
+        return check(minimize(d), monoid_cap)[0]
+    except ResourceLimitError as e:
+        raise UndecidedError(_monoid_cap_note(e)) from e
+
+
+def is_noncounting(d: Dfa, U: Alphabet, *, monoid_cap: int = DEFAULT_MONOID_CAP) -> bool:
+    return _decide_by_monoid(_check_noncounting, d, U, monoid_cap)
 
 
 def is_power_separating(d: Dfa, U: Alphabet, *,
                         monoid_cap: int = DEFAULT_MONOID_CAP) -> bool:
-    _require_alphabet(d, U)
-    return _check_power_separating(minimize(d), monoid_cap)[0]
+    return _decide_by_monoid(_check_power_separating, d, U, monoid_cap)
 
 
 def union_free_syntax(r: Regex) -> Verdict:
@@ -794,8 +789,10 @@ def classify(d: Dfa, U: Alphabet, *, source_regex: Regex | None = None,
              ) -> FamilyReport:
     """Decide all families at once and cross-check the verdicts.
 
-    The two monoid-based families come back UNKNOWN when the monoid cap is
-    hit; everything else is always decided.
+    The two monoid-based families come back UNKNOWN only when the monoid
+    cap is hit before any counter is found; ORD is UNKNOWN then too, and in
+    its inherent gap (see :func:`_check_ordered`); everything else is always
+    decided.
     """
     _require_alphabet(d, U)
     dm = minimize(d)
@@ -827,8 +824,7 @@ def classify(d: Dfa, U: Alphabet, *, source_regex: Regex | None = None,
             report.evidence[label] = ev
         except ResourceLimitError as e:
             report.verdicts[label] = Verdict.UNKNOWN
-            report.evidence[label] = Evidence(
-                f"monoid cap exceeded (cap {e.cap}); undecided at this cap")
+            report.evidence[label] = Evidence(_monoid_cap_note(e))
     # ordered reuses the repetition verdict: its only off-chain certificates
     # are the definite bound (yes) and a repetition witness (no)
     v, ev = _check_ordered(dm, monoid_cap,

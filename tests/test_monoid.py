@@ -1,10 +1,11 @@
 import pytest
 
+from conftest import random_dfa
 from icgram.automata import minimize, regex_to_dfa
 from icgram.errors import ResourceLimitError
-from icgram.monoid import transition_monoid
+from icgram.monoid import monoid_elements, transition_monoid
 from icgram.regex import parse_regex
-from icgram.words import Alphabet
+from icgram.words import Alphabet, all_words
 
 UA = Alphabet.of("a")
 UBC = Alphabet.of("b", "c")
@@ -46,6 +47,12 @@ def test_monoid_cap():
         transition_monoid(minimize(d), cap=5)
     assert e.value.cap == 5
     assert e.value.reached >= 5
+    # the generator hands out exactly the first 5 elements, then raises
+    yielded = []
+    with pytest.raises(ResourceLimitError) as e:
+        for element in monoid_elements(minimize(d), cap=5):
+            yielded.append(element)
+    assert len(yielded) == 5 and e.value.reached == 6
 
 
 def test_witness_words_reproduce_their_elements():
@@ -55,3 +62,16 @@ def test_witness_words_reproduce_their_elements():
     # representatives come out in shortlex discovery order
     keys = [(len(w), w) for w in m.words]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("n_states", [2, 3, 4, 5])
+def test_words_are_shortlex_least(rng, n_states):
+    """Brute force: every recorded word is the first word, in shortlex
+    order, that induces its element."""
+    u = Alphabet.of("a", "b")
+    for _ in range(10):
+        m = transition_monoid(random_dfa(rng, n_states, u))
+        first: dict = {}
+        for w in all_words(u, max(len(w) for w in m.words)):
+            first.setdefault(m.element_of_word(w), w)
+        assert m.words == tuple(first[t] for t in m.elements)

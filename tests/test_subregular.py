@@ -129,6 +129,9 @@ def test_ordered():
     # refuses to guess either way
     with pytest.raises(UndecidedError):
         is_ordered(_dfa("(ab)*", UAB), UAB)
+    # (aa)* is unorderable and not definite, and its counter a lies past cap 1
+    with pytest.raises(UndecidedError, match="monoid cap"):
+        is_ordered(_dfa("(aa)*", UA), UA, monoid_cap=1)
     rep = _report("(ab)*", UAB)
     assert rep.verdicts[ORD] is Verdict.UNKNOWN
 
@@ -197,6 +200,9 @@ def test_circular():
 
 def test_noncounting():
     assert is_noncounting(_dfa("b*c", UBC), UBC)
+    # its aperiodic monoid has 4 elements: a yes needs all of them
+    with pytest.raises(UndecidedError, match="monoid cap"):
+        is_noncounting(_dfa("b*c", UBC), UBC, monoid_cap=2)
     assert is_noncounting(_dfa("(ab)*", UAB), UAB)
     d = _dfa("(aa)*", UA)
     assert not is_noncounting(d, UA)
@@ -206,6 +212,8 @@ def test_noncounting():
 
 def test_power_separating():
     assert is_power_separating(_dfa("b*c", UBC), UBC)
+    with pytest.raises(UndecidedError, match="monoid cap"):
+        is_power_separating(_dfa("b*c", UBC), UBC, monoid_cap=2)
     # separates powers even though it counts: one b then an even number of a
     assert is_power_separating(_dfa("b(aa)*", UAB), UAB)
     assert not is_noncounting(_dfa("b(aa)*", UAB), UAB)
@@ -213,6 +221,19 @@ def test_power_separating():
     assert not is_power_separating(d, UA)
     w1, w2 = _report("(aa)*", UA).evidence[PS].words
     assert accepts(d, w1) != accepts(d, w2)
+
+
+def test_large_random_dfa_gets_decided_counters(rng):
+    """The counter search stops at the first counter, so a 24-state automaton
+    whose whole monoid is far beyond the default cap is still decided."""
+    u = Alphabet.of("a", "b", "c")
+    d = random_dfa(rng, 24, u)
+    rep = classify(d, u)
+    dm = minimize(d)
+    for label in (NC, PS, ORD):
+        assert rep.verdicts[label] is Verdict.NO, label
+        w1, w2 = rep.evidence[label].words
+        assert accepts(dm, w1) != accepts(dm, w2), label
 
 
 def test_union_free_is_syntactic():
