@@ -8,16 +8,20 @@ Two machine types:
   is total; unproductive behaviour is routed through an explicit sink that is
   counted like any other state).
 
-All constructions that output a :class:`Dfa` number states ``0..n-1`` in
-breadth-first discovery order following the alphabet order, so equal
-languages fed through :func:`minimize` yield structurally equal objects.
+Every search over automaton states goes through one of two helpers, the
+one place that fixes discovery order (FIFO, letters in alphabet order, the
+first discovery of a node wins): :func:`bfs_words` pairs each reachable
+node with its shortlex-least word, and :func:`_explore` numbers the
+reachable part of a step function ``0..n-1`` as a :class:`Dfa`.  So every
+witness word is shortlex-least, and equal languages fed through
+:func:`minimize` yield structurally equal objects.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .errors import AlphabetMismatchError, InvalidAutomatonError, TextFormatError
 from .regex import (EmptyLang, EmptyWord, Literal, Concat, Union, Star, Regex,
@@ -100,6 +104,58 @@ def accepts(d: Dfa, w: Word) -> bool:
     return d.run(w) in d.accepting
 
 
+# --- breadth-first search -----------------------------------------------
+
+def bfs_words(start, step: Callable, alphabet: Alphabet) -> Iterator[tuple]:
+    """Yield ``(node, word)`` for every node reachable from ``start``, in
+    breadth-first discovery order; each word is the shortlex-least path to
+    its node.  ``step(node, a)`` returns the next node, or ``None`` for no
+    move.  A node is expanded only after it has been yielded, so a caller
+    that stops early explores nothing beyond that node."""
+    letters = tuple(alphabet)
+    words = {start: EMPTY_WORD}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        w = words[node]
+        yield node, w
+        for a in letters:
+            t = step(node, a)
+            if t is not None and t not in words:
+                words[t] = w + (a,)
+                queue.append(t)
+
+
+def _explore(alphabet: Alphabet, start, step: Callable,
+             is_accepting: Callable) -> Dfa:
+    """The part of a total deterministic ``step`` reachable from ``start``,
+    as a :class:`Dfa` on ``0..n-1`` numbered in breadth-first discovery
+    order."""
+    letters = tuple(alphabet)
+    ids = {start: 0}
+    queue = deque([start])
+    delta: dict[tuple[State, str], State] = {}
+    accepting: set[int] = set()
+    while queue:
+        node = queue.popleft()
+        i = ids[node]
+        if is_accepting(node):
+            accepting.add(i)
+        for a in letters:
+            t = step(node, a)
+            if t not in ids:
+                ids[t] = len(ids)
+                queue.append(t)
+            delta[(i, a)] = ids[t]
+    return Dfa(tuple(range(len(ids))), alphabet, delta, 0, frozenset(accepting))
+
+
+def _pair_step(d1: Dfa, d2: Dfa) -> Callable:
+    """Step function of the product of two automata over one alphabet."""
+    delta1, delta2 = d1.delta, d2.delta
+    return lambda pair, a: (delta1[(pair[0], a)], delta2[(pair[1], a)])
+
+
 # --- compilers ----------------------------------------------------------
 
 def regex_to_nfa(r: Regex, alphabet: Alphabet) -> Nfa:
@@ -169,24 +225,8 @@ def regex_to_nfa(r: Regex, alphabet: Alphabet) -> Nfa:
 def nfa_to_dfa(n: Nfa) -> Dfa:
     """Subset construction; the empty subset acts as the sink, so the result
     is complete.  States are renumbered 0,1,... in discovery order."""
-    order = list(n.alphabet)
-    start = frozenset(n.initial)
-    ids: dict[frozenset, int] = {start: 0}
-    queue = deque([start])
-    delta: dict[tuple[State, str], State] = {}
-    accepting: set[int] = set()
-    while queue:
-        subset = queue.popleft()
-        i = ids[subset]
-        if subset & n.accepting:
-            accepting.add(i)
-        for a in order:
-            target = n.move(subset, a)
-            if target not in ids:
-                ids[target] = len(ids)
-                queue.append(target)
-            delta[(i, a)] = ids[target]
-    return Dfa(tuple(range(len(ids))), n.alphabet, delta, 0, frozenset(accepting))
+    return _explore(n.alphabet, frozenset(n.initial), n.move,
+                    lambda subset: bool(subset & n.accepting))
 
 
 def regex_to_dfa(r: Regex, alphabet: Alphabet) -> Dfa:
@@ -197,18 +237,7 @@ def regex_to_dfa(r: Regex, alphabet: Alphabet) -> Dfa:
 
 def reachable_states(d: Dfa) -> list:
     """Reachable states in breadth-first order (alphabet order)."""
-    seen = {d.initial}
-    out = [d.initial]
-    queue = deque([d.initial])
-    while queue:
-        q = queue.popleft()
-        for a in d.alphabet:
-            t = d.delta[(q, a)]
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-                queue.append(t)
-    return out
+    return [q for q, _ in bfs_words(d.initial, d.step, d.alphabet)]
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -219,10 +248,6 @@ def minimize(d: Dfa) -> Dfa:
     block: dict[State, int] = {}
     for q in reach:
         block[q] = 0 if q in d.accepting else 1
-    if all(q in d.accepting for q in reach):
-        block = {q: 0 for q in reach}
-    if all(q not in d.accepting for q in reach):
-        block = {q: 0 for q in reach}
     while True:
         signatures: dict[tuple, int] = {}
         new_block: dict[State, int] = {}
@@ -238,26 +263,9 @@ def minimize(d: Dfa) -> Dfa:
     rep: dict[int, State] = {}
     for q in reach:
         rep.setdefault(block[q], q)
-    ids = {block[d.initial]: 0}
-    order = [block[d.initial]]
-    queue = deque(order)
-    while queue:
-        b = queue.popleft()
-        for a in d.alphabet:
-            t = block[d.delta[(rep[b], a)]]
-            if t not in ids:
-                ids[t] = len(ids)
-                order.append(t)
-                queue.append(t)
-    delta = {}
-    accepting = set()
-    for b in order:
-        i = ids[b]
-        if rep[b] in d.accepting:
-            accepting.add(i)
-        for a in d.alphabet:
-            delta[(i, a)] = ids[block[d.delta[(rep[b], a)]]]
-    return Dfa(tuple(range(len(ids))), d.alphabet, delta, 0, frozenset(accepting))
+    return _explore(d.alphabet, block[d.initial],
+                    lambda b, a: block[d.delta[(rep[b], a)]],
+                    lambda b: rep[b] in d.accepting)
 
 
 def _check_same_alphabet(d1: Dfa, d2: Dfa) -> None:
@@ -266,28 +274,19 @@ def _check_same_alphabet(d1: Dfa, d2: Dfa) -> None:
             f"alphabets differ: {list(d1.alphabet)} vs {list(d2.alphabet)}")
 
 
+def _distinguishing(d1: Dfa, p: State, d2: Dfa, q: State) -> Word | None:
+    """Shortlex-least word accepted from exactly one of ``p`` in ``d1`` and
+    ``q`` in ``d2``, or None."""
+    for (x, y), w in bfs_words((p, q), _pair_step(d1, d2), d1.alphabet):
+        if (x in d1.accepting) != (y in d2.accepting):
+            return w
+    return None
+
+
 def distinguishing_word(d1: Dfa, d2: Dfa) -> Word | None:
     """Shortest word accepted by exactly one of the two automata, or None."""
     _check_same_alphabet(d1, d2)
-    start = (d1.initial, d2.initial)
-    parent: dict[tuple, tuple | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        p, q = pair
-        if (p in d1.accepting) != (q in d2.accepting):
-            w: list[str] = []
-            node = pair
-            while parent[node] is not None:
-                node, a = parent[node]
-                w.append(a)
-            return tuple(reversed(w))
-        for a in d1.alphabet:
-            nxt = (d1.delta[(p, a)], d2.delta[(q, a)])
-            if nxt not in parent:
-                parent[nxt] = (pair, a)
-                queue.append(nxt)
-    return None
+    return _distinguishing(d1, d1.initial, d2, d2.initial)
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
@@ -308,24 +307,8 @@ def combine(d1: Dfa, d2: Dfa, op: str) -> Dfa:
     if op not in _BOOL_OPS:
         raise ValueError(f"unknown op {op!r}; use one of {sorted(_BOOL_OPS)}")
     fn = _BOOL_OPS[op]
-    start = (d1.initial, d2.initial)
-    ids = {start: 0}
-    queue = deque([start])
-    delta = {}
-    accepting = set()
-    while queue:
-        pair = queue.popleft()
-        i = ids[pair]
-        p, q = pair
-        if fn(p in d1.accepting, q in d2.accepting):
-            accepting.add(i)
-        for a in d1.alphabet:
-            nxt = (d1.delta[(p, a)], d2.delta[(q, a)])
-            if nxt not in ids:
-                ids[nxt] = len(ids)
-                queue.append(nxt)
-            delta[(i, a)] = ids[nxt]
-    return Dfa(tuple(range(len(ids))), d1.alphabet, delta, 0, frozenset(accepting))
+    return _explore(d1.alphabet, (d1.initial, d2.initial), _pair_step(d1, d2),
+                    lambda pair: fn(pair[0] in d1.accepting, pair[1] in d2.accepting))
 
 
 def complement(d: Dfa) -> Dfa:
@@ -341,65 +324,24 @@ def inclusion_witness(d1: Dfa, d2: Dfa) -> Word | None:
 
 # --- queries ------------------------------------------------------------
 
-def shortest_accepted(d: Dfa) -> Word | None:
-    parent: dict[State, tuple | None] = {d.initial: None}
-    queue = deque([d.initial])
-    while queue:
-        q = queue.popleft()
+def shortest_accepted(d: Dfa, start: State | None = None) -> Word | None:
+    """Shortlex-least word accepted from ``start`` (default: the initial
+    state), or None when none is."""
+    q0 = d.initial if start is None else start
+    for q, w in bfs_words(q0, d.step, d.alphabet):
         if q in d.accepting:
-            w: list[str] = []
-            node = q
-            while parent[node] is not None:
-                node, a = parent[node]
-                w.append(a)
-            return tuple(reversed(w))
-        for a in d.alphabet:
-            t = d.delta[(q, a)]
-            if t not in parent:
-                parent[t] = (q, a)
-                queue.append(t)
+            return w
     return None
-
-
-def is_empty_lang(d: Dfa) -> bool:
-    return shortest_accepted(d) is None
 
 
 def access_words(d: Dfa) -> dict:
     """Shortlex-least word reaching each reachable state."""
-    out: dict[State, Word] = {d.initial: EMPTY_WORD}
-    queue = deque([d.initial])
-    while queue:
-        q = queue.popleft()
-        for a in d.alphabet:
-            t = d.delta[(q, a)]
-            if t not in out:
-                out[t] = out[q] + (a,)
-                queue.append(t)
-    return out
+    return dict(bfs_words(d.initial, d.step, d.alphabet))
 
 
 def distinguishing_suffix(d: Dfa, p: State, q: State) -> Word | None:
     """Shortest word accepted from exactly one of two states of ``d``."""
-    start = (p, q)
-    parent: dict[tuple, tuple | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        x, y = pair
-        if (x in d.accepting) != (y in d.accepting):
-            w: list[str] = []
-            node = pair
-            while parent[node] is not None:
-                node, a = parent[node]
-                w.append(a)
-            return tuple(reversed(w))
-        for a in d.alphabet:
-            nxt = (d.delta[(x, a)], d.delta[(y, a)])
-            if nxt not in parent:
-                parent[nxt] = (pair, a)
-                queue.append(nxt)
-    return None
+    return _distinguishing(d, p, d, q)
 
 
 def _distance_to_accepting(d: Dfa) -> dict:
@@ -440,18 +382,22 @@ def enumerate_regular(d: Dfa, max_len: int) -> set[Word]:
     return out
 
 
+def _useful_states(d: Dfa) -> set:
+    """States that are reachable and can still reach an accepting state."""
+    dist = _distance_to_accepting(d)
+    return {q for q in reachable_states(d) if q in dist}
+
+
 def language_is_finite(d: Dfa) -> bool:
     """True when no cycle lies on an accepting path."""
-    dist = _distance_to_accepting(d)
-    useful = [q for q in reachable_states(d) if q in dist]
-    useful_set = set(useful)
+    useful = _useful_states(d)
     color: dict[State, int] = {}
 
     def dfs(q: State) -> bool:  # returns True when a cycle is found
         color[q] = 1
         for a in d.alphabet:
             t = d.delta[(q, a)]
-            if t not in useful_set:
+            if t not in useful:
                 continue
             c = color.get(t, 0)
             if c == 1:

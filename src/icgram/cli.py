@@ -348,6 +348,19 @@ def _cmd_convert(args) -> int:
 
 # --- wiring ---------------------------------------------------------------
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser, *, caps: bool = True) -> None:
     p.add_argument("--format", choices=("human", "machine"), default="human",
                    help="human text or JSON")
@@ -386,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regex")
     p.add_argument("--alphabet")
     p.add_argument("--grammar", metavar="PATH")
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_int_at_least(0), required=True)
     _add_common(p)
     p.set_defaults(fn=_cmd_enumerate)
 
@@ -411,9 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="case parameter")
     p.add_argument("--variant", default="main",
                    help="which grammar to export (default: main)")
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--max-len", type=_int_at_least(0), default=8)
     p.add_argument("--scope", choices=SCOPES, default="merged")
-    p.add_argument("--max-param", type=int, default=3)
+    p.add_argument("--max-param", type=_int_at_least(2), default=3)
     _add_common(p)
     p.set_defaults(fn=_cmd_witness)
 

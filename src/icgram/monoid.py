@@ -12,13 +12,12 @@ stop at the first one instead of building the whole monoid.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .automata import Dfa
+from .automata import Dfa, bfs_words
 from .errors import ResourceLimitError
-from .words import EMPTY_WORD, Alphabet, Word
+from .words import Alphabet, Word
 
 DEFAULT_MONOID_CAP = 10_000
 
@@ -40,24 +39,19 @@ def monoid_elements(d: Dfa, cap: int = DEFAULT_MONOID_CAP
     Raises :class:`ResourceLimitError` in place of yielding element
     ``cap + 1``, so no element beyond the cap is ever seen by the caller.
     """
-    letters = tuple(zip(d.alphabet, _generators(d)))
+    gen = dict(zip(d.alphabet, _generators(d)))
     identity = tuple(range(len(d.states)))
-    seen = {identity}
-    queue = deque([(identity, EMPTY_WORD)])
-    yielded = 0
-    while queue:
-        if yielded == cap:
+
+    def step(t: Transformation, a: str) -> Transformation:
+        g = gen[a]  # the transformation of w . a from that of w
+        return tuple([g[x] for x in t])
+
+    for i, element in enumerate(bfs_words(identity, step, d.alphabet)):
+        if i == cap:
             raise ResourceLimitError(
                 f"transition monoid exceeds cap of {cap} elements",
                 cap=cap, reached=cap + 1)
-        t, w = queue.popleft()
-        yield t, w
-        yielded += 1
-        for a, g in letters:
-            u = tuple([g[x] for x in t])  # transformation of w . a
-            if u not in seen:
-                seen.add(u)
-                queue.append((u, w + (a,)))
+        yield element
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .automata import (Dfa, access_words, complement, distinguishing_suffix,
-                       distinguishing_word, ends_with_dfa, inclusion_witness,
-                       language_is_finite, minimize, reachable_states,
-                       shortest_accepted, _distance_to_accepting)
+from .automata import (Dfa, access_words, bfs_words, complement,
+                       distinguishing_suffix, distinguishing_word, ends_with_dfa,
+                       inclusion_witness, language_is_finite, minimize,
+                       shortest_accepted, _pair_step, _useful_states)
 from .errors import (AlphabetMismatchError, InternalConsistencyError,
                      ResourceLimitError, TextFormatError, UndecidedError)
 from .monoid import DEFAULT_MONOID_CAP, monoid_elements
@@ -169,73 +169,24 @@ def _check_monoidal(dm: Dfa) -> tuple[bool, Evidence]:
     return False, Evidence("a word is rejected", (w,))
 
 
-def _useful_states(dm: Dfa) -> set:
-    dist = _distance_to_accepting(dm)
-    return {q for q in reachable_states(dm) if q in dist}
-
-
 def _pump_words(dm: Dfa) -> tuple[Word, Word, Word]:
     """(x, y, z) with x y^k z accepted for every k >= 0 and y non-empty.
     Only valid when the language is infinite."""
     useful = _useful_states(dm)
     acc = access_words(dm)
+    stand_in = object()
     for q in sorted(useful, key=lambda s: len(acc[s])):
-        # shortest non-empty loop at q through useful states
-        parent: dict = {}
-        queue = deque()
-        for a in dm.alphabet:
-            t = dm.delta[(q, a)]
-            if t in useful and t not in parent:
-                parent[t] = (None, a)
-                queue.append(t)
-        found = None
-        if q in parent:
-            found = q
-        while queue and found is None:
-            s = queue.popleft()
-            for a in dm.alphabet:
-                t = dm.delta[(s, a)]
-                if t not in useful:
-                    continue
-                if t == q:
-                    parent[q] = (s, a)
-                    found = q
-                    break
-                if t not in parent:
-                    parent[t] = (s, a)
-                    queue.append(t)
-        if found is None:
-            continue
-        y: list[str] = []
-        node = q
-        while True:
-            prev, a = parent[node]
-            y.append(a)
-            if prev is None:
-                break
-            node = prev
-        y_word = tuple(reversed(y))
-        # shortest completion q -> accepting
-        zparent: dict = {q: None}
-        zq = deque([q])
-        z_word: Word | None = None
-        while zq:
-            s = zq.popleft()
-            if s in dm.accepting:
-                z: list[str] = []
-                node = s
-                while zparent[node] is not None:
-                    node, a = zparent[node]
-                    z.append(a)
-                z_word = tuple(reversed(z))
-                break
-            for a in dm.alphabet:
-                t = dm.delta[(s, a)]
-                if t not in zparent:
-                    zparent[t] = (s, a)
-                    zq.append(t)
-        assert z_word is not None
-        return acc[q], y_word, z_word
+        # shortest non-empty loop at q through useful states: the search
+        # starts from a stand-in that moves like q, so that q itself is
+        # discovered only when a path returns to it
+        def step(s, a):
+            t = dm.delta[(q if s is stand_in else s, a)]
+            return t if t in useful else None
+
+        y = next((w for s, w in bfs_words(stand_in, step, dm.alphabet)
+                  if s == q), None)
+        if y is not None:
+            return acc[q], y, shortest_accepted(dm, q)
     raise AssertionError("no pumpable state in an infinite language")
 
 
@@ -540,42 +491,21 @@ def _check_commutative(dm: Dfa) -> tuple[bool, Evidence]:
     return True, Evidence("membership is invariant under reordering of symbols")
 
 
-def _pair_reach(dm: Dfa, start: tuple) -> dict:
-    parent: dict[tuple, tuple | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        p, q = pair
-        for a in dm.alphabet:
-            nxt = (dm.delta[(p, a)], dm.delta[(q, a)])
-            if nxt not in parent:
-                parent[nxt] = (pair, a)
-                queue.append(nxt)
-    return parent
-
-
-def _walk_word(parent: dict, pair: tuple) -> Word:
-    out: list[str] = []
-    while parent[pair] is not None:
-        pair, a = parent[pair]
-        out.append(a)
-    return tuple(reversed(out))
-
-
 def _check_circular(dm: Dfa) -> tuple[bool, Evidence]:
     q0 = dm.initial
+    step = _pair_step(dm, dm)
     back: dict = {}
     for q in dm.states:
-        fwd = _pair_reach(dm, (q, q0))
+        fwd = dict(bfs_words((q, q0), step, dm.alphabet))
         for (a, b) in sorted(fwd, key=lambda pr: (str(pr[0]), str(pr[1]))):
             if a not in dm.accepting:
                 continue
             if b not in back:
-                back[b] = _pair_reach(dm, (q0, b))
+                back[b] = dict(bfs_words((q0, b), step, dm.alphabet))
             for (c, dd) in sorted(back[b], key=lambda pr: (str(pr[0]), str(pr[1]))):
                 if c == q and dd not in dm.accepting:
-                    v = _walk_word(fwd, (a, b))
-                    u = _walk_word(back[b], (c, dd))
+                    v = fwd[(a, b)]
+                    u = back[b][(c, dd)]
                     return False, Evidence(
                         "the second word is a rotation of the first (accepted) one",
                         (u + v, v + u))

@@ -64,7 +64,10 @@ class Alphabet:
         out = []
         for p in parts:
             out.extend(p.split(".")) if "." in p else out.append(p)
-        return cls(tuple(out))
+        try:
+            return cls(tuple(out))
+        except ValueError as e:
+            raise TextFormatError(str(e)) from None
 
     def __iter__(self) -> Iterator[Symbol]:
         return iter(self.symbols)

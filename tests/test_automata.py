@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dfa
-from icgram.automata import (accepts, combine, complement, dfa_to_table,
+from icgram.automata import (access_words, accepts, combine, complement,
+                             dfa_to_table, distinguishing_suffix,
                              distinguishing_word, empty_dfa, ends_with_dfa,
                              enumerate_regular, equivalent,
                              inclusion_witness, language_is_finite, minimize,
@@ -190,3 +193,47 @@ def test_nfa_determinization_preserves_words(seed, n_states):
     det = nfa_to_dfa(nfa)
     assert _lang(det, 4) == enumerate_regex(r, 4)
     assert equivalent(combine(d, det, "union"), combine(det, d, "union"))
+
+
+def _first(words, pred):
+    return next((w for w in words if pred(w)), None)
+
+
+@pytest.mark.parametrize("n_states", [2, 3, 4, 5])
+def test_search_words_are_shortlex_least(rng, n_states):
+    """Brute force: access, accepted and distinguishing words are the first
+    words, in shortlex order, with their property.  A reachable state or an
+    accepting one is reached by a word shorter than n.  A distinguishing
+    word is checked against a shortlex scan up to its own length; its
+    absence, against the canonical minimal automata (the scan bound n*n
+    would mean 2^25 words at n = 5)."""
+    for u in (U2, U3):
+        for _ in range(10):
+            d, e = random_dfa(rng, n_states, u), random_dfa(rng, n_states, u)
+            short = list(all_words(u, n_states - 1))
+            first: dict = {}
+            for w in short:
+                first.setdefault(d.run(w), w)
+            assert access_words(d) == first
+            for q in d.states:
+                assert shortest_accepted(d, q) == _first(
+                    short, lambda w: d.run(w, q) in d.accepting)
+            assert shortest_accepted(d) == shortest_accepted(d, d.initial)
+
+            w = distinguishing_word(d, e)
+            if w is None:
+                assert minimize(d) == minimize(e)
+            else:
+                assert w == _first(all_words(u, len(w)),
+                                   lambda v: accepts(d, v) != accepts(e, v))
+            for p in d.states:
+                for q in d.states:
+                    z = distinguishing_suffix(d, p, q)
+                    if z is None:
+                        assert (minimize(replace(d, initial=p))
+                                == minimize(replace(d, initial=q)))
+                    else:
+                        assert z == _first(
+                            all_words(u, len(z)),
+                            lambda v: (d.run(v, p) in d.accepting)
+                            != (d.run(v, q) in d.accepting))

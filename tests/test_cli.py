@@ -105,6 +105,10 @@ def test_monoid_cap_exit_three():
     ["bogus"],                                          # unknown command
     ["classify", "--regex", "a*", "--alphabet", "a", "--caps", "zzz=3"],
     ["convert", "--regex", "a*", "--alphabet", "a", "--to", "canonical"],
+    ["witness", "hierarchy", "--max-param", "1"],
+    ["classify", "--regex", "a", "--alphabet", "ab."],  # empty symbol
+    ["enumerate", "--regex", "a*", "--alphabet", "a", "--max-len", "-1"],
+    ["witness", "run", "L1", "--max-len", "-1"],
 ])
 def test_usage_and_parse_errors_exit_two(argv):
     code, _ = run_cli(argv)
