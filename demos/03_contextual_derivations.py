@@ -40,7 +40,7 @@ for step in derive_step(g, ("a", "c", "b")):
 words = sort_words(enumerate_ic(g, 5), g.alphabet)
 print("\nlanguage up to length 5:", " ".join(word_to_text(w) for w in words))
 
-# Membership runs backwards: strip a context, recurse.
+# Membership runs backwards: strip a context, search on from the shorter word.
 w = ("a", "a", "a", "c", "b", "b", "b")
 print("\nmember", word_to_text(w), "->", member_ic(g, w))
 print("derivation found by the membership search:")

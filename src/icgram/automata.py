@@ -19,7 +19,7 @@ witness word is shortlex-least, and equal languages fed through
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
@@ -388,26 +388,33 @@ def _useful_states(d: Dfa) -> set:
     return {q for q in reachable_states(d) if q in dist}
 
 
+def _longest_word_length(d: Dfa) -> int | None:
+    """Length of the longest accepted word; None for an infinite language,
+    -1 for the empty one.  A topological order of the useful states covers
+    them all exactly when no cycle lies on an accepting path; read backwards,
+    it gives each state's longest accepted suffix."""
+    useful = _useful_states(d)
+    succ = {q: [t for a in d.alphabet if (t := d.delta[(q, a)]) in useful]
+            for q in useful}
+    indegree = Counter(t for ts in succ.values() for t in ts)
+    order = [q for q in useful if not indegree[q]]
+    for q in order:  # grows while it is read
+        for t in succ[q]:
+            indegree[t] -= 1
+            if not indegree[t]:
+                order.append(t)
+    if len(order) < len(useful):
+        return None
+    longest: dict[State, int] = {}
+    for q in reversed(order):
+        longest[q] = max([1 + longest[t] for t in succ[q]]
+                         + ([0] if q in d.accepting else []))
+    return longest.get(d.initial, -1)
+
+
 def language_is_finite(d: Dfa) -> bool:
     """True when no cycle lies on an accepting path."""
-    useful = _useful_states(d)
-    color: dict[State, int] = {}
-
-    def dfs(q: State) -> bool:  # returns True when a cycle is found
-        color[q] = 1
-        for a in d.alphabet:
-            t = d.delta[(q, a)]
-            if t not in useful:
-                continue
-            c = color.get(t, 0)
-            if c == 1:
-                return True
-            if c == 0 and dfs(t):
-                return True
-        color[q] = 2
-        return False
-
-    return not any(dfs(q) for q in useful if color.get(q, 0) == 0)
+    return _longest_word_length(d) is not None
 
 
 # --- simple builders ----------------------------------------------------

@@ -9,6 +9,11 @@ and (u, v) is one of that pair's contexts.  Every step strictly lengthens the
 word, which is what makes bounded enumeration and exact membership both
 terminate.
 
+Both directions find selected infixes with one scan, :func:`_spans`: the
+forward step wraps contexts around the spans, the inverse step strips the
+contexts that enclose them.  Membership is a depth-first search over inverse
+steps on an explicit stack, so no recursion limit bounds the word length.
+
 Construction is deliberately permissive: malformed grammars can be built and
 then inspected with :func:`validate`, which returns the full list of
 diagnostics; the engine operations reject invalid grammars up front.
@@ -17,10 +22,13 @@ diagnostics; the engine operations reject invalid grammars up front.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import tee
 from typing import Iterable
 
-from .automata import (Dfa, accepts, enumerate_regular, equivalent,
-                       language_is_finite, minimize, nfa_to_dfa, regex_to_dfa)
+from .automata import (Dfa, _distance_to_accepting, accepts, enumerate_regular,
+                       equivalent, language_is_finite, minimize, nfa_to_dfa,
+                       regex_to_dfa)
 from .errors import (DecompositionMismatchError, InvalidGrammarError,
                      NonFiniteSelectionError, ResourceLimitError)
 from .monoid import DEFAULT_MONOID_CAP
@@ -28,10 +36,8 @@ from .regex import Regex, alt, seq, word_regex, Star, Literal
 from .resources import SearchCaps, bounded_min_grammar, count_resources, min_states
 from .rlgrammar import RightLinearGrammar, Rule, grammar_to_nfa
 from .subregular import (FamilyLabel, Verdict, union_free_syntax,
-                         _check_ordered, _check_circular, _check_combinational,
-                         _check_commutative, _check_definite, _check_finite,
-                         _check_monoidal, _check_nilpotent, _check_noncounting,
-                         _check_power_separating, _check_suffix_closed)
+                         _STRUCTURAL_CHECKS, _check_noncounting, _check_ordered,
+                         _check_power_separating, _monoid_cap_note)
 from .words import Alphabet, Word, sort_words, word_to_text
 
 
@@ -103,6 +109,11 @@ class SelectionPair:
             (start,), declared,
             tuple(Rule(start, w, None) for w in words), start)
         return cls.from_grammar(g, contexts)
+
+    @cached_property
+    def _live_states(self) -> frozenset:
+        """States of the selection DFA from which it can still accept."""
+        return frozenset(_distance_to_accepting(self.dfa))
 
     def selects(self, w: Word) -> bool:
         for s in w:
@@ -197,28 +208,28 @@ class DerivationStep:
                 f"infix {word_to_text(self.x2)}]")
 
 
-def _steps_unchecked(g: ContextualGrammar, w: Word,
-                     max_len: int | None = None):
-    n = len(w)
-    for pair_index, pair in enumerate(g.pairs):
-        declared = pair.declared_alphabet
-        dfa = pair.dfa
-        for i in range(n + 1):
-            q = dfa.initial
-            j = i
-            while True:
-                if q in dfa.accepting:
-                    x1, x2, x3 = w[:i], w[i:j], w[j:]
-                    for ctx in pair.contexts:
-                        if max_len is not None and n + ctx.weight > max_len:
-                            continue
-                        yield DerivationStep(
-                            w, x1, x2, x3, pair_index, ctx,
-                            x1 + ctx.left + x2 + ctx.right + x3)
-                if j >= n or w[j] not in declared:
-                    break
-                q = dfa.delta[(q, w[j])]
-                j += 1
+def _step(source: Word, pair_index: int, ctx: Context, i: int, j: int
+          ) -> DerivationStep:
+    """The insertion of ``ctx`` around ``source[i:j]``, annotated."""
+    x1, x2, x3 = source[:i], source[i:j], source[j:]
+    return DerivationStep(source, x1, x2, x3, pair_index, ctx,
+                          x1 + ctx.left + x2 + ctx.right + x3)
+
+
+def _spans(pair: SelectionPair, w: Word):
+    """Every ``(i, j)`` with ``w[i:j]`` in the pair's selection, ordered by
+    ``i`` and then ``j``.  The DFA runs once from each start and stops at a
+    symbol outside the subalphabet (it has no transition) or a dead state."""
+    dfa, live = pair.dfa, pair._live_states
+    for i in range(len(w) + 1):
+        q, j = dfa.initial, i
+        while q in live:
+            if q in dfa.accepting:
+                yield i, j
+            if j == len(w):
+                break
+            q = dfa.delta.get((q, w[j]))
+            j += 1
 
 
 def derive_step(g: ContextualGrammar, w: Word) -> tuple[DerivationStep, ...]:
@@ -226,7 +237,9 @@ def derive_step(g: ContextualGrammar, w: Word) -> tuple[DerivationStep, ...]:
     (pair index, infix start, infix end, context order)."""
     ensure_valid(g)
     g.alphabet.check_word(w)
-    return tuple(_steps_unchecked(g, w))
+    return tuple(_step(w, pair_index, ctx, i, j)
+                 for pair_index, pair in enumerate(g.pairs)
+                 for i, j in _spans(pair, w) for ctx in pair.contexts)
 
 
 def successors(g: ContextualGrammar, w: Word) -> set[Word]:
@@ -248,74 +261,81 @@ def enumerate_ic(g: ContextualGrammar, max_len: int, *,
     while frontier:
         nxt: list[Word] = []
         for w in frontier:
-            for step in _steps_unchecked(g, w, max_len):
-                t = step.target
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-                    if len(seen) > frontier_cap:
-                        raise ResourceLimitError(
-                            f"enumeration exceeded {frontier_cap} words",
-                            cap=frontier_cap, reached=len(seen))
+            for pair in g.pairs:
+                fits = [c for c in pair.contexts if len(w) + c.weight <= max_len]
+                if not fits:
+                    continue
+                for i, j in _spans(pair, w):
+                    x1, x2, x3 = w[:i], w[i:j], w[j:]
+                    for ctx in fits:
+                        t = x1 + ctx.left + x2 + ctx.right + x3
+                        if t not in seen:
+                            seen.add(t)
+                            nxt.append(t)
+                            if len(seen) > frontier_cap:
+                                raise ResourceLimitError(
+                                    f"enumeration exceeded {frontier_cap} words",
+                                    cap=frontier_cap, reached=len(seen))
         frontier = nxt
     return seen
 
 
 def _predecessor_steps(g: ContextualGrammar, w: Word):
     """Inverse steps: every way to read ``w`` as x1 u x2 v x3 with x2 in some
-    selection, yielding (predecessor x1 x2 x3, forward step)."""
-    n = len(w)
+    selection, as ``(x1 x2 x3, pair index, context, i, j)`` with x2 at
+    ``[i:j]`` of the predecessor; ordered by pair, context, infix start and
+    infix end."""
     for pair_index, pair in enumerate(g.pairs):
-        for ctx_index, ctx in enumerate(pair.contexts):
-            u, v = ctx.left, ctx.right
-            lu, lv = len(u), len(v)
-            for i in range(n - lu - lv + 1):
-                if w[i:i + lu] != u:
-                    continue
-                for k in range(i + lu, n - lv + 1):
-                    if w[k:k + lv] != v:
-                        continue
-                    x1, x2, x3 = w[:i], w[i + lu:k], w[k + lv:]
-                    if pair.selects(x2):
-                        pred = x1 + x2 + x3
-                        yield pred, DerivationStep(pred, x1, x2, x3,
-                                                   pair_index, ctx, w)
+        # one lazy scan, shared by the contexts: the search often needs
+        # only the first predecessor
+        scans = tee(_spans(pair, w), len(pair.contexts))
+        for ctx, spans in zip(pair.contexts, scans):
+            lu, lv = len(ctx.left), len(ctx.right)
+            for i, j in spans:
+                if i >= lu and w[i - lu:i] == ctx.left \
+                        and w[j:j + lv] == ctx.right:
+                    yield (w[:i - lu] + w[i:j] + w[j + lv:], pair_index, ctx,
+                           i - lu, j - lu)
+
+
+def _derivation(g: ContextualGrammar, w: Word) -> list | None:
+    """The inverse steps from ``w`` back to an axiom, or None: depth-first
+    over :func:`_predecessor_steps`.  Inverse steps shorten the word, so a
+    word seen before is not on the stack and has failed already."""
+    ensure_valid(g)
+    g.alphabet.check_word(w)
+    axioms = set(g.axioms)
+    if w in axioms:
+        return []
+    seen = {w}
+    stack = [(None, _predecessor_steps(g, w))]
+    while stack:
+        for step in stack[-1][1]:
+            if step[0] in axioms:
+                return [s for s, _ in stack[1:]] + [step]
+            if step[0] not in seen:
+                seen.add(step[0])
+                stack.append((step, _predecessor_steps(g, step[0])))
+                break
+        else:
+            stack.pop()
+    return None
 
 
 def member_ic(g: ContextualGrammar, w: Word) -> bool:
-    """Exact membership by backward search (memoized; every inverse step
-    strictly shortens the word, so the search space is finite)."""
-    return _member(g, w, {}) is not None
+    """Exact membership: a depth-first search for a chain of inverse steps
+    from ``w`` down to an axiom (each one strictly shortens the word, so the
+    search space is finite)."""
+    return _derivation(g, w) is not None
 
 
 def member_trace(g: ContextualGrammar, w: Word
                  ) -> tuple[DerivationStep, ...] | None:
     """A derivation of ``w`` from an axiom as a forward step sequence, or
-    None when ``w`` is not in the language.  Axioms get the empty trace."""
-    return _member(g, w, {})
-
-
-def _member(g: ContextualGrammar, w: Word,
-            memo: dict | None) -> tuple[DerivationStep, ...] | None:
-    ensure_valid(g)
-    g.alphabet.check_word(w)
-    return _member_rec(g, w, {} if memo is None else memo)
-
-
-def _member_rec(g: ContextualGrammar, w: Word,
-                memo: dict) -> tuple[DerivationStep, ...] | None:
-    if w in memo:
-        return memo[w]
-    memo[w] = None  # provisional: cuts off re-exploration of this word
-    if w in g.axioms:
-        memo[w] = ()
-        return memo[w]
-    for pred, step in _predecessor_steps(g, w):
-        sub = _member_rec(g, pred, memo)
-        if sub is not None:
-            memo[w] = sub + (step,)
-            return memo[w]
-    return None
+    None when ``w`` is not in the language.  Axioms get the empty trace.
+    It is the chain :func:`member_ic` finds, read from the axiom up."""
+    path = _derivation(g, w)
+    return None if path is None else tuple(_step(*s) for s in reversed(path))
 
 
 def _pair_selection_words(pair: SelectionPair) -> list[Word]:
@@ -399,18 +419,6 @@ class SelectionFamilyResult:
     per_pair: tuple[PairVerdict, ...]
 
 
-_STRUCTURAL_CHECKS = {
-    "MON": _check_monoidal,
-    "FIN": _check_finite,
-    "NIL": _check_nilpotent,
-    "COMB": _check_combinational,
-    "DEF": _check_definite,
-    "SUF": _check_suffix_closed,
-    "COMM": _check_commutative,
-    "CIRC": _check_circular,
-}
-
-
 def selection_in_family(g: ContextualGrammar, label: FamilyLabel, *,
                         monoid_cap: int = DEFAULT_MONOID_CAP,
                         caps: SearchCaps = SearchCaps()
@@ -438,8 +446,8 @@ def selection_in_family(g: ContextualGrammar, label: FamilyLabel, *,
 def _pair_family_verdict(i: int, pair: SelectionPair, label: FamilyLabel,
                          monoid_cap: int, caps: SearchCaps) -> PairVerdict:
     kind = label.kind
-    if kind in _STRUCTURAL_CHECKS:
-        ok, ev = _STRUCTURAL_CHECKS[kind](minimize(pair.dfa))
+    if label in _STRUCTURAL_CHECKS:
+        ok, ev = _STRUCTURAL_CHECKS[label](minimize(pair.dfa))
         return PairVerdict(i, Verdict.YES if ok else Verdict.NO, ev.note)
     if kind == "ORD":
         v, ev = _check_ordered(minimize(pair.dfa), monoid_cap)
@@ -450,7 +458,7 @@ def _pair_family_verdict(i: int, pair: SelectionPair, label: FamilyLabel,
             ok, ev = fn(minimize(pair.dfa), monoid_cap)
             return PairVerdict(i, Verdict.YES if ok else Verdict.NO, ev.note)
         except ResourceLimitError as e:
-            return PairVerdict(i, Verdict.UNKNOWN, f"monoid cap exceeded ({e.cap})")
+            return PairVerdict(i, Verdict.UNKNOWN, _monoid_cap_note(e))
     if kind == "REG":
         return PairVerdict(i, Verdict.YES, "regular by construction")
     if kind == "UF":

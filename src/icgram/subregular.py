@@ -27,8 +27,8 @@ from enum import Enum
 
 from .automata import (Dfa, access_words, bfs_words, complement,
                        distinguishing_suffix, distinguishing_word, ends_with_dfa,
-                       inclusion_witness, language_is_finite, minimize,
-                       shortest_accepted, _pair_step, _useful_states)
+                       inclusion_witness, minimize, shortest_accepted,
+                       _longest_word_length, _pair_step, _useful_states)
 from .errors import (AlphabetMismatchError, InternalConsistencyError,
                      ResourceLimitError, TextFormatError, UndecidedError)
 from .monoid import DEFAULT_MONOID_CAP, monoid_elements
@@ -191,30 +191,14 @@ def _pump_words(dm: Dfa) -> tuple[Word, Word, Word]:
 
 
 def _check_finite(dm: Dfa) -> tuple[bool, Evidence]:
-    if language_is_finite(dm):
-        useful = _useful_states(dm)
-        memo: dict = {}
-
-        def longest(q) -> int:
-            if q in memo:
-                return memo[q]
-            best = 0 if q in dm.accepting else -1
-            for a in dm.alphabet:
-                t = dm.delta[(q, a)]
-                if t in useful:
-                    sub = longest(t)
-                    if sub >= 0:
-                        best = max(best, 1 + sub)
-            memo[q] = best
-            return best
-
-        m = longest(dm.initial) if dm.initial in useful else -1
-        if m < 0:
-            return True, Evidence("the empty language")
-        return True, Evidence(f"finite; longest word has length {m}")
-    x, y, z = _pump_words(dm)
-    return False, Evidence("infinite: the first word pumps to the second",
-                           (x + y + z, x + y + y + z))
+    m = _longest_word_length(dm)
+    if m is None:
+        x, y, z = _pump_words(dm)
+        return False, Evidence("infinite: the first word pumps to the second",
+                               (x + y + z, x + y + y + z))
+    if m < 0:
+        return True, Evidence("the empty language")
+    return True, Evidence(f"finite; longest word has length {m}")
 
 
 def _check_nilpotent(dm: Dfa) -> tuple[bool, Evidence]:
@@ -714,6 +698,14 @@ class FamilyReport:
         }
 
 
+# the families decided outright on the minimal automaton, with no cap
+_STRUCTURAL_CHECKS = {
+    MON: _check_monoidal, FIN: _check_finite, NIL: _check_nilpotent,
+    COMB: _check_combinational, DEF: _check_definite,
+    SUF: _check_suffix_closed, COMM: _check_commutative, CIRC: _check_circular,
+}
+
+
 def classify(d: Dfa, U: Alphabet, *, source_regex: Regex | None = None,
              language_name: str = "", monoid_cap: int = DEFAULT_MONOID_CAP
              ) -> FamilyReport:
@@ -729,24 +721,10 @@ def classify(d: Dfa, U: Alphabet, *, source_regex: Regex | None = None,
     report = FamilyReport(language=language_name or "(unnamed)", alphabet=U,
                           min_state_count=len(dm.states))
 
-    checks = [
-        (MON, _check_monoidal),
-        (FIN, _check_finite),
-        (NIL, _check_nilpotent),
-        (COMB, _check_combinational),
-        (DEF, _check_definite),
-        (SUF, _check_suffix_closed),
-        (COMM, _check_commutative),
-        (CIRC, _check_circular),
-    ]
-    for label, fn in checks:
-        try:
-            ok, ev = fn(dm)
-            report.verdicts[label] = Verdict.YES if ok else Verdict.NO
-            report.evidence[label] = ev
-        except ResourceLimitError as e:
-            report.verdicts[label] = Verdict.UNKNOWN
-            report.evidence[label] = Evidence(f"search cap hit: {e}")
+    for label, fn in _STRUCTURAL_CHECKS.items():
+        ok, ev = fn(dm)
+        report.verdicts[label] = Verdict.YES if ok else Verdict.NO
+        report.evidence[label] = ev
     for label, fn2 in ((NC, _check_noncounting), (PS, _check_power_separating)):
         try:
             ok, ev = fn2(dm, monoid_cap)

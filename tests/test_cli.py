@@ -10,8 +10,9 @@ import pytest
 from conftest import run_cli
 
 from icgram.automata import regex_to_dfa
-from icgram.contextual import enumerate_ic
-from icgram.ctxformat import parse_contextual
+from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
+                               enumerate_ic)
+from icgram.ctxformat import format_contextual, parse_contextual
 from icgram.regex import parse_regex
 from icgram.subregular import classify
 from icgram.words import Alphabet, sort_words, word_to_text
@@ -80,6 +81,17 @@ def test_family_verdicts_drive_exit_codes():
     code, out = run_cli(["classify", "--regex", "(ab)*", "--alphabet", "ab",
                          "--family", "ORD"])
     assert code == 3 and out.startswith("ORD: unknown")
+
+
+def test_member_accepts_a_long_word(tmp_path):
+    # 999 inverse steps deep: more than the interpreter's recursion limit
+    code, text = run_cli(["witness", "export", "L6", "--n", "2"])
+    assert code == 0
+    path = tmp_path / "l6.ctx"
+    path.write_text(text, encoding="utf-8")
+    code, out = run_cli(["member", "--grammar", str(path),
+                         "--word", ".".join(["a1", "a2"] * 1000)])
+    assert code == 0 and out == "true\n"
 
 
 def test_member_rejects_with_exit_one(grammar_files):
@@ -226,6 +238,19 @@ def test_convert_canonical_and_split_finite(grammar_files):
                                      encoding="utf-8").read())
     assert len(split.pairs) == 2
     assert enumerate_ic(split, 8) == enumerate_ic(original, 8)
+
+
+def test_split_finite_of_one_long_word(tmp_path):
+    u = Alphabet.of("a", "b")
+    w = ("a", "b") * 750
+    g = ContextualGrammar(u, (("a",),), (
+        SelectionPair.from_words(u, [w], (Context(("a",), ()),)),))
+    path = tmp_path / "long.ctx"
+    path.write_text(format_contextual(g), encoding="utf-8")
+    code, out = run_cli(["convert", "--grammar", str(path),
+                         "--to", "split-finite"])
+    assert code == 0
+    assert [p.selects(w) for p in parse_contextual(out).pairs] == [True]
 
 
 def test_witness_list_and_hierarchy():

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contextual_oracle as oracle
 from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
-                               derive_step, enumerate_ic, ensure_valid,
-                               member_ic, member_trace, selection_in_family,
-                               split_definite_selection,
+                               _predecessor_steps, derive_step, enumerate_ic,
+                               ensure_valid, member_ic, member_trace,
+                               selection_in_family, split_definite_selection,
                                split_finite_selection, successors, validate)
 from icgram.errors import (DecompositionMismatchError, InvalidGrammarError,
                            NonFiniteSelectionError)
@@ -96,6 +97,16 @@ def test_member_trace_replays_as_forward_steps(l1):
         assert s in derive_step(l1, s.source)
     assert member_trace(l1, ("c",)) == ()  # axioms get the empty trace
     assert member_trace(l1, ("a",)) is None
+
+
+def test_long_member_needs_no_recursion():
+    # one inverse step per block: 1,499 steps deep, past the recursion limit
+    g = build_witness("L6", 2).grammar
+    w = ("a1", "a2") * 1500
+    assert member_ic(g, w)
+    trace = member_trace(g, w)
+    assert len(trace) == 1499
+    assert trace[0].source in g.axioms and trace[-1].target == w
 
 
 def test_member_agrees_with_enumeration_on_l2(l2):
@@ -200,6 +211,13 @@ def test_selection_in_family_per_pair(l1):
     assert any(pv.verdict is Verdict.NO for pv in res2.per_pair)
 
 
+def test_selection_in_family_cap_note_matches_classify(l1):
+    res = selection_in_family(l1, parse_family_label("NC"), monoid_cap=2)
+    assert res.per_pair[0].verdict is Verdict.UNKNOWN
+    assert res.per_pair[0].note == \
+        "monoid cap exceeded (cap 2); undecided at this cap"
+
+
 def test_selection_in_family_ord_is_three_valued():
     sel = Alphabet.of("a", "b")
     pair = SelectionPair.from_regex(sel, parse_regex("(ab)*", sel),
@@ -217,17 +235,36 @@ _CONTEXTS = [("a", ""), ("", "b"), ("a", "b"), ("ab", "")]
 _AXIOMS = [(), ("a",), ("b", "a"), ("a", "b", "b")]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.sampled_from(_SELECTIONS), min_size=1, max_size=2),
-       st.lists(st.sampled_from(_CONTEXTS), min_size=1, max_size=2,
-                unique=True),
-       st.lists(st.sampled_from(_AXIOMS), min_size=1, max_size=2,
-                unique=True))
-def test_enumeration_and_membership_agree(sels, ctxs, axioms):
+_GRAMMAR_PARTS = (
+    st.lists(st.sampled_from(_SELECTIONS), min_size=1, max_size=2),
+    st.lists(st.sampled_from(_CONTEXTS), min_size=1, max_size=2, unique=True),
+    st.lists(st.sampled_from(_AXIOMS), min_size=1, max_size=2, unique=True))
+
+
+def _grammar(sels, ctxs, axioms) -> ContextualGrammar:
     contexts = tuple(Context(tuple(l), tuple(r)) for l, r in ctxs)
     pairs = tuple(SelectionPair.from_regex(UAB, parse_regex(s, UAB), contexts)
                   for s in sels)
-    g = ContextualGrammar(UAB, tuple(axioms), pairs)
+    return ContextualGrammar(UAB, tuple(axioms), pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_GRAMMAR_PARTS)
+def test_enumeration_and_membership_agree(sels, ctxs, axioms):
+    g = _grammar(sels, ctxs, axioms)
     lang = enumerate_ic(g, 6)
     for w in all_words(UAB, 6):
         assert member_ic(g, w) == (w in lang), word_to_text(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_GRAMMAR_PARTS)
+def test_engine_matches_the_plain_oracle(sels, ctxs, axioms):
+    # same steps, same inverse steps, same traces, all in the same order
+    g = _grammar(sels, ctxs, axioms)
+    for w in sorted(set(all_words(UAB, 5)) | enumerate_ic(g, 8)):
+        assert derive_step(g, w) == tuple(oracle._steps_unchecked(g, w))
+        assert list(_predecessor_steps(g, w)) == [
+            (pred, s.pair_index, s.context, len(s.x1), len(s.x1 + s.x2))
+            for pred, s in oracle._predecessor_steps(g, w)]
+        assert member_trace(g, w) == oracle._member_rec(g, w, {})

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dfa
-from icgram.automata import Dfa, accepts, equivalent, minimize, regex_to_dfa
+from icgram.automata import (Dfa, accepts, equivalent, language_is_finite,
+                             minimize, regex_to_dfa, word_set_dfa)
 from icgram.errors import UndecidedError
 from icgram.regex import parse_regex
 from icgram.resources import min_states
@@ -18,7 +19,7 @@ from icgram.subregular import (CIRC, COMB, COMM, DEF, FIN, MON, NC, NIL, ORD,
                                is_noncounting, is_ordered,
                                is_power_separating, is_suffix_closed,
                                parse_family_label, rl_p, rl_v, reg_z,
-                               union_free_syntax)
+                               union_free_syntax, _check_finite)
 from icgram.words import Alphabet
 
 UA = Alphabet.of("a")
@@ -74,6 +75,14 @@ def test_finite():
     assert not is_finite(d, UAB)
     w1, w2 = _report("a*", UAB).evidence[FIN].words
     assert accepts(d, w1) and accepts(d, w2) and len(w1) < len(w2)
+
+
+def test_finiteness_of_one_long_word_needs_no_recursion():
+    # a trie of 1,502 states, deeper than the interpreter's recursion limit
+    d = word_set_dfa([("a", "b") * 750], UAB)
+    assert language_is_finite(d)
+    ok, ev = _check_finite(minimize(d))
+    assert ok and ev.note == "finite; longest word has length 1500"
 
 
 def test_nilpotent_finite_and_cofinite():
