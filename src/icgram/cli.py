@@ -219,9 +219,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_member(args) -> int:
+    caps = _parse_caps(args.caps)
     g = _read_grammar(args.grammar)
     w = word_from_text(args.word, g.alphabet)
-    ok = member_ic(g, w)
+    ok = member_ic(g, w, frontier_cap=caps["frontier_cap"])
     _emit(args, ("true" if ok else "false") + "\n",
           {"word": word_to_text(w, g.alphabet), "member": ok})
     return EXIT_OK if ok else EXIT_NEGATIVE
@@ -406,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", help="exact membership in the generated language")
     p.add_argument("--grammar", metavar="PATH", required=True)
     p.add_argument("--word", required=True)
-    _add_common(p, caps=False)
+    _add_common(p)
     p.set_defaults(fn=_cmd_member)
 
     p = sub.add_parser("derive", help="one-step successors of a word, or a "

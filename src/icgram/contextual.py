@@ -9,10 +9,15 @@ and (u, v) is one of that pair's contexts.  Every step strictly lengthens the
 word, which is what makes bounded enumeration and exact membership both
 terminate.
 
-Both directions find selected infixes with one scan, :func:`_spans`: the
-forward step wraps contexts around the spans, the inverse step strips the
-contexts that enclose them.  Membership is a depth-first search over inverse
-steps on an explicit stack, so no recursion limit bounds the word length.
+The engine compiles each grammar once, on first use: words become ``str``
+with one character per symbol, and each selection DFA becomes rows over its
+live states (see :class:`_Compiled`).  Both directions find selected infixes
+with one scan of an encoded word, :func:`_spans`: the forward step wraps
+contexts around the spans, the inverse step strips the contexts that enclose
+them.  Membership is a depth-first search over inverse steps on an explicit
+stack, so no recursion limit bounds the word length; it runs on encoded
+words end to end and stops with :class:`ResourceLimitError` once it has
+explored more words than its ``frontier_cap``.
 
 Construction is deliberately permissive: malformed grammars can be built and
 then inspected with :func:`validate`, which returns the full list of
@@ -26,9 +31,9 @@ from functools import cached_property
 from itertools import tee
 from typing import Iterable
 
-from .automata import (Dfa, _distance_to_accepting, accepts, enumerate_regular,
-                       equivalent, language_is_finite, minimize, nfa_to_dfa,
-                       regex_to_dfa)
+from .automata import (Dfa, _distance_to_accepting, accepts, bfs_words,
+                       enumerate_regular, equivalent, language_is_finite,
+                       minimize, nfa_to_dfa, regex_to_dfa)
 from .errors import (DecompositionMismatchError, InvalidGrammarError,
                      NonFiniteSelectionError, ResourceLimitError)
 from .monoid import DEFAULT_MONOID_CAP
@@ -110,11 +115,6 @@ class SelectionPair:
             tuple(Rule(start, w, None) for w in words), start)
         return cls.from_grammar(g, contexts)
 
-    @cached_property
-    def _live_states(self) -> frozenset:
-        """States of the selection DFA from which it can still accept."""
-        return frozenset(_distance_to_accepting(self.dfa))
-
     def selects(self, w: Word) -> bool:
         for s in w:
             if s not in self.declared_alphabet:
@@ -132,6 +132,53 @@ class ContextualGrammar:
         deduped = tuple(dict.fromkeys(self.axioms))
         if deduped != self.axioms:
             object.__setattr__(self, "axioms", deduped)
+
+    @cached_property
+    def _compiled(self) -> "_Compiled":
+        """The engine's form of the grammar, built on first use; only for
+        a valid grammar."""
+        return _Compiled(self)
+
+
+class _Compiled:
+    """A grammar compiled for the derivation engine.
+
+    Words are encoded as ``str``, one character per symbol (``chr(k)`` for
+    the k-th alphabet symbol), so slicing and hashing a long word is cheap;
+    ``code`` and ``symbol`` map between the two forms.  Per pair, the live
+    states of the selection DFA (those that can still accept) reachable
+    from its initial state are numbered from 0, the initial one; ``rows[q]``
+    maps a code to the next live state, with no entry for a foreign symbol
+    or a move into a dead state, and ``acc[q]`` tells whether q accepts.
+    The rows are empty when the initial state is dead.  Each context comes
+    as ``(context, encoded left, encoded right, weight)``.
+    """
+
+    def __init__(self, g: ContextualGrammar):
+        self.code = {a: chr(k) for k, a in enumerate(g.alphabet)}
+        self.symbol = {c: a for a, c in self.code.items()}
+        self.axioms = frozenset(map(self.encode, g.axioms))
+        self.pairs = tuple(self._pair(pair) for pair in g.pairs)
+
+    def _pair(self, pair: SelectionPair):
+        d = pair.dfa
+        live = _distance_to_accepting(d)
+        step = lambda q, a: t if (t := d.delta[(q, a)]) in live else None
+        order = ([q for q, _ in bfs_words(d.initial, step, d.alphabet)]
+                 if d.initial in live else [])
+        number = {q: k for k, q in enumerate(order)}
+        rows = tuple({self.code[a]: number[t] for a in d.alphabet
+                      if (t := step(q, a)) is not None} for q in order)
+        acc = tuple(q in d.accepting for q in order)
+        contexts = tuple((ctx, self.encode(ctx.left), self.encode(ctx.right),
+                          ctx.weight) for ctx in pair.contexts)
+        return rows, acc, contexts
+
+    def encode(self, w: Word) -> str:
+        return "".join(map(self.code.__getitem__, w))
+
+    def decode(self, s: str) -> Word:
+        return tuple(map(self.symbol.__getitem__, s))
 
 
 @dataclass(frozen=True)
@@ -216,19 +263,28 @@ def _step(source: Word, pair_index: int, ctx: Context, i: int, j: int
                           x1 + ctx.left + x2 + ctx.right + x3)
 
 
-def _spans(pair: SelectionPair, w: Word):
-    """Every ``(i, j)`` with ``w[i:j]`` in the pair's selection, ordered by
-    ``i`` and then ``j``.  The DFA runs once from each start and stops at a
-    symbol outside the subalphabet (it has no transition) or a dead state."""
-    dfa, live = pair.dfa, pair._live_states
-    for i in range(len(w) + 1):
-        q, j = dfa.initial, i
-        while q in live:
-            if q in dfa.accepting:
+def _spans(rows: tuple[dict, ...], acc: tuple[bool, ...], s: str):
+    """Every ``(i, j)`` with ``s[i:j]`` in a pair's selection, ordered by
+    ``i`` and then ``j``.  ``s`` is an encoded word and ``rows``/``acc`` are
+    the pair's compiled live states (see :class:`_Compiled`).  The scan runs
+    once from each start and stops at a code with no entry in the current
+    row: a symbol outside the subalphabet, or a move into a dead state.
+    Unless the empty word is selected, a start whose first code has no
+    entry in row 0 is skipped without a scan."""
+    if not rows:
+        return
+    n, row0 = len(s), rows[0]
+    starts = range(n + 1) if acc[0] else (i for i in range(n) if s[i] in row0)
+    for i in starts:
+        q, j = 0, i
+        while True:
+            if acc[q]:
                 yield i, j
-            if j == len(w):
+            if j == n:
                 break
-            q = dfa.delta.get((q, w[j]))
+            q = rows[q].get(s[j])
+            if q is None:
+                break
             j += 1
 
 
@@ -237,9 +293,11 @@ def derive_step(g: ContextualGrammar, w: Word) -> tuple[DerivationStep, ...]:
     (pair index, infix start, infix end, context order)."""
     ensure_valid(g)
     g.alphabet.check_word(w)
+    c = g._compiled
+    s = c.encode(w)
     return tuple(_step(w, pair_index, ctx, i, j)
-                 for pair_index, pair in enumerate(g.pairs)
-                 for i, j in _spans(pair, w) for ctx in pair.contexts)
+                 for pair_index, (rows, acc, contexts) in enumerate(c.pairs)
+                 for i, j in _spans(rows, acc, s) for ctx, _, _, _ in contexts)
 
 
 def successors(g: ContextualGrammar, w: Word) -> set[Word]:
@@ -256,16 +314,21 @@ def enumerate_ic(g: ContextualGrammar, max_len: int, *,
     ensure_valid(g)
     for w in g.axioms:
         g.alphabet.check_word(w)
+    c = g._compiled
     seen: set[Word] = {w for w in g.axioms if len(w) <= max_len}
     frontier = list(seen)
     while frontier:
         nxt: list[Word] = []
         for w in frontier:
-            for pair in g.pairs:
-                fits = [c for c in pair.contexts if len(w) + c.weight <= max_len]
+            s = None
+            for rows, acc, contexts in c.pairs:
+                fits = [ctx for ctx, _, _, weight in contexts
+                        if len(w) + weight <= max_len]
                 if not fits:
                     continue
-                for i, j in _spans(pair, w):
+                if s is None:
+                    s = c.encode(w)
+                for i, j in _spans(rows, acc, s):
                     x1, x2, x3 = w[:i], w[i:j], w[j:]
                     for ctx in fits:
                         t = x1 + ctx.left + x2 + ctx.right + x3
@@ -280,62 +343,78 @@ def enumerate_ic(g: ContextualGrammar, max_len: int, *,
     return seen
 
 
-def _predecessor_steps(g: ContextualGrammar, w: Word):
-    """Inverse steps: every way to read ``w`` as x1 u x2 v x3 with x2 in some
-    selection, as ``(x1 x2 x3, pair index, context, i, j)`` with x2 at
-    ``[i:j]`` of the predecessor; ordered by pair, context, infix start and
-    infix end."""
-    for pair_index, pair in enumerate(g.pairs):
+def _predecessor_steps(c: _Compiled, s: str):
+    """Inverse steps on an encoded word: every way to read ``s`` as
+    x1 u x2 v x3 with x2 in some selection, as ``(x1 x2 x3, pair index,
+    context, i, j)`` with the predecessor encoded and x2 at ``[i:j]`` of it;
+    ordered by pair, context, infix start and infix end."""
+    for pair_index, (rows, acc, contexts) in enumerate(c.pairs):
         # one lazy scan, shared by the contexts: the search often needs
         # only the first predecessor
-        scans = tee(_spans(pair, w), len(pair.contexts))
-        for ctx, spans in zip(pair.contexts, scans):
-            lu, lv = len(ctx.left), len(ctx.right)
+        scans = tee(_spans(rows, acc, s), len(contexts))
+        for (ctx, u, v, _), spans in zip(contexts, scans):
+            lu, lv = len(u), len(v)
             for i, j in spans:
-                if i >= lu and w[i - lu:i] == ctx.left \
-                        and w[j:j + lv] == ctx.right:
-                    yield (w[:i - lu] + w[i:j] + w[j + lv:], pair_index, ctx,
+                if i >= lu and s.startswith(u, i - lu) and s.startswith(v, j):
+                    yield (s[:i - lu] + s[i:j] + s[j + lv:], pair_index, ctx,
                            i - lu, j - lu)
 
 
-def _derivation(g: ContextualGrammar, w: Word) -> list | None:
+def _derivation(g: ContextualGrammar, w: Word, frontier_cap: int
+                ) -> list | None:
     """The inverse steps from ``w`` back to an axiom, or None: depth-first
-    over :func:`_predecessor_steps`.  Inverse steps shorten the word, so a
-    word seen before is not on the stack and has failed already."""
+    over :func:`_predecessor_steps`, on encoded words.  Inverse steps
+    shorten the word, so a word seen before is not on the stack and has
+    failed already.  More than ``frontier_cap`` words in ``seen`` raise
+    :class:`ResourceLimitError`."""
     ensure_valid(g)
     g.alphabet.check_word(w)
-    axioms = set(g.axioms)
-    if w in axioms:
+    c = g._compiled
+    s = c.encode(w)
+    if s in c.axioms:
         return []
-    seen = {w}
-    stack = [(None, _predecessor_steps(g, w))]
+    seen = {s}
+    stack = [(None, _predecessor_steps(c, s))]
     while stack:
         for step in stack[-1][1]:
-            if step[0] in axioms:
-                return [s for s, _ in stack[1:]] + [step]
+            if step[0] in c.axioms:
+                return [entry for entry, _ in stack[1:]] + [step]
             if step[0] not in seen:
                 seen.add(step[0])
-                stack.append((step, _predecessor_steps(g, step[0])))
+                if len(seen) > frontier_cap:
+                    raise ResourceLimitError(
+                        f"membership search exceeded {frontier_cap} words",
+                        cap=frontier_cap, reached=len(seen))
+                stack.append((step, _predecessor_steps(c, step[0])))
                 break
         else:
             stack.pop()
     return None
 
 
-def member_ic(g: ContextualGrammar, w: Word) -> bool:
+def member_ic(g: ContextualGrammar, w: Word, *,
+              frontier_cap: int = DEFAULT_FRONTIER_CAP) -> bool:
     """Exact membership: a depth-first search for a chain of inverse steps
     from ``w`` down to an axiom (each one strictly shortens the word, so the
-    search space is finite)."""
-    return _derivation(g, w) is not None
+    search space is finite).  The search runs on encoded words and keeps
+    every word it has explored; more than ``frontier_cap`` of them raise
+    :class:`ResourceLimitError`."""
+    return _derivation(g, w, frontier_cap) is not None
 
 
-def member_trace(g: ContextualGrammar, w: Word
+def member_trace(g: ContextualGrammar, w: Word, *,
+                 frontier_cap: int = DEFAULT_FRONTIER_CAP
                  ) -> tuple[DerivationStep, ...] | None:
     """A derivation of ``w`` from an axiom as a forward step sequence, or
     None when ``w`` is not in the language.  Axioms get the empty trace.
-    It is the chain :func:`member_ic` finds, read from the axiom up."""
-    path = _derivation(g, w)
-    return None if path is None else tuple(_step(*s) for s in reversed(path))
+    It is the chain :func:`member_ic` finds, read from the axiom up, under
+    the same ``frontier_cap``."""
+    path = _derivation(g, w, frontier_cap)
+    if path is None:
+        return None
+    decode = g._compiled.decode
+    return tuple(_step(decode(p), k, ctx, i, j)
+                 for p, k, ctx, i, j in reversed(path))
 
 
 def _pair_selection_words(pair: SelectionPair) -> list[Word]:

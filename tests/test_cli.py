@@ -101,6 +101,17 @@ def test_member_rejects_with_exit_one(grammar_files):
     assert out == "false\n"
 
 
+def test_member_search_cap_exits_three(tmp_path):
+    # a non-member of L4(1) whose backward search explores more than 5 words
+    code, text = run_cli(["witness", "export", "L4", "--n", "1"])
+    assert code == 0
+    path = tmp_path / "l4.ctx"
+    path.write_text(text, encoding="utf-8")
+    argv = ["member", "--grammar", str(path), "--word", "ababababa"]
+    assert run_cli(argv) == (1, "false\n")
+    assert run_cli(argv + ["--caps", "frontier_cap=5"]) == (3, "")
+
+
 def test_monoid_cap_exit_three():
     code, out = run_cli(["classify", "--regex", "(aa)*", "--alphabet", "a",
                          "--family", "PS", "--caps", "monoid_cap=1"])

@@ -9,7 +9,7 @@ from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
                                selection_in_family, split_definite_selection,
                                split_finite_selection, successors, validate)
 from icgram.errors import (DecompositionMismatchError, InvalidGrammarError,
-                           NonFiniteSelectionError)
+                           NonFiniteSelectionError, ResourceLimitError)
 from icgram.regex import parse_regex
 from icgram.subregular import Verdict, parse_family_label
 from icgram.witnesses import build_witness
@@ -107,6 +107,17 @@ def test_long_member_needs_no_recursion():
     trace = member_trace(g, w)
     assert len(trace) == 1499
     assert trace[0].source in g.axioms and trace[-1].target == w
+
+
+def test_membership_search_cap():
+    # the backward search keeps at most frontier_cap explored words
+    g = build_witness("L4", 1).grammar
+    w = tuple("ababababa")
+    assert not member_ic(g, w) and member_trace(g, w) is None
+    for search in (member_ic, member_trace):
+        with pytest.raises(ResourceLimitError) as e:
+            search(g, w, frontier_cap=5)
+        assert (e.value.cap, e.value.reached) == (5, 6)
 
 
 def test_member_agrees_with_enumeration_on_l2(l2):
@@ -240,12 +251,24 @@ _GRAMMAR_PARTS = (
     st.lists(st.sampled_from(_CONTEXTS), min_size=1, max_size=2, unique=True),
     st.lists(st.sampled_from(_AXIOMS), min_size=1, max_size=2, unique=True))
 
+# the grammar alphabet has a multi-character symbol foreign to every
+# selection (declared over {a, b}); "∅" selects nothing, "()|a" selects ε
+UABC = Alphabet.of("a", "b", "c1")
+_FOREIGN_PARTS = (
+    st.lists(st.sampled_from(["b", "a*", "(a|b)*b", "∅", "()|a"]),
+             min_size=1, max_size=2),
+    st.lists(st.sampled_from([(("c1",), ()), ((), ("c1",)), (("a",), ("c1",)),
+                              (("c1", "b"), ()), (("a",), ("b",))]),
+             min_size=1, max_size=2, unique=True),
+    st.lists(st.sampled_from([(), ("c1",), ("a", "c1", "b"), ("b", "c1")]),
+             min_size=1, max_size=2, unique=True))
 
-def _grammar(sels, ctxs, axioms) -> ContextualGrammar:
+
+def _grammar(sels, ctxs, axioms, alphabet=UAB) -> ContextualGrammar:
     contexts = tuple(Context(tuple(l), tuple(r)) for l, r in ctxs)
     pairs = tuple(SelectionPair.from_regex(UAB, parse_regex(s, UAB), contexts)
                   for s in sels)
-    return ContextualGrammar(UAB, tuple(axioms), pairs)
+    return ContextualGrammar(alphabet, tuple(axioms), pairs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -257,14 +280,31 @@ def test_enumeration_and_membership_agree(sels, ctxs, axioms):
         assert member_ic(g, w) == (w in lang), word_to_text(w)
 
 
-@settings(max_examples=40, deadline=None)
-@given(*_GRAMMAR_PARTS)
-def test_engine_matches_the_plain_oracle(sels, ctxs, axioms):
-    # same steps, same inverse steps, same traces, all in the same order
-    g = _grammar(sels, ctxs, axioms)
-    for w in sorted(set(all_words(UAB, 5)) | enumerate_ic(g, 8)):
+def _matches_the_plain_oracle(g, words):
+    # same steps, same inverse steps, same traces, all in the same order;
+    # the inverse step runs on encoded words, so its input is encoded and
+    # its predecessors decoded through the grammar's compiled form
+    c = g._compiled
+    for w in words:
         assert derive_step(g, w) == tuple(oracle._steps_unchecked(g, w))
-        assert list(_predecessor_steps(g, w)) == [
+        assert [(c.decode(p), *rest)
+                for p, *rest in _predecessor_steps(c, c.encode(w))] == [
             (pred, s.pair_index, s.context, len(s.x1), len(s.x1 + s.x2))
             for pred, s in oracle._predecessor_steps(g, w)]
         assert member_trace(g, w) == oracle._member_rec(g, w, {})
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_GRAMMAR_PARTS)
+def test_engine_matches_the_plain_oracle(sels, ctxs, axioms):
+    g = _grammar(sels, ctxs, axioms)
+    _matches_the_plain_oracle(g, sorted(set(all_words(UAB, 5))
+                                        | enumerate_ic(g, 8)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_FOREIGN_PARTS)
+def test_engine_matches_the_plain_oracle_on_foreign_symbols(sels, ctxs, axioms):
+    g = _grammar(sels, ctxs, axioms, UABC)
+    _matches_the_plain_oracle(g, sorted(set(all_words(UABC, 4))
+                                        | enumerate_ic(g, 7)))
