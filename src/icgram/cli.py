@@ -11,7 +11,9 @@
 
 Exit codes: 0 success; 1 negative decision (non-member, family verdict no,
 failed witness check); 2 usage or parse error; 3 a configured resource cap
-was hit before a decision.  ``--format machine`` switches every command to
+was hit before a decision; 4 an internal error (a bug: a failed
+cross-check, or any exception the program does not expect), with its
+traceback on stderr.  ``--format machine`` switches every command to
 JSON on stdout; identical invocations produce identical bytes.
 """
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from .automata import Dfa, dfa_to_table, enumerate_regular, minimize, regex_to_dfa
@@ -29,8 +32,8 @@ from .contextual import (DEFAULT_FRONTIER_CAP, ContextualGrammar,
                          selection_in_family, split_finite_selection,
                          Context, SelectionPair)
 from .ctxformat import format_contextual, parse_contextual
-from .errors import (IcgramError, InvalidGrammarError, ResourceLimitError,
-                     TextFormatError)
+from .errors import (IcgramError, InternalConsistencyError,
+                     InvalidGrammarError, ResourceLimitError, TextFormatError)
 from .hierarchy import SCOPES, hierarchy
 from .monoid import DEFAULT_MONOID_CAP
 from .regex import Regex, parse_regex
@@ -44,6 +47,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_CAPPED = 3
+EXIT_INTERNAL = 4
 
 _CAP_KEYS = ("max_nonterminals", "max_rules", "max_rhs_len", "check_len",
              "max_candidates", "monoid_cap", "frontier_cap")
@@ -376,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="internal contextual grammars with regular selections: "
                     "classify, measure, derive, enumerate, check",
         epilog="exit codes: 0 ok, 1 negative decision, 2 usage/parse error, "
-               "3 resource cap hit")
+               "3 resource cap hit, 4 internal error")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="place a language or the selections "
@@ -451,6 +455,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except InternalConsistencyError:
+        traceback.print_exc()
+        return EXIT_INTERNAL
     except ResourceLimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAPPED
@@ -462,6 +469,10 @@ def main(argv: list[str] | None = None) -> int:
     except (IcgramError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # a bug must not read as a negative decision (exit 1)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

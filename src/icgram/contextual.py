@@ -11,24 +11,26 @@ terminate.
 
 The engine compiles each grammar once, on first use: words become ``str``
 with one character per symbol, and each selection DFA becomes rows over its
-live states (see :class:`_Compiled`).  Both directions find selected infixes
-with one scan of an encoded word, :func:`_spans`: the forward step wraps
-contexts around the spans, the inverse step strips the contexts that enclose
-them.  Membership is a depth-first search over inverse steps on an explicit
-stack, so no recursion limit bounds the word length; it runs on encoded
-words end to end and stops with :class:`ResourceLimitError` once it has
-explored more words than its ``frontier_cap``.
+live states (see :class:`_Compiled`).  The forward step and enumeration
+wrap contexts around the selected infixes that one scan of an encoded word
+finds, :func:`_spans`.  The inverse step, :func:`_predecessor_steps`, is one
+lazy generator that runs the same rows from each infix start a context's
+left side ends at, and strips the contexts that enclose a selected infix.
+Membership is a depth-first search over inverse steps on an explicit stack,
+so no recursion limit bounds the word length; it runs on encoded words end
+to end and stops with :class:`ResourceLimitError` once it has explored more
+words than its ``frontier_cap``.
 
 Construction is deliberately permissive: malformed grammars can be built and
 then inspected with :func:`validate`, which returns the full list of
-diagnostics; the engine operations reject invalid grammars up front.
+diagnostics; the engine operations reject invalid grammars, because
+compiling a grammar validates it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import tee
 from typing import Iterable
 
 from .automata import (Dfa, _distance_to_accepting, accepts, bfs_words,
@@ -135,8 +137,8 @@ class ContextualGrammar:
 
     @cached_property
     def _compiled(self) -> "_Compiled":
-        """The engine's form of the grammar, built on first use; only for
-        a valid grammar."""
+        """The engine's form of the grammar, built on first use; raises
+        :class:`InvalidGrammarError` for an invalid grammar."""
         return _Compiled(self)
 
 
@@ -152,9 +154,15 @@ class _Compiled:
     or a move into a dead state, and ``acc[q]`` tells whether q accepts.
     The rows are empty when the initial state is dead.  Each context comes
     as ``(context, encoded left, encoded right, weight)``.
+
+    Compiling validates the grammar first, so an invalid grammar raises
+    :class:`InvalidGrammarError` on every engine call (a ``cached_property``
+    does not cache a raise), and a valid one is checked only once.
     """
 
     def __init__(self, g: ContextualGrammar):
+        ensure_valid(g)
+        self.alphabet = g.alphabet
         self.code = {a: chr(k) for k, a in enumerate(g.alphabet)}
         self.symbol = {c: a for a, c in self.code.items()}
         self.axioms = frozenset(map(self.encode, g.axioms))
@@ -175,7 +183,12 @@ class _Compiled:
         return rows, acc, contexts
 
     def encode(self, w: Word) -> str:
-        return "".join(map(self.code.__getitem__, w))
+        """Raises :class:`AlphabetMismatchError` for a foreign symbol."""
+        try:
+            return "".join(map(self.code.__getitem__, w))
+        except KeyError:
+            self.alphabet.check_word(w)
+            raise
 
     def decode(self, s: str) -> Word:
         return tuple(map(self.symbol.__getitem__, s))
@@ -265,12 +278,13 @@ def _step(source: Word, pair_index: int, ctx: Context, i: int, j: int
 
 def _spans(rows: tuple[dict, ...], acc: tuple[bool, ...], s: str):
     """Every ``(i, j)`` with ``s[i:j]`` in a pair's selection, ordered by
-    ``i`` and then ``j``.  ``s`` is an encoded word and ``rows``/``acc`` are
-    the pair's compiled live states (see :class:`_Compiled`).  The scan runs
-    once from each start and stops at a code with no entry in the current
-    row: a symbol outside the subalphabet, or a move into a dead state.
-    Unless the empty word is selected, a start whose first code has no
-    entry in row 0 is skipped without a scan."""
+    ``i`` and then ``j``, for the forward step and :func:`enumerate_ic`.
+    ``s`` is an encoded word and ``rows``/``acc`` are the pair's compiled
+    live states (see :class:`_Compiled`).  The scan runs once from each
+    start and stops at a code with no entry in the current row: a symbol
+    outside the subalphabet, or a move into a dead state.  Unless the empty
+    word is selected, a start whose first code has no entry in row 0 is
+    skipped without a scan."""
     if not rows:
         return
     n, row0 = len(s), rows[0]
@@ -291,8 +305,6 @@ def _spans(rows: tuple[dict, ...], acc: tuple[bool, ...], s: str):
 def derive_step(g: ContextualGrammar, w: Word) -> tuple[DerivationStep, ...]:
     """All single-step successors of ``w``, in deterministic order
     (pair index, infix start, infix end, context order)."""
-    ensure_valid(g)
-    g.alphabet.check_word(w)
     c = g._compiled
     s = c.encode(w)
     return tuple(_step(w, pair_index, ctx, i, j)
@@ -311,9 +323,6 @@ def enumerate_ic(g: ContextualGrammar, max_len: int, *,
     Exact: insertion steps strictly grow words, so axioms longer than the
     bound can never contribute and the closure below the bound is finite.
     """
-    ensure_valid(g)
-    for w in g.axioms:
-        g.alphabet.check_word(w)
     c = g._compiled
     seen: set[Word] = {w for w in g.axioms if len(w) <= max_len}
     frontier = list(seen)
@@ -347,17 +356,34 @@ def _predecessor_steps(c: _Compiled, s: str):
     """Inverse steps on an encoded word: every way to read ``s`` as
     x1 u x2 v x3 with x2 in some selection, as ``(x1 x2 x3, pair index,
     context, i, j)`` with the predecessor encoded and x2 at ``[i:j]`` of it;
-    ordered by pair, context, infix start and infix end."""
+    ordered by pair, context, infix start and infix end.
+
+    Lazy, in one frame, because the search often needs only the first
+    predecessor.  Per context it walks the infix starts of ``s`` itself:
+    a start that ``u`` does not end at, or (unless the empty word is
+    selected) whose first code has no entry in row 0, is skipped without a
+    scan; from the others the compiled rows run as in :func:`_spans`."""
+    n = len(s)
     for pair_index, (rows, acc, contexts) in enumerate(c.pairs):
-        # one lazy scan, shared by the contexts: the search often needs
-        # only the first predecessor
-        scans = tee(_spans(rows, acc, s), len(contexts))
-        for (ctx, u, v, _), spans in zip(contexts, scans):
+        if not rows:
+            continue
+        row0, every = rows[0], acc[0]
+        for ctx, u, v, _ in contexts:
             lu, lv = len(u), len(v)
-            for i, j in spans:
-                if i >= lu and s.startswith(u, i - lu) and s.startswith(v, j):
-                    yield (s[:i - lu] + s[i:j] + s[j + lv:], pair_index, ctx,
-                           i - lu, j - lu)
+            for i in range(lu, n + 1 if every else n):
+                if not (every or s[i] in row0) or not s.startswith(u, i - lu):
+                    continue
+                q, j = 0, i
+                while True:
+                    if acc[q] and s.startswith(v, j):
+                        yield (s[:i - lu] + s[i:j] + s[j + lv:], pair_index,
+                               ctx, i - lu, j - lu)
+                    if j == n:
+                        break
+                    q = rows[q].get(s[j])
+                    if q is None:
+                        break
+                    j += 1
 
 
 def _derivation(g: ContextualGrammar, w: Word, frontier_cap: int
@@ -367,25 +393,25 @@ def _derivation(g: ContextualGrammar, w: Word, frontier_cap: int
     shorten the word, so a word seen before is not on the stack and has
     failed already.  More than ``frontier_cap`` words in ``seen`` raise
     :class:`ResourceLimitError`."""
-    ensure_valid(g)
-    g.alphabet.check_word(w)
     c = g._compiled
+    axioms = c.axioms
     s = c.encode(w)
-    if s in c.axioms:
+    if s in axioms:
         return []
     seen = {s}
     stack = [(None, _predecessor_steps(c, s))]
     while stack:
         for step in stack[-1][1]:
-            if step[0] in c.axioms:
+            p = step[0]
+            if p in axioms:
                 return [entry for entry, _ in stack[1:]] + [step]
-            if step[0] not in seen:
-                seen.add(step[0])
+            if p not in seen:
+                seen.add(p)
                 if len(seen) > frontier_cap:
                     raise ResourceLimitError(
                         f"membership search exceeded {frontier_cap} words",
                         cap=frontier_cap, reached=len(seen))
-                stack.append((step, _predecessor_steps(c, step[0])))
+                stack.append((step, _predecessor_steps(c, p)))
                 break
         else:
             stack.pop()

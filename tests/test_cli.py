@@ -9,10 +9,12 @@ import json
 import pytest
 from conftest import run_cli
 
+from icgram import cli
 from icgram.automata import regex_to_dfa
 from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
                                enumerate_ic)
 from icgram.ctxformat import format_contextual, parse_contextual
+from icgram.errors import InternalConsistencyError
 from icgram.regex import parse_regex
 from icgram.subregular import classify
 from icgram.words import Alphabet, sort_words, word_to_text
@@ -136,6 +138,19 @@ def test_monoid_cap_exit_three():
 def test_usage_and_parse_errors_exit_two(argv):
     code, _ = run_cli(argv)
     assert code == 2
+
+
+@pytest.mark.parametrize("error", [ValueError("stray"),
+                                   InternalConsistencyError("cross-check")])
+def test_internal_errors_exit_four(monkeypatch, capsys, error):
+    # a bug reads neither as a non-member (1) nor as a usage error (2)
+    def fail(args):
+        raise error
+    monkeypatch.setattr(cli, "_cmd_member", fail)
+    assert run_cli(["member", "--grammar", "g.ctx", "--word", "a"]) == (4, "")
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback")
+    assert err.endswith(f"{type(error).__name__}: {error}\n")
 
 
 def test_regex_errors_carry_line_and_column(capsys):

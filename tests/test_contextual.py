@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +10,9 @@ from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
                                ensure_valid, member_ic, member_trace,
                                selection_in_family, split_definite_selection,
                                split_finite_selection, successors, validate)
-from icgram.errors import (DecompositionMismatchError, InvalidGrammarError,
-                           NonFiniteSelectionError, ResourceLimitError)
+from icgram.errors import (AlphabetMismatchError, DecompositionMismatchError,
+                           InvalidGrammarError, NonFiniteSelectionError,
+                           ResourceLimitError)
 from icgram.regex import parse_regex
 from icgram.subregular import Verdict, parse_family_label
 from icgram.witnesses import build_witness
@@ -63,8 +66,10 @@ def test_selection_respects_its_subalphabet(l1):
 
 
 def test_foreign_symbols_rejected(l2):
-    with pytest.raises(Exception):
-        derive_step(l2, ("z",))
+    for call in (derive_step, member_ic, member_trace):
+        with pytest.raises(AlphabetMismatchError,
+                           match=r"^symbol 'z' not in alphabet \{a b c\}$"):
+            call(l2, ("a", "z"))
 
 
 # --- enumeration and membership ----------------------------------------------
@@ -148,6 +153,20 @@ def test_validate_reports_every_problem():
     with pytest.raises(InvalidGrammarError) as err:
         ensure_valid(bad)
     assert len(err.value.diagnostics) == len(problems) >= 4
+
+
+def test_engine_rejects_an_invalid_grammar_on_every_call():
+    # compiling validates, and a cached_property does not cache the raise
+    sel = Alphabet.of("a")
+    pair = SelectionPair.from_regex(sel, parse_regex("a", sel),
+                                    (Context(("a",), ()),))
+    bad = ContextualGrammar(UAB, (("a", "z"),), (pair,))
+    for call in (lambda: member_ic(bad, ("a",)),
+                 lambda: derive_step(bad, ("a",)),
+                 lambda: enumerate_ic(bad, 3)):
+        for _ in range(2):
+            with pytest.raises(InvalidGrammarError, match="axiom 1"):
+                call()
 
 
 def test_validate_subalphabet_mismatch():
@@ -308,3 +327,21 @@ def test_engine_matches_the_plain_oracle_on_foreign_symbols(sels, ctxs, axioms):
     g = _grammar(sels, ctxs, axioms, UABC)
     _matches_the_plain_oracle(g, sorted(set(all_words(UABC, 4))
                                         | enumerate_ic(g, 7)))
+
+
+@pytest.mark.parametrize("case_id, n, longest", [
+    ("L2", None, 24), ("L3", 1, 20), ("L4", 1, 24), ("L6", 2, 24),
+    ("L7", 2, 14)])
+def test_engine_matches_the_plain_oracle_on_witnesses(case_id, n, longest):
+    # more contexts per pair (four on L7) and longer selections (several
+    # states on L4) than the random grammars have: members grown by seeded
+    # random steps, and every word one deletion away from them
+    g = build_witness(case_id, n).grammar
+    rng = random.Random(case_id)
+    words = []
+    for length in (longest // 3, 2 * longest // 3, longest):
+        w = rng.choice([a for a in g.axioms if derive_step(g, a)])
+        while len(w) < length:
+            w = rng.choice(derive_step(g, w)).target
+        words += [w] + [w[:k] + w[k + 1:] for k in range(len(w))]
+    _matches_the_plain_oracle(g, words)
