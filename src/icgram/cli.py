@@ -27,8 +27,8 @@ from pathlib import Path
 
 from .automata import Dfa, dfa_to_table, enumerate_regular, minimize, regex_to_dfa
 from .contextual import (DEFAULT_FRONTIER_CAP, ContextualGrammar,
-                         DerivationStep, derive_step, ensure_valid,
-                         enumerate_ic, member_ic, member_trace,
+                         DerivationStep, derive_step, enumerate_ic,
+                         member_ic, member_trace,
                          selection_in_family, split_finite_selection,
                          Context, SelectionPair)
 from .ctxformat import format_contextual, parse_contextual
@@ -82,8 +82,10 @@ def _parse_caps(text: str | None) -> dict:
 
 
 def _read_grammar(path: str) -> ContextualGrammar:
+    """The grammar in the file, validated by compiling it once for the
+    engine (the compiled form is cached on the grammar)."""
     g = parse_contextual(Path(path).read_text(encoding="utf-8"))
-    ensure_valid(g)
+    g._compiled
     return g
 
 

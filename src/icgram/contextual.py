@@ -11,11 +11,14 @@ terminate.
 
 The engine compiles each grammar once, on first use: words become ``str``
 with one character per symbol, and each selection DFA becomes rows over its
-live states (see :class:`_Compiled`).  The forward step and enumeration
-wrap contexts around the selected infixes that one scan of an encoded word
-finds, :func:`_spans`.  The inverse step, :func:`_predecessor_steps`, is one
-lazy generator that runs the same rows from each infix start a context's
-left side ends at, and strips the contexts that enclose a selected infix.
+live states and a compiled finder of the positions an infix can start at
+(see :class:`_Compiled`).  The forward step and enumeration wrap contexts
+around the selected infixes that one scan of an encoded word finds,
+:func:`_spans`; enumeration runs its whole closure on encoded words and
+builds the tuple form of a word only once, when the word is new.  The
+inverse step, :func:`_predecessor_steps`, is one lazy generator that runs
+the same rows from each infix start a context's left side ends at, and
+strips the contexts that enclose a selected infix.
 Membership is a depth-first search over inverse steps on an explicit stack,
 so no recursion limit bounds the word length; it runs on encoded words end
 to end and stops with :class:`ResourceLimitError` once it has explored more
@@ -29,6 +32,7 @@ compiling a grammar validates it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -152,8 +156,12 @@ class _Compiled:
     from its initial state are numbered from 0, the initial one; ``rows[q]``
     maps a code to the next live state, with no entry for a foreign symbol
     or a move into a dead state, and ``acc[q]`` tells whether q accepts.
-    The rows are empty when the initial state is dead.  Each context comes
-    as ``(context, encoded left, encoded right, weight)``.
+    The rows are empty when the initial state is dead.  Unless the empty
+    word is selected, ``starts`` is the ``finditer`` of a character class
+    over row 0's codes, which finds in C the only positions an infix can
+    start at; otherwise it is None.  Each context comes as ``(context,
+    encoded left, encoded right, weight)``, and each pair as ``(rows, acc,
+    starts, contexts)``.
 
     Compiling validates the grammar first, so an invalid grammar raises
     :class:`InvalidGrammarError` on every engine call (a ``cached_property``
@@ -178,9 +186,13 @@ class _Compiled:
         rows = tuple({self.code[a]: number[t] for a in d.alphabet
                       if (t := step(q, a)) is not None} for q in order)
         acc = tuple(q in d.accepting for q in order)
+        starts = None
+        if rows and not acc[0]:
+            codes = "".join(map(re.escape, rows[0]))
+            starts = re.compile(f"[{codes}]").finditer
         contexts = tuple((ctx, self.encode(ctx.left), self.encode(ctx.right),
                           ctx.weight) for ctx in pair.contexts)
-        return rows, acc, contexts
+        return rows, acc, starts, contexts
 
     def encode(self, w: Word) -> str:
         """Raises :class:`AlphabetMismatchError` for a foreign symbol."""
@@ -276,20 +288,20 @@ def _step(source: Word, pair_index: int, ctx: Context, i: int, j: int
                           x1 + ctx.left + x2 + ctx.right + x3)
 
 
-def _spans(rows: tuple[dict, ...], acc: tuple[bool, ...], s: str):
+def _spans(rows: tuple[dict, ...], acc: tuple[bool, ...], starts, s: str):
     """Every ``(i, j)`` with ``s[i:j]`` in a pair's selection, ordered by
     ``i`` and then ``j``, for the forward step and :func:`enumerate_ic`.
-    ``s`` is an encoded word and ``rows``/``acc`` are the pair's compiled
-    live states (see :class:`_Compiled`).  The scan runs once from each
-    start and stops at a code with no entry in the current row: a symbol
-    outside the subalphabet, or a move into a dead state.  Unless the empty
-    word is selected, a start whose first code has no entry in row 0 is
-    skipped without a scan."""
+    ``s`` is an encoded word and ``rows``/``acc``/``starts`` are the pair's
+    compiled live states and start finder (see :class:`_Compiled`).  Unless
+    the empty word is selected, only the positions the finder matches, those
+    whose code has an entry in row 0, can start an infix; the scan runs once
+    from each start and stops at a code with no entry in the current row: a
+    symbol outside the subalphabet, or a move into a dead state."""
     if not rows:
         return
-    n, row0 = len(s), rows[0]
-    starts = range(n + 1) if acc[0] else (i for i in range(n) if s[i] in row0)
-    for i in starts:
+    n = len(s)
+    found = range(n + 1) if starts is None else map(re.Match.start, starts(s))
+    for i in found:
         q, j = 0, i
         while True:
             if acc[q]:
@@ -308,8 +320,9 @@ def derive_step(g: ContextualGrammar, w: Word) -> tuple[DerivationStep, ...]:
     c = g._compiled
     s = c.encode(w)
     return tuple(_step(w, pair_index, ctx, i, j)
-                 for pair_index, (rows, acc, contexts) in enumerate(c.pairs)
-                 for i, j in _spans(rows, acc, s) for ctx, _, _, _ in contexts)
+                 for pair_index, (rows, acc, starts, contexts) in enumerate(c.pairs)
+                 for i, j in _spans(rows, acc, starts, s)
+                 for ctx, _, _, _ in contexts)
 
 
 def successors(g: ContextualGrammar, w: Word) -> set[Word]:
@@ -322,34 +335,36 @@ def enumerate_ic(g: ContextualGrammar, max_len: int, *,
 
     Exact: insertion steps strictly grow words, so axioms longer than the
     bound can never contribute and the closure below the bound is finite.
+    The closure runs on encoded words: ``seen`` maps each one to its word,
+    which is sliced from its parent's only when the encoded word is new.
+    More than ``frontier_cap`` words in ``seen`` raise
+    :class:`ResourceLimitError`.
     """
     c = g._compiled
-    seen: set[Word] = {w for w in g.axioms if len(w) <= max_len}
-    frontier = list(seen)
+    seen = {c.encode(w): w for w in g.axioms if len(w) <= max_len}
+    frontier = list(seen.items())
     while frontier:
-        nxt: list[Word] = []
-        for w in frontier:
-            s = None
-            for rows, acc, contexts in c.pairs:
-                fits = [ctx for ctx, _, _, weight in contexts
-                        if len(w) + weight <= max_len]
+        nxt: list[tuple[str, Word]] = []
+        for s, w in frontier:
+            room = max_len - len(s)
+            for rows, acc, starts, contexts in c.pairs:
+                fits = [entry for entry in contexts if entry[3] <= room]
                 if not fits:
                     continue
-                if s is None:
-                    s = c.encode(w)
-                for i, j in _spans(rows, acc, s):
-                    x1, x2, x3 = w[:i], w[i:j], w[j:]
-                    for ctx in fits:
-                        t = x1 + ctx.left + x2 + ctx.right + x3
+                for i, j in _spans(rows, acc, starts, s):
+                    x1, x2, x3 = s[:i], s[i:j], s[j:]
+                    for ctx, u, v, _ in fits:
+                        t = x1 + u + x2 + v + x3
                         if t not in seen:
-                            seen.add(t)
-                            nxt.append(t)
+                            seen[t] = x = (w[:i] + ctx.left + w[i:j]
+                                           + ctx.right + w[j:])
+                            nxt.append((t, x))
                             if len(seen) > frontier_cap:
                                 raise ResourceLimitError(
                                     f"enumeration exceeded {frontier_cap} words",
                                     cap=frontier_cap, reached=len(seen))
         frontier = nxt
-    return seen
+    return set(seen.values())
 
 
 def _predecessor_steps(c: _Compiled, s: str):
@@ -364,7 +379,7 @@ def _predecessor_steps(c: _Compiled, s: str):
     selected) whose first code has no entry in row 0, is skipped without a
     scan; from the others the compiled rows run as in :func:`_spans`."""
     n = len(s)
-    for pair_index, (rows, acc, contexts) in enumerate(c.pairs):
+    for pair_index, (rows, acc, _, contexts) in enumerate(c.pairs):
         if not rows:
             continue
         row0, every = rows[0], acc[0]

@@ -1,8 +1,11 @@
 """The plain derivation engine, kept as a test oracle.
 
-The straightforward forms of the forward step, the inverse step and the
-backward membership search: the inverse step re-runs the selection DFA for
-every candidate infix, and membership recurses once per step.
+The straightforward forms of the forward step, bounded enumeration, the
+inverse step and the backward membership search, all on tuple words: the
+forward step runs the selection DFA from every position, enumeration is a
+breadth-first closure over forward steps, the inverse step re-runs the
+selection DFA for every candidate infix, and membership recurses once per
+step.
 ``tests/test_contextual.py`` checks the engine in ``icgram.contextual``
 against them, step for step and in the same order.
 """
@@ -30,6 +33,22 @@ def _steps_unchecked(g, w):
                     break
                 q = dfa.delta[(q, w[j])]
                 j += 1
+
+
+def _enumerate_plain(g, max_len):
+    """Every derivable word of length <= max_len, breadth-first."""
+    seen = {w for w in g.axioms if len(w) <= max_len}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for step in _steps_unchecked(g, w):
+                t = step.target
+                if len(t) <= max_len and t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return seen
 
 
 def _predecessor_steps(g, w):

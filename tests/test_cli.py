@@ -9,7 +9,7 @@ import json
 import pytest
 from conftest import run_cli
 
-from icgram import cli
+from icgram import cli, contextual
 from icgram.automata import regex_to_dfa
 from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
                                enumerate_ic)
@@ -114,6 +114,14 @@ def test_member_search_cap_exits_three(tmp_path):
     assert run_cli(argv + ["--caps", "frontier_cap=5"]) == (3, "")
 
 
+def test_enumerate_search_cap_exits_three(grammar_files):
+    # L1 has 363 words up to length 11; the closure stops after 5
+    argv = ["enumerate", "--grammar", grammar_files["L1"], "--max-len", "11"]
+    code, out = run_cli(argv)
+    assert code == 0 and len(out.splitlines()) == 363
+    assert run_cli(argv + ["--caps", "frontier_cap=5"]) == (3, "")
+
+
 def test_monoid_cap_exit_three():
     code, out = run_cli(["classify", "--regex", "(aa)*", "--alphabet", "a",
                          "--family", "PS", "--caps", "monoid_cap=1"])
@@ -138,6 +146,29 @@ def test_monoid_cap_exit_three():
 def test_usage_and_parse_errors_exit_two(argv):
     code, _ = run_cli(argv)
     assert code == 2
+
+
+def test_member_validates_the_grammar_once(grammar_files, monkeypatch):
+    # reading the grammar compiles it, and compiling validates it
+    calls = []
+    validate = contextual.validate
+    monkeypatch.setattr(contextual, "validate",
+                        lambda g: calls.append(g) or validate(g))
+    assert run_cli(["member", "--grammar", grammar_files["L1"],
+                    "--word", "daaebbcabab"]) == (0, "true\n")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"], ["measure"], ["member", "--word", "a"],
+    ["derive", "--word", "a"], ["enumerate", "--max-len", "3"]])
+def test_invalid_grammar_exits_two(tmp_path, capsys, argv):
+    # parses, but its only pair has no contexts
+    path = tmp_path / "bad.ctx"
+    path.write_text("alphabet: a b\naxiom: a\npair:\n  alphabet: a\n"
+                    "  selection regex: a\n", encoding="utf-8")
+    assert run_cli(argv + ["--grammar", str(path)]) == (2, "")
+    assert "pair 1: pair has no contexts" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [ValueError("stray"),

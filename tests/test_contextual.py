@@ -125,6 +125,13 @@ def test_membership_search_cap():
         assert (e.value.cap, e.value.reached) == (5, 6)
 
 
+def test_enumeration_cap(l1):
+    # the forward closure keeps at most frontier_cap of its 363 words
+    with pytest.raises(ResourceLimitError) as e:
+        enumerate_ic(l1, 11, frontier_cap=5)
+    assert (e.value.cap, e.value.reached) == (5, 6)
+
+
 def test_member_agrees_with_enumeration_on_l2(l2):
     lang = enumerate_ic(l2, 6)
     for w in all_words(l2.alphabet, 6):
@@ -327,6 +334,46 @@ def test_engine_matches_the_plain_oracle_on_foreign_symbols(sels, ctxs, axioms):
     g = _grammar(sels, ctxs, axioms, UABC)
     _matches_the_plain_oracle(g, sorted(set(all_words(UABC, 4))
                                         | enumerate_ic(g, 7)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_GRAMMAR_PARTS)
+def test_enumeration_matches_the_plain_oracle(sels, ctxs, axioms):
+    g = _grammar(sels, ctxs, axioms)
+    assert enumerate_ic(g, 8) == oracle._enumerate_plain(g, 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_FOREIGN_PARTS)
+def test_enumeration_matches_the_plain_oracle_on_foreign_symbols(sels, ctxs,
+                                                                 axioms):
+    g = _grammar(sels, ctxs, axioms, UABC)
+    assert enumerate_ic(g, 7) == oracle._enumerate_plain(g, 7)
+
+
+def test_engine_matches_the_plain_oracle_on_a_wide_alphabet():
+    # symbol k is encoded as chr(k), so on 120 symbols the selection's first
+    # letters include the codes "-", "\", "]" and "^", which mean something
+    # inside a character class; "^" first would negate an unescaped class
+    wide = Alphabet(tuple(f"s{k}" for k in range(120)))
+    s = wide.symbols
+    first = [s[k] for k in (94, 44, 45, 92, 93, 46, 100)]
+    declared = Alphabet.of(*first, s[1])
+    words = [(x,) for x in first] + [(x, y) for x in first for y in (s[1], s[93])]
+    contexts = (Context((s[0],), ()), Context((), (s[93],)),
+                Context((s[45],), (s[94],)))
+    g = ContextualGrammar(wide, ((s[92],), (s[1], s[94], s[45])),
+                          (SelectionPair.from_words(declared, words, contexts),))
+    rows = g._compiled.pairs[0][0]
+    assert {s[ord(code)] for code in rows[0]} == set(first)
+    lang = enumerate_ic(g, 7)
+    assert lang == oracle._enumerate_plain(g, 7) and len(lang) > 50
+    letters = first + [s[0], s[1], s[2], s[119]]
+    rng = random.Random(120)
+    probes = [tuple(rng.choice(letters) for _ in range(rng.randint(0, 6)))
+              for _ in range(200)]
+    for w in sorted(lang) + probes:
+        assert derive_step(g, w) == tuple(oracle._steps_unchecked(g, w))
 
 
 @pytest.mark.parametrize("case_id, n, longest", [
