@@ -11,18 +11,23 @@ terminate.
 
 The engine compiles each grammar once, on first use: words become ``str``
 with one character per symbol, and each selection DFA becomes rows over its
-live states and a compiled finder of the positions an infix can start at
-(see :class:`_Compiled`).  The forward step and enumeration wrap contexts
-around the selected infixes that one scan of an encoded word finds,
-:func:`_spans`; enumeration runs its whole closure on encoded words and
-builds the tuple form of a word only once, when the word is new.  The
-inverse step, :func:`_predecessor_steps`, is one lazy generator that runs
-the same rows from each infix start a context's left side ends at, and
-strips the contexts that enclose a selected infix.
-Membership is a depth-first search over inverse steps on an explicit stack,
-so no recursion limit bounds the word length; it runs on encoded words end
-to end and stops with :class:`ResourceLimitError` once it has explored more
-words than its ``frontier_cap``.
+live states and, when some symbol cannot start an infix, a compiled finder
+of the positions one can start at (see :class:`_Compiled`).  The forward
+step and enumeration wrap contexts around the selected infixes that one
+scan of an encoded word finds, :func:`_spans`; enumeration runs its whole
+closure on encoded words and builds the tuple form of a word only once,
+when the word is new.  The inverse step, :func:`_predecessor_steps`, is
+one lazy generator that runs the same rows from each infix start a
+context's left side ends at, and strips the contexts that enclose a
+selected infix.
+Membership first compares the word's Parikh vector (its count of each
+symbol), modulo the lattice the contexts span, with those of the axioms a
+step applies to: every insertion adds a context's vector, so a word outside
+all of their cosets is rejected before any search.  Otherwise it is a
+depth-first search over inverse steps on an explicit stack, so no recursion
+limit bounds the word length; it runs on encoded words end to end and stops
+with :class:`ResourceLimitError` once it has explored more words than its
+``frontier_cap``.
 
 Construction is deliberately permissive: malformed grammars can be built and
 then inspected with :func:`validate`, which returns the full list of
@@ -157,11 +162,19 @@ class _Compiled:
     maps a code to the next live state, with no entry for a foreign symbol
     or a move into a dead state, and ``acc[q]`` tells whether q accepts.
     The rows are empty when the initial state is dead.  Unless the empty
-    word is selected, ``starts`` is the ``finditer`` of a character class
-    over row 0's codes, which finds in C the only positions an infix can
-    start at; otherwise it is None.  Each context comes as ``(context,
-    encoded left, encoded right, weight)``, and each pair as ``(rows, acc,
-    starts, contexts)``.
+    word is selected or row 0 has every code, ``starts`` is the
+    ``finditer`` of a character class over row 0's codes, which finds in C
+    the only positions an infix can start at; otherwise it is None (a
+    finder that matches nearly every position costs more than it saves).
+    Each context comes as ``(context, encoded left, encoded right,
+    weight)``, and each pair as ``(rows, acc, starts, contexts)``.
+
+    ``lattice`` is an echelon basis, ``(pivot column, row)`` pairs with
+    positive pivots by column, of the lattice spanned by the Parikh vectors
+    of ``u + v`` over the contexts of the pairs that select something, and
+    ``residues`` the reduced vectors (:meth:`residue`) of the axioms with a
+    selected infix: each step adds a lattice vector, so every derived word
+    but an axiom has one of them.
 
     Compiling validates the grammar first, so an invalid grammar raises
     :class:`InvalidGrammarError` on every engine call (a ``cached_property``
@@ -175,6 +188,22 @@ class _Compiled:
         self.symbol = {c: a for a, c in self.code.items()}
         self.axioms = frozenset(map(self.encode, g.axioms))
         self.pairs = tuple(self._pair(pair) for pair in g.pairs)
+        live = [pair for pair in self.pairs if pair[0]]
+        basis: dict[int, list[int]] = {}
+        for *_, contexts in live:
+            for _, u, v, _ in contexts:
+                x = [(u + v).count(c) for c in self.symbol]
+                for p in range(len(x)):
+                    r = basis.get(p, [0] * len(x))
+                    while x[p]:  # Euclid on rows: a unimodular change
+                        q = r[p] // x[p]
+                        r, x = x, [a - q * b for a, b in zip(r, x)]
+                    if r[p]:
+                        basis[p] = r if r[p] > 0 else [-e for e in r]
+        self.lattice = sorted(basis.items())
+        self.residues = {self.residue(a) for a in self.axioms
+                         if any(next(_spans(rows, acc, starts, a), None)
+                                for rows, acc, starts, _ in live)}
 
     def _pair(self, pair: SelectionPair):
         d = pair.dfa
@@ -187,12 +216,22 @@ class _Compiled:
                       if (t := step(q, a)) is not None} for q in order)
         acc = tuple(q in d.accepting for q in order)
         starts = None
-        if rows and not acc[0]:
+        if rows and not acc[0] and len(rows[0]) < len(self.code):
             codes = "".join(map(re.escape, rows[0]))
             starts = re.compile(f"[{codes}]").finditer
         contexts = tuple((ctx, self.encode(ctx.left), self.encode(ctx.right),
                           ctx.weight) for ctx in pair.contexts)
         return rows, acc, starts, contexts
+
+    def residue(self, s: str) -> tuple[int, ...]:
+        """The Parikh vector of an encoded word, reduced by the lattice
+        basis in pivot order: equal for two words exactly when their
+        vectors differ by a sum of context vectors."""
+        x = [s.count(c) for c in self.symbol]
+        for p, r in self.lattice:
+            if q := x[p] // r[p]:
+                x = [a - q * b for a, b in zip(x, r)]
+        return tuple(x)
 
     def encode(self, w: Word) -> str:
         """Raises :class:`AlphabetMismatchError` for a foreign symbol."""
@@ -292,11 +331,11 @@ def _spans(rows: tuple[dict, ...], acc: tuple[bool, ...], starts, s: str):
     """Every ``(i, j)`` with ``s[i:j]`` in a pair's selection, ordered by
     ``i`` and then ``j``, for the forward step and :func:`enumerate_ic`.
     ``s`` is an encoded word and ``rows``/``acc``/``starts`` are the pair's
-    compiled live states and start finder (see :class:`_Compiled`).  Unless
-    the empty word is selected, only the positions the finder matches, those
-    whose code has an entry in row 0, can start an infix; the scan runs once
-    from each start and stops at a code with no entry in the current row: a
-    symbol outside the subalphabet, or a move into a dead state."""
+    compiled live states and start finder (see :class:`_Compiled`).  With a
+    finder, only the positions it matches, those whose code has an entry in
+    row 0, can start an infix; else every position is tried.  The scan runs
+    once from each start and stops at a code with no entry in the current
+    row: a symbol outside the subalphabet, or a move into a dead state."""
     if not rows:
         return
     n = len(s)
@@ -403,16 +442,20 @@ def _predecessor_steps(c: _Compiled, s: str):
 
 def _derivation(g: ContextualGrammar, w: Word, frontier_cap: int
                 ) -> list | None:
-    """The inverse steps from ``w`` back to an axiom, or None: depth-first
-    over :func:`_predecessor_steps`, on encoded words.  Inverse steps
-    shorten the word, so a word seen before is not on the stack and has
-    failed already.  More than ``frontier_cap`` words in ``seen`` raise
+    """The inverse steps from ``w`` back to an axiom, or None: at once
+    when ``w``'s residue is no extendable axiom's (see :class:`_Compiled`;
+    inverse steps keep the residue, so it is checked once), else
+    depth-first over :func:`_predecessor_steps`, on encoded words.  Inverse
+    steps shorten the word, so a word seen before is not on the stack and
+    has failed already.  More than ``frontier_cap`` words in ``seen`` raise
     :class:`ResourceLimitError`."""
     c = g._compiled
     axioms = c.axioms
     s = c.encode(w)
     if s in axioms:
         return []
+    if c.residue(s) not in c.residues:
+        return None
     seen = {s}
     stack = [(None, _predecessor_steps(c, s))]
     while stack:
@@ -437,9 +480,10 @@ def member_ic(g: ContextualGrammar, w: Word, *,
               frontier_cap: int = DEFAULT_FRONTIER_CAP) -> bool:
     """Exact membership: a depth-first search for a chain of inverse steps
     from ``w`` down to an axiom (each one strictly shortens the word, so the
-    search space is finite).  The search runs on encoded words and keeps
-    every word it has explored; more than ``frontier_cap`` of them raise
-    :class:`ResourceLimitError`."""
+    search space is finite).  A word whose Parikh residue no extendable
+    axiom shares is rejected before any search, whatever the cap.  The
+    search runs on encoded words and keeps every word it has explored; more
+    than ``frontier_cap`` of them raise :class:`ResourceLimitError`."""
     return _derivation(g, w, frontier_cap) is not None
 
 
@@ -449,7 +493,7 @@ def member_trace(g: ContextualGrammar, w: Word, *,
     """A derivation of ``w`` from an axiom as a forward step sequence, or
     None when ``w`` is not in the language.  Axioms get the empty trace.
     It is the chain :func:`member_ic` finds, read from the axiom up, under
-    the same ``frontier_cap``."""
+    the same ``frontier_cap`` and after the same Parikh-residue check."""
     path = _derivation(g, w, frontier_cap)
     if path is None:
         return None

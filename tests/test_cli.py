@@ -109,9 +109,13 @@ def test_member_search_cap_exits_three(tmp_path):
     assert code == 0
     path = tmp_path / "l4.ctx"
     path.write_text(text, encoding="utf-8")
-    argv = ["member", "--grammar", str(path), "--word", "ababababa"]
+    argv = ["member", "--grammar", str(path), "--word", "aaaababaaba"]
     assert run_cli(argv) == (1, "false\n")
     assert run_cli(argv + ["--caps", "frontier_cap=5"]) == (3, "")
+    # 4 b's against L4(1)'s 3: the Parikh residue rejects it without a search
+    argv = ["member", "--grammar", str(path), "--word", "ababababa",
+            "--caps", "frontier_cap=5"]
+    assert run_cli(argv) == (1, "false\n")
 
 
 def test_enumerate_search_cap_exits_three(grammar_files):

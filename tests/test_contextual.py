@@ -115,14 +115,35 @@ def test_long_member_needs_no_recursion():
 
 
 def test_membership_search_cap():
-    # the backward search keeps at most frontier_cap explored words
+    # the backward search keeps at most frontier_cap explored words; this
+    # non-member has L4(1)'s Parikh residue (an even count of a's, 3 b's),
+    # so only the search can reject it
     g = build_witness("L4", 1).grammar
-    w = tuple("ababababa")
+    w = tuple("aaaababaaba")
     assert not member_ic(g, w) and member_trace(g, w) is None
     for search in (member_ic, member_trace):
         with pytest.raises(ResourceLimitError) as e:
             search(g, w, frontier_cap=5)
         assert (e.value.cap, e.value.reached) == (5, 6)
+    # 4 b's: rejected by the residue before any search, whatever the cap
+    w = tuple("ababababa")
+    assert not member_ic(g, w, frontier_cap=5)
+    assert member_trace(g, w, frontier_cap=5) is None
+
+
+def test_parikh_residue_rejects_without_a_search():
+    # one step adds the Parikh vector of a context; each of these words
+    # leaves its grammar's residue class, so no search runs, whatever the cap
+    l6 = build_witness("L6", 2).grammar
+    w = ("a1", "a2") * 600
+    w = w[:400] + w[401:]  # one deletion a third of the way in
+    assert len(w) == 1199 and not member_ic(l6, w, frontier_cap=1)
+    # L7(2) has the odd axioms a1 and a2, but no step applies to them, so
+    # their residue is no extendable axiom's and odd lengths are rejected
+    l7 = build_witness("L7", 2).grammar
+    w = ("a1", "a2", "a2") * 6 + ("a1",)
+    assert len(w) == 19 and not member_ic(l7, w, frontier_cap=1)
+    assert member_trace(l7, w, frontier_cap=1) is None
 
 
 def test_enumeration_cap(l1):
@@ -334,6 +355,29 @@ def test_engine_matches_the_plain_oracle_on_foreign_symbols(sels, ctxs, axioms):
     g = _grammar(sels, ctxs, axioms, UABC)
     _matches_the_plain_oracle(g, sorted(set(all_words(UABC, 4))
                                         | enumerate_ic(g, 7)))
+
+
+def _passes_the_residue_filter(g, words):
+    # the filter in member_ic must never reject a derivable word
+    c = g._compiled
+    for w in words:
+        s = c.encode(w)
+        assert s in c.axioms or c.residue(s) in c.residues, word_to_text(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_GRAMMAR_PARTS)
+def test_derivable_words_pass_the_residue_filter(sels, ctxs, axioms):
+    g = _grammar(sels, ctxs, axioms)
+    _passes_the_residue_filter(g, enumerate_ic(g, 8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_FOREIGN_PARTS)
+def test_derivable_words_pass_the_residue_filter_on_foreign_symbols(
+        sels, ctxs, axioms):
+    g = _grammar(sels, ctxs, axioms, UABC)
+    _passes_the_residue_filter(g, enumerate_ic(g, 7))
 
 
 @settings(max_examples=40, deadline=None)
