@@ -4,7 +4,8 @@ Every predicate takes a complete DFA ``d`` together with the alphabet ``U``
 it is declared over (``d.alphabet`` must equal ``U``), minimizes internally,
 and decides by structural analysis — no language is ever enumerated.  Each
 negative answer is backed by checkable evidence: a word or pair of words
-whose membership pattern refutes the family property.
+whose membership pattern refutes the family property.  Definite and
+ordered both read one topological pass over the state-pair graph.
 
 The ordered family is special: it asks for *some* accepting automaton whose
 states carry a letter-monotone total order, and that automaton may need
@@ -13,8 +14,9 @@ already {a b} has an unorderable minimal automaton).  The check here is
 three-valued — yes with an explicit order or a definite bound, no with a
 repetition witness, unknown in the remaining gap.
 
-:func:`classify` runs all families at once and cross-validates the verdicts
-against the known inclusions between families; a violation raises
+:func:`classify` runs all families at once, with one pair-graph pass and
+one repetition check shared by the families that need them, and
+cross-validates the verdicts against the known inclusions; a violation raises
 :class:`InternalConsistencyError` because it can only mean a bug in one of
 the deciders.
 """
@@ -205,16 +207,13 @@ def _check_nilpotent(dm: Dfa) -> tuple[bool, Evidence]:
     fin, ev = _check_finite(dm)
     if fin:
         return True, Evidence("finite language; " + ev.note)
-    cdm = minimize(complement(dm))
-    cofin, _ = _check_finite(cdm)
+    cofin, cev = _check_finite(minimize(complement(dm)))
     if cofin:
         return True, Evidence("cofinite language")
-    xi, yi, zi = _pump_words(dm)
-    xo, yo, zo = _pump_words(cdm)
     return False, Evidence(
         "both the language (first word, accepted) and its complement "
         "(second word, rejected) are infinite",
-        (xi + yi + zi, xo + yo + zo))
+        (ev.words[0], cev.words[0]))
 
 
 def _check_combinational(dm: Dfa) -> tuple[bool, Evidence]:
@@ -229,83 +228,73 @@ def _check_combinational(dm: Dfa) -> tuple[bool, Evidence]:
         f"membership is not a function of the final symbol ({side} witness)", (w,))
 
 
-def _mixed_pair(dm: Dfa, pairs) -> frozenset | None:
-    """First state pair, in a fixed order, that mixes an accepting with a
-    rejecting state; None if there is none."""
-    for pair in sorted(pairs, key=lambda s: sorted(map(str, s))):
-        p, q = pair
-        if (p in dm.accepting) != (q in dm.accepting):
-            return pair
-    return None
+def _suffix_pairs(dm: Dfa) -> tuple[int | None, set[int], dict[int, list]]:
+    """One topological pass over the state-pair graph of ``dm``.
 
-
-def _suffix_pair_fixpoint(dm: Dfa) -> tuple[set, int | None]:
-    """Iterate the state-pair image map to its fixpoint.
-
-    Returns the set of pairs that survive arbitrarily long common suffixes,
-    plus the first iteration count at which no surviving pair mixed an
-    accepting with a rejecting state (``None`` if that never happens — the
-    two are equivalent at the fixpoint, but the count is the suffix bound).
+    A pair of distinct states at positions ``p < q`` is the int ``p*n + q``,
+    with a ``(letter, image pair)`` edge on each letter whose images differ.
+    The pairs that keep an in-edge through Kahn's pass survive every common
+    suffix; each other pair gets the length of the longest walk ending at it.
+    Returns ``(bound, survivors, edges)``: the bound, the suffix length that
+    settles membership, is that length plus one, maxed over the mixed
+    (accepting/rejecting) pairs; 0 if none is mixed, None if one survives
+    (Perles, Rabin and Shamir, 1963).
     """
-    states = list(dm.states)
-    pairs = {frozenset((p, q)) for i, p in enumerate(states)
-             for q in states[i + 1:]}
-
-    def step(pair_set) -> set:
-        out = set()
-        for pair in pair_set:
-            p, q = tuple(pair)
-            for a in dm.alphabet:
-                tp, tq = dm.delta[(p, a)], dm.delta[(q, a)]
-                if tp != tq:
-                    out.add(frozenset((tp, tq)))
-        return out
-
-    current = pairs
-    clean_at = 0 if _mixed_pair(dm, current) is None else None
-    t = 0
-    while True:
-        nxt = step(current)
-        if nxt == current:
-            break
-        current = nxt
-        t += 1
-        if clean_at is None and _mixed_pair(dm, current) is None:
-            clean_at = t
-    return current, clean_at
-
-
-def _definite_bound(dm: Dfa) -> int | None:
-    """Suffix length that settles membership, or None if no bound exists."""
-    current, clean_at = _suffix_pair_fixpoint(dm)
-    return None if _mixed_pair(dm, current) is not None else clean_at
+    n = len(dm.states)
+    index = {q: i for i, q in enumerate(dm.states)}
+    rows = [(a, [index[dm.delta[(q, a)]] for q in dm.states])
+            for a in dm.alphabet]
+    indegree, height = [0] * (n * n), [0] * (n * n)
+    edges: dict[int, list] = {}
+    for p in range(n):
+        for q in range(p + 1, n):
+            edges[p * n + q] = out = []
+            for a, row in rows:
+                s, t = row[p], row[q]
+                if s != t:
+                    img = s * n + t if s < t else t * n + s
+                    out.append((a, img))
+                    indegree[img] += 1
+    ready = [pair for pair in edges if not indegree[pair]]
+    while ready:
+        pair = ready.pop()
+        for _, img in edges[pair]:
+            height[img] = max(height[img], height[pair] + 1)
+            indegree[img] -= 1
+            if not indegree[img]:
+                ready.append(img)
+    survivors = {pair for pair in edges if indegree[pair]}
+    acc = [q in dm.accepting for q in dm.states]
+    mixed = [pair for pair in edges if acc[pair // n] != acc[pair % n]]
+    bound = (None if survivors.intersection(mixed) else
+             max((height[pair] + 1 for pair in mixed), default=0))
+    return bound, survivors, edges
 
 
-def _check_definite(dm: Dfa) -> tuple[bool, Evidence]:
-    states = list(dm.states)
-    current, clean_at = _suffix_pair_fixpoint(dm)
-    bad_pair = _mixed_pair(dm, current)
-    if bad_pair is None:
-        assert clean_at is not None
-        return True, Evidence(f"membership depends only on the last {clean_at} symbols")
-    # reconstruct two words with a long shared suffix but different membership
-    rev: dict[frozenset, tuple[frozenset, str]] = {}
-    for pair in sorted(current, key=lambda s: sorted(map(str, s))):
-        p, q = sorted(pair, key=str)
-        for a in dm.alphabet:
-            tp, tq = dm.delta[(p, a)], dm.delta[(q, a)]
-            if tp != tq:
-                img = frozenset((tp, tq))
-                if img in current and img not in rev:
-                    rev[img] = (pair, a)
+def _check_definite(dm: Dfa, suffix_pairs: tuple | None = None
+                    ) -> tuple[bool, Evidence]:
+    bound, survivors, edges = suffix_pairs or _suffix_pairs(dm)
+    if bound is not None:
+        return True, Evidence(f"membership depends only on the last {bound} symbols")
+    # two words with a long shared suffix but different membership: walk back
+    # from the first mixed survivor along the first edge into each pair
+    n = len(dm.states)
+    named = {pair: sorted((dm.states[pair // n], dm.states[pair % n]), key=str)
+             for pair in survivors}
+    order = sorted(survivors, key=lambda pair: [str(q) for q in named[pair]])
+    cur = next(pair for pair in order
+               if len(dm.accepting.intersection(named[pair])) == 1)
+    into: dict[int, tuple[int, str]] = {}
+    for pair in order:
+        for a, img in edges[pair]:
+            into.setdefault(img, (pair, a))
     suffix: list[str] = []
-    cur = bad_pair
-    for _ in range(len(states) ** 2 + len(states)):
-        cur, a = rev[cur]
+    for _ in range(n * n + n):
+        cur, a = into[cur]
         suffix.append(a)
     z = tuple(reversed(suffix))
     acc = access_words(dm)
-    p, q = sorted(cur, key=str)
+    p, q = named[cur]
     return False, Evidence(
         f"membership still differs after a shared suffix of length {len(z)}",
         (acc[p] + z, acc[q] + z))
@@ -398,7 +387,8 @@ def _search_monotone_order(dm: Dfa) -> list | None:
 
 
 def _check_ordered(dm: Dfa, monoid_cap: int = DEFAULT_MONOID_CAP, *,
-                   noncounting: tuple[Verdict, Evidence] | None = None
+                   noncounting: tuple[Verdict, Evidence] | None = None,
+                   suffix_pairs: tuple | None = None
                    ) -> tuple[Verdict, Evidence]:
     """Three-valued check for acceptance by some order-monotone automaton.
 
@@ -418,7 +408,9 @@ def _check_ordered(dm: Dfa, monoid_cap: int = DEFAULT_MONOID_CAP, *,
     Aperiodic, non-definite languages whose minimal automaton is not
     orderable fall outside all three criteria and come back unknown.
     ``noncounting`` may carry an already-computed repetition verdict to
-    avoid rebuilding the transition monoid.
+    avoid rebuilding the transition monoid, and ``suffix_pairs`` the
+    already-computed :func:`_suffix_pairs` result, whose bound is the
+    definite one.
     """
     order_capped = False
     chain = None
@@ -429,7 +421,7 @@ def _check_ordered(dm: Dfa, monoid_cap: int = DEFAULT_MONOID_CAP, *,
     if chain is not None:
         return Verdict.YES, Evidence(
             "monotone state order: " + " < ".join(str(q) for q in chain))
-    k = _definite_bound(dm)
+    k = (suffix_pairs or _suffix_pairs(dm))[0]
     if k is not None:
         return Verdict.YES, Evidence(
             f"the minimal automaton admits no monotone order, but membership "
@@ -721,8 +713,10 @@ def classify(d: Dfa, U: Alphabet, *, source_regex: Regex | None = None,
     report = FamilyReport(language=language_name or "(unnamed)", alphabet=U,
                           min_state_count=len(dm.states))
 
+    # DEF and ORD share one pass over the state-pair graph
+    suffix_pairs = _suffix_pairs(dm)
     for label, fn in _STRUCTURAL_CHECKS.items():
-        ok, ev = fn(dm)
+        ok, ev = fn(dm, suffix_pairs) if label == DEF else fn(dm)
         report.verdicts[label] = Verdict.YES if ok else Verdict.NO
         report.evidence[label] = ev
     for label, fn2 in ((NC, _check_noncounting), (PS, _check_power_separating)):
@@ -737,7 +731,8 @@ def classify(d: Dfa, U: Alphabet, *, source_regex: Regex | None = None,
     # are the definite bound (yes) and a repetition witness (no)
     v, ev = _check_ordered(dm, monoid_cap,
                            noncounting=(report.verdicts[NC],
-                                        report.evidence[NC]))
+                                        report.evidence[NC]),
+                           suffix_pairs=suffix_pairs)
     report.verdicts[ORD] = v
     report.evidence[ORD] = ev
     if source_regex is not None:

@@ -1,0 +1,91 @@
+"""The plain definite-language check, kept as a test oracle.
+
+The Moore-style suffix-pair fixpoint: start from every pair of distinct
+states, map the pair set through every letter until it stops changing, and
+read the suffix bound off the first iteration with no pair that mixes an
+accepting with a rejecting state.  The witness of a non-definite language
+walks back from the first mixed pair of the fixpoint.
+``tests/test_subregular.py`` checks the one-pass pair-graph check in
+``icgram.subregular`` against it, bound for bound and witness for witness.
+"""
+
+from icgram.automata import access_words
+from icgram.subregular import Evidence
+
+
+def _mixed_pair(dm, pairs):
+    """First state pair, in a fixed order, that mixes an accepting with a
+    rejecting state; None if there is none."""
+    for pair in sorted(pairs, key=lambda s: sorted(map(str, s))):
+        p, q = pair
+        if (p in dm.accepting) != (q in dm.accepting):
+            return pair
+    return None
+
+
+def _suffix_pair_fixpoint(dm):
+    """The pairs that survive arbitrarily long common suffixes, plus the
+    first iteration count at which no surviving pair was mixed (None if
+    that never happens)."""
+    states = list(dm.states)
+    pairs = {frozenset((p, q)) for i, p in enumerate(states)
+             for q in states[i + 1:]}
+
+    def step(pair_set):
+        out = set()
+        for pair in pair_set:
+            p, q = tuple(pair)
+            for a in dm.alphabet:
+                tp, tq = dm.delta[(p, a)], dm.delta[(q, a)]
+                if tp != tq:
+                    out.add(frozenset((tp, tq)))
+        return out
+
+    current = pairs
+    clean_at = 0 if _mixed_pair(dm, current) is None else None
+    t = 0
+    while True:
+        nxt = step(current)
+        if nxt == current:
+            break
+        current = nxt
+        t += 1
+        if clean_at is None and _mixed_pair(dm, current) is None:
+            clean_at = t
+    return current, clean_at
+
+
+def _definite_bound(dm):
+    """Suffix length that settles membership, or None if no bound exists."""
+    current, clean_at = _suffix_pair_fixpoint(dm)
+    return None if _mixed_pair(dm, current) is not None else clean_at
+
+
+def _check_definite(dm):
+    states = list(dm.states)
+    current, clean_at = _suffix_pair_fixpoint(dm)
+    bad_pair = _mixed_pair(dm, current)
+    if bad_pair is None:
+        return True, Evidence(
+            f"membership depends only on the last {clean_at} symbols")
+    # reconstruct two words with a long shared suffix but different membership
+    rev = {}
+    for pair in sorted(current, key=lambda s: sorted(map(str, s))):
+        p, q = sorted(pair, key=str)
+        for a in dm.alphabet:
+            tp, tq = dm.delta[(p, a)], dm.delta[(q, a)]
+            if tp != tq:
+                img = frozenset((tp, tq))
+                if img in current and img not in rev:
+                    rev[img] = (pair, a)
+    suffix = []
+    cur = bad_pair
+    for _ in range(len(states) ** 2 + len(states)):
+        cur, a = rev[cur]
+        suffix.append(a)
+    z = tuple(reversed(suffix))
+    acc = access_words(dm)
+    p, q = sorted(cur, key=str)
+    return False, Evidence(
+        f"membership still differs after a shared suffix of length {len(z)}",
+        (acc[p] + z, acc[q] + z))

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subregular_oracle as oracle
 from conftest import random_dfa
-from icgram.automata import (Dfa, accepts, equivalent, language_is_finite,
-                             minimize, regex_to_dfa, word_set_dfa)
+from icgram import subregular
+from icgram.automata import (Dfa, accepts, complement, dfa_to_table, equivalent,
+                             language_is_finite, minimize, regex_to_dfa,
+                             word_set_dfa)
 from icgram.errors import UndecidedError
 from icgram.regex import parse_regex
 from icgram.resources import min_states
@@ -19,7 +22,8 @@ from icgram.subregular import (CIRC, COMB, COMM, DEF, FIN, MON, NC, NIL, ORD,
                                is_noncounting, is_ordered,
                                is_power_separating, is_suffix_closed,
                                parse_family_label, rl_p, rl_v, reg_z,
-                               union_free_syntax, _check_finite)
+                               union_free_syntax, _check_definite,
+                               _check_finite, _suffix_pairs)
 from icgram.words import Alphabet
 
 UA = Alphabet.of("a")
@@ -108,11 +112,69 @@ def test_definite():
     assert is_definite(_dfa("ab", UAB), UAB)  # finite => definite
     d = _dfa("b*c", UBC)
     assert not is_definite(d, UBC)
-    w1, w2 = _report("b*c", UBC).evidence[DEF].words
+    ev = _report("b*c", UBC).evidence[DEF]
+    w1, w2 = ev.words
     assert accepts(d, w1) != accepts(d, w2)
-    # the two words end in the same long suffix
-    k = min(len(w1), len(w2))
-    assert k >= min_states(d) and w1[-k:] != w2[-k:] or w1[-k + 1:] == w2[-k + 1:]
+    # the two words end in the same suffix of the stated length, at least
+    # as long as the minimal automaton has states
+    k = int(re.search(r"shared suffix of length (\d+)", ev.note).group(1))
+    assert k >= min_states(d)
+    assert min(len(w1), len(w2)) >= k and w1[-k:] == w2[-k:]
+
+
+def _definite_cases(rng, count):
+    """Minimal DFAs of random automata (1-24 states, 1-3 letters), and of
+    random finite languages and their complements, which are definite."""
+    for _ in range(count):
+        u = Alphabet(("a", "b", "c")[:int(rng.integers(1, 4))])
+        yield u, minimize(random_dfa(rng, int(rng.integers(1, 25)), u))
+    for _ in range(count // 4):
+        u = Alphabet(("a", "b", "c")[:int(rng.integers(1, 4))])
+        letters = tuple(u)
+        words = [tuple(letters[int(i)] for i in
+                       rng.integers(len(letters), size=int(rng.integers(0, 9))))
+                 for _ in range(int(rng.integers(1, 5)))]
+        d = word_set_dfa(words, u)
+        yield u, minimize(d)
+        yield u, minimize(complement(d))
+
+
+def test_definite_matches_the_fixpoint_oracle():
+    """The one-pass pair-graph check gives the suffix-pair fixpoint's exact
+    verdict, evidence and bound."""
+    rng = np.random.default_rng(9)
+    verdicts = []
+    for u, dm in _definite_cases(rng, 1200):
+        got = _check_definite(dm)
+        assert got == oracle._check_definite(dm), dfa_to_table(dm)
+        assert _suffix_pairs(dm)[0] == oracle._definite_bound(dm)
+        verdicts.append(got[0])
+    assert 100 < sum(verdicts) < len(verdicts) - 100
+
+
+def _long_word(k, changed=None):
+    w = list(("a", "b") * k)
+    if changed is not None:
+        w[changed] = "b" if w[changed] == "a" else "a"
+    return tuple(w)
+
+
+@pytest.mark.parametrize("word", [_long_word(100), _long_word(100, 57), ()],
+                         ids=["abab", "one-letter-changed", "empty-word"])
+def test_definite_bound_of_one_word_is_its_length_plus_one(word, monkeypatch):
+    passes = []
+    pair_pass = subregular._suffix_pairs
+    monkeypatch.setattr(subregular, "_suffix_pairs",
+                        lambda dm: passes.append(dm) or pair_pass(dm))
+    rep = classify(word_set_dfa([word], UAB), UAB)
+    assert passes == [minimize(word_set_dfa([word], UAB))]
+    k = len(word) + 1
+    assert rep.evidence[DEF].note == \
+        f"membership depends only on the last {k} symbols"
+    assert rep.verdicts[ORD] is Verdict.YES
+    if word:
+        # the minimal automaton of one long word admits no monotone order
+        assert f"depends only on the last {k} symbols" in rep.evidence[ORD].note
 
 
 def test_suffix_closed():
