@@ -388,12 +388,11 @@ def _useful_states(d: Dfa) -> set:
     return {q for q in reachable_states(d) if q in dist}
 
 
-def _longest_word_length(d: Dfa) -> int | None:
-    """Length of the longest accepted word; None for an infinite language,
-    -1 for the empty one.  A topological order of the useful states covers
-    them all exactly when no cycle lies on an accepting path; read backwards,
-    it gives each state's longest accepted suffix."""
-    useful = _useful_states(d)
+def _longest_word_length(d: Dfa, useful: set) -> int | None:
+    """Length of the longest accepted word, given the useful states; None for
+    an infinite language, -1 for the empty one.  A topological order of the
+    useful states covers them all exactly when no cycle lies on an accepting
+    path; read backwards, it gives each state's longest accepted suffix."""
     succ = {q: [t for a in d.alphabet if (t := d.delta[(q, a)]) in useful]
             for q in useful}
     indegree = Counter(t for ts in succ.values() for t in ts)
@@ -414,7 +413,7 @@ def _longest_word_length(d: Dfa) -> int | None:
 
 def language_is_finite(d: Dfa) -> bool:
     """True when no cycle lies on an accepting path."""
-    return _longest_word_length(d) is not None
+    return _longest_word_length(d, _useful_states(d)) is not None
 
 
 # --- simple builders ----------------------------------------------------

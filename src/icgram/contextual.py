@@ -51,9 +51,7 @@ from .monoid import DEFAULT_MONOID_CAP
 from .regex import Regex, alt, seq, word_regex, Star, Literal
 from .resources import SearchCaps, bounded_min_grammar, count_resources, min_states
 from .rlgrammar import RightLinearGrammar, Rule, grammar_to_nfa
-from .subregular import (FamilyLabel, Verdict, union_free_syntax,
-                         _STRUCTURAL_CHECKS, _check_noncounting, _check_ordered,
-                         _check_power_separating, _monoid_cap_note)
+from .subregular import FamilyLabel, Verdict, union_free_syntax, _Analysis
 from .words import Alphabet, Word, sort_words, word_to_text
 
 
@@ -610,19 +608,9 @@ def selection_in_family(g: ContextualGrammar, label: FamilyLabel, *,
 def _pair_family_verdict(i: int, pair: SelectionPair, label: FamilyLabel,
                          monoid_cap: int, caps: SearchCaps) -> PairVerdict:
     kind = label.kind
-    if label in _STRUCTURAL_CHECKS:
-        ok, ev = _STRUCTURAL_CHECKS[label](minimize(pair.dfa))
-        return PairVerdict(i, Verdict.YES if ok else Verdict.NO, ev.note)
-    if kind == "ORD":
-        v, ev = _check_ordered(minimize(pair.dfa), monoid_cap)
+    if label.structural and kind != "UF":
+        v, ev = _Analysis(minimize(pair.dfa), monoid_cap).decide(label)
         return PairVerdict(i, v, ev.note)
-    if kind in ("NC", "PS"):
-        fn = _check_noncounting if kind == "NC" else _check_power_separating
-        try:
-            ok, ev = fn(minimize(pair.dfa), monoid_cap)
-            return PairVerdict(i, Verdict.YES if ok else Verdict.NO, ev.note)
-        except ResourceLimitError as e:
-            return PairVerdict(i, Verdict.UNKNOWN, _monoid_cap_note(e))
     if kind == "REG":
         return PairVerdict(i, Verdict.YES, "regular by construction")
     if kind == "UF":

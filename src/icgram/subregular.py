@@ -4,8 +4,7 @@ Every predicate takes a complete DFA ``d`` together with the alphabet ``U``
 it is declared over (``d.alphabet`` must equal ``U``), minimizes internally,
 and decides by structural analysis — no language is ever enumerated.  Each
 negative answer is backed by checkable evidence: a word or pair of words
-whose membership pattern refutes the family property.  Definite and
-ordered both read one topological pass over the state-pair graph.
+whose membership pattern refutes the family property.
 
 The ordered family is special: it asks for *some* accepting automaton whose
 states carry a letter-monotone total order, and that automaton may need
@@ -14,11 +13,12 @@ already {a b} has an unorderable minimal automaton).  The check here is
 three-valued — yes with an explicit order or a definite bound, no with a
 repetition witness, unknown in the remaining gap.
 
-:func:`classify` runs all families at once, with one pair-graph pass and
-one repetition check shared by the families that need them, and
-cross-validates the verdicts against the known inclusions; a violation raises
-:class:`InternalConsistencyError` because it can only mean a bug in one of
-the deciders.
+The predicates, :func:`classify` and ``contextual.selection_in_family``
+decide through one :class:`_Analysis` of the minimal DFA, which runs each
+search that several checks share at most once.  :func:`classify` also
+cross-validates the verdicts against the known inclusions; a violation
+raises :class:`InternalConsistencyError` because it can only mean a bug in
+one of the deciders.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .automata import (Dfa, access_words, bfs_words, complement,
                        distinguishing_suffix, distinguishing_word, ends_with_dfa,
@@ -161,21 +162,67 @@ def _require_alphabet(d: Dfa, U: Alphabet) -> None:
             f"automaton alphabet {list(d.alphabet)} differs from declared {list(U)}")
 
 
-# --- individual checkers (all take a minimal DFA) ------------------------
+# --- one analysis per minimal DFA -----------------------------------------
 
-def _check_monoidal(dm: Dfa) -> tuple[bool, Evidence]:
+class _Analysis:
+    """A minimal DFA with the searches that its family checks share, each
+    run at most once, on first use; :meth:`decide` is the one dispatch from
+    a family to its checker."""
+
+    def __init__(self, dm: Dfa, monoid_cap: int = DEFAULT_MONOID_CAP):
+        self.dm, self.monoid_cap = dm, monoid_cap
+        self.decided: dict[FamilyLabel, tuple[Verdict, Evidence]] = {}
+
+    @cached_property
+    def access(self) -> dict:
+        return access_words(self.dm)
+
+    @cached_property
+    def useful(self) -> set:
+        return _useful_states(self.dm)
+
+    @cached_property
+    def suffix_pairs(self) -> tuple[int | None, set[int], list]:
+        return _suffix_pairs(self.dm)
+
+    @cached_property
+    def complement(self) -> _Analysis:
+        # the complement of a minimal DFA numbered breadth-first is minimal
+        # and numbered the same way, so it needs no minimize
+        return _Analysis(complement(self.dm), self.monoid_cap)
+
+    def decide(self, label: FamilyLabel) -> tuple[Verdict, Evidence]:
+        """Verdict on one family MON..PS, once; the monoid cap gives UNKNOWN."""
+        if label not in self.decided:
+            try:
+                ok, ev = _CHECKS[label](self)
+            except ResourceLimitError as e:
+                ok, ev = Verdict.UNKNOWN, Evidence(_monoid_cap_note(e))
+            if not isinstance(ok, Verdict):
+                ok = Verdict.YES if ok else Verdict.NO
+            self.decided[label] = ok, ev
+        return self.decided[label]
+
+
+def _monoid_cap_note(e: ResourceLimitError) -> str:
+    return f"monoid cap exceeded (cap {e.cap}); undecided at this cap"
+
+
+# --- individual checkers (all take the analysis of a minimal DFA) ---------
+
+def _check_monoidal(an: _Analysis) -> tuple[bool, Evidence]:
+    dm = an.dm
     if len(dm.states) == 1 and dm.initial in dm.accepting:
         return True, Evidence("the full language over the alphabet")
-    w = shortest_accepted(complement(dm))
+    w = shortest_accepted(an.complement.dm)
     assert w is not None
     return False, Evidence("a word is rejected", (w,))
 
 
-def _pump_words(dm: Dfa) -> tuple[Word, Word, Word]:
+def _pump_words(an: _Analysis) -> tuple[Word, Word, Word]:
     """(x, y, z) with x y^k z accepted for every k >= 0 and y non-empty.
     Only valid when the language is infinite."""
-    useful = _useful_states(dm)
-    acc = access_words(dm)
+    dm, useful, acc = an.dm, an.useful, an.access
     stand_in = object()
     for q in sorted(useful, key=lambda s: len(acc[s])):
         # shortest non-empty loop at q through useful states: the search
@@ -192,10 +239,10 @@ def _pump_words(dm: Dfa) -> tuple[Word, Word, Word]:
     raise AssertionError("no pumpable state in an infinite language")
 
 
-def _check_finite(dm: Dfa) -> tuple[bool, Evidence]:
-    m = _longest_word_length(dm)
+def _check_finite(an: _Analysis) -> tuple[bool, Evidence]:
+    m = _longest_word_length(an.dm, an.useful)
     if m is None:
-        x, y, z = _pump_words(dm)
+        x, y, z = _pump_words(an)
         return False, Evidence("infinite: the first word pumps to the second",
                                (x + y + z, x + y + y + z))
     if m < 0:
@@ -203,12 +250,12 @@ def _check_finite(dm: Dfa) -> tuple[bool, Evidence]:
     return True, Evidence(f"finite; longest word has length {m}")
 
 
-def _check_nilpotent(dm: Dfa) -> tuple[bool, Evidence]:
-    fin, ev = _check_finite(dm)
-    if fin:
+def _check_nilpotent(an: _Analysis) -> tuple[bool, Evidence]:
+    fin, ev = an.decide(FIN)
+    if fin is Verdict.YES:
         return True, Evidence("finite language; " + ev.note)
-    cofin, cev = _check_finite(minimize(complement(dm)))
-    if cofin:
+    cofin, cev = an.complement.decide(FIN)
+    if cofin is Verdict.YES:
         return True, Evidence("cofinite language")
     return False, Evidence(
         "both the language (first word, accepted) and its complement "
@@ -216,7 +263,8 @@ def _check_nilpotent(dm: Dfa) -> tuple[bool, Evidence]:
         (ev.words[0], cev.words[0]))
 
 
-def _check_combinational(dm: Dfa) -> tuple[bool, Evidence]:
+def _check_combinational(an: _Analysis) -> tuple[bool, Evidence]:
+    dm = an.dm
     choice = tuple(a for a in dm.alphabet if dm.run((a,)) in dm.accepting)
     target = ends_with_dfa(dm.alphabet, choice)
     w = distinguishing_word(dm, target)
@@ -228,56 +276,62 @@ def _check_combinational(dm: Dfa) -> tuple[bool, Evidence]:
         f"membership is not a function of the final symbol ({side} witness)", (w,))
 
 
-def _suffix_pairs(dm: Dfa) -> tuple[int | None, set[int], dict[int, list]]:
+def _pair_edges(rows: list, n: int, pair: int):
+    """The ``(letter, image pair)`` edges out of one coded state pair."""
+    p, q = divmod(pair, n)
+    for a, row in rows:
+        s, t = row[p], row[q]
+        if s != t:
+            yield a, (s * n + t if s < t else t * n + s)
+
+
+def _suffix_pairs(dm: Dfa) -> tuple[int | None, set[int], list]:
     """One topological pass over the state-pair graph of ``dm``.
 
     A pair of distinct states at positions ``p < q`` is the int ``p*n + q``,
-    with a ``(letter, image pair)`` edge on each letter whose images differ.
-    The pairs that keep an in-edge through Kahn's pass survive every common
-    suffix; each other pair gets the length of the longest walk ending at it.
-    Returns ``(bound, survivors, edges)``: the bound, the suffix length that
-    settles membership, is that length plus one, maxed over the mixed
-    (accepting/rejecting) pairs; 0 if none is mixed, None if one survives
-    (Perles, Rabin and Shamir, 1963).
+    with a ``(letter, image pair)`` edge on each letter whose images differ,
+    recomputed by :func:`_pair_edges` from the letter rows wherever it is
+    read.  The pairs that keep an in-edge through Kahn's pass survive every
+    common suffix; each other pair gets the length of the longest walk ending
+    at it.  Returns ``(bound, survivors, rows)``: the bound, the suffix length
+    that settles membership, is that length plus one, maxed over the mixed
+    pairs; 0 if none is mixed, None if one survives (Perles, Rabin and
+    Shamir, 1963).
     """
     n = len(dm.states)
     index = {q: i for i, q in enumerate(dm.states)}
     rows = [(a, [index[dm.delta[(q, a)]] for q in dm.states])
             for a in dm.alphabet]
+    pairs = [range(p * n + p + 1, p * n + n) for p in range(n)]
     indegree, height = [0] * (n * n), [0] * (n * n)
-    edges: dict[int, list] = {}
-    for p in range(n):
-        for q in range(p + 1, n):
-            edges[p * n + q] = out = []
-            for a, row in rows:
-                s, t = row[p], row[q]
-                if s != t:
-                    img = s * n + t if s < t else t * n + s
-                    out.append((a, img))
-                    indegree[img] += 1
-    ready = [pair for pair in edges if not indegree[pair]]
+    for block in pairs:
+        for pair in block:
+            for _, img in _pair_edges(rows, n, pair):
+                indegree[img] += 1
+    ready = [pair for block in pairs for pair in block if not indegree[pair]]
     while ready:
         pair = ready.pop()
-        for _, img in edges[pair]:
+        for _, img in _pair_edges(rows, n, pair):
             height[img] = max(height[img], height[pair] + 1)
             indegree[img] -= 1
             if not indegree[img]:
                 ready.append(img)
-    survivors = {pair for pair in edges if indegree[pair]}
+    survivors = {pair for pair, k in enumerate(indegree) if k}
     acc = [q in dm.accepting for q in dm.states]
-    mixed = [pair for pair in edges if acc[pair // n] != acc[pair % n]]
+    mixed = [pair for p, block in enumerate(pairs) for pair in block
+             if acc[p] != acc[pair % n]]
     bound = (None if survivors.intersection(mixed) else
              max((height[pair] + 1 for pair in mixed), default=0))
-    return bound, survivors, edges
+    return bound, survivors, rows
 
 
-def _check_definite(dm: Dfa, suffix_pairs: tuple | None = None
-                    ) -> tuple[bool, Evidence]:
-    bound, survivors, edges = suffix_pairs or _suffix_pairs(dm)
+def _check_definite(an: _Analysis) -> tuple[bool, Evidence]:
+    bound, survivors, rows = an.suffix_pairs
     if bound is not None:
         return True, Evidence(f"membership depends only on the last {bound} symbols")
     # two words with a long shared suffix but different membership: walk back
     # from the first mixed survivor along the first edge into each pair
+    dm = an.dm
     n = len(dm.states)
     named = {pair: sorted((dm.states[pair // n], dm.states[pair % n]), key=str)
              for pair in survivors}
@@ -286,29 +340,28 @@ def _check_definite(dm: Dfa, suffix_pairs: tuple | None = None
                if len(dm.accepting.intersection(named[pair])) == 1)
     into: dict[int, tuple[int, str]] = {}
     for pair in order:
-        for a, img in edges[pair]:
+        for a, img in _pair_edges(rows, n, pair):
             into.setdefault(img, (pair, a))
     suffix: list[str] = []
     for _ in range(n * n + n):
         cur, a = into[cur]
         suffix.append(a)
     z = tuple(reversed(suffix))
-    acc = access_words(dm)
     p, q = named[cur]
     return False, Evidence(
         f"membership still differs after a shared suffix of length {len(z)}",
-        (acc[p] + z, acc[q] + z))
+        (an.access[p] + z, an.access[q] + z))
 
 
-def _check_suffix_closed(dm: Dfa) -> tuple[bool, Evidence]:
-    acc = access_words(dm)
+def _check_suffix_closed(an: _Analysis) -> tuple[bool, Evidence]:
+    dm = an.dm
     for q in dm.states:
         from_q = Dfa(dm.states, dm.alphabet, dm.delta, q, dm.accepting)
         y = inclusion_witness(from_q, dm)
         if y is not None:
             return False, Evidence(
                 "the first word is accepted but its suffix (second word) is not",
-                (acc[q] + y, y))
+                (an.access[q] + y, y))
     return True, Evidence("every suffix of every accepted word is accepted")
 
 
@@ -386,10 +439,7 @@ def _search_monotone_order(dm: Dfa) -> list | None:
     return sorted(states, key=lambda q: (below[q], str(q)))
 
 
-def _check_ordered(dm: Dfa, monoid_cap: int = DEFAULT_MONOID_CAP, *,
-                   noncounting: tuple[Verdict, Evidence] | None = None,
-                   suffix_pairs: tuple | None = None
-                   ) -> tuple[Verdict, Evidence]:
+def _check_ordered(an: _Analysis) -> tuple[Verdict, Evidence]:
     """Three-valued check for acceptance by some order-monotone automaton.
 
     The defining automaton is existentially quantified, so the minimal one
@@ -407,33 +457,23 @@ def _check_ordered(dm: Dfa, monoid_cap: int = DEFAULT_MONOID_CAP, *,
 
     Aperiodic, non-definite languages whose minimal automaton is not
     orderable fall outside all three criteria and come back unknown.
-    ``noncounting`` may carry an already-computed repetition verdict to
-    avoid rebuilding the transition monoid, and ``suffix_pairs`` the
-    already-computed :func:`_suffix_pairs` result, whose bound is the
-    definite one.
     """
     order_capped = False
     chain = None
     try:
-        chain = _search_monotone_order(dm)
+        chain = _search_monotone_order(an.dm)
     except ResourceLimitError:
         order_capped = True
     if chain is not None:
         return Verdict.YES, Evidence(
             "monotone state order: " + " < ".join(str(q) for q in chain))
-    k = (suffix_pairs or _suffix_pairs(dm))[0]
+    k = an.suffix_pairs[0]
     if k is not None:
         return Verdict.YES, Evidence(
             f"the minimal automaton admits no monotone order, but membership "
             f"depends only on the last {k} symbols and the last-{k}-symbols "
             f"automaton does")
-    if noncounting is None:
-        try:
-            nc_ok, nc_ev = _check_noncounting(dm, monoid_cap)
-            noncounting = (Verdict.YES if nc_ok else Verdict.NO, nc_ev)
-        except ResourceLimitError:
-            noncounting = (Verdict.UNKNOWN, Evidence())
-    nc_verdict, nc_ev = noncounting
+    nc_verdict, nc_ev = an.decide(NC)
     if nc_verdict is Verdict.NO:
         return Verdict.NO, Evidence(
             "monotone maps of a finite chain cannot count repetitions: "
@@ -442,15 +482,15 @@ def _check_ordered(dm: Dfa, monoid_cap: int = DEFAULT_MONOID_CAP, *,
            "the minimal automaton admits no monotone order")
     if nc_verdict is Verdict.UNKNOWN:
         return Verdict.UNKNOWN, Evidence(
-            how + f"; the repetition check hit the monoid cap of {monoid_cap}, "
+            how + f"; the repetition check hit the monoid cap of {an.monoid_cap}, "
             "leaving orderability undecided at this cap")
     return Verdict.UNKNOWN, Evidence(
         how + "; the language is neither definite nor repetition-counting, "
         "and orderability of a larger accepting automaton is not decided here")
 
 
-def _check_commutative(dm: Dfa) -> tuple[bool, Evidence]:
-    acc = access_words(dm)
+def _check_commutative(an: _Analysis) -> tuple[bool, Evidence]:
+    dm = an.dm
     letters = list(dm.alphabet)
     for q in dm.states:
         for i, a in enumerate(letters):
@@ -460,14 +500,15 @@ def _check_commutative(dm: Dfa) -> tuple[bool, Evidence]:
                 if s1 != s2:
                     z = distinguishing_suffix(dm, s1, s2)
                     assert z is not None  # distinct states of a minimal DFA
-                    x = acc[q]
+                    x = an.access[q]
                     return False, Evidence(
                         "the two words permute each other but only one is accepted",
                         (x + (a, b) + z, x + (b, a) + z))
     return True, Evidence("membership is invariant under reordering of symbols")
 
 
-def _check_circular(dm: Dfa) -> tuple[bool, Evidence]:
+def _check_circular(an: _Analysis) -> tuple[bool, Evidence]:
+    dm = an.dm
     q0 = dm.initial
     step = _pair_step(dm, dm)
     back: dict = {}
@@ -488,12 +529,13 @@ def _check_circular(dm: Dfa) -> tuple[bool, Evidence]:
     return True, Evidence("closed under cyclic shifts")
 
 
-def _check_noncounting(dm: Dfa, cap: int) -> tuple[bool, Evidence]:
+def _check_noncounting(an: _Analysis) -> tuple[bool, Evidence]:
     """Aperiodicity of the transition monoid, stopping at the first element
     ``t`` (in shortlex order of its word) with ``t^N != t^(N+1)``."""
+    dm = an.dm
     squarings = len(dm.states).bit_length()  # N = 2^squarings > pre-period
     m = 0
-    for t, y in monoid_elements(dm, cap):
+    for t, y in monoid_elements(dm, an.monoid_cap):
         m += 1
         stable = t
         for _ in range(squarings):
@@ -516,8 +558,7 @@ def _check_noncounting(dm: Dfa, cap: int) -> tuple[bool, Evidence]:
     assert p_k != p_k1  # this element's cycle has period >= 2
     state_list = list(dm.states)
     s = next(j for j in range(len(state_list)) if p_k[j] != p_k1[j])
-    acc = access_words(dm)
-    x = acc[state_list[s]]
+    x = an.access[state_list[s]]
     z = distinguishing_suffix(dm, state_list[p_k[s]], state_list[p_k1[s]])
     assert z is not None
     return False, Evidence(
@@ -526,13 +567,14 @@ def _check_noncounting(dm: Dfa, cap: int) -> tuple[bool, Evidence]:
         (x + y * exp + z, x + y * (exp + 1) + z))
 
 
-def _check_power_separating(dm: Dfa, cap: int) -> tuple[bool, Evidence]:
+def _check_power_separating(an: _Analysis) -> tuple[bool, Evidence]:
     """Stops at the first element ``y`` (in shortlex order) whose powers
     ``y^(n+1) .. y^(2n+2)``, all on the cycle, fall on both sides."""
+    dm = an.dm
     n = len(dm.states)
     q0 = dm.states.index(dm.initial)
     accepting = [q in dm.accepting for q in dm.states]
-    for t, y in monoid_elements(dm, cap):
+    for t, y in monoid_elements(dm, an.monoid_cap):
         v = t[q0]                        # state after y^1
         for _ in range(n):
             v = t[v]                     # ... up to y^(n+1)
@@ -553,36 +595,49 @@ def _check_power_separating(dm: Dfa, cap: int) -> tuple[bool, Evidence]:
         (y * j_in, y * j_out))
 
 
+# the one dispatch from a family to its checker, in report order
+_CHECKS = {
+    MON: _check_monoidal, FIN: _check_finite, NIL: _check_nilpotent,
+    COMB: _check_combinational, DEF: _check_definite,
+    SUF: _check_suffix_closed, ORD: _check_ordered, COMM: _check_commutative,
+    CIRC: _check_circular, NC: _check_noncounting, PS: _check_power_separating,
+}
+
+
 # --- public predicates ----------------------------------------------------
 
-def is_monoidal(d: Dfa, U: Alphabet) -> bool:
+def _holds(label: FamilyLabel, d: Dfa, U: Alphabet,
+           monoid_cap: int = DEFAULT_MONOID_CAP) -> bool:
+    """One family's verdict; UNKNOWN raises :class:`UndecidedError`."""
     _require_alphabet(d, U)
-    return _check_monoidal(minimize(d))[0]
+    v, ev = _Analysis(minimize(d), monoid_cap).decide(label)
+    if v is Verdict.UNKNOWN:
+        raise UndecidedError(ev.note)
+    return v is Verdict.YES
+
+
+def is_monoidal(d: Dfa, U: Alphabet) -> bool:
+    return _holds(MON, d, U)
 
 
 def is_finite(d: Dfa, U: Alphabet) -> bool:
-    _require_alphabet(d, U)
-    return _check_finite(minimize(d))[0]
+    return _holds(FIN, d, U)
 
 
 def is_nilpotent(d: Dfa, U: Alphabet) -> bool:
-    _require_alphabet(d, U)
-    return _check_nilpotent(minimize(d))[0]
+    return _holds(NIL, d, U)
 
 
 def is_combinational(d: Dfa, U: Alphabet) -> bool:
-    _require_alphabet(d, U)
-    return _check_combinational(minimize(d))[0]
+    return _holds(COMB, d, U)
 
 
 def is_definite(d: Dfa, U: Alphabet) -> bool:
-    _require_alphabet(d, U)
-    return _check_definite(minimize(d))[0]
+    return _holds(DEF, d, U)
 
 
 def is_suffix_closed(d: Dfa, U: Alphabet) -> bool:
-    _require_alphabet(d, U)
-    return _check_suffix_closed(minimize(d))[0]
+    return _holds(SUF, d, U)
 
 
 def is_ordered(d: Dfa, U: Alphabet, *,
@@ -593,43 +648,24 @@ def is_ordered(d: Dfa, U: Alphabet, *,
     (aperiodic, not definite, minimal automaton unorderable) is inherent in
     the family's definition quantifying over *some* accepting automaton.
     """
-    _require_alphabet(d, U)
-    v, ev = _check_ordered(minimize(d), monoid_cap)
-    if v is Verdict.UNKNOWN:
-        raise UndecidedError(ev.note)
-    return v is Verdict.YES
+    return _holds(ORD, d, U, monoid_cap)
 
 
 def is_commutative(d: Dfa, U: Alphabet) -> bool:
-    _require_alphabet(d, U)
-    return _check_commutative(minimize(d))[0]
+    return _holds(COMM, d, U)
 
 
 def is_circular(d: Dfa, U: Alphabet) -> bool:
-    _require_alphabet(d, U)
-    return _check_circular(minimize(d))[0]
-
-
-def _monoid_cap_note(e: ResourceLimitError) -> str:
-    return f"monoid cap exceeded (cap {e.cap}); undecided at this cap"
-
-
-def _decide_by_monoid(check, d: Dfa, U: Alphabet, monoid_cap: int) -> bool:
-    """Boolean form of a monoid check; the cap raises :class:`UndecidedError`."""
-    _require_alphabet(d, U)
-    try:
-        return check(minimize(d), monoid_cap)[0]
-    except ResourceLimitError as e:
-        raise UndecidedError(_monoid_cap_note(e)) from e
+    return _holds(CIRC, d, U)
 
 
 def is_noncounting(d: Dfa, U: Alphabet, *, monoid_cap: int = DEFAULT_MONOID_CAP) -> bool:
-    return _decide_by_monoid(_check_noncounting, d, U, monoid_cap)
+    return _holds(NC, d, U, monoid_cap)
 
 
 def is_power_separating(d: Dfa, U: Alphabet, *,
                         monoid_cap: int = DEFAULT_MONOID_CAP) -> bool:
-    return _decide_by_monoid(_check_power_separating, d, U, monoid_cap)
+    return _holds(PS, d, U, monoid_cap)
 
 
 def union_free_syntax(r: Regex) -> Verdict:
@@ -690,14 +726,6 @@ class FamilyReport:
         }
 
 
-# the families decided outright on the minimal automaton, with no cap
-_STRUCTURAL_CHECKS = {
-    MON: _check_monoidal, FIN: _check_finite, NIL: _check_nilpotent,
-    COMB: _check_combinational, DEF: _check_definite,
-    SUF: _check_suffix_closed, COMM: _check_commutative, CIRC: _check_circular,
-}
-
-
 def classify(d: Dfa, U: Alphabet, *, source_regex: Regex | None = None,
              language_name: str = "", monoid_cap: int = DEFAULT_MONOID_CAP
              ) -> FamilyReport:
@@ -709,32 +737,11 @@ def classify(d: Dfa, U: Alphabet, *, source_regex: Regex | None = None,
     decided.
     """
     _require_alphabet(d, U)
-    dm = minimize(d)
+    an = _Analysis(minimize(d), monoid_cap)
     report = FamilyReport(language=language_name or "(unnamed)", alphabet=U,
-                          min_state_count=len(dm.states))
-
-    # DEF and ORD share one pass over the state-pair graph
-    suffix_pairs = _suffix_pairs(dm)
-    for label, fn in _STRUCTURAL_CHECKS.items():
-        ok, ev = fn(dm, suffix_pairs) if label == DEF else fn(dm)
-        report.verdicts[label] = Verdict.YES if ok else Verdict.NO
-        report.evidence[label] = ev
-    for label, fn2 in ((NC, _check_noncounting), (PS, _check_power_separating)):
-        try:
-            ok, ev = fn2(dm, monoid_cap)
-            report.verdicts[label] = Verdict.YES if ok else Verdict.NO
-            report.evidence[label] = ev
-        except ResourceLimitError as e:
-            report.verdicts[label] = Verdict.UNKNOWN
-            report.evidence[label] = Evidence(_monoid_cap_note(e))
-    # ordered reuses the repetition verdict: its only off-chain certificates
-    # are the definite bound (yes) and a repetition witness (no)
-    v, ev = _check_ordered(dm, monoid_cap,
-                           noncounting=(report.verdicts[NC],
-                                        report.evidence[NC]),
-                           suffix_pairs=suffix_pairs)
-    report.verdicts[ORD] = v
-    report.evidence[ORD] = ev
+                          min_state_count=len(an.dm.states))
+    for label in _CHECKS:
+        report.verdicts[label], report.evidence[label] = an.decide(label)
     if source_regex is not None:
         v = union_free_syntax(source_regex)
         note = ("the given expression is union-free" if v is Verdict.YES else

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 import subregular_oracle as oracle
 from conftest import random_dfa
-from icgram import subregular
+from icgram import automata, subregular
 from icgram.automata import (Dfa, accepts, complement, dfa_to_table, equivalent,
                              language_is_finite, minimize, regex_to_dfa,
                              word_set_dfa)
+from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
+                               selection_in_family)
 from icgram.errors import UndecidedError
 from icgram.regex import parse_regex
 from icgram.resources import min_states
@@ -22,8 +24,8 @@ from icgram.subregular import (CIRC, COMB, COMM, DEF, FIN, MON, NC, NIL, ORD,
                                is_noncounting, is_ordered,
                                is_power_separating, is_suffix_closed,
                                parse_family_label, rl_p, rl_v, reg_z,
-                               union_free_syntax, _check_definite,
-                               _check_finite, _suffix_pairs)
+                               union_free_syntax, _Analysis,
+                               _check_definite, _check_finite, _suffix_pairs)
 from icgram.words import Alphabet
 
 UA = Alphabet.of("a")
@@ -85,7 +87,7 @@ def test_finiteness_of_one_long_word_needs_no_recursion():
     # a trie of 1,502 states, deeper than the interpreter's recursion limit
     d = word_set_dfa([("a", "b") * 750], UAB)
     assert language_is_finite(d)
-    ok, ev = _check_finite(minimize(d))
+    ok, ev = _check_finite(_Analysis(minimize(d)))
     assert ok and ev.note == "finite; longest word has length 1500"
 
 
@@ -97,6 +99,16 @@ def test_nilpotent_finite_and_cofinite():
     assert not is_nilpotent(d, UA)
     w1, w2 = _report("(aa)*", UA).evidence[NIL].words
     assert accepts(d, w1) and not accepts(d, w2)
+
+
+def test_complement_of_a_minimal_dfa_needs_no_minimize():
+    """NIL analyses ``complement(dm)`` as it is: complementing keeps a
+    minimal DFA minimal and its breadth-first numbering canonical."""
+    rng = np.random.default_rng(31)
+    for _ in range(1500):
+        u = Alphabet(("a", "b", "c")[:int(rng.integers(1, 4))])
+        dm = minimize(random_dfa(rng, int(rng.integers(1, 25)), u))
+        assert minimize(complement(dm)) == complement(dm), dfa_to_table(dm)
 
 
 def test_combinational():
@@ -145,7 +157,7 @@ def test_definite_matches_the_fixpoint_oracle():
     rng = np.random.default_rng(9)
     verdicts = []
     for u, dm in _definite_cases(rng, 1200):
-        got = _check_definite(dm)
+        got = _check_definite(_Analysis(dm))
         assert got == oracle._check_definite(dm), dfa_to_table(dm)
         assert _suffix_pairs(dm)[0] == oracle._definite_bound(dm)
         verdicts.append(got[0])
@@ -385,3 +397,71 @@ def test_no_witnesses_are_honest(seed, n_states):
     if rep.verdicts[MON] is Verdict.NO:
         (w,) = rep.evidence[MON].words
         assert not accepts(dm, w)
+
+
+# --- one dispatch: the entry points agree, and each search runs once -------
+
+_PREDICATES = {MON: is_monoidal, FIN: is_finite, NIL: is_nilpotent,
+               COMB: is_combinational, DEF: is_definite, SUF: is_suffix_closed,
+               ORD: is_ordered, COMM: is_commutative, CIRC: is_circular,
+               NC: is_noncounting, PS: is_power_separating}
+
+
+def test_predicates_classify_and_selection_family_agree():
+    """Each predicate, ``classify`` and ``selection_in_family`` on a one-pair
+    grammar give the same verdict and note, family by family and cap by cap;
+    an ``UndecidedError`` reads as UNKNOWN and carries the classify note."""
+    rng = np.random.default_rng(23)
+    undecided = 0
+    for _ in range(60):
+        u = Alphabet(("a", "b", "c")[:int(rng.integers(1, 4))])
+        d = random_dfa(rng, int(rng.integers(1, 9)), u)
+        a = tuple(u)[0]
+        g = ContextualGrammar(u, ((a,),), (
+            SelectionPair.from_dfa(d, (Context((a,), ()),)),))
+        for cap in (3, 50, 10_000):
+            rep = classify(d, u, monoid_cap=cap)
+            for label, holds in _PREDICATES.items():
+                note = rep.evidence[label].note
+                kw = {"monoid_cap": cap} if label in (ORD, NC, PS) else {}
+                try:
+                    got = Verdict.YES if holds(d, u, **kw) else Verdict.NO
+                except UndecidedError as e:
+                    got = Verdict.UNKNOWN
+                    assert str(e) == note, (label, cap)
+                    undecided += 1
+                assert got is rep.verdicts[label], (label, cap, dfa_to_table(d))
+                (pv,) = selection_in_family(g, label, monoid_cap=cap).per_pair
+                assert (pv.verdict, pv.note) == (got, note), (label, cap)
+    assert undecided > 0
+
+
+def test_classify_runs_each_shared_search_once(monkeypatch):
+    """One ``classify`` minimizes once and builds the pair graph once; it
+    finds access words and useful states at most once per automaton that it
+    analyses: the minimal DFA, plus its complement when NIL needs it."""
+    calls = {name: [] for name in ("minimize", "_suffix_pairs",
+                                   "access_words", "_useful_states")}
+    for name, seen in calls.items():
+        def spy(d, *args, real=getattr(subregular, name), seen=seen):
+            seen.append(d)
+            return real(d, *args)
+        for module in (subregular, automata):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    rng = np.random.default_rng(11)
+    cases = [(_dfa("(aa)*", UA), UA)] + [
+        (random_dfa(rng, int(rng.integers(1, 9)), UAB), UAB) for _ in range(40)]
+    for i, (d, u) in enumerate(cases):
+        for seen in calls.values():
+            seen.clear()
+        classify(d, u)
+        dm = minimize(d)
+        assert calls["minimize"] == [d]
+        assert calls["_suffix_pairs"] == [dm]
+        for name in ("access_words", "_useful_states"):
+            seen = calls[name]
+            assert all(seen.count(x) == 1 for x in seen), name
+            assert all(x in (dm, complement(dm)) for x in seen), name
+        if i == 0:  # (aa)* is infinite and not cofinite: NIL analysed both
+            assert calls["_useful_states"] == [dm, complement(dm)]
