@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .errors import AlphabetMismatchError, InvalidAutomatonError, TextFormatError
@@ -87,6 +88,15 @@ class Dfa:
                 raise InvalidAutomatonError(f"transition on unknown state: {(q, a)}")
             if a not in self.alphabet:
                 raise InvalidAutomatonError(f"transition on foreign symbol {a!r}")
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """``delta`` as integers: one row per letter, in alphabet order, whose
+        entry ``i`` is the position in ``states`` of the image of
+        ``states[i]``.  Cached outside the fields, so equality ignores it."""
+        index = {q: i for i, q in enumerate(self.states)}
+        return tuple(tuple(index[self.delta[(q, a)]] for q in self.states)
+                     for a in self.alphabet)
 
     def step(self, q: State, a: str) -> State:
         return self.delta[(q, a)]
@@ -241,31 +251,24 @@ def reachable_states(d: Dfa) -> list:
 
 
 def minimize(d: Dfa) -> Dfa:
-    """Canonical minimal DFA: unreachable states dropped, states merged by
-    Moore partition refinement, then renumbered breadth-first.  Two inputs
-    with the same language minimize to structurally equal objects."""
-    reach = reachable_states(d)
-    block: dict[State, int] = {}
-    for q in reach:
-        block[q] = 0 if q in d.accepting else 1
+    """Canonical minimal DFA: the reachable part, its states merged by Moore
+    partition refinement over the letter rows, renumbered breadth-first.
+    Two inputs with the same language minimize to structurally equal objects."""
+    r = _explore(d.alphabet, d.initial, d.step, d.accepting.__contains__)
+    block = [0 if q in r.accepting else 1 for q in r.states]
+    count = len(set(block))
     while True:
-        signatures: dict[tuple, int] = {}
-        new_block: dict[State, int] = {}
-        for q in reach:
-            sig = (block[q],) + tuple(block[d.delta[(q, a)]] for a in d.alphabet)
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            new_block[q] = signatures[sig]
-        if len(signatures) == len(set(block.values())):
+        signatures = list(zip(block, *([block[t] for t in row] for row in r.rows)))
+        ids: dict[tuple, int] = {}
+        new_block = [ids.setdefault(sig, len(ids)) for sig in signatures]
+        if len(ids) == count:
             break
-        block = new_block
-    # canonical renumber by BFS over blocks
-    rep: dict[int, State] = {}
-    for q in reach:
-        rep.setdefault(block[q], q)
-    return _explore(d.alphabet, block[d.initial],
-                    lambda b, a: block[d.delta[(rep[b], a)]],
-                    lambda b: rep[b] in d.accepting)
+        block, count = new_block, len(ids)
+    # canonical renumber by BFS over blocks; any member stands for its block
+    rep = dict(zip(block, r.states))
+    return _explore(d.alphabet, block[0],
+                    lambda b, a: block[r.delta[(rep[b], a)]],
+                    lambda b: rep[b] in r.accepting)
 
 
 def _check_same_alphabet(d1: Dfa, d2: Dfa) -> None:

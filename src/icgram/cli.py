@@ -307,7 +307,10 @@ def _cmd_witness(args) -> int:
         if not args.case:
             raise IcgramError("witness export needs a case id")
         case = build_witness(args.case, args.n)
-        g = case.grammar_named(args.variant)
+        try:
+            g = case.grammar_named(args.variant)
+        except KeyError as e:
+            raise IcgramError(e.args[0]) from None
         text = format_contextual(g)
         _emit(args, text, {"case": case.label, "grammar": args.variant,
                            "text": text})

@@ -1,7 +1,8 @@
 """Transition monoids of complete DFAs.
 
-Each element is the state transformation of some word, stored as a tuple
-``t`` with ``t[i] = index of the state reached from state i``.
+Each element is the state transformation of some word, stored like the
+letter rows of :attr:`Dfa.rows` that generate it: a tuple ``t`` with
+``t[i] = index of the state reached from state i``.
 :func:`monoid_elements` walks the monoid breadth-first, one element at a
 time, extending each element by the letters in alphabet order; every
 element therefore comes out paired with the shortlex-least word inducing
@@ -24,13 +25,6 @@ DEFAULT_MONOID_CAP = 10_000
 Transformation = tuple[int, ...]
 
 
-def _generators(d: Dfa) -> tuple[Transformation, ...]:
-    """One transformation per letter, aligned with ``d.alphabet``."""
-    index = {q: i for i, q in enumerate(d.states)}
-    return tuple(tuple(index[d.delta[(q, a)]] for q in d.states)
-                 for a in d.alphabet)
-
-
 def monoid_elements(d: Dfa, cap: int = DEFAULT_MONOID_CAP
                     ) -> Iterator[tuple[Transformation, Word]]:
     """Yield ``(transformation, shortlex-least word)`` for every element,
@@ -39,7 +33,7 @@ def monoid_elements(d: Dfa, cap: int = DEFAULT_MONOID_CAP
     Raises :class:`ResourceLimitError` in place of yielding element
     ``cap + 1``, so no element beyond the cap is ever seen by the caller.
     """
-    gen = dict(zip(d.alphabet, _generators(d)))
+    gen = dict(zip(d.alphabet, d.rows))
     identity = tuple(range(len(d.states)))
 
     def step(t: Transformation, a: str) -> Transformation:
@@ -89,5 +83,4 @@ def transition_monoid(d: Dfa, cap: int = DEFAULT_MONOID_CAP) -> TransitionMonoid
     """Transition monoid of ``d`` (identity included as the image of the
     empty word)."""
     elements, words = zip(*monoid_elements(d, cap))
-    return TransitionMonoid(tuple(d.states), d.alphabet, elements, words,
-                            _generators(d))
+    return TransitionMonoid(tuple(d.states), d.alphabet, elements, words, d.rows)

@@ -16,7 +16,7 @@ from math import comb
 
 from .automata import Dfa, minimize, nfa_to_dfa
 from .rlgrammar import RightLinearGrammar, Rule, bounded_words, grammar_to_nfa
-from .words import EMPTY_WORD, Alphabet
+from .words import EMPTY_WORD, Alphabet, fresh_prefix
 
 KINDS = ("states", "nonterminals", "rules")
 
@@ -76,9 +76,7 @@ def dfa_to_grammar(d: Dfa) -> RightLinearGrammar:
     """Right-linear grammar read off the automaton (one nonterminal per
     reachable state); certifies the fallback upper bounds."""
     dm = minimize(d)
-    prefix = "Q"
-    while any(str(s).startswith(prefix) for s in dm.alphabet):
-        prefix += "Q"
+    prefix = fresh_prefix("Q", dm.alphabet)
     name = {q: f"{prefix}{q}" for q in dm.states}
     rules = []
     for q in dm.states:
@@ -128,7 +126,8 @@ def bounded_min_grammar(d: Dfa, kind: str,
         raise ValueError(f"kind must be 'nonterminals' or 'rules', got {kind!r}")
     target = minimize(d)
     target_words = bounded_words(dfa_to_grammar(target), caps.check_len)
-    nt_names = _fresh_nonterminals(caps.max_nonterminals, d.alphabet)
+    prefix = fresh_prefix("N", d.alphabet)
+    nt_names = tuple(f"{prefix}{i}" for i in range(1, caps.max_nonterminals + 1))
     budget = caps.max_candidates
     capped = False
 
@@ -162,13 +161,6 @@ def bounded_min_grammar(d: Dfa, kind: str,
     return ResourceMeasure(kind, 1, upper, False, fallback,
                            f"{reason} ({caps.describe()}); upper bound from "
                            "the canonical automaton grammar")
-
-
-def _fresh_nonterminals(count: int, terminals: Alphabet) -> tuple[str, ...]:
-    prefix = "N"
-    while any(str(s).startswith(prefix) for s in terminals):
-        prefix += "N"
-    return tuple(f"{prefix}{i}" for i in range(1, count + 1))
 
 
 def measure(d: Dfa, kind: str, caps: SearchCaps = SearchCaps()) -> ResourceMeasure:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .automata import Nfa
 from .errors import InvalidGrammarError, TextFormatError
-from .words import EMPTY_WORD, Alphabet, Word, word_from_text, word_to_text
+from .words import EMPTY_WORD, Alphabet, Word, fresh_prefix, word_from_text, word_to_text
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,7 @@ def normalize_regular(g: RightLinearGrammar) -> RightLinearGrammar:
     """Equivalent grammar in strict regular form: every rule is ``A -> a B``
     or ``A -> @`` (no unit rules, no multi-symbol words)."""
     closure = _unit_closure(g)
-    prefix = "_"
-    while any(nt.startswith(prefix) for nt in g.nonterminals):
-        prefix += "_"
+    prefix = fresh_prefix("_", g.nonterminals)
     fin = prefix + "fin"
 
     def chain_name(idx: int, pos: int) -> str:

@@ -167,7 +167,10 @@ def _require_alphabet(d: Dfa, U: Alphabet) -> None:
 class _Analysis:
     """A minimal DFA with the searches that its family checks share, each
     run at most once, on first use; :meth:`decide` is the one dispatch from
-    a family to its checker."""
+    a family to its checker.
+
+    ``dm`` is a :func:`minimize` output or the complement of one, so its
+    states are ``0..n-1``: each state is its own position in ``dm.rows``."""
 
     def __init__(self, dm: Dfa, monoid_cap: int = DEFAULT_MONOID_CAP):
         self.dm, self.monoid_cap = dm, monoid_cap
@@ -299,9 +302,7 @@ def _suffix_pairs(dm: Dfa) -> tuple[int | None, set[int], list]:
     Shamir, 1963).
     """
     n = len(dm.states)
-    index = {q: i for i, q in enumerate(dm.states)}
-    rows = [(a, [index[dm.delta[(q, a)]] for q in dm.states])
-            for a in dm.alphabet]
+    rows = list(zip(dm.alphabet, dm.rows))
     pairs = [range(p * n + p + 1, p * n + n) for p in range(n)]
     indegree, height = [0] * (n * n), [0] * (n * n)
     for block in pairs:
@@ -333,11 +334,9 @@ def _check_definite(an: _Analysis) -> tuple[bool, Evidence]:
     # from the first mixed survivor along the first edge into each pair
     dm = an.dm
     n = len(dm.states)
-    named = {pair: sorted((dm.states[pair // n], dm.states[pair % n]), key=str)
-             for pair in survivors}
-    order = sorted(survivors, key=lambda pair: [str(q) for q in named[pair]])
+    order = sorted(survivors, key=lambda pair: sorted(map(str, divmod(pair, n))))
     cur = next(pair for pair in order
-               if len(dm.accepting.intersection(named[pair])) == 1)
+               if (pair // n in dm.accepting) != (pair % n in dm.accepting))
     into: dict[int, tuple[int, str]] = {}
     for pair in order:
         for a, img in _pair_edges(rows, n, pair):
@@ -347,7 +346,7 @@ def _check_definite(an: _Analysis) -> tuple[bool, Evidence]:
         cur, a = into[cur]
         suffix.append(a)
     z = tuple(reversed(suffix))
-    p, q = named[cur]
+    p, q = sorted(divmod(cur, n), key=str)
     return False, Evidence(
         f"membership still differs after a shared suffix of length {len(z)}",
         (an.access[p] + z, an.access[q] + z))
@@ -388,8 +387,8 @@ def _search_monotone_order(dm: Dfa) -> list | None:
             if (q, p) in rel:
                 return None
             fresh = []
-            for a in dm.alphabet:
-                tp, tq = dm.delta[(p, a)], dm.delta[(q, a)]
+            for row in dm.rows:
+                tp, tq = row[p], row[q]
                 if tp != tq and (tp, tq) not in rel:
                     fresh.append((tp, tq))
             for x, y in list(rel):
@@ -556,10 +555,9 @@ def _check_noncounting(an: _Analysis) -> tuple[bool, Evidence]:
     p_k = cur                        # t^{k0}
     p_k1 = tuple(t[x] for x in cur)  # t^{k0 + 1}
     assert p_k != p_k1  # this element's cycle has period >= 2
-    state_list = list(dm.states)
-    s = next(j for j in range(len(state_list)) if p_k[j] != p_k1[j])
-    x = an.access[state_list[s]]
-    z = distinguishing_suffix(dm, state_list[p_k[s]], state_list[p_k1[s]])
+    s = next(q for q in dm.states if p_k[q] != p_k1[q])
+    x = an.access[s]
+    z = distinguishing_suffix(dm, p_k[s], p_k1[s])
     assert z is not None
     return False, Evidence(
         f"membership depends on the number of repetitions of "
@@ -572,7 +570,7 @@ def _check_power_separating(an: _Analysis) -> tuple[bool, Evidence]:
     ``y^(n+1) .. y^(2n+2)``, all on the cycle, fall on both sides."""
     dm = an.dm
     n = len(dm.states)
-    q0 = dm.states.index(dm.initial)
+    q0 = dm.initial
     accepting = [q in dm.accepting for q in dm.states]
     for t, y in monoid_elements(dm, an.monoid_cap):
         v = t[q0]                        # state after y^1

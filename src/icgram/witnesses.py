@@ -24,7 +24,7 @@ from .contextual import (Context, ContextualGrammar, SelectionPair,
                          enumerate_ic, selection_in_family, validate)
 from .errors import IcgramError
 from .hierarchy import hierarchy
-from .regex import Literal, Star, seq
+from .regex import Literal, Star, alt, seq
 from .resources import SearchCaps
 from .rlgrammar import RightLinearGrammar, Rule
 from .subregular import (COMB, COMM, FIN, MON, ORD, PS, SUF, CIRC,
@@ -121,7 +121,6 @@ def _build_l2() -> WitnessCase:
 
 
 def _alt_letters(alphabet: Alphabet):
-    from .regex import alt
     return alt([Literal(s) for s in alphabet])
 
 
@@ -201,17 +200,23 @@ def build_witness(case_id: str, n: int | None = None) -> WitnessCase:
     if case_id not in WITNESS_IDS:
         raise IcgramError(
             f"no witness with id {case_id!r}; available: {', '.join(WITNESS_IDS)}")
-    if case_id in ("L1", "L2"):
-        if n is not None:
-            raise IcgramError(f"{case_id} takes no parameter")
-        return _build_l1() if case_id == "L1" else _build_l2()
-    lo, hi = _N_RANGE[case_id]
+    n = _param(case_id, n)
     if n is None:
-        n = _DEFAULT_N[case_id]
-    if not lo <= n <= hi:
-        raise IcgramError(f"{case_id} takes n in {lo}..{hi}, got {n}")
+        return _build_l1() if case_id == "L1" else _build_l2()
     return {"L3": _build_l3, "L4": _build_l4, "L6": _build_l6,
             "L7": _build_l7}[case_id](n)
+
+
+def _param(case_id: str, n: int | None) -> int | None:
+    """``n`` for a case, range-checked, or its default (None for L1, L2)."""
+    if n is None:
+        return _DEFAULT_N[case_id]
+    if case_id not in _N_RANGE:
+        raise IcgramError(f"{case_id} takes no parameter")
+    lo, hi = _N_RANGE[case_id]
+    if not lo <= n <= hi:
+        raise IcgramError(f"{case_id} takes n in {lo}..{hi}, got {n}")
+    return n
 
 
 # --- closed forms ---------------------------------------------------------
@@ -221,15 +226,10 @@ def closed_form(case_id: str, max_len: int, n: int | None = None) -> set[Word]:
     description (independent of the derivation engine).  Only L2, L4, L6 and
     L7 have one; the others raise."""
     if case_id == "L2":
-        if n is not None:
-            raise IcgramError("L2 takes no parameter")
+        _param(case_id, n)
         return _closed_l2(max_len)
     if case_id in ("L4", "L6", "L7"):
-        lo, hi = _N_RANGE[case_id]
-        if n is None:
-            n = _DEFAULT_N[case_id]
-        if not lo <= n <= hi:
-            raise IcgramError(f"{case_id} takes n in {lo}..{hi}, got {n}")
+        n = _param(case_id, n)
         return {"L4": _closed_l4, "L6": _closed_l6, "L7": _closed_l7}[case_id](n, max_len)
     raise IcgramError(f"{case_id} has no closed form (use enumeration)")
 

@@ -125,6 +125,15 @@ def sort_words(words: Iterable[Word], alphabet: Alphabet) -> list[Word]:
     return sorted(words, key=lambda w: shortlex_key(w, alphabet))
 
 
+def fresh_prefix(stem: str, names: Iterable[str]) -> str:
+    """The shortest repetition of ``stem`` that no name starts with, so
+    that names built on it cannot clash with any of ``names``."""
+    prefix = stem
+    while any(s.startswith(prefix) for s in names):
+        prefix += stem
+    return prefix
+
+
 def all_words(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
     """All words of length <= max_len in shortlex order."""
     for n in range(max_len + 1):

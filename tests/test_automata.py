@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import automata_oracle
 from conftest import random_dfa
-from icgram.automata import (access_words, accepts, combine, complement,
+from icgram.automata import (Dfa, Nfa, access_words, accepts, combine, complement,
                              dfa_to_table, distinguishing_suffix,
                              distinguishing_word, empty_dfa, ends_with_dfa,
                              enumerate_regular, equivalent,
@@ -56,6 +58,51 @@ def test_minimize_is_canonical():
     d3 = minimize(regex_to_dfa(parse_regex("a(ba)*|(ab)*", U2), U2))
     d4 = minimize(regex_to_dfa(parse_regex("(ab)*|a(ba)*", U2), U2))
     assert d3 == d4
+
+
+def _seeded_dfas(seed, count):
+    """Random complete DFAs with 1-24 states and 1-3 letters; every odd one
+    has string-named states in shuffled order and a random initial state."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n, u = rng.randint(1, 24), Alphabet(tuple("abc"[:rng.randint(1, 3)]))
+        states, initial = tuple(range(n)), 0
+        if i % 2:
+            states = tuple(f"s{j}" for j in rng.sample(range(100), n))
+            initial = rng.choice(states)
+        delta = {(q, a): rng.choice(states) for q in states for a in u}
+        accepting = frozenset(q for q in states if rng.random() < 0.5)
+        yield Dfa(states, u, delta, initial, accepting)
+
+
+def _seeded_subset_dfas(seed, count):
+    """Subset constructions of random NFAs with 1-6 states and 2-3 letters."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, u = rng.randint(1, 6), rng.choice((U2, U3))
+        states = frozenset(range(n))
+        moves = {(q, a): frozenset(t for t in states if rng.random() < 0.3)
+                 for q in states for a in u}
+        initial = frozenset(rng.sample(range(n), rng.randint(1, n)))
+        accepting = frozenset(q for q in states if rng.random() < 0.4)
+        yield nfa_to_dfa(Nfa(states, u, moves, initial, accepting))
+
+
+def test_minimize_matches_the_moore_oracle():
+    """The row-based refinement gives the plain dict-based one's automaton;
+    each row entry is the position of the state's image; reading ``rows``
+    leaves equality and ``repr`` alone."""
+    dfas = [*_seeded_dfas(5, 1200), *_seeded_subset_dfas(6, 200),
+            *(regex_to_dfa(parse_regex(t, U3), U3) for t in REGEXES)]
+    for d in dfas:
+        assert minimize(d) == automata_oracle.minimize(d), dfa_to_table(d)
+        assert len(d.rows) == len(d.alphabet)
+        for row, a in zip(d.rows, d.alphabet):
+            assert len(row) == len(d.states)
+            for i, q in enumerate(d.states):
+                assert row[i] == d.states.index(d.delta[(q, a)])
+        copy = Dfa(d.states, d.alphabet, d.delta, d.initial, d.accepting)
+        assert d == copy and copy == d and repr(d) == repr(copy)
 
 
 def test_minimize_idempotent():

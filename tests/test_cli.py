@@ -152,6 +152,13 @@ def test_usage_and_parse_errors_exit_two(argv):
     assert code == 2
 
 
+def test_unknown_witness_variant_exits_two(capsys):
+    assert run_cli(["witness", "export", "L1", "--variant", "nope"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err == "error: L1 has no grammar 'nope'\n"
+    assert "Traceback" not in err
+
+
 def test_member_validates_the_grammar_once(grammar_files, monkeypatch):
     # reading the grammar compiles it, and compiling validates it
     calls = []

@@ -87,6 +87,17 @@ def test_l1_and_l3_have_no_closed_form():
 
 # --- construction error paths ------------------------------------------------
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_witness("L3", 9), "L3 takes n in 1..3, got 9"),
+    (lambda: closed_form("L4", 8, n=9), "L4 takes n in 1..3, got 9"),
+    (lambda: closed_form("L2", 8, n=1), "L2 takes no parameter"),
+], ids=["build-L3", "closed-L4", "closed-L2"])
+def test_parameter_errors_name_the_case_and_range(call, message):
+    with pytest.raises(IcgramError) as e:
+        call()
+    assert str(e.value) == message
+
+
 def test_unknown_or_out_of_range_cases_rejected():
     with pytest.raises(IcgramError) as e:
         build_witness("L5")

@@ -3,8 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from icgram.errors import AlphabetMismatchError
-from icgram.words import (EMPTY_WORD, Alphabet, all_words, shortlex_key,
-                          sort_words, word_from_text, word_to_text)
+from icgram.words import (EMPTY_WORD, Alphabet, all_words, fresh_prefix,
+                          shortlex_key, sort_words, word_from_text,
+                          word_to_text)
 
 
 def test_alphabet_from_text_forms():
@@ -79,3 +80,9 @@ def test_shortlex_key_total_order(words):
     assert keys == sorted(keys)
     # length is the primary criterion
     assert [len(w) for w in ordered] == sorted(len(w) for w in ordered)
+
+
+def test_fresh_prefix_repeats_the_stem_past_every_name():
+    assert fresh_prefix("Q", Alphabet.of("a", "b")) == "Q"
+    assert fresh_prefix("Q", ("Q1", "QQa", "b")) == "QQQ"
+    assert fresh_prefix("_", ("x_", "_0_1", "__fin")) == "___"
