@@ -27,7 +27,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping
 from .errors import AlphabetMismatchError, InvalidAutomatonError, TextFormatError
 from .regex import (EmptyLang, EmptyWord, Literal, Concat, Union, Star, Regex,
                     literal_symbols, simplify_empty)
-from .words import EMPTY_WORD, Alphabet, Word
+from .words import EMPTY_WORD, Alphabet, Word, clean_lines
 
 State = Hashable
 
@@ -537,9 +537,7 @@ def _parse_dfa_lines(lines: list[tuple[int, str]]) -> Dfa:
 
 
 def parse_dfa_table(text: str) -> Dfa:
-    lines = [(i + 1, raw.split("#", 1)[0].strip())
-             for i, raw in enumerate(text.splitlines())]
-    lines = [(ln, t) for ln, t in lines if t]
+    lines = clean_lines(text)
     if not lines:
         raise TextFormatError("empty automaton description")
     return _parse_dfa_lines(lines)

@@ -89,6 +89,15 @@ def _read_grammar(path: str) -> ContextualGrammar:
     return g
 
 
+def _check_one_language(args) -> None:
+    """classify, measure, enumerate and convert read exactly one of
+    ``--regex`` and ``--grammar``."""
+    if args.grammar and args.regex:
+        raise IcgramError("give either --grammar or --regex, not both")
+    if not (args.grammar or args.regex):
+        raise IcgramError(f"{args.command} needs --regex or --grammar")
+
+
 def _regex_language(args) -> tuple[Regex, Dfa, Alphabet]:
     if not args.alphabet:
         raise IcgramError("--regex needs --alphabet")
@@ -116,9 +125,7 @@ def _verdict_exit(v: Verdict) -> int:
 
 def _cmd_classify(args) -> int:
     caps = _parse_caps(args.caps)
-    if args.grammar and args.regex:
-        raise IcgramError("give either --grammar or --regex, not both")
-
+    _check_one_language(args)
     if args.regex:
         r, d, u = _regex_language(args)
         if args.family:
@@ -139,9 +146,6 @@ def _cmd_classify(args) -> int:
                           monoid_cap=caps["monoid_cap"])
         _emit(args, report.to_text(), report.to_json_dict())
         return EXIT_OK
-
-    if not args.grammar:
-        raise IcgramError("classify needs --regex or --grammar")
     g = _read_grammar(args.grammar)
     if args.family:
         label = parse_family_label(args.family)
@@ -181,14 +185,13 @@ def _measure_lines(d: Dfa, caps: dict) -> tuple[list[str], list[dict]]:
 
 def _cmd_measure(args) -> int:
     caps = _parse_caps(args.caps)
+    _check_one_language(args)
     if args.regex:
         _, d, _ = _regex_language(args)
         lines, records = _measure_lines(d, caps)
         _emit(args, "\n".join([f"language: {args.regex}"] + lines) + "\n",
               {"language": args.regex, "measures": records})
         return EXIT_OK
-    if not args.grammar:
-        raise IcgramError("measure needs --regex or --grammar")
     g = _read_grammar(args.grammar)
     all_lines, pair_records = [], []
     for i, pair in enumerate(g.pairs):
@@ -206,18 +209,15 @@ def _cmd_measure(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     caps = _parse_caps(args.caps)
-    if args.grammar and args.regex:
-        raise IcgramError("give either --grammar or --regex, not both")
+    _check_one_language(args)
     if args.regex:
         _, d, u = _regex_language(args)
         words = enumerate_regular(d, args.max_len)
         alphabet = u
-    elif args.grammar:
+    else:
         g = _read_grammar(args.grammar)
         words = enumerate_ic(g, args.max_len, frontier_cap=caps["frontier_cap"])
         alphabet = g.alphabet
-    else:
-        raise IcgramError("enumerate needs --regex or --grammar")
     rendered = [word_to_text(w, alphabet) for w in sort_words(words, alphabet)]
     _emit(args, "".join(x + "\n" for x in rendered),
           {"max_len": args.max_len, "count": len(rendered), "words": rendered})
@@ -332,6 +332,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    _check_one_language(args)
     if args.regex:
         _, d, _ = _regex_language(args)
         if args.to == "dfa":
@@ -342,8 +343,6 @@ def _cmd_convert(args) -> int:
             raise IcgramError(f"--regex converts to dfa or rlgrammar, not {args.to}")
         _emit(args, text, {"to": args.to, "text": text})
         return EXIT_OK
-    if not args.grammar:
-        raise IcgramError("convert needs --regex or --grammar")
     g = _read_grammar(args.grammar)
     if args.to == "canonical":
         text = format_contextual(g)

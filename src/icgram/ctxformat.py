@@ -33,10 +33,10 @@ from __future__ import annotations
 
 from .automata import _parse_dfa_lines, dfa_to_table
 from .contextual import Context, ContextualGrammar, SelectionPair
-from .errors import TextFormatError
+from .errors import AlphabetMismatchError, TextFormatError
 from .regex import format_regex, parse_regex
 from .rlgrammar import grammar_to_text, parse_grammar_lines
-from .words import Alphabet, word_from_text, word_to_text
+from .words import Alphabet, clean_lines, word_from_text, word_to_text
 
 _PAIR_KEYS = ("alphabet:", "selection regex:", "selection grammar:",
               "selection dfa:", "context:", "pair:")
@@ -70,12 +70,6 @@ def format_contextual(g: ContextualGrammar) -> str:
     return "\n".join(out) + "\n"
 
 
-def _clean_lines(text: str) -> list[tuple[int, str]]:
-    lines = [(i + 1, raw.split("#", 1)[0].strip())
-             for i, raw in enumerate(text.splitlines())]
-    return [(ln, t) for ln, t in lines if t]
-
-
 def _parse_context(body: str, alphabet: Alphabet, ln: int) -> Context:
     body = body.strip()
     if not (body.startswith("(") and body.endswith(")")):
@@ -87,12 +81,12 @@ def _parse_context(body: str, alphabet: Alphabet, ln: int) -> Context:
     try:
         return Context(word_from_text(left_text, alphabet),
                        word_from_text(right_text, alphabet))
-    except Exception as e:
+    except AlphabetMismatchError as e:
         raise TextFormatError(str(e), line=ln) from None
 
 
 def parse_contextual(text: str) -> ContextualGrammar:
-    lines = _clean_lines(text)
+    lines = clean_lines(text)
     if not lines:
         raise TextFormatError("empty grammar description")
     pos = 0
@@ -111,7 +105,7 @@ def parse_contextual(text: str) -> ContextualGrammar:
         ln, t = lines[pos]
         try:
             axioms.append(word_from_text(t[len("axiom:"):], alphabet))
-        except Exception as e:
+        except AlphabetMismatchError as e:
             raise TextFormatError(str(e), line=ln) from None
         pos += 1
 

@@ -7,8 +7,8 @@ letter rows of :attr:`Dfa.rows` that generate it: a tuple ``t`` with
 time, extending each element by the letters in alphabet order; every
 element therefore comes out paired with the shortlex-least word inducing
 it, and the elements come out in the shortlex order of those words.
-Callers that look for one offending element (a counter, a mixed power)
-stop at the first one instead of building the whole monoid.
+The NC and PS deciders share one walk per minimal DFA: NC stops at its
+first counter instead of building the whole monoid, and PS resumes there.
 """
 
 from __future__ import annotations

@@ -10,9 +10,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import Nfa
-from .errors import InvalidGrammarError, TextFormatError
-from .words import EMPTY_WORD, Alphabet, Word, fresh_prefix, word_from_text, word_to_text
+from .automata import Nfa, bfs_words
+from .errors import AlphabetMismatchError, InvalidGrammarError, TextFormatError
+from .words import (EMPTY_WORD, Alphabet, Word, clean_lines, fresh_prefix,
+                    word_from_text, word_to_text)
 
 
 @dataclass(frozen=True)
@@ -59,24 +60,20 @@ class RightLinearGrammar:
 _FIN = ("$fin",)
 
 
-def _unit_closure(g: RightLinearGrammar) -> dict[str, set[str]]:
-    """B in closure[A] iff A derives B by unit rules (A -> B with empty word)."""
-    edges: dict[str, set[str]] = {a: set() for a in g.nonterminals}
-    for r in g.rules:
-        if not r.word and r.successor is not None:
-            edges[r.lhs].add(r.successor)
-    closure = {}
-    for a in g.nonterminals:
-        seen = {a}
-        queue = deque([a])
-        while queue:
-            x = queue.popleft()
-            for y in edges[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        closure[a] = seen
-    return closure
+def _unit_closure(g: RightLinearGrammar) -> dict[str, list[str]]:
+    """closure[A] lists every B that A derives by unit rules (A -> B with
+    empty word), A first, in breadth-first order with the nonterminals tried
+    in declaration order, so it never depends on string hashing."""
+    units = {(r.lhs, r.successor) for r in g.rules
+             if not r.word and r.successor is not None}
+    successors = {b for _, b in units}
+    targets = tuple(b for b in g.nonterminals if b in successors)
+
+    def step(x: str, b: str) -> str | None:
+        return b if (x, b) in units else None
+
+    return {a: [b for b, _ in bfs_words(a, step, targets)]
+            for a in g.nonterminals}
 
 
 def grammar_to_nfa(g: RightLinearGrammar) -> Nfa:
@@ -133,8 +130,7 @@ def normalize_regular(g: RightLinearGrammar) -> RightLinearGrammar:
         return f"{prefix}{idx}_{pos}"
 
     new_rules: list[Rule] = []
-    fresh: list[str] = []
-    fresh_seen: set[str] = set()
+    fresh: list[str] = []  # chain names are unique: each rule's chain is built once
     used_fin = False
     chains_done: set[int] = set()
     for a in g.nonterminals:
@@ -153,23 +149,15 @@ def normalize_regular(g: RightLinearGrammar) -> RightLinearGrammar:
                         chains_done.add(idx)
                         for i in range(1, len(r.word)):
                             name = chain_name(idx, i)
-                            if name not in fresh_seen:
-                                fresh_seen.add(name)
-                                fresh.append(name)
+                            fresh.append(name)
                             target = chain_name(idx, i + 1) if i + 1 < len(r.word) else end
                             new_rules.append(Rule(name, (r.word[i],), target))
     if used_fin:
         fresh.append(fin)
         new_rules.append(Rule(fin, EMPTY_WORD, None))
-    # dedupe rules, keep first occurrence order
-    seen_rules: set[Rule] = set()
-    rules = []
-    for r in new_rules:
-        if r not in seen_rules:
-            seen_rules.add(r)
-            rules.append(r)
+    rules = tuple(dict.fromkeys(new_rules))  # dedupe, first occurrence order
     return RightLinearGrammar(g.nonterminals + tuple(fresh), g.terminals,
-                              tuple(rules), g.start)
+                              rules, g.start)
 
 
 def bounded_words(g: RightLinearGrammar, max_len: int) -> set[Word]:
@@ -233,16 +221,13 @@ def _parse_rule_rhs(tokens: list[str], nonterminals: set[str],
             raise TextFormatError("'@' must stand alone", line=line)
         try:
             word = word + word_from_text(tok, terminals)
-        except Exception as e:
+        except AlphabetMismatchError as e:
             raise TextFormatError(str(e), line=line) from None
     return word, successor
 
 
 def parse_grammar(text: str) -> RightLinearGrammar:
-    lines = [(i + 1, raw.split("#", 1)[0].strip())
-             for i, raw in enumerate(text.splitlines())]
-    lines = [(ln, t) for ln, t in lines if t]
-    return parse_grammar_lines(lines)
+    return parse_grammar_lines(clean_lines(text))
 
 
 def parse_grammar_lines(lines: list[tuple[int, str]]) -> RightLinearGrammar:

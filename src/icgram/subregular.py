@@ -27,6 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 
 from .automata import (Dfa, access_words, bfs_words, complement,
                        distinguishing_suffix, distinguishing_word, ends_with_dfa,
@@ -170,11 +171,18 @@ class _Analysis:
     a family to its checker.
 
     ``dm`` is a :func:`minimize` output or the complement of one, so its
-    states are ``0..n-1``: each state is its own position in ``dm.rows``."""
+    states are ``0..n-1``: each state is its own position in ``dm.rows``.
+    NC walks ``monoid`` up to its first counter and leaves that element in
+    ``counter``, where PS resumes the same walk."""
 
     def __init__(self, dm: Dfa, monoid_cap: int = DEFAULT_MONOID_CAP):
         self.dm, self.monoid_cap = dm, monoid_cap
         self.decided: dict[FamilyLabel, tuple[Verdict, Evidence]] = {}
+        self.counter: tuple | None = None
+
+    @cached_property
+    def monoid(self):
+        return monoid_elements(self.dm, self.monoid_cap)
 
     @cached_property
     def access(self) -> dict:
@@ -534,7 +542,7 @@ def _check_noncounting(an: _Analysis) -> tuple[bool, Evidence]:
     dm = an.dm
     squarings = len(dm.states).bit_length()  # N = 2^squarings > pre-period
     m = 0
-    for t, y in monoid_elements(dm, an.monoid_cap):
+    for t, y in an.monoid:
         m += 1
         stable = t
         for _ in range(squarings):
@@ -543,6 +551,7 @@ def _check_noncounting(an: _Analysis) -> tuple[bool, Evidence]:
             break
     else:
         return True, Evidence(f"aperiodic transition monoid ({m} elements)")
+    an.counter = t, y
     # pre-period of the power sequence t, t^2, ...
     seen: dict[tuple, int] = {}
     cur, e = t, 1
@@ -565,14 +574,20 @@ def _check_noncounting(an: _Analysis) -> tuple[bool, Evidence]:
         (x + y * exp + z, x + y * (exp + 1) + z))
 
 
-def _check_power_separating(an: _Analysis) -> tuple[bool, Evidence]:
+def _check_power_separating(an: _Analysis) -> tuple[Verdict, Evidence]:
     """Stops at the first element ``y`` (in shortlex order) whose powers
-    ``y^(n+1) .. y^(2n+2)``, all on the cycle, fall on both sides."""
+    ``y^(n+1) .. y^(2n+2)``, all on the cycle, fall on both sides.  An
+    aperiodic ``y`` has ``y^n = y^(n+1)``, so none comes before NC's first
+    counter: PS takes NC's yes or unknown, and resumes NC's walk on a no."""
+    nc_verdict, nc_ev = an.decide(NC)
+    if nc_verdict is Verdict.UNKNOWN:
+        return nc_verdict, nc_ev
     dm = an.dm
     n = len(dm.states)
     q0 = dm.initial
     accepting = [q in dm.accepting for q in dm.states]
-    for t, y in monoid_elements(dm, an.monoid_cap):
+    resumed = () if nc_verdict is Verdict.YES else chain([an.counter], an.monoid)
+    for t, y in resumed:
         v = t[q0]                        # state after y^1
         for _ in range(n):
             v = t[v]                     # ... up to y^(n+1)
@@ -583,11 +598,11 @@ def _check_power_separating(an: _Analysis) -> tuple[bool, Evidence]:
         if any(window) and not all(window):
             break
     else:
-        return True, Evidence(
+        return Verdict.YES, Evidence(
             "high powers of every word are uniformly inside or outside")
     j_in = window.index(True) + n + 1
     j_out = window.index(False) + n + 1
-    return False, Evidence(
+    return Verdict.NO, Evidence(
         f"arbitrarily high powers of {word_to_text(y, dm.alphabet)} fall on "
         f"both sides (exponents {j_in} vs {j_out}, repeating)",
         (y * j_in, y * j_out))

@@ -117,6 +117,13 @@ def word_from_text(text: str, alphabet: Alphabet) -> Word:
     return w
 
 
+def clean_lines(text: str) -> list[tuple[int, str]]:
+    """``(line number, text)`` of each line of a text format, ``#`` comment
+    cut off and stripped; lines left blank are dropped."""
+    return [(i + 1, t) for i, raw in enumerate(text.splitlines())
+            if (t := raw.split("#", 1)[0].strip())]
+
+
 def shortlex_key(w: Word, alphabet: Alphabet):
     return (len(w), tuple(alphabet.index(s) for s in w))
 

@@ -1,16 +1,23 @@
-"""The plain definite-language check, kept as a test oracle.
+"""Plain stand-alone checks, kept as test oracles for ``icgram.subregular``.
 
-The Moore-style suffix-pair fixpoint: start from every pair of distinct
-states, map the pair set through every letter until it stops changing, and
-read the suffix bound off the first iteration with no pair that mixes an
-accepting with a rejecting state.  The witness of a non-definite language
-walks back from the first mixed pair of the fixpoint.
-``tests/test_subregular.py`` checks the one-pass pair-graph check in
-``icgram.subregular`` against it, bound for bound and witness for witness.
+The definite-language check is the Moore-style suffix-pair fixpoint: start
+from every pair of distinct states, map the pair set through every letter
+until it stops changing, and read the suffix bound off the first iteration
+with no pair that mixes an accepting with a rejecting state.  The witness of
+a non-definite language walks back from the first mixed pair of the
+fixpoint.  ``tests/test_subregular.py`` checks the one-pass pair-graph check
+against it, bound for bound and witness for witness.
+
+The power-separating check walks the transition monoid on its own, from the
+identity, instead of resuming the walk that the non-counting check stopped;
+the shared walk must give its verdict and evidence exactly.
 """
 
 from icgram.automata import access_words
-from icgram.subregular import Evidence
+from icgram.errors import ResourceLimitError
+from icgram.monoid import monoid_elements
+from icgram.subregular import Evidence, Verdict
+from icgram.words import word_to_text
 
 
 def _mixed_pair(dm, pairs):
@@ -89,3 +96,34 @@ def _check_definite(dm):
     return False, Evidence(
         f"membership still differs after a shared suffix of length {len(z)}",
         (acc[p] + z, acc[q] + z))
+
+
+def check_power_separating(dm, cap):
+    """The first monoid element ``y`` (in shortlex order) whose powers
+    ``y^(n+1) .. y^(2n+2)`` fall on both sides, on a walk of its own."""
+    n = len(dm.states)
+    q0 = dm.initial
+    accepting = [q in dm.accepting for q in dm.states]
+    try:
+        for t, y in monoid_elements(dm, cap):
+            v = t[q0]
+            for _ in range(n):
+                v = t[v]
+            window = []
+            for _ in range(n + 2):
+                window.append(accepting[v])
+                v = t[v]
+            if any(window) and not all(window):
+                break
+        else:
+            return Verdict.YES, Evidence(
+                "high powers of every word are uniformly inside or outside")
+    except ResourceLimitError as e:
+        return Verdict.UNKNOWN, Evidence(
+            f"monoid cap exceeded (cap {e.cap}); undecided at this cap")
+    j_in = window.index(True) + n + 1
+    j_out = window.index(False) + n + 1
+    return Verdict.NO, Evidence(
+        f"arbitrarily high powers of {word_to_text(y, dm.alphabet)} fall on "
+        f"both sides (exponents {j_in} vs {j_out}, repeating)",
+        (y * j_in, y * j_out))

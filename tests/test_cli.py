@@ -146,6 +146,9 @@ def test_monoid_cap_exit_three():
     ["classify", "--regex", "a", "--alphabet", "ab."],  # empty symbol
     ["enumerate", "--regex", "a*", "--alphabet", "a", "--max-len", "-1"],
     ["witness", "run", "L1", "--max-len", "-1"],
+    ["measure", "--regex", "b*c", "--alphabet", "bc", "--grammar", "/nonexistent"],
+    ["convert", "--regex", "b*c", "--alphabet", "bc", "--grammar", "/nonexistent",
+     "--to", "dfa"],
 ])
 def test_usage_and_parse_errors_exit_two(argv):
     code, _ = run_cli(argv)

@@ -1,5 +1,6 @@
 import pytest
 
+from icgram import ctxformat, rlgrammar
 from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
                                enumerate_ic, validate)
 from icgram.ctxformat import format_contextual, parse_contextual
@@ -88,6 +89,37 @@ def test_parse_error_positions():
     with pytest.raises(TextFormatError) as e4:
         parse_contextual(bad_regex)
     assert e4.value.line == 5
+
+
+# the three places that read a word, each with the module whose
+# ``word_from_text`` it calls, as a template with the word left open
+_WORD_SITES = {
+    "axiom": (ctxformat, "alphabet: a\naxiom: {}\n"),
+    "context": (ctxformat, "alphabet: a\npair:\n  alphabet: a\n"
+                           "  selection regex: a\n  context: ({}, @)\n"),
+    "grammar-rule": (rlgrammar, "alphabet: a\npair:\n  alphabet: a\n"
+                                "  selection grammar:\n    nonterminals: S\n"
+                                "    terminals: a\n    start: S\n"
+                                "    S -> {} S\n    S -> @\n  context: (a, @)\n"),
+}
+
+
+@pytest.mark.parametrize("module,template", _WORD_SITES.values(),
+                         ids=_WORD_SITES.keys())
+def test_only_alphabet_mismatches_become_format_errors(monkeypatch, module,
+                                                       template):
+    """A foreign symbol in a word is a format error; any other exception
+    from the word reader is a bug and passes through unchanged."""
+    parse_contextual(template.format("a"))
+    with pytest.raises(TextFormatError, match="not in alphabet"):
+        parse_contextual(template.format("z"))
+
+    def broken(text, alphabet):
+        raise RuntimeError("bug in the word reader")
+
+    monkeypatch.setattr(module, "word_from_text", broken)
+    with pytest.raises(RuntimeError, match="bug in the word reader"):
+        parse_contextual(template.format("a"))
 
 
 def test_regex_selection_over_multichar_symbols_has_no_text_form():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from icgram.automata import equivalent, minimize, nfa_to_dfa, regex_to_dfa
@@ -60,6 +65,43 @@ def test_normalize_regular_form_and_language():
             else:
                 assert len(rule.word) == 1
         assert equivalent(_dfa(g), _dfa(gn))
+
+
+# unit rules fanning out to four nonterminals, with word and erasing rules
+# under each: the normal form lists a rule for every pair of them
+UNIT_FAN_OUT = """nonterminals: S A B C D
+terminals: a b c
+start: S
+S -> A
+S -> B
+S -> C
+S -> D
+A -> ab A
+A -> @
+B -> ba C
+B -> @
+C -> c D
+C -> D
+D -> abc
+D -> @
+"""
+
+
+def test_normalize_regular_does_not_depend_on_string_hashing():
+    """Rule order and fresh names follow the grammar, not the set order of
+    one process: two hash seeds print the same normal form as this one."""
+    script = ("import sys; from icgram.rlgrammar import *; sys.stdout.write("
+              "grammar_to_text(normalize_regular(parse_grammar(sys.stdin.read()))))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    g = parse_grammar(UNIT_FAN_OUT)
+    want = grammar_to_text(normalize_regular(g))
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", script], input=UNIT_FAN_OUT,
+                              env=env, capture_output=True, text=True,
+                              timeout=60, check=True)
+        assert proc.stdout == want, seed
+    assert equivalent(_dfa(g), _dfa(normalize_regular(g)))
 
 
 def test_grammar_validation():

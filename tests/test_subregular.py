@@ -306,6 +306,28 @@ def test_power_separating():
     assert accepts(d, w1) != accepts(d, w2)
 
 
+def test_power_separating_matches_its_own_walk():
+    """PS, resuming NC's walk at NC's first counter, gives the stand-alone
+    walk's exact verdict and evidence, whether NC or PS is decided first."""
+    rng = np.random.default_rng(12)
+    seen = set()
+    for _ in range(1200):
+        u = Alphabet(("a", "b", "c")[:int(rng.integers(1, 4))])
+        dm = minimize(random_dfa(rng, int(rng.integers(1, 25)), u))
+        for cap in (3, 10_000):
+            want = oracle.check_power_separating(dm, cap)
+            nc_first = _Analysis(dm, cap)
+            nc_first.decide(NC)
+            for an in (_Analysis(dm, cap), nc_first):
+                assert an.decide(PS) == want, (cap, dfa_to_table(dm))
+            seen.add((want[0], nc_first.decide(NC)[0]))
+    # every case of the resumption shows up: NC yes, NC no with PS either
+    # way, and the cap hit before any counter
+    assert seen >= {(Verdict.YES, Verdict.YES), (Verdict.YES, Verdict.NO),
+                    (Verdict.NO, Verdict.NO),
+                    (Verdict.UNKNOWN, Verdict.UNKNOWN)}, seen
+
+
 def test_large_random_dfa_gets_decided_counters(rng):
     """The counter search stops at the first counter, so a 24-state automaton
     whose whole monoid is far beyond the default cap is still decided."""
@@ -437,11 +459,13 @@ def test_predicates_classify_and_selection_family_agree():
 
 
 def test_classify_runs_each_shared_search_once(monkeypatch):
-    """One ``classify`` minimizes once and builds the pair graph once; it
-    finds access words and useful states at most once per automaton that it
-    analyses: the minimal DFA, plus its complement when NIL needs it."""
+    """One ``classify`` minimizes once, builds the pair graph once and walks
+    the transition monoid once, for NC and PS together; it finds access
+    words and useful states at most once per automaton that it analyses:
+    the minimal DFA, plus its complement when NIL needs it."""
     calls = {name: [] for name in ("minimize", "_suffix_pairs",
-                                   "access_words", "_useful_states")}
+                                   "access_words", "_useful_states",
+                                   "monoid_elements")}
     for name, seen in calls.items():
         def spy(d, *args, real=getattr(subregular, name), seen=seen):
             seen.append(d)
@@ -459,6 +483,7 @@ def test_classify_runs_each_shared_search_once(monkeypatch):
         dm = minimize(d)
         assert calls["minimize"] == [d]
         assert calls["_suffix_pairs"] == [dm]
+        assert calls["monoid_elements"] == [dm]
         for name in ("access_words", "_useful_states"):
             seen = calls[name]
             assert all(seen.count(x) == 1 for x in seen), name
