@@ -40,7 +40,7 @@ from .regex import Regex, parse_regex
 from .resources import KINDS, SearchCaps, count_resources, dfa_to_grammar, measure
 from .rlgrammar import grammar_to_text
 from .subregular import Verdict, classify, parse_family_label
-from .witnesses import WITNESS_IDS, build_witness, check_witness
+from .witnesses import WITNESS_IDS, _N_RANGE, build_witness, check_witness
 from .words import EMPTY_WORD, Alphabet, sort_words, word_from_text, word_to_text
 
 EXIT_OK = 0
@@ -281,8 +281,8 @@ def _cmd_witness(args) -> int:
             case = build_witness(cid)
             pos = ", ".join(f"{fam} [{key}]" for fam, key in case.positive)
             neg = ", ".join(str(f) for f in case.negative)
-            params = "n=1..3" if cid in ("L3", "L4") else (
-                "n=2..3" if cid in ("L6", "L7") else "none")
+            params = ("n={}..{}".format(*_N_RANGE[cid]) if cid in _N_RANGE
+                      else "none")
             lines.append(f"{case.label}: params {params}; in {pos}; not in {neg}")
             records.append({"id": cid, "label": case.label, "params": params,
                             "positive": [{"family": str(f), "grammar": k}

@@ -94,30 +94,28 @@ def _table(scope: str, edges: Iterable[Edge]) -> HierarchyTable:
     return HierarchyTable(scope, nodes, edges)
 
 
+def _resource_chains(n: int) -> list[Edge]:
+    """The RL_P chain up to ``2n`` and the RL_V and REG_Z chains up to ``n``,
+    each ending in REG, plus RL_P(2k) -> RL_V(k)."""
+    e = [Edge(rl_p(k), rl_p(k + 1)) for k in range(1, 2 * n)]
+    e += [Edge(rl_v(k), rl_v(k + 1)) for k in range(1, n)]
+    e += [Edge(reg_z(k), reg_z(k + 1)) for k in range(1, n)]
+    e += [Edge(rl_p(2 * n), REG), Edge(rl_v(n), REG), Edge(reg_z(n), REG)]
+    return e + [Edge(rl_p(2 * k), rl_v(k)) for k in range(1, n + 1)]
+
+
 def _subregular_edges(n: int) -> list[Edge]:
     e = [Edge(FIN, NIL), Edge(MON, reg_z(1)),
          Edge(reg_z(1), NIL), Edge(reg_z(1), SUF), Edge(reg_z(1), COMM),
-         Edge(reg_z(1), UF), Edge(reg_z(1), reg_z(2)),
+         Edge(reg_z(1), UF),
          Edge(rl_p(1), FIN), Edge(rl_p(1), UF),
          Edge(NIL, DEF), Edge(NIL, rl_v(1)),
          Edge(COMB, DEF), Edge(COMB, rl_v(1)), Edge(COMB, reg_z(2)),
          Edge(DEF, ORD), Edge(DEF, rl_v(2)),
          Edge(ORD, NC), Edge(NC, PS), Edge(PS, REG),
          Edge(SUF, PS), Edge(COMM, CIRC), Edge(CIRC, REG), Edge(UF, REG)]
-    for k in range(1, 2 * n):
-        e.append(Edge(rl_p(k), rl_p(k + 1)))
-    e.append(Edge(rl_p(2 * n), REG))
-    for k in range(1, n):
-        e.append(Edge(rl_v(k), rl_v(k + 1)))
-    e.append(Edge(rl_v(n), REG))
-    for k in range(2, n):
-        e.append(Edge(reg_z(k), reg_z(k + 1)))
-    e.append(Edge(reg_z(n), REG))
-    for k in range(1, n + 1):
-        e.append(Edge(rl_p(2 * k), rl_v(k)))
-    for k in range(2, n + 1):
-        e.append(Edge(reg_z(k), rl_v(k)))
-    return e
+    return e + _resource_chains(n) + [Edge(reg_z(k), rl_v(k))
+                                      for k in range(2, n + 1)]
 
 
 def _ic_structural_edges() -> list[Edge]:
@@ -136,22 +134,9 @@ def _ic_structural_edges() -> list[Edge]:
 
 
 def _ic_resource_edges(n: int) -> list[Edge]:
-    e: list[Edge] = []
-    for k in range(1, 2 * n):
-        e.append(Edge(rl_p(k), rl_p(k + 1)))
-    e.append(Edge(rl_p(2 * n), REG))
-    for k in range(1, n):
-        e.append(Edge(rl_v(k), rl_v(k + 1)))
-    e.append(Edge(rl_v(n), REG))
-    for k in range(1, n):
-        e.append(Edge(reg_z(k), reg_z(k + 1)))
-    e.append(Edge(reg_z(n), REG))
-    for k in range(1, n + 1):
-        e.append(Edge(rl_p(2 * k), rl_v(k)))
-        e.append(Edge(reg_z(k), rl_v(k)))
-    for k in range(1, n):
-        e.append(Edge(reg_z(k + 1), rl_v(k), UNKNOWN))
-    return e
+    e = _resource_chains(n)
+    e += [Edge(reg_z(k), rl_v(k)) for k in range(1, n + 1)]
+    return e + [Edge(reg_z(k + 1), rl_v(k), UNKNOWN) for k in range(1, n)]
 
 
 def _merged_edges(n: int) -> list[Edge]:

@@ -138,14 +138,18 @@ def bounded_min_grammar(d: Dfa, kind: str,
         levels = [(v, r) for r in range(1, caps.max_rules + 1)
                   for v in (caps.max_nonterminals,)]
 
+    # the size of a level's _rule_universe, counted before building it:
+    # each left side takes every word up to max_rhs_len alone and with every
+    # successor, except the empty self-unit rule
+    n_words = sum(len(d.alphabet) ** k for k in range(caps.max_rhs_len + 1))
     for v, r in levels:
-        nts = nt_names[:v]
-        universe = _rule_universe(nts, d.alphabet, caps.max_rhs_len)
-        n_level = comb(len(universe), r)
+        n_level = comb(v * (n_words * (1 + v) - 1), r)
         if n_level > budget:
             capped = True
             break
         budget -= n_level
+        nts = nt_names[:v]
+        universe = _rule_universe(nts, d.alphabet, caps.max_rhs_len)
         for combo in combinations(universe, r):
             candidate = RightLinearGrammar(nts, d.alphabet, combo, nts[0])
             if _matches(candidate, target, target_words, caps.check_len):

@@ -23,7 +23,6 @@ one of the deciders.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -375,75 +374,75 @@ def _check_suffix_closed(an: _Analysis) -> tuple[bool, Evidence]:
 _ORDER_SEARCH_CAP = 500_000
 
 
+def _bits(m: int):
+    """Positions of the set bits of ``m``, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
 def _search_monotone_order(dm: Dfa) -> list | None:
     """Total order on the states making every letter monotone, or None.
 
-    Constraint propagation plus backtracking over the remaining free pairs;
-    raises :class:`ResourceLimitError` if the search tree outgrows its cap.
+    Whether such an order exists is NP-complete (Szykuła, CIAA 2015), so
+    this backtracks: each search node takes the first unordered pair in
+    state order and tries ``p < q``, then ``q < p``.  The known order is two
+    lists of bitsets over state positions: ``above[x]`` holds the states
+    known to lie above ``x``, and ``below[x]`` those below it.  Each new
+    constraint is closed once, under transitivity and the letters, through
+    a FIFO worklist; one whose reverse is known fails its branch.  Raises
+    :class:`ResourceLimitError` if the search tree outgrows its cap.
     """
-    states = list(dm.states)
+    states, rows = dm.states, dm.rows
     n = len(states)
-    if n == 1:
-        return states
+    full = (1 << n) - 1
     visited = 0
 
-    def propagate(le: frozenset) -> frozenset | None:
-        rel = set(le)
-        queue = deque(le)
-        while queue:
-            p, q = queue.popleft()
-            if (q, p) in rel:
-                return None
-            fresh = []
-            for row in dm.rows:
-                tp, tq = row[p], row[q]
-                if tp != tq and (tp, tq) not in rel:
-                    fresh.append((tp, tq))
-            for x, y in list(rel):
-                if y == p and x != q and (x, q) not in rel:
-                    fresh.append((x, q))
-                if x == q and y != p and (p, y) not in rel:
-                    fresh.append((p, y))
-            for e in fresh:
-                if e not in rel:
-                    rel.add(e)
-                    queue.append(e)
-        for p, q in rel:
-            if (q, p) in rel:
-                return None
-        return frozenset(rel)
+    def close(above: list, below: list, p: int, q: int) -> bool:
+        """Add ``p < q`` and all it implies, in place; False if it clashes."""
+        work = [(p, q)]
+        for p, q in work:
+            if above[p] >> q & 1:
+                continue
+            if above[q] >> p & 1:
+                return False
+            up = above[q] | 1 << q
+            # an x already below q is below all of up: only the rest gains
+            for x in _bits((below[p] | 1 << p) & ~below[q]):
+                new = up & ~above[x]
+                above[x] |= new
+                for y in _bits(new):
+                    below[y] |= 1 << x
+                    work.extend((r[x], r[y]) for r in rows if r[x] != r[y])
+        return True
 
-    def unresolved(rel: frozenset) -> tuple | None:
-        for i, p in enumerate(states):
-            for q in states[i + 1:]:
-                if (p, q) not in rel and (q, p) not in rel:
-                    return (p, q)
-        return None
-
-    def search(rel: frozenset) -> frozenset | None:
+    def search(above: list, below: list) -> list | None:
         nonlocal visited
         visited += 1
         if visited > _ORDER_SEARCH_CAP:
             raise ResourceLimitError("state-order search exceeded its cap",
                                      cap=_ORDER_SEARCH_CAP, reached=visited)
-        pick = unresolved(rel)
+        # the first unordered pair p < q, in state order
+        later = (full ^ (above[p] | below[p] | (2 << p) - 1) for p in range(n))
+        pick = next(((p, next(_bits(f))) for p, f in enumerate(later) if f),
+                    None)
         if pick is None:
-            return rel
+            return below
         p, q = pick
-        for cand in ((p, q), (q, p)):
-            nxt = propagate(rel | {cand})
-            if nxt is not None:
-                result = search(nxt)
+        for s, t in ((p, q), (q, p)):
+            a, b = above[:], below[:]
+            if close(a, b, s, t):
+                result = search(a, b)
                 if result is not None:
                     return result
         return None
 
-    base = propagate(frozenset())
-    result = search(base) if base is not None else None
-    if result is None:
+    below = search([0] * n, [0] * n)
+    if below is None:
         return None
-    below = {q: sum(1 for e in result if e[1] == q) for q in states}
-    return sorted(states, key=lambda q: (below[q], str(q)))
+    return [states[i] for i in sorted(
+        range(n), key=lambda i: (below[i].bit_count(), str(states[i])))]
 
 
 def _check_ordered(an: _Analysis) -> tuple[Verdict, Evidence]:
@@ -452,7 +451,9 @@ def _check_ordered(an: _Analysis) -> tuple[Verdict, Evidence]:
     The defining automaton is existentially quantified, so the minimal one
     not being orderable settles nothing by itself.  Decided cases:
 
-    * the minimal automaton admits a monotone total order — yes;
+    * the minimal automaton admits a monotone total order — yes, with the
+      order that :func:`_search_monotone_order` finds; a search that hits
+      its node cap counts as finding none;
     * membership depends only on the last ``k`` symbols — yes: the automaton
       whose states are end-padded windows of the last ``k`` symbols accepts
       the language and is monotone when its states are ranked by the
@@ -466,14 +467,14 @@ def _check_ordered(an: _Analysis) -> tuple[Verdict, Evidence]:
     orderable fall outside all three criteria and come back unknown.
     """
     order_capped = False
-    chain = None
+    order = None
     try:
-        chain = _search_monotone_order(an.dm)
+        order = _search_monotone_order(an.dm)
     except ResourceLimitError:
         order_capped = True
-    if chain is not None:
+    if order is not None:
         return Verdict.YES, Evidence(
-            "monotone state order: " + " < ".join(str(q) for q in chain))
+            "monotone state order: " + " < ".join(str(q) for q in order))
     k = an.suffix_pairs[0]
     if k is not None:
         return Verdict.YES, Evidence(

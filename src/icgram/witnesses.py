@@ -33,7 +33,6 @@ from .words import EMPTY_WORD, Alphabet, Word, sort_words
 
 WITNESS_IDS = ("L1", "L2", "L3", "L4", "L6", "L7")
 
-_DEFAULT_N = {"L1": None, "L2": None, "L3": 1, "L4": 1, "L6": 2, "L7": 2}
 _N_RANGE = {"L3": (1, 3), "L4": (1, 3), "L6": (2, 3), "L7": (2, 3)}
 
 
@@ -208,9 +207,10 @@ def build_witness(case_id: str, n: int | None = None) -> WitnessCase:
 
 
 def _param(case_id: str, n: int | None) -> int | None:
-    """``n`` for a case, range-checked, or its default (None for L1, L2)."""
+    """``n`` for a case, range-checked, or the low end of its range (None
+    for L1, L2, which take no parameter)."""
     if n is None:
-        return _DEFAULT_N[case_id]
+        return _N_RANGE.get(case_id, (None,))[0]
     if case_id not in _N_RANGE:
         raise IcgramError(f"{case_id} takes no parameter")
     lo, hi = _N_RANGE[case_id]

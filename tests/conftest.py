@@ -1,7 +1,7 @@
 import contextlib
 import io
+import random
 
-import numpy as np
 import pytest
 
 from icgram.automata import Dfa
@@ -17,18 +17,18 @@ def run_cli(argv):
     return code, buf.getvalue()
 
 
-def random_dfa(rng: np.random.Generator, n_states: int, alphabet: Alphabet) -> Dfa:
+def random_dfa(rng: random.Random, n_states: int, alphabet: Alphabet) -> Dfa:
     """A uniformly random complete DFA on states 0..n-1 with a random
     non-trivial accepting set (possibly empty or full)."""
     states = tuple(range(n_states))
     delta = {}
     for q in states:
         for a in alphabet:
-            delta[(q, a)] = int(rng.integers(n_states))
-    accepting = frozenset(int(q) for q in states if rng.integers(2))
+            delta[(q, a)] = rng.randrange(n_states)
+    accepting = frozenset(q for q in states if rng.randrange(2))
     return Dfa(states, alphabet, delta, 0, accepting)
 
 
 @pytest.fixture
 def rng():
-    return np.random.default_rng(20240817)
+    return random.Random(20240817)

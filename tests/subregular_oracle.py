@@ -11,8 +11,16 @@ against it, bound for bound and witness for witness.
 The power-separating check walks the transition monoid on its own, from the
 identity, instead of resuming the walk that the non-counting check stopped;
 the shared walk must give its verdict and evidence exactly.
+
+The monotone-order search keeps the order as a set of state pairs and
+closes the whole relation again at every search node, scanning all of it
+for each pair it takes from the queue.  The bitset search must return the
+same chain, or None, and hit its node cap at the same node.
 """
 
+from collections import deque
+
+from icgram import subregular
 from icgram.automata import access_words
 from icgram.errors import ResourceLimitError
 from icgram.monoid import monoid_elements
@@ -127,3 +135,72 @@ def check_power_separating(dm, cap):
         f"arbitrarily high powers of {word_to_text(y, dm.alphabet)} fall on "
         f"both sides (exponents {j_in} vs {j_out}, repeating)",
         (y * j_in, y * j_out))
+
+
+def search_monotone_order(dm):
+    """Total order on the states of ``dm`` (numbered ``0..n-1``) making every
+    letter monotone, or None; node cap read from ``subregular``."""
+    states = list(dm.states)
+    n = len(states)
+    if n == 1:
+        return states
+    visited = 0
+
+    def propagate(le):
+        rel = set(le)
+        queue = deque(le)
+        while queue:
+            p, q = queue.popleft()
+            if (q, p) in rel:
+                return None
+            fresh = []
+            for row in dm.rows:
+                tp, tq = row[p], row[q]
+                if tp != tq and (tp, tq) not in rel:
+                    fresh.append((tp, tq))
+            for x, y in list(rel):
+                if y == p and x != q and (x, q) not in rel:
+                    fresh.append((x, q))
+                if x == q and y != p and (p, y) not in rel:
+                    fresh.append((p, y))
+            for e in fresh:
+                if e not in rel:
+                    rel.add(e)
+                    queue.append(e)
+        for p, q in rel:
+            if (q, p) in rel:
+                return None
+        return frozenset(rel)
+
+    def unresolved(rel):
+        for i, p in enumerate(states):
+            for q in states[i + 1:]:
+                if (p, q) not in rel and (q, p) not in rel:
+                    return (p, q)
+        return None
+
+    def search(rel):
+        nonlocal visited
+        visited += 1
+        cap = subregular._ORDER_SEARCH_CAP
+        if visited > cap:
+            raise ResourceLimitError("state-order search exceeded its cap",
+                                     cap=cap, reached=visited)
+        pick = unresolved(rel)
+        if pick is None:
+            return rel
+        p, q = pick
+        for cand in ((p, q), (q, p)):
+            nxt = propagate(rel | {cand})
+            if nxt is not None:
+                result = search(nxt)
+                if result is not None:
+                    return result
+        return None
+
+    base = propagate(frozenset())
+    result = search(base) if base is not None else None
+    if result is None:
+        return None
+    below = {q: sum(1 for e in result if e[1] == q) for q in states}
+    return sorted(states, key=lambda q: (below[q], str(q)))

@@ -6,10 +6,9 @@ to see the lines as they appear.
 """
 
 import itertools
+import random
 import sys
 import time
-
-import numpy as np
 
 from conftest import random_dfa
 
@@ -61,7 +60,7 @@ def test_criterion_2_closed_forms_match_enumeration():
 
 def test_criterion_3_member_agrees_with_enumeration():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     exhaustive = sampled = 0
     for cid in WITNESS_IDS:
         g = build_witness(cid).grammar
@@ -73,9 +72,9 @@ def test_criterion_3_member_agrees_with_enumeration():
                     assert member_ic(g, w) == (w in lang), (cid, w)
                     exhaustive += 1
         else:
-            for length in rng.integers(0, 9, size=100_000):
-                idx = rng.integers(0, len(syms), size=length)
-                w = tuple(syms[i] for i in idx)
+            for _ in range(100_000):
+                w = tuple(syms[rng.randrange(len(syms))]
+                          for _ in range(rng.randrange(0, 9)))
                 assert member_ic(g, w) == (w in lang), (cid, w)
                 sampled += 1
     _report(3, f"member = enumerate on {exhaustive} exhaustive + "
@@ -84,11 +83,11 @@ def test_criterion_3_member_agrees_with_enumeration():
 
 def test_criterion_4_random_dfas_respect_implications():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(4)
+    rng = random.Random(4)
     trials = 1000
     for _ in range(trials):
-        u = _ALPHABETS[int(rng.integers(3))]
-        d = random_dfa(rng, int(rng.integers(1, 7)), u)
+        u = _ALPHABETS[rng.randrange(3)]
+        d = random_dfa(rng, rng.randrange(1, 7), u)
         rep = classify(d, u, monoid_cap=50_000)
         for x, y in STRUCTURAL_IMPLICATIONS:
             assert not (rep.verdicts[x] is Verdict.YES
@@ -146,7 +145,7 @@ def test_criterion_6_one_state_automata_are_trivial():
 
 def test_criterion_7_context_reapplication_pumps_arithmetically():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     cases = {cid: build_witness(cid).grammar for cid in WITNESS_IDS}
     pools = {cid: sort_words(enumerate_ic(g, 7), g.alphabet)
              for cid, g in cases.items()}
@@ -155,14 +154,14 @@ def test_criterion_7_context_reapplication_pumps_arithmetically():
     while samples < 100:
         attempts += 1
         assert attempts < 2000, "could not find 100 derivable samples"
-        cid = ids[int(rng.integers(len(ids)))]
+        cid = ids[rng.randrange(len(ids))]
         g = cases[cid]
         pool = pools[cid]
-        w = pool[int(rng.integers(len(pool)))]
+        w = pool[rng.randrange(len(pool))]
         steps = derive_step(g, w)
         if not steps:
             continue
-        s = steps[int(rng.integers(len(steps)))]
+        s = steps[rng.randrange(len(steps))]
         u, v = s.context.left, s.context.right
         grow = len(u) + len(v)
         x1, x2, x3 = s.x1, s.x2, s.x3

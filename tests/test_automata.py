@@ -1,7 +1,6 @@
 import random
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -202,10 +201,10 @@ def test_table_parse_errors():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
 def test_minimize_canonical_under_state_renaming(seed, n_states):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     d = random_dfa(rng, n_states, U2)
     # rename states by a random permutation; canonical form must not move
-    perm = list(rng.permutation(n_states))
+    perm = rng.sample(range(n_states), n_states)
     renamed = type(d)(
         tuple(perm[q] for q in d.states), d.alphabet,
         {(perm[q], a): perm[t] for (q, a), t in d.delta.items()},
@@ -216,7 +215,7 @@ def test_minimize_canonical_under_state_renaming(seed, n_states):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5))
 def test_equivalent_iff_no_distinguishing_word(seed, n1, n2):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     d1, d2 = random_dfa(rng, n1, U2), random_dfa(rng, n2, U2)
     w = distinguishing_word(d1, d2)
     if w is None:
@@ -232,7 +231,7 @@ def test_equivalent_iff_no_distinguishing_word(seed, n1, n2):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
 def test_nfa_determinization_preserves_words(seed, n_states):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     d = random_dfa(rng, n_states, U3)
     r_text = "(a|b)*c|ca*"
     r = parse_regex(r_text, U3)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icgram import resources
 from icgram.automata import equivalent, minimize, nfa_to_dfa, regex_to_dfa
 from icgram.regex import parse_regex
 from icgram.resources import (KINDS, ResourceMeasure, SearchCaps,
@@ -99,6 +100,28 @@ def test_tight_caps_report_an_interval_with_the_fallback_grammar():
     assert "caps" in m.note or "budget" in m.note
     assert equivalent(_grammar_language(m.certificate),
                       minimize(_dfa("b*c", UBC)))
+
+
+@pytest.mark.parametrize("rhs", [16, 40])
+def test_no_rule_universe_is_built_past_the_budget(rhs, monkeypatch):
+    """The search counts a level's candidates before it builds that level's
+    rule universe: with right-hand sides up to 16 or 40 letters the first
+    level is over the budget, so no universe is built at all."""
+    built = []
+
+    def spy(nts, terminals, max_rhs_len, real=resources._rule_universe):
+        built.append(len(nts))
+        return real(nts, terminals, max_rhs_len)
+
+    monkeypatch.setattr(resources, "_rule_universe", spy)
+    bounded_min_grammar(_dfa("b*c", UBC), "nonterminals")
+    assert built, "the spy sees a search within the budget"
+    built.clear()
+    for kind, upper in (("nonterminals", 3), ("rules", 7)):
+        m = measure(_dfa("b*c", UBC), kind, SearchCaps(max_rhs_len=rhs))
+        assert (m.lower, m.upper, m.exact) == (1, upper, False)
+        assert m.note.startswith("candidate budget exhausted")
+    assert built == []
 
 
 def test_bad_kind_rejected():

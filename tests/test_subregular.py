@@ -1,6 +1,7 @@
+import itertools
+import random
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from icgram.automata import (Dfa, accepts, complement, dfa_to_table, equivalent,
                              word_set_dfa)
 from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
                                selection_in_family)
-from icgram.errors import UndecidedError
+from icgram.errors import ResourceLimitError, UndecidedError
 from icgram.regex import parse_regex
 from icgram.resources import min_states
 from icgram.subregular import (CIRC, COMB, COMM, DEF, FIN, MON, NC, NIL, ORD,
@@ -101,13 +102,18 @@ def test_nilpotent_finite_and_cofinite():
     assert accepts(d, w1) and not accepts(d, w2)
 
 
+def _random_minimal_dfas(seed, count=1200):
+    """Minimal DFAs of random automata with 1-24 states and 1-3 letters."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        u = Alphabet(("a", "b", "c")[:rng.randrange(1, 4)])
+        yield minimize(random_dfa(rng, rng.randrange(1, 25), u))
+
+
 def test_complement_of_a_minimal_dfa_needs_no_minimize():
     """NIL analyses ``complement(dm)`` as it is: complementing keeps a
     minimal DFA minimal and its breadth-first numbering canonical."""
-    rng = np.random.default_rng(31)
-    for _ in range(1500):
-        u = Alphabet(("a", "b", "c")[:int(rng.integers(1, 4))])
-        dm = minimize(random_dfa(rng, int(rng.integers(1, 25)), u))
+    for dm in _random_minimal_dfas(31, 1500):
         assert minimize(complement(dm)) == complement(dm), dfa_to_table(dm)
 
 
@@ -138,14 +144,14 @@ def _definite_cases(rng, count):
     """Minimal DFAs of random automata (1-24 states, 1-3 letters), and of
     random finite languages and their complements, which are definite."""
     for _ in range(count):
-        u = Alphabet(("a", "b", "c")[:int(rng.integers(1, 4))])
-        yield u, minimize(random_dfa(rng, int(rng.integers(1, 25)), u))
+        u = Alphabet(("a", "b", "c")[:rng.randrange(1, 4)])
+        yield u, minimize(random_dfa(rng, rng.randrange(1, 25), u))
     for _ in range(count // 4):
-        u = Alphabet(("a", "b", "c")[:int(rng.integers(1, 4))])
+        u = Alphabet(("a", "b", "c")[:rng.randrange(1, 4)])
         letters = tuple(u)
-        words = [tuple(letters[int(i)] for i in
-                       rng.integers(len(letters), size=int(rng.integers(0, 9))))
-                 for _ in range(int(rng.integers(1, 5)))]
+        words = [tuple(letters[rng.randrange(len(letters))]
+                       for _ in range(rng.randrange(0, 9)))
+                 for _ in range(rng.randrange(1, 5))]
         d = word_set_dfa(words, u)
         yield u, minimize(d)
         yield u, minimize(complement(d))
@@ -154,7 +160,7 @@ def _definite_cases(rng, count):
 def test_definite_matches_the_fixpoint_oracle():
     """The one-pass pair-graph check gives the suffix-pair fixpoint's exact
     verdict, evidence and bound."""
-    rng = np.random.default_rng(9)
+    rng = random.Random(9)
     verdicts = []
     for u, dm in _definite_cases(rng, 1200):
         got = _check_definite(_Analysis(dm))
@@ -261,6 +267,76 @@ def test_definite_yields_orderable_window_automaton(rx):
         assert images == sorted(images), s
 
 
+def _monotone_dfa(n, seed=3):
+    """A minimal DFA with ``n`` states that is monotone by construction:
+    letter a shifts up to the top state, letter b is a random non-decreasing
+    map, and the accepting set is random; drawn until no state merges."""
+    rng = random.Random(seed)
+    while True:
+        b = sorted(rng.randrange(n) for _ in range(n))
+        delta = {(q, s): t for q in range(n)
+                 for s, t in (("a", min(q + 1, n - 1)), ("b", b[q]))}
+        accepting = frozenset(q for q in range(n) if rng.random() < 0.5)
+        d = Dfa(tuple(range(n)), UAB, delta, 0, accepting)
+        dm = minimize(d)
+        if len(dm.states) == n:
+            return dm
+
+
+def _is_monotone(dm, chain):
+    pos = {q: i for i, q in enumerate(chain)}
+    return all(pos[dm.delta[(p, s)]] <= pos[dm.delta[(q, s)]]
+               for p, q in zip(chain, chain[1:]) for s in dm.alphabet)
+
+
+def _order_or_cap(search, dm):
+    try:
+        return search(dm)
+    except ResourceLimitError as e:
+        return "cap", e.reached
+
+
+def test_order_search_matches_the_set_oracle(monkeypatch):
+    """The bitset search returns the set-based search's chain, or None,
+    and with a small node cap both stop at the same node or neither does.
+    The capped runs skip the monotone family, where the set-based search
+    takes seconds per run."""
+    cases = list(_random_minimal_dfas(41))
+    monotone = [_monotone_dfa(n) for n in (60, 100, 140)]
+    found = set()
+    for dm in cases + monotone:
+        want = oracle.search_monotone_order(dm)
+        assert subregular._search_monotone_order(dm) == want, dfa_to_table(dm)
+        found.add(want is not None)
+    assert found == {True, False}
+    capped = 0
+    for cap in (1, 2, 3):
+        monkeypatch.setattr(subregular, "_ORDER_SEARCH_CAP", cap)
+        for dm in cases:
+            want = _order_or_cap(oracle.search_monotone_order, dm)
+            got = _order_or_cap(subregular._search_monotone_order, dm)
+            assert got == want, (cap, dfa_to_table(dm))
+            capped += isinstance(want, tuple)  # chains are lists
+    assert capped > 0
+
+
+def test_order_search_agrees_with_brute_force():
+    """On minimal DFAs of at most six states, an order is found exactly when
+    some permutation of the states makes every letter monotone, and every
+    order found does."""
+    seen = 0
+    for dm in _random_minimal_dfas(42):
+        if len(dm.states) > 6:
+            continue
+        chain = subregular._search_monotone_order(dm)
+        exists = any(_is_monotone(dm, perm)
+                     for perm in itertools.permutations(dm.states))
+        assert (chain is not None) == exists, dfa_to_table(dm)
+        assert chain is None or _is_monotone(dm, chain), dfa_to_table(dm)
+        seen += 1
+    assert seen > 100
+
+
 def test_commutative():
     assert is_commutative(_dfa("(aa)*", UA), UA)
     assert is_commutative(_dfa("a*ba*", UAB), UAB)
@@ -309,11 +385,8 @@ def test_power_separating():
 def test_power_separating_matches_its_own_walk():
     """PS, resuming NC's walk at NC's first counter, gives the stand-alone
     walk's exact verdict and evidence, whether NC or PS is decided first."""
-    rng = np.random.default_rng(12)
     seen = set()
-    for _ in range(1200):
-        u = Alphabet(("a", "b", "c")[:int(rng.integers(1, 4))])
-        dm = minimize(random_dfa(rng, int(rng.integers(1, 25)), u))
+    for dm in _random_minimal_dfas(12):
         for cap in (3, 10_000):
             want = oracle.check_power_separating(dm, cap)
             nc_first = _Analysis(dm, cap)
@@ -371,7 +444,7 @@ def test_labels_are_values():
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 3))
 def test_implications_hold_on_random_dfas(seed, n_states, n_letters):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     u = Alphabet(("a", "b", "c")[:n_letters])
     d = random_dfa(rng, n_states, u)
     rep = classify(d, u, monoid_cap=50_000)
@@ -387,9 +460,9 @@ def test_implications_hold_on_random_dfas(seed, n_states, n_letters):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
 def test_classification_invariant_under_renaming(seed, n_states):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     d = random_dfa(rng, n_states, UAB)
-    perm = list(rng.permutation(n_states))
+    perm = rng.sample(range(n_states), n_states)
     renamed = type(d)(
         tuple(perm[q] for q in d.states), d.alphabet,
         {(perm[q], a): perm[t] for (q, a), t in d.delta.items()},
@@ -406,7 +479,7 @@ def test_classification_invariant_under_renaming(seed, n_states):
 def test_no_witnesses_are_honest(seed, n_states):
     """Every 'no' verdict carries words; where the relation is checkable
     generically (same alphabet, differing acceptance for pairs), it holds."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     d = random_dfa(rng, n_states, UAB)
     rep = classify(d, UAB, monoid_cap=50_000)
     dm = minimize(d)
@@ -433,11 +506,11 @@ def test_predicates_classify_and_selection_family_agree():
     """Each predicate, ``classify`` and ``selection_in_family`` on a one-pair
     grammar give the same verdict and note, family by family and cap by cap;
     an ``UndecidedError`` reads as UNKNOWN and carries the classify note."""
-    rng = np.random.default_rng(23)
+    rng = random.Random(23)
     undecided = 0
     for _ in range(60):
-        u = Alphabet(("a", "b", "c")[:int(rng.integers(1, 4))])
-        d = random_dfa(rng, int(rng.integers(1, 9)), u)
+        u = Alphabet(("a", "b", "c")[:rng.randrange(1, 4)])
+        d = random_dfa(rng, rng.randrange(1, 9), u)
         a = tuple(u)[0]
         g = ContextualGrammar(u, ((a,),), (
             SelectionPair.from_dfa(d, (Context((a,), ()),)),))
@@ -473,9 +546,9 @@ def test_classify_runs_each_shared_search_once(monkeypatch):
         for module in (subregular, automata):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy)
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     cases = [(_dfa("(aa)*", UA), UA)] + [
-        (random_dfa(rng, int(rng.integers(1, 9)), UAB), UAB) for _ in range(40)]
+        (random_dfa(rng, rng.randrange(1, 9), UAB), UAB) for _ in range(40)]
     for i, (d, u) in enumerate(cases):
         for seen in calls.values():
             seen.clear()
