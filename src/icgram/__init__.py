@@ -1,55 +1,79 @@
 """Internal contextual grammars with regular selection languages.
 
-The package has three layers:
+Three layers: a regular-language core (``words``, ``regex``, ``automata``,
+``rlgrammar``) with the family vocabulary (``families``); the contextual
+layer (``contextual``, ``ctxformat``, ``witnesses``, ``resources``) of
+derivation, enumeration, membership and witness grammars; and the deciders
+(``subregular``, ``monoid``, ``hierarchy``) of families and inclusions.
 
-* a regular-language core (``regex``, ``automata``, ``rlgrammar``,
-  ``monoid``) with parsing, determinization, canonical minimization and
-  transition-monoid construction;
-* decision procedures placing a regular language in structural subregular
-  families and resource-bounded families (``subregular``, ``resources``);
-* the contextual layer (``contextual``, ``witnesses``, ``hierarchy``):
-  derivation, bounded enumeration, exact membership, selection rewriting,
-  witness grammars and the inclusion tables they certify.
-
+``import icgram`` loads no submodule: each public name loads its module on
+first use.  Derivation, enumeration, membership and ``build_witness`` never
+load the deciders; ``classify``, the ``is_*`` predicates,
+``selection_in_family``, ``check_witness`` and ``hierarchy`` do.
 ``icgram.cli`` exposes all of it as a command-line tool.
 """
 
-from .words import Alphabet, Symbol, Word, EMPTY_WORD, word_from_text, word_to_text
-from .errors import (IcgramError, AlphabetMismatchError, InvalidAutomatonError,
-                     InvalidGrammarError, ResourceLimitError, TextFormatError,
-                     UndecidedError, NonFiniteSelectionError,
-                     DecompositionMismatchError)
-from .regex import (Regex, EmptyLang, EmptyWord, Literal, Concat, Union, Star,
-                    parse_regex, format_regex, enumerate_regex)
-from .automata import (Dfa, Nfa, accepts, regex_to_dfa, regex_to_nfa,
-                       nfa_to_dfa, minimize, equivalent, complement, combine,
-                       enumerate_regular, language_is_finite,
-                       dfa_to_table, parse_dfa_table)
-from .rlgrammar import (RightLinearGrammar, Rule, grammar_to_nfa,
-                        normalize_regular, bounded_words, parse_grammar,
-                        grammar_to_text)
-from .monoid import TransitionMonoid, transition_monoid, DEFAULT_MONOID_CAP
-from .subregular import (Verdict, FamilyLabel, Evidence, FamilyReport,
-                         classify, parse_family_label,
-                         MON, FIN, NIL, COMB, DEF, SUF, ORD, COMM, CIRC,
-                         NC, PS, UF, REG, rl_v, rl_p, reg_z,
-                         is_monoidal, is_finite, is_nilpotent,
-                         is_combinational, is_definite, is_suffix_closed,
-                         is_ordered, is_commutative, is_circular,
-                         is_noncounting, is_power_separating,
-                         union_free_syntax)
-from .resources import (ResourceMeasure, SearchCaps, min_states,
-                        count_resources, bounded_min_grammar, dfa_to_grammar,
-                        measure)
-from .contextual import (Context, ContextualGrammar, SelectionPair,
-                         DerivationStep, Diagnostic, validate, ensure_valid,
-                         derive_step, successors, enumerate_ic, member_ic,
-                         member_trace, split_finite_selection,
-                         split_definite_selection, selection_in_family,
-                         SelectionFamilyResult, PairVerdict)
-from .ctxformat import format_contextual, parse_contextual
-from .hierarchy import Edge, HierarchyTable, hierarchy, SCOPES
-from .witnesses import (WitnessCase, WitnessReport, CheckResult, WITNESS_IDS,
-                        build_witness, check_witness, closed_form)
+import sys
+from importlib import import_module
+from types import ModuleType
 
+_EXPORTS = {
+    "words": "Alphabet Symbol Word EMPTY_WORD word_from_text word_to_text",
+    "errors": "IcgramError AlphabetMismatchError InvalidAutomatonError "
+        "InvalidGrammarError ResourceLimitError TextFormatError "
+        "UndecidedError NonFiniteSelectionError DecompositionMismatchError",
+    "regex": "Regex EmptyLang EmptyWord Literal Concat Union Star "
+        "parse_regex format_regex enumerate_regex",
+    "automata": "Dfa Nfa accepts regex_to_dfa regex_to_nfa nfa_to_dfa "
+        "minimize equivalent complement combine enumerate_regular "
+        "language_is_finite dfa_to_table parse_dfa_table",
+    "rlgrammar": "RightLinearGrammar Rule grammar_to_nfa normalize_regular "
+        "bounded_words parse_grammar grammar_to_text",
+    "monoid": "TransitionMonoid transition_monoid",
+    "families": "DEFAULT_MONOID_CAP Verdict FamilyLabel parse_family_label "
+        "MON FIN NIL COMB DEF SUF ORD COMM CIRC NC PS UF REG rl_v rl_p reg_z",
+    "subregular": "Evidence FamilyReport classify is_monoidal is_finite "
+        "is_nilpotent is_combinational is_definite is_suffix_closed "
+        "is_ordered is_commutative is_circular is_noncounting "
+        "is_power_separating union_free_syntax",
+    "resources": "ResourceMeasure SearchCaps min_states count_resources "
+        "bounded_min_grammar dfa_to_grammar measure",
+    "contextual": "Context ContextualGrammar SelectionPair DerivationStep "
+        "Diagnostic PairVerdict validate ensure_valid derive_step successors "
+        "enumerate_ic member_ic member_trace split_finite_selection "
+        "split_definite_selection selection_in_family SelectionFamilyResult",
+    "ctxformat": "format_contextual parse_contextual",
+    "hierarchy": "Edge HierarchyTable hierarchy SCOPES",
+    "witnesses": "WitnessCase WitnessReport CheckResult WITNESS_IDS "
+        "build_witness check_witness closed_form",
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names.split()}
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        home = import_module(f"{__name__}.{_HOME[name]}")
+        value = globals()[name] = getattr(home, name)
+        return value
+    if name in _EXPORTS:  # a submodule, as ``icgram.automata``
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(ModuleType):
+    # Loading a submodule binds it on the package.  A public name spelled
+    # like its module (``hierarchy``) stays bound, as the eager import did.
+    def __setattr__(self, name, value):
+        if name in _HOME and isinstance(value, ModuleType):
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -34,13 +34,11 @@ from .contextual import (DEFAULT_FRONTIER_CAP, ContextualGrammar,
 from .ctxformat import format_contextual, parse_contextual
 from .errors import (IcgramError, InternalConsistencyError,
                      InvalidGrammarError, ResourceLimitError, TextFormatError)
+from .families import DEFAULT_MONOID_CAP, Verdict, parse_family_label
 from .hierarchy import SCOPES, hierarchy
-from .monoid import DEFAULT_MONOID_CAP
 from .regex import Regex, parse_regex
 from .resources import KINDS, SearchCaps, count_resources, dfa_to_grammar, measure
 from .rlgrammar import grammar_to_text
-from .subregular import Verdict, classify, parse_family_label
-from .witnesses import WITNESS_IDS, _N_RANGE, build_witness, check_witness
 from .words import EMPTY_WORD, Alphabet, sort_words, word_from_text, word_to_text
 
 EXIT_OK = 0
@@ -92,14 +90,14 @@ def _read_grammar(path: str) -> ContextualGrammar:
 def _check_one_language(args) -> None:
     """classify, measure, enumerate and convert read exactly one of
     ``--regex`` and ``--grammar``."""
-    if args.grammar and args.regex:
+    if args.grammar is not None and args.regex is not None:
         raise IcgramError("give either --grammar or --regex, not both")
-    if not (args.grammar or args.regex):
+    if args.grammar is None and args.regex is None:
         raise IcgramError(f"{args.command} needs --regex or --grammar")
 
 
 def _regex_language(args) -> tuple[Regex, Dfa, Alphabet]:
-    if not args.alphabet:
+    if args.alphabet is None:
         raise IcgramError("--regex needs --alphabet")
     u = Alphabet.from_text(args.alphabet)
     r = parse_regex(args.regex, u)
@@ -124,11 +122,12 @@ def _verdict_exit(v: Verdict) -> int:
 # --- commands -------------------------------------------------------------
 
 def _cmd_classify(args) -> int:
+    from .subregular import classify
     caps = _parse_caps(args.caps)
     _check_one_language(args)
-    if args.regex:
+    if args.regex is not None:
         r, d, u = _regex_language(args)
-        if args.family:
+        if args.family is not None:
             # same decision path as for grammar selections: wrap the language
             # as the single selection of a throwaway grammar
             label = parse_family_label(args.family)
@@ -147,7 +146,7 @@ def _cmd_classify(args) -> int:
         _emit(args, report.to_text(), report.to_json_dict())
         return EXIT_OK
     g = _read_grammar(args.grammar)
-    if args.family:
+    if args.family is not None:
         label = parse_family_label(args.family)
         res = selection_in_family(g, label, monoid_cap=caps["monoid_cap"],
                                   caps=caps["search"])
@@ -186,7 +185,7 @@ def _measure_lines(d: Dfa, caps: dict) -> tuple[list[str], list[dict]]:
 def _cmd_measure(args) -> int:
     caps = _parse_caps(args.caps)
     _check_one_language(args)
-    if args.regex:
+    if args.regex is not None:
         _, d, _ = _regex_language(args)
         lines, records = _measure_lines(d, caps)
         _emit(args, "\n".join([f"language: {args.regex}"] + lines) + "\n",
@@ -210,7 +209,7 @@ def _cmd_measure(args) -> int:
 def _cmd_enumerate(args) -> int:
     caps = _parse_caps(args.caps)
     _check_one_language(args)
-    if args.regex:
+    if args.regex is not None:
         _, d, u = _regex_language(args)
         words = enumerate_regular(d, args.max_len)
         alphabet = u
@@ -267,6 +266,7 @@ def _cmd_derive(args) -> int:
 
 
 def _witness_targets(target: str | None, n: int | None):
+    from .witnesses import WITNESS_IDS
     if target in (None, "all"):
         if n is not None:
             raise IcgramError("--n needs a single case id")
@@ -275,6 +275,7 @@ def _witness_targets(target: str | None, n: int | None):
 
 
 def _cmd_witness(args) -> int:
+    from .witnesses import WITNESS_IDS, _N_RANGE, build_witness, check_witness
     if args.action == "list":
         lines, records = [], []
         for cid in WITNESS_IDS:
@@ -333,7 +334,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_convert(args) -> int:
     _check_one_language(args)
-    if args.regex:
+    if args.regex is not None:
         _, d, _ = _regex_language(args)
         if args.to == "dfa":
             text = dfa_to_table(minimize(d))

@@ -47,11 +47,10 @@ from .automata import (Dfa, _distance_to_accepting, accepts, bfs_words,
                        minimize, nfa_to_dfa, regex_to_dfa)
 from .errors import (DecompositionMismatchError, InvalidGrammarError,
                      NonFiniteSelectionError, ResourceLimitError)
-from .monoid import DEFAULT_MONOID_CAP
+from .families import DEFAULT_MONOID_CAP, FamilyLabel, Verdict
 from .regex import Regex, alt, seq, word_regex, Star, Literal
 from .resources import SearchCaps, bounded_min_grammar, count_resources, min_states
 from .rlgrammar import RightLinearGrammar, Rule, grammar_to_nfa
-from .subregular import FamilyLabel, Verdict, union_free_syntax, _Analysis
 from .words import Alphabet, Word, sort_words, word_to_text
 
 
@@ -607,6 +606,7 @@ def selection_in_family(g: ContextualGrammar, label: FamilyLabel, *,
 
 def _pair_family_verdict(i: int, pair: SelectionPair, label: FamilyLabel,
                          monoid_cap: int, caps: SearchCaps) -> PairVerdict:
+    from .subregular import _Analysis, union_free_syntax  # the deciders load here
     kind = label.kind
     if label.structural and kind != "UF":
         v, ev = _Analysis(minimize(pair.dfa), monoid_cap).decide(label)

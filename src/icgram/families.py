@@ -1,0 +1,105 @@
+"""Verdicts and family labels, apart from the deciders (``subregular``
+re-exports them) so that naming a family does not load a decider."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import Enum
+
+from .errors import TextFormatError
+
+DEFAULT_MONOID_CAP = 10_000  # elements of a transition monoid
+
+
+class Verdict(str, Enum):
+    YES = "yes"
+    NO = "no"
+    UNKNOWN = "unknown"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+_PLAIN_KINDS = ("MON", "FIN", "NIL", "COMB", "DEF", "SUF", "ORD",
+                "COMM", "CIRC", "NC", "PS", "UF", "REG")
+_PARAM_KINDS = ("RL_V", "RL_P", "REG_Z")
+
+
+@dataclass(frozen=True)
+class FamilyLabel:
+    """A family name, optionally with a resource bound: ``MON``, ``RL_V(2)``."""
+
+    kind: str
+    n: int | None = None
+
+    def __post_init__(self):
+        if self.kind in _PLAIN_KINDS:
+            if self.n is not None:
+                raise ValueError(f"{self.kind} takes no parameter")
+        elif self.kind in _PARAM_KINDS:
+            if self.n is None or self.n < 1:
+                raise ValueError(f"{self.kind} needs a bound >= 1")
+        else:
+            raise ValueError(f"unknown family kind {self.kind!r}")
+
+    def __str__(self) -> str:
+        return self.kind if self.n is None else f"{self.kind}({self.n})"
+
+    @property
+    def structural(self) -> bool:
+        return self.kind in _PLAIN_KINDS and self.kind != "REG"
+
+
+MON = FamilyLabel("MON")
+FIN = FamilyLabel("FIN")
+NIL = FamilyLabel("NIL")
+COMB = FamilyLabel("COMB")
+DEF = FamilyLabel("DEF")
+SUF = FamilyLabel("SUF")
+ORD = FamilyLabel("ORD")
+COMM = FamilyLabel("COMM")
+CIRC = FamilyLabel("CIRC")
+NC = FamilyLabel("NC")
+PS = FamilyLabel("PS")
+UF = FamilyLabel("UF")
+REG = FamilyLabel("REG")
+
+
+def rl_v(n: int) -> FamilyLabel:
+    return FamilyLabel("RL_V", n)
+
+
+def rl_p(n: int) -> FamilyLabel:
+    return FamilyLabel("RL_P", n)
+
+
+def reg_z(n: int) -> FamilyLabel:
+    return FamilyLabel("REG_Z", n)
+
+
+FAMILY_ORDER = (MON, FIN, NIL, COMB, DEF, SUF, ORD, COMM, CIRC, NC, PS, UF, REG)
+
+
+def parse_family_label(text: str) -> FamilyLabel:
+    text = text.strip()
+    if "(" in text:
+        kind, _, rest = text.partition("(")
+        if not rest.endswith(")"):
+            raise TextFormatError(f"malformed family label {text!r}")
+        try:
+            n = int(rest[:-1])
+        except ValueError:
+            raise TextFormatError(f"malformed family bound in {text!r}") from None
+        try:
+            return FamilyLabel(kind.strip(), n)
+        except ValueError as e:
+            raise TextFormatError(str(e)) from None
+    try:
+        return FamilyLabel(text)
+    except ValueError as e:
+        raise TextFormatError(str(e)) from None
+
+
+def label_sort_key(label: FamilyLabel) -> tuple:
+    kinds = _PLAIN_KINDS + _PARAM_KINDS
+    return (kinds.index(label.kind), label.n or 0)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .subregular import (CIRC, COMB, COMM, DEF, FIN, MON, NC, NIL, ORD, PS,
+from .families import (CIRC, COMB, COMM, DEF, FIN, MON, NC, NIL, ORD, PS,
                          REG, SUF, UF, FamilyLabel, label_sort_key, reg_z,
                          rl_p, rl_v)
 

@@ -18,9 +18,8 @@ from typing import Iterator
 
 from .automata import Dfa, bfs_words
 from .errors import ResourceLimitError
+from .families import DEFAULT_MONOID_CAP
 from .words import Alphabet, Word
-
-DEFAULT_MONOID_CAP = 10_000
 
 Transformation = tuple[int, ...]
 

@@ -23,12 +23,11 @@ from itertools import product
 from .contextual import (Context, ContextualGrammar, SelectionPair,
                          enumerate_ic, selection_in_family, validate)
 from .errors import IcgramError
-from .hierarchy import hierarchy
+from .families import (COMB, COMM, FIN, MON, ORD, PS, SUF, CIRC,
+                       FamilyLabel, Verdict, reg_z, rl_p, rl_v)
 from .regex import Literal, Star, alt, seq
 from .resources import SearchCaps
 from .rlgrammar import RightLinearGrammar, Rule
-from .subregular import (COMB, COMM, FIN, MON, ORD, PS, SUF, CIRC,
-                         FamilyLabel, Verdict, reg_z, rl_p, rl_v)
 from .words import EMPTY_WORD, Alphabet, Word, sort_words
 
 WITNESS_IDS = ("L1", "L2", "L3", "L4", "L6", "L7")
@@ -324,6 +323,7 @@ def check_witness(case: WitnessCase, max_len: int = 8, *,
                   caps: SearchCaps = SearchCaps()) -> WitnessReport:
     """Run every machine-checkable claim of the case; failures are reported,
     not raised."""
+    from .hierarchy import hierarchy
     results: list[CheckResult] = []
 
     problems = validate(case.grammar)

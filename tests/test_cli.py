@@ -155,6 +155,32 @@ def test_usage_and_parse_errors_exit_two(argv):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--regex", "", "--grammar", "L1"],
+    ["measure", "--grammar", "", "--regex", "a", "--alphabet", "a"]],
+    ids=["regex", "grammar"])
+def test_an_empty_option_value_is_given(grammar_files, capsys, argv):
+    # an empty --regex or --grammar is present, so with the other one it is
+    # refused, not ignored
+    argv = [grammar_files.get(x, x) for x in argv]
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err == \
+        "error: give either --grammar or --regex, not both\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--regex", "", "--alphabet", "a"],
+     "error: 1:1: empty alternative (use () for the empty word)\n"),
+    (["classify", "--regex", "a", "--alphabet", ""],
+     "error: 1:1: empty alphabet\n"),
+    (["classify", "--regex", "a", "--alphabet", "a", "--family", ""],
+     "error: 1:1: unknown family kind ''\n")],
+    ids=["regex", "alphabet", "family"])
+def test_an_empty_option_value_is_parsed(capsys, argv, message):
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err == message
+
+
 def test_unknown_witness_variant_exits_two(capsys):
     assert run_cli(["witness", "export", "L1", "--variant", "nope"]) == (2, "")
     err = capsys.readouterr().err

@@ -64,14 +64,46 @@ def test_witness_words_reproduce_their_elements():
     assert keys == sorted(keys)
 
 
+def _then(t, g):
+    """The transformation of ``uv`` from ``t`` of ``u`` and ``g`` of ``v``."""
+    return tuple(g[x] for x in t)
+
+
 @pytest.mark.parametrize("n_states", [2, 3, 4, 5])
 def test_words_are_shortlex_least(rng, n_states):
-    """Brute force: every recorded word is the first word, in shortlex
-    order, that induces its element."""
+    """Every recorded word is the first word, in shortlex order, that
+    induces its element, and the elements are the whole monoid.
+
+    Exact-length oracle: ``levels[L]`` holds the elements of the words of
+    length exactly L (``levels[0]`` the identity, ``levels[L + 1]`` those of
+    ``levels[L]`` followed by a letter).  A word w of length L is
+    shortlex-least for its element t exactly when it induces t, t is in no
+    earlier level, and for every k < L and every letter b before ``w[k]``,
+    t is not in ``T(w[:k] b) . levels[L - k - 1]``: the elements of the
+    same-length words that first differ from w at k, with b.  Where the
+    longest word has at most 12 letters, a scan of every word up to that
+    length checks the same by brute force."""
     u = Alphabet.of("a", "b")
     for _ in range(10):
         m = transition_monoid(random_dfa(rng, n_states, u))
-        first: dict = {}
-        for w in all_words(u, max(len(w) for w in m.words)):
-            first.setdefault(m.element_of_word(w), w)
-        assert m.words == tuple(first[t] for t in m.elements)
+        longest = max(len(w) for w in m.words)
+        levels = [{m.element_of_word(())}]
+        for _ in range(longest + 1):
+            levels.append({_then(t, g) for t in levels[-1] for g in m.generators})
+        earlier = set().union(*levels[:-1])
+        assert set(m.elements) == earlier and levels[-1] <= earlier
+        same_length: dict = {}  # (T(w[:k] b), L - k - 1) -> its elements
+        for t, w in zip(m.elements, m.words):
+            assert m.element_of_word(w) == t
+            assert not any(t in level for level in levels[:len(w)])
+            for k, a in enumerate(w):
+                for b in u.symbols[:u.symbols.index(a)]:
+                    key = (m.element_of_word(w[:k] + (b,)), len(w) - k - 1)
+                    if key not in same_length:
+                        same_length[key] = {_then(key[0], r) for r in levels[key[1]]}
+                    assert t not in same_length[key], (w, k, b)
+        if longest <= 12:
+            first: dict = {}
+            for w in all_words(u, longest):
+                first.setdefault(m.element_of_word(w), w)
+            assert m.words == tuple(first[t] for t in m.elements)
