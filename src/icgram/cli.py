@@ -34,8 +34,7 @@ from .contextual import (DEFAULT_FRONTIER_CAP, ContextualGrammar,
 from .ctxformat import format_contextual, parse_contextual
 from .errors import (IcgramError, InternalConsistencyError,
                      InvalidGrammarError, ResourceLimitError, TextFormatError)
-from .families import DEFAULT_MONOID_CAP, Verdict, parse_family_label
-from .hierarchy import SCOPES, hierarchy
+from .families import DEFAULT_MONOID_CAP, SCOPES, Verdict, parse_family_label
 from .regex import Regex, parse_regex
 from .resources import KINDS, SearchCaps, count_resources, dfa_to_grammar, measure
 from .rlgrammar import grammar_to_text
@@ -294,6 +293,7 @@ def _cmd_witness(args) -> int:
         return EXIT_OK
 
     if args.action == "hierarchy":
+        from .hierarchy import hierarchy
         table = hierarchy(args.scope, max_param=args.max_param)
         edges = sorted(({"src": str(e.src), "dst": str(e.dst),
                          "status": e.status} for e in table.edges),

@@ -14,12 +14,15 @@ with one character per symbol, and each selection DFA becomes rows over its
 live states and, when some symbol cannot start an infix, a compiled finder
 of the positions one can start at (see :class:`_Compiled`).  The forward
 step and enumeration wrap contexts around the selected infixes that one
-scan of an encoded word finds, :func:`_spans`; enumeration runs its whole
-closure on encoded words and builds the tuple form of a word only once,
-when the word is new.  The inverse step, :func:`_predecessor_steps`, is
-one lazy generator that runs the same rows from each infix start a
-context's left side ends at, and strips the contexts that enclose a
-selected infix.
+scan of an encoded word finds, :func:`_spans`; enumeration runs its closure
+on encoded words in length order, builds the tuple form of a word only
+when the word is new, and skips steps that only repeat a word: empty-infix
+steps commute, so they go at increasing positions, and an infix that the
+selection and context also allow one symbol further left is taken only
+there (see :func:`enumerate_ic`).  The inverse step,
+:func:`_predecessor_steps`, is one lazy generator that runs the same rows
+from each infix start a context's left side ends at, and strips the
+contexts that enclose a selected infix.
 Membership first compares the word's Parikh vector (its count of each
 symbol), modulo the lattice the contexts span, with those of the axioms a
 step applies to: every insertion adds a context's vector, so a word outside
@@ -42,9 +45,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .automata import (Dfa, _distance_to_accepting, accepts, bfs_words,
-                       enumerate_regular, equivalent, language_is_finite,
-                       minimize, nfa_to_dfa, regex_to_dfa)
+from .automata import (Dfa, _distance_to_accepting, _distinguishing, accepts,
+                       bfs_words, enumerate_regular, equivalent,
+                       language_is_finite, minimize, nfa_to_dfa, regex_to_dfa)
 from .errors import (DecompositionMismatchError, InvalidGrammarError,
                      NonFiniteSelectionError, ResourceLimitError)
 from .families import DEFAULT_MONOID_CAP, FamilyLabel, Verdict
@@ -158,13 +161,16 @@ class _Compiled:
     from its initial state are numbered from 0, the initial one; ``rows[q]``
     maps a code to the next live state, with no entry for a foreign symbol
     or a move into a dead state, and ``acc[q]`` tells whether q accepts.
-    The rows are empty when the initial state is dead.  Unless the empty
-    word is selected or row 0 has every code, ``starts`` is the
-    ``finditer`` of a character class over row 0's codes, which finds in C
-    the only positions an infix can start at; otherwise it is None (a
-    finder that matches nearly every position costs more than it saves).
-    Each context comes as ``(context, encoded left, encoded right,
-    weight)``, and each pair as ``(rows, acc, starts, contexts)``.
+    The rows are empty when the initial state is dead.  Unless row 0 is
+    empty or has every code, ``starts`` is the ``finditer`` of a class over
+    row 0's codes, which finds in C the only positions a non-empty infix
+    can start at; otherwise it is None (a finder that matches nearly every
+    position costs more than it saves).  ``slides`` has the codes that lead
+    from the initial state to a state of the same language (a pair walk:
+    the DFA need not be minimal).  Each context comes as ``(context,
+    encoded left, encoded right, weight)``, and each pair as ``(rows, acc,
+    starts, contexts, slides)``.  ``plans`` keeps, per room up to
+    ``widest`` (the widest context), the steps :func:`enumerate_ic` tries.
 
     ``lattice`` is an echelon basis, ``(pivot column, row)`` pairs with
     positive pivots by column, of the lattice spanned by the Parikh vectors
@@ -187,7 +193,7 @@ class _Compiled:
         self.pairs = tuple(self._pair(pair) for pair in g.pairs)
         live = [pair for pair in self.pairs if pair[0]]
         basis: dict[int, list[int]] = {}
-        for *_, contexts in live:
+        for *_, contexts, _ in live:
             for _, u, v, _ in contexts:
                 x = [(u + v).count(c) for c in self.symbol]
                 for p in range(len(x)):
@@ -198,9 +204,11 @@ class _Compiled:
                     if r[p]:
                         basis[p] = r if r[p] > 0 else [-e for e in r]
         self.lattice = sorted(basis.items())
+        self.widest = max((k for *_, contexts, _ in live for *_, k in contexts), default=0)
+        self.plans: dict[int, tuple] = {}
         self.residues = {self.residue(a) for a in self.axioms
                          if any(next(_spans(rows, acc, starts, a), None)
-                                for rows, acc, starts, _ in live)}
+                                for rows, acc, starts, *_ in live)}
 
     def _pair(self, pair: SelectionPair):
         d = pair.dfa
@@ -213,12 +221,14 @@ class _Compiled:
                       if (t := step(q, a)) is not None} for q in order)
         acc = tuple(q in d.accepting for q in order)
         starts = None
-        if rows and not acc[0] and len(rows[0]) < len(self.code):
+        if rows and 0 < len(rows[0]) < len(self.code):
             codes = "".join(map(re.escape, rows[0]))
             starts = re.compile(f"[{codes}]").finditer
         contexts = tuple((ctx, self.encode(ctx.left), self.encode(ctx.right),
                           ctx.weight) for ctx in pair.contexts)
-        return rows, acc, starts, contexts
+        slides = tuple(self.code[a] for a in d.alphabet if (t := step(d.initial, a))
+                       is not None and _distinguishing(d, d.initial, d, t) is None)
+        return rows, acc, starts, contexts, slides
 
     def residue(self, s: str) -> tuple[int, ...]:
         """The Parikh vector of an encoded word, reduced by the lattice
@@ -324,30 +334,36 @@ def _step(source: Word, pair_index: int, ctx: Context, i: int, j: int
                           x1 + ctx.left + x2 + ctx.right + x3)
 
 
-def _spans(rows: tuple[dict, ...], acc: tuple[bool, ...], starts, s: str):
+def _spans(rows: tuple[dict, ...], acc: tuple[bool, ...], starts, s: str,
+           skip: str | None = None):
     """Every ``(i, j)`` with ``s[i:j]`` in a pair's selection, ordered by
     ``i`` and then ``j``, for the forward step and :func:`enumerate_ic`.
     ``s`` is an encoded word and ``rows``/``acc``/``starts`` are the pair's
     compiled live states and start finder (see :class:`_Compiled`).  With a
     finder, only the positions it matches, those whose code has an entry in
-    row 0, can start an infix; else every position is tried.  The scan runs
-    once from each start and stops at a code with no entry in the current
-    row: a symbol outside the subalphabet, or a move into a dead state."""
+    row 0, can start a non-empty infix; else every position is tried.  Given
+    a string of codes ``skip``, only non-empty infixes are found, none of
+    them right after a code in ``skip``.  The scan runs once from each start
+    and stops at a code with no entry in the current row: a symbol outside
+    the subalphabet, or a move into a dead state."""
     if not rows:
         return
     n = len(s)
-    found = range(n + 1) if starts is None else map(re.Match.start, starts(s))
+    found = (range(n + 1) if starts is None or skip is None and acc[0]
+             else map(re.Match.start, starts(s)))
     for i in found:
+        if skip and i and s[i - 1] in skip:
+            continue
         q, j = 0, i
-        while True:
-            if acc[q]:
-                yield i, j
-            if j == n:
-                break
+        if acc[0] and skip is None:
+            yield i, i
+        while j < n:
             q = rows[q].get(s[j])
             if q is None:
                 break
             j += 1
+            if acc[q]:
+                yield i, j
 
 
 def derive_step(g: ContextualGrammar, w: Word) -> tuple[DerivationStep, ...]:
@@ -356,7 +372,7 @@ def derive_step(g: ContextualGrammar, w: Word) -> tuple[DerivationStep, ...]:
     c = g._compiled
     s = c.encode(w)
     return tuple(_step(w, pair_index, ctx, i, j)
-                 for pair_index, (rows, acc, starts, contexts) in enumerate(c.pairs)
+                 for pair_index, (rows, acc, starts, contexts, _) in enumerate(c.pairs)
                  for i, j in _spans(rows, acc, starts, s)
                  for ctx, _, _, _ in contexts)
 
@@ -369,37 +385,70 @@ def enumerate_ic(g: ContextualGrammar, max_len: int, *,
                  frontier_cap: int = DEFAULT_FRONTIER_CAP) -> set[Word]:
     """Every derivable word of length <= max_len.
 
-    Exact: insertion steps strictly grow words, so axioms longer than the
-    bound can never contribute and the closure below the bound is finite.
-    The closure runs on encoded words: ``seen`` maps each one to its word,
-    which is sliced from its parent's only when the encoded word is new.
-    More than ``frontier_cap`` words in ``seen`` raise
-    :class:`ResourceLimitError`.
+    Exact: steps strictly grow words, so the closure below the bound is
+    finite.  It runs on encoded words in length order; ``seen`` maps each to
+    its word, sliced from its parent's only when new.  Two kinds of step
+    that only repeat a word are skipped.  Empty-infix steps insert ``u + v``
+    and commute (one at or before an earlier one can go first, shifting it
+    right), so after one at p they go only at p + 1 on; a word keeps the
+    least such bound over the ways it is made (0 for an axiom or a non-empty
+    infix), final before it is extended.  A non-empty infix right after a
+    code c of the pair's ``slides`` is selected with c in front too, which
+    gives the same word when ``u`` is empty or a power of c (``c u = u c``).
+    More than ``frontier_cap`` words in ``seen``, the axioms included,
+    raise :class:`ResourceLimitError`.
     """
     c = g._compiled
     seen = {c.encode(w): w for w in g.axioms if len(w) <= max_len}
-    frontier = list(seen.items())
-    while frontier:
-        nxt: list[tuple[str, Word]] = []
-        for s, w in frontier:
-            room = max_len - len(s)
-            for rows, acc, starts, contexts in c.pairs:
-                fits = [entry for entry in contexts if entry[3] <= room]
-                if not fits:
-                    continue
-                for i, j in _spans(rows, acc, starts, s):
+    low: dict[str, int] = {}  # bounds above 0 of the words not yet extended
+    buckets: dict[int, list[str]] = {}  # length -> words not yet extended
+
+    def admit(t: str, x: Word):
+        seen[t] = x
+        buckets.setdefault(len(t), []).append(t)
+        if len(seen) > frontier_cap:
+            raise ResourceLimitError(f"enumeration exceeded {frontier_cap} words",
+                                     cap=frontier_cap, reached=len(seen))
+
+    for s, w in list(seen.items()):
+        admit(s, w)
+    widest, plans = c.widest, c.plans
+    while buckets:
+        size = min(buckets)
+        room = max_len - size if max_len - size < widest else widest
+        if room not in plans:  # a scan per group of contexts sliding at the same codes
+            empty, scans = [], []
+            for rows, acc, starts, contexts, slides in c.pairs:
+                fits = [e for e in contexts if rows and e[3] <= room]
+                if fits and acc[0]:
+                    empty += [(u + v, ctx.left + ctx.right) for ctx, u, v, _ in fits]
+                groups: dict[str, list] = {}
+                for e in fits:
+                    skip = "".join(a for a in slides if e[1] == a * len(e[1]))
+                    groups.setdefault(skip, []).append(e)
+                scans += [(rows, acc, starts, group, skip) for skip, group in groups.items()]
+            plans[room] = empty, scans
+        empty, scans = plans[room]
+        for s in buckets.pop(size):
+            w, bound = seen[s], low.pop(s, 0)
+            for p in range(bound, size + 1) if empty else ():
+                x1, x3 = s[:p], s[p:]
+                for x, y in empty:
+                    t = x1 + x + x3
+                    if t not in seen:
+                        admit(t, w[:p] + y + w[p:])
+                        low[t] = p + 1
+                    elif low.get(t, 0) > p:
+                        low[t] = p + 1
+            for rows, acc, starts, fits, skip in scans:
+                for i, j in _spans(rows, acc, starts, s, skip):
                     x1, x2, x3 = s[:i], s[i:j], s[j:]
                     for ctx, u, v, _ in fits:
                         t = x1 + u + x2 + v + x3
                         if t not in seen:
-                            seen[t] = x = (w[:i] + ctx.left + w[i:j]
-                                           + ctx.right + w[j:])
-                            nxt.append((t, x))
-                            if len(seen) > frontier_cap:
-                                raise ResourceLimitError(
-                                    f"enumeration exceeded {frontier_cap} words",
-                                    cap=frontier_cap, reached=len(seen))
-        frontier = nxt
+                            admit(t, w[:i] + ctx.left + w[i:j] + ctx.right + w[j:])
+                        elif low:
+                            low.pop(t, None)
     return set(seen.values())
 
 
@@ -415,7 +464,7 @@ def _predecessor_steps(c: _Compiled, s: str):
     selected) whose first code has no entry in row 0, is skipped without a
     scan; from the others the compiled rows run as in :func:`_spans`."""
     n = len(s)
-    for pair_index, (rows, acc, _, contexts) in enumerate(c.pairs):
+    for pair_index, (rows, acc, _, contexts, _) in enumerate(c.pairs):
         if not rows:
             continue
         row0, every = rows[0], acc[0]

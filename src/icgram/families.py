@@ -79,6 +79,9 @@ def reg_z(n: int) -> FamilyLabel:
 
 FAMILY_ORDER = (MON, FIN, NIL, COMB, DEF, SUF, ORD, COMM, CIRC, NC, PS, UF, REG)
 
+# the scopes of ``hierarchy``, kept here so the command line need not load it
+SCOPES = ("subregular", "ic-structural", "ic-resource", "merged")
+
 
 def parse_family_label(text: str) -> FamilyLabel:
     text = text.strip()

@@ -23,15 +23,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .families import (CIRC, COMB, COMM, DEF, FIN, MON, NC, NIL, ORD, PS,
-                         REG, SUF, UF, FamilyLabel, label_sort_key, reg_z,
-                         rl_p, rl_v)
+                         REG, SCOPES, SUF, UF, FamilyLabel, label_sort_key,
+                         reg_z, rl_p, rl_v)
 
 PROPER = "proper"
 OPEN = "open-properness"
 UNKNOWN = "unknown"
 EQUAL = "equal"
-
-SCOPES = ("subregular", "ic-structural", "ic-resource", "merged")
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,21 @@ def test_enumeration_cap(l1):
     assert (e.value.cap, e.value.reached) == (5, 6)
 
 
+def test_enumeration_cap_counts_the_axioms():
+    # L7(2) has 7 axioms within the bound, and no step fits in 2 symbols
+    with pytest.raises(ResourceLimitError) as e:
+        enumerate_ic(build_witness("L7", 2).grammar, 2, frontier_cap=3)
+    assert (e.value.cap, e.value.reached) == (3, 7)
+
+
+def test_enumeration_keeps_nothing_per_length_of_the_bound():
+    # no pair selects anything, so the closure is the axioms at any bound
+    pair = SelectionPair.from_regex(UAB, parse_regex("∅", UAB),
+                                    (Context(("a",), ()),))
+    g = ContextualGrammar(UAB, (("a",), ("b", "a")), (pair,))
+    assert enumerate_ic(g, 10**12) == {("a",), ("b", "a")}
+
+
 def test_member_agrees_with_enumeration_on_l2(l2):
     lang = enumerate_ic(l2, 6)
     for w in all_words(l2.alphabet, 6):
@@ -393,6 +408,33 @@ def test_enumeration_matches_the_plain_oracle_on_foreign_symbols(sels, ctxs,
                                                                  axioms):
     g = _grammar(sels, ctxs, axioms, UABC)
     assert enumerate_ic(g, 7) == oracle._enumerate_plain(g, 7)
+
+
+# more selections that accept the empty word or keep their language after a
+# leading letter (a*, b*a, a*ba*, a*b*), and contexts whose left side is
+# empty or a power of one letter, each pair with its own contexts
+_SEEDED_SELECTIONS = _SELECTIONS + ["a*b*", "(ab)*", "a*ba*", "b(a|b)*",
+                                    "(aa)*", "a|()"]
+_SEEDED_CONTEXTS = _CONTEXTS + [("aa", "a"), ("", "a"), ("b", "b")]
+
+
+def _seeded_grammars(count=600, seed=11):
+    rng = random.Random(seed)
+    for _ in range(count):
+        pairs = tuple(SelectionPair.from_regex(
+            UAB, parse_regex(rng.choice(_SEEDED_SELECTIONS), UAB),
+            tuple(Context(tuple(l), tuple(r)) for l, r
+                  in rng.sample(_SEEDED_CONTEXTS, rng.randint(1, 3))))
+            for _ in range(rng.randint(1, 3)))
+        yield ContextualGrammar(UAB, tuple(rng.sample(_AXIOMS, rng.randint(1, 2))),
+                                pairs)
+
+
+def test_enumeration_matches_the_plain_oracle_on_seeded_grammars():
+    # the closure skips insertions that repeat a word; the plain closure
+    # tries every step
+    for g in _seeded_grammars():
+        assert enumerate_ic(g, 6) == oracle._enumerate_plain(g, 6), g
 
 
 def test_engine_matches_the_plain_oracle_on_a_wide_alphabet():

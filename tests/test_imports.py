@@ -95,7 +95,7 @@ def test_a_decider_loads_on_first_use(name, module):
 def test_the_command_line_loads_classify_and_witnesses_per_command():
     loaded = _loaded_after("import icgram.cli")
     assert not loaded & {"icgram.subregular", "icgram.monoid",
-                         "icgram.witnesses"}
+                         "icgram.witnesses", "icgram.hierarchy"}
 
 
 def test_public_names_are_the_eager_objects():
@@ -120,6 +120,8 @@ def test_family_vocabulary_is_one_set_of_objects():
                  "parse_family_label", "label_sort_key", "FAMILY_ORDER"):
         assert getattr(subregular, name) is getattr(families, name)
     assert monoid.DEFAULT_MONOID_CAP is families.DEFAULT_MONOID_CAP
+    hierarchy = importlib.import_module("icgram.hierarchy")
+    assert hierarchy.SCOPES is families.SCOPES
 
 
 def test_the_hierarchy_name_survives_its_submodule_loading_first():
