@@ -277,11 +277,20 @@ def _check_same_alphabet(d1: Dfa, d2: Dfa) -> None:
             f"alphabets differ: {list(d1.alphabet)} vs {list(d2.alphabet)}")
 
 
-def _distinguishing(d1: Dfa, p: State, d2: Dfa, q: State) -> Word | None:
-    """Shortlex-least word accepted from exactly one of ``p`` in ``d1`` and
-    ``q`` in ``d2``, or None."""
+_BOOL_OPS: dict[str, Callable[[bool, bool], bool]] = {
+    "union": lambda x, y: x or y,
+    "intersection": lambda x, y: x and y,
+    "difference": lambda x, y: x and not y,
+    "symmetric_difference": lambda x, y: x != y,
+}
+
+
+def _pair_word(d1: Dfa, p: State, d2: Dfa, q: State, op: str) -> Word | None:
+    """Shortlex-least word on which ``_BOOL_OPS[op]`` holds of its
+    acceptance from ``p`` in ``d1`` and from ``q`` in ``d2``, or None."""
+    fn = _BOOL_OPS[op]
     for (x, y), w in bfs_words((p, q), _pair_step(d1, d2), d1.alphabet):
-        if (x in d1.accepting) != (y in d2.accepting):
+        if fn(x in d1.accepting, y in d2.accepting):
             return w
     return None
 
@@ -289,19 +298,11 @@ def _distinguishing(d1: Dfa, p: State, d2: Dfa, q: State) -> Word | None:
 def distinguishing_word(d1: Dfa, d2: Dfa) -> Word | None:
     """Shortest word accepted by exactly one of the two automata, or None."""
     _check_same_alphabet(d1, d2)
-    return _distinguishing(d1, d1.initial, d2, d2.initial)
+    return _pair_word(d1, d1.initial, d2, d2.initial, "symmetric_difference")
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
     return distinguishing_word(d1, d2) is None
-
-
-_BOOL_OPS: dict[str, Callable[[bool, bool], bool]] = {
-    "union": lambda x, y: x or y,
-    "intersection": lambda x, y: x and y,
-    "difference": lambda x, y: x and not y,
-    "symmetric_difference": lambda x, y: x != y,
-}
 
 
 def combine(d1: Dfa, d2: Dfa, op: str) -> Dfa:
@@ -321,8 +322,8 @@ def complement(d: Dfa) -> Dfa:
 
 def inclusion_witness(d1: Dfa, d2: Dfa) -> Word | None:
     """Shortest word in L(d1) \\ L(d2), or None when L(d1) is a subset."""
-    diff = combine(d1, d2, "difference")
-    return shortest_accepted(diff)
+    _check_same_alphabet(d1, d2)
+    return _pair_word(d1, d1.initial, d2, d2.initial, "difference")
 
 
 # --- queries ------------------------------------------------------------
@@ -344,7 +345,7 @@ def access_words(d: Dfa) -> dict:
 
 def distinguishing_suffix(d: Dfa, p: State, q: State) -> Word | None:
     """Shortest word accepted from exactly one of two states of ``d``."""
-    return _distinguishing(d, p, d, q)
+    return _pair_word(d, p, d, q, "symmetric_difference")
 
 
 def _distance_to_accepting(d: Dfa) -> dict:

@@ -27,10 +27,9 @@ from pathlib import Path
 
 from .automata import Dfa, dfa_to_table, enumerate_regular, minimize, regex_to_dfa
 from .contextual import (DEFAULT_FRONTIER_CAP, ContextualGrammar,
-                         DerivationStep, derive_step, enumerate_ic,
-                         member_ic, member_trace,
-                         selection_in_family, split_finite_selection,
-                         Context, SelectionPair)
+                         DerivationStep, SelectionPair, _pair_family_verdict,
+                         derive_step, enumerate_ic, member_ic, member_trace,
+                         selection_in_family, split_finite_selection)
 from .ctxformat import format_contextual, parse_contextual
 from .errors import (IcgramError, InternalConsistencyError,
                      InvalidGrammarError, ResourceLimitError, TextFormatError)
@@ -38,7 +37,7 @@ from .families import DEFAULT_MONOID_CAP, SCOPES, Verdict, parse_family_label
 from .regex import Regex, parse_regex
 from .resources import KINDS, SearchCaps, count_resources, dfa_to_grammar, measure
 from .rlgrammar import grammar_to_text
-from .words import EMPTY_WORD, Alphabet, sort_words, word_from_text, word_to_text
+from .words import Alphabet, sort_words, word_from_text, word_to_text
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -127,19 +126,14 @@ def _cmd_classify(args) -> int:
     if args.regex is not None:
         r, d, u = _regex_language(args)
         if args.family is not None:
-            # same decision path as for grammar selections: wrap the language
-            # as the single selection of a throwaway grammar
+            # the decision path of a grammar's selections, on this language
             label = parse_family_label(args.family)
-            probe = ContextualGrammar(u, ((u.symbols[0],),), (
-                SelectionPair.from_regex(u, r, (Context(EMPTY_WORD, (u.symbols[0],)),)),))
-            res = selection_in_family(probe, label,
-                                      monoid_cap=caps["monoid_cap"],
-                                      caps=caps["search"])
-            pv = res.per_pair[0]
+            pv = _pair_family_verdict(0, SelectionPair.from_regex(u, r, ()), label,
+                                      caps["monoid_cap"], caps["search"])
             _emit(args, f"{label}: {pv.verdict}  # {pv.note}\n",
                   {"language": args.regex, "family": str(label),
                    "verdict": str(pv.verdict), "note": pv.note})
-            return _verdict_exit(res.overall)
+            return _verdict_exit(pv.verdict)
         report = classify(d, u, source_regex=r, language_name=args.regex,
                           monoid_cap=caps["monoid_cap"])
         _emit(args, report.to_text(), report.to_json_dict())

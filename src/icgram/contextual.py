@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .automata import (Dfa, _distance_to_accepting, _distinguishing, accepts,
-                       bfs_words, enumerate_regular, equivalent,
+from .automata import (Dfa, _distance_to_accepting, accepts, bfs_words,
+                       distinguishing_suffix, enumerate_regular, equivalent,
                        language_is_finite, minimize, nfa_to_dfa, regex_to_dfa)
 from .errors import (DecompositionMismatchError, InvalidGrammarError,
                      NonFiniteSelectionError, ResourceLimitError)
@@ -227,7 +227,7 @@ class _Compiled:
         contexts = tuple((ctx, self.encode(ctx.left), self.encode(ctx.right),
                           ctx.weight) for ctx in pair.contexts)
         slides = tuple(self.code[a] for a in d.alphabet if (t := step(d.initial, a))
-                       is not None and _distinguishing(d, d.initial, d, t) is None)
+                       is not None and distinguishing_suffix(d, d.initial, t) is None)
         return rows, acc, starts, contexts, slides
 
     def residue(self, s: str) -> tuple[int, ...]:

@@ -57,9 +57,6 @@ class RightLinearGrammar:
 
 # --- compilation to an NFA ----------------------------------------------
 
-_FIN = ("$fin",)
-
-
 def _unit_closure(g: RightLinearGrammar) -> dict[str, list[str]]:
     """closure[A] lists every B that A derives by unit rules (A -> B with
     empty word), A first, in breadth-first order with the nonterminals tried
@@ -77,67 +74,41 @@ def _unit_closure(g: RightLinearGrammar) -> dict[str, list[str]]:
 
 
 def grammar_to_nfa(g: RightLinearGrammar) -> Nfa:
-    """Compile to an epsilon-free NFA.
-
-    Word rules become chains of fresh states; unit rules are removed by
-    closure (every nonterminal inherits the outgoing moves and acceptance of
-    everything it unit-derives).
-    """
-    closure = _unit_closure(g)
-    states: set = set(g.nonterminals) | {_FIN}
-    base: dict[str, dict[str, set]] = {a: {} for a in g.nonterminals}
-    transitions: dict[tuple, set] = {}
-    for idx, r in enumerate(g.rules):
-        if not r.word:
-            continue
-        src: object = r.lhs
-        for i, sym in enumerate(r.word):
-            last = i == len(r.word) - 1
-            target = (r.successor if r.successor is not None else _FIN) if last \
-                else ("chain", idx, i + 1)
-            if not last:
-                states.add(target)
-            if i == 0:
-                base[r.lhs].setdefault(sym, set()).add(target)
-            else:
-                transitions.setdefault((src, sym), set()).add(target)
-            src = target
-    erasing = {a for a in g.nonterminals
-               if any(r.erasing for r in g.rules if r.lhs in closure[a])}
-    accepting = {_FIN} | erasing
-    merged: dict[tuple, frozenset] = {}
-    for a in g.nonterminals:
-        outs: dict[str, set] = {}
-        for b in closure[a]:
-            for sym, targets in base[b].items():
-                outs.setdefault(sym, set()).update(targets)
-        for sym, targets in outs.items():
-            merged[(a, sym)] = frozenset(targets)
-    for key, targets in transitions.items():
-        merged[key] = frozenset(targets)
-    return Nfa(frozenset(states), g.terminals, merged,
-               frozenset([g.start]), frozenset(accepting))
+    """Compile to an epsilon-free NFA: the strict form of
+    :func:`normalize_regular` read as an automaton, each rule ``A -> a B``
+    a move and each rule ``A -> @`` making ``A`` accepting."""
+    n = normalize_regular(g)
+    moves: dict[tuple[str, str], set[str]] = {}
+    for r in n.rules:
+        if r.word:
+            moves.setdefault((r.lhs, r.word[0]), set()).add(r.successor)
+    return Nfa(frozenset(n.nonterminals), n.terminals,
+               {key: frozenset(targets) for key, targets in moves.items()},
+               frozenset([n.start]), frozenset(r.lhs for r in n.rules if r.erasing))
 
 
 def normalize_regular(g: RightLinearGrammar) -> RightLinearGrammar:
     """Equivalent grammar in strict regular form: every rule is ``A -> a B``
-    or ``A -> @`` (no unit rules, no multi-symbol words)."""
+    or ``A -> @`` (no unit rules, no multi-symbol words).  Each nonterminal
+    takes the rules of everything it unit-derives; a word rule becomes a
+    chain of fresh nonterminals, named apart from every symbol of ``g``."""
     closure = _unit_closure(g)
-    prefix = fresh_prefix("_", g.nonterminals)
+    prefix = fresh_prefix("_", g.nonterminals + g.terminals.symbols)
     fin = prefix + "fin"
 
     def chain_name(idx: int, pos: int) -> str:
         return f"{prefix}{idx}_{pos}"
 
+    by_lhs: dict[str, list[tuple[int, Rule]]] = {a: [] for a in g.nonterminals}
+    for idx, r in enumerate(g.rules):
+        by_lhs[r.lhs].append((idx, r))
     new_rules: list[Rule] = []
     fresh: list[str] = []  # chain names are unique: each rule's chain is built once
     used_fin = False
     chains_done: set[int] = set()
     for a in g.nonterminals:
         for b in closure[a]:
-            for idx, r in enumerate(g.rules):
-                if r.lhs != b:
-                    continue
+            for idx, r in by_lhs[b]:
                 if r.erasing:
                     new_rules.append(Rule(a, EMPTY_WORD, None))
                 elif r.word:

@@ -29,8 +29,8 @@ from itertools import chain
 
 from .automata import (Dfa, access_words, bfs_words, complement,
                        distinguishing_suffix, distinguishing_word, ends_with_dfa,
-                       inclusion_witness, minimize, shortest_accepted,
-                       _longest_word_length, _pair_step, _useful_states)
+                       minimize, shortest_accepted, _longest_word_length,
+                       _pair_step, _pair_word, _useful_states)
 from .errors import (AlphabetMismatchError, InternalConsistencyError,
                      ResourceLimitError, UndecidedError)
 from .families import (CIRC, COMB, COMM, DEF, DEFAULT_MONOID_CAP, FAMILY_ORDER,
@@ -271,8 +271,7 @@ def _check_definite(an: _Analysis) -> tuple[bool, Evidence]:
 def _check_suffix_closed(an: _Analysis) -> tuple[bool, Evidence]:
     dm = an.dm
     for q in dm.states:
-        from_q = Dfa(dm.states, dm.alphabet, dm.delta, q, dm.accepting)
-        y = inclusion_witness(from_q, dm)
+        y = _pair_word(dm, q, dm, dm.initial, "difference")
         if y is not None:
             return False, Evidence(
                 "the first word is accepted but its suffix (second word) is not",

@@ -1,11 +1,14 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from icgram.automata import equivalent, minimize, nfa_to_dfa, regex_to_dfa
+import rlgrammar_oracle
+from icgram.automata import (enumerate_regular, equivalent, nfa_to_dfa,
+                             regex_to_dfa)
 from icgram.errors import InvalidGrammarError, TextFormatError
 from icgram.regex import parse_regex
 from icgram.rlgrammar import (RightLinearGrammar, Rule, bounded_words,
@@ -35,7 +38,6 @@ def test_bounded_words_oracle():
 
 def test_grammar_to_nfa_matches_bounded_words():
     for g, n in ((G_EVEN_A, 6), (G_ASTAR_B, 5)):
-        from icgram.automata import enumerate_regular
         assert enumerate_regular(_dfa(g), n) == bounded_words(g, n)
 
 
@@ -64,7 +66,7 @@ def test_normalize_regular_form_and_language():
                 assert rule.word == EMPTY_WORD
             else:
                 assert len(rule.word) == 1
-        assert equivalent(_dfa(g), _dfa(gn))
+        assert bounded_words(gn, 8) == bounded_words(g, 8)
 
 
 # unit rules fanning out to four nonterminals, with word and erasing rules
@@ -101,7 +103,45 @@ def test_normalize_regular_does_not_depend_on_string_hashing():
                               env=env, capture_output=True, text=True,
                               timeout=60, check=True)
         assert proc.stdout == want, seed
-    assert equivalent(_dfa(g), _dfa(normalize_regular(g)))
+    assert bounded_words(normalize_regular(g), 8) == bounded_words(g, 8)
+
+
+def test_normalize_regular_names_apart_from_terminals():
+    """Fresh names avoid the terminals too: ``_fin`` and ``_0_1`` are the
+    names the normal form would build for these grammars."""
+    for g in (RightLinearGrammar(("S",), Alphabet.of("a", "_fin"),
+                                 (Rule("S", ("a",), None),), "S"),
+              RightLinearGrammar(("S",), Alphabet.of("a", "_0_1"),
+                                 (Rule("S", ("a", "a"), "S"),
+                                  Rule("S", ("_0_1",), None)), "S")):
+        gn = normalize_regular(g)
+        assert not set(gn.nonterminals) & set(g.terminals)
+        assert bounded_words(gn, 5) == bounded_words(g, 5)
+        assert enumerate_regular(_dfa(g), 5) == bounded_words(g, 5)
+
+
+def _random_grammar(rng, alphabet):
+    nts = ("S", "A", "B", "C")[:rng.randint(1, 4)]
+    rules = tuple(Rule(rng.choice(nts),
+                       tuple(rng.choice(alphabet.symbols)
+                             for _ in range(rng.randint(0, 3))),
+                       rng.choice(nts + (None,)))
+                  for _ in range(rng.randint(0, 7)))
+    return RightLinearGrammar(nts, alphabet, rules, "S")
+
+
+def test_grammar_to_nfa_matches_the_direct_compiler_on_seeded_grammars():
+    """Reading the automaton off the normal form gives the same subset
+    automaton, state for state, as compiling word chains and unit closures
+    directly; both accept exactly the derivable words."""
+    rng = random.Random(3)
+    alphabets = (Alphabet.of("a"), U, Alphabet.of("a", "b", "c"),
+                 Alphabet.of("a", "_fin", "_0_1"))
+    for _ in range(4000):
+        g = _random_grammar(rng, rng.choice(alphabets))
+        d = nfa_to_dfa(grammar_to_nfa(g))
+        assert d == nfa_to_dfa(rlgrammar_oracle.grammar_to_nfa(g)), grammar_to_text(g)
+        assert enumerate_regular(d, 6) == bounded_words(g, 6), grammar_to_text(g)
 
 
 def test_grammar_validation():
