@@ -54,14 +54,8 @@ from .families import DEFAULT_MONOID_CAP, FamilyLabel, Verdict
 from .regex import Regex, alt, seq, word_regex, Star, Literal
 from .resources import SearchCaps, bounded_min_grammar, count_resources, min_states
 from .rlgrammar import RightLinearGrammar, Rule, grammar_to_nfa
-from .words import Alphabet, Word, sort_words, word_to_text
+from .words import Alphabet, Word, fresh_prefix, sort_words, word_to_text
 
-
-def _fresh_start_name(taken: Alphabet) -> str:
-    name = "S"
-    while name in taken:
-        name += "S"
-    return name
 
 DEFAULT_FRONTIER_CAP = 200_000
 
@@ -120,7 +114,7 @@ class SelectionPair:
                    contexts: Iterable[Context]) -> "SelectionPair":
         """Finite selection; keeps a one-nonterminal grammar as the source."""
         words = sort_words(set(words), declared)
-        start = _fresh_start_name(declared)
+        start = fresh_prefix("S", declared)
         g = RightLinearGrammar(
             (start,), declared,
             tuple(Rule(start, w, None) for w in words), start)
@@ -604,7 +598,7 @@ def split_definite_selection(
         if a_words:
             new_pairs.append(SelectionPair.from_words(u, a_words, pair.contexts))
         if b_words:
-            start = _fresh_start_name(u)
+            start = fresh_prefix("S", u)
             rules = tuple(Rule(start, (s,), start) for s in u) + \
                 tuple(Rule(start, w, None) for w in b_words)
             suffix_grammar = RightLinearGrammar((start,), u, rules, start)

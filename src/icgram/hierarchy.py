@@ -20,6 +20,7 @@ are first-class data rather than silent omissions).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .families import (CIRC, COMB, COMM, DEF, FIN, MON, NC, NIL, ORD, PS,
@@ -53,26 +54,24 @@ class HierarchyTable:
         """Edges that assert an inclusion (everything but ``unknown``)."""
         return frozenset(e for e in self.edges if e.status != UNKNOWN)
 
+    @cached_property
+    def reach(self) -> dict[FamilyLabel, set[FamilyLabel]]:
+        """Each node's families derivable over the known edges, itself
+        included (Warshall's closure), computed once per table."""
+        reach = {x: {x} for x in self.nodes}
+        for e in self.known_edges():
+            reach[e.src].add(e.dst)
+            if e.status == EQUAL:
+                reach[e.dst].add(e.src)
+        for k in self.nodes:
+            for x in self.nodes:
+                if k in reach[x]:
+                    reach[x] |= reach[k]
+        return reach
+
     def reachable(self, src: FamilyLabel, dst: FamilyLabel) -> bool:
         """Is an inclusion src ⊆ dst derivable from the known edges?"""
-        if src == dst:
-            return True
-        adj: dict[FamilyLabel, set[FamilyLabel]] = {}
-        for e in self.known_edges():
-            adj.setdefault(e.src, set()).add(e.dst)
-            if e.status == EQUAL:
-                adj.setdefault(e.dst, set()).add(e.src)
-        seen = {src}
-        stack = [src]
-        while stack:
-            x = stack.pop()
-            for y in adj.get(x, ()):
-                if y == dst:
-                    return True
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return False
+        return src == dst or dst in self.reach.get(src, ())
 
     def to_text(self) -> str:
         lines = [f"scope: {self.scope}",

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import Nfa, bfs_words
+from .automata import Nfa
 from .errors import AlphabetMismatchError, InvalidGrammarError, TextFormatError
 from .words import (EMPTY_WORD, Alphabet, Word, clean_lines, fresh_prefix,
                     word_from_text, word_to_text)
@@ -59,18 +59,25 @@ class RightLinearGrammar:
 
 def _unit_closure(g: RightLinearGrammar) -> dict[str, list[str]]:
     """closure[A] lists every B that A derives by unit rules (A -> B with
-    empty word), A first, in breadth-first order with the nonterminals tried
-    in declaration order, so it never depends on string hashing."""
+    empty word), A first, in breadth-first order with each nonterminal's
+    unit successors tried in declaration order, so it never depends on
+    string hashing."""
     units = {(r.lhs, r.successor) for r in g.rules
              if not r.word and r.successor is not None}
-    successors = {b for _, b in units}
-    targets = tuple(b for b in g.nonterminals if b in successors)
-
-    def step(x: str, b: str) -> str | None:
-        return b if (x, b) in units else None
-
-    return {a: [b for b, _ in bfs_words(a, step, targets)]
-            for a in g.nonterminals}
+    rank = {b: i for i, b in enumerate(g.nonterminals)}
+    succ: dict[str, list[str]] = {a: [] for a in g.nonterminals}
+    for a, b in sorted(units, key=lambda unit: rank[unit[1]]):
+        succ[a].append(b)
+    closure = {}
+    for a in g.nonterminals:
+        order, seen = [a], {a}
+        for x in order:  # the list grows as it is read: a breadth-first queue
+            for b in succ[x]:
+                if b not in seen:
+                    seen.add(b)
+                    order.append(b)
+        closure[a] = order
+    return closure
 
 
 def grammar_to_nfa(g: RightLinearGrammar) -> Nfa:

@@ -16,9 +16,11 @@ repetition witness, unknown in the remaining gap.
 The predicates, :func:`classify` and ``contextual.selection_in_family``
 decide through one :class:`_Analysis` of the minimal DFA, which runs each
 search that several checks share at most once.  :func:`classify` also
-cross-validates the verdicts against the known inclusions; a violation
-raises :class:`InternalConsistencyError` because it can only mean a bug in
-one of the deciders.
+checks its verdicts, with REG_Z(1) and REG_Z(2) read off the state count,
+against the known edges of the ``subregular`` table of :mod:`.hierarchy`,
+the one record of the inclusions; a family that holds reaching one that
+fails raises :class:`InternalConsistencyError`, because it can only mean a
+bug in one of the deciders.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .families import (CIRC, COMB, COMM, DEF, DEFAULT_MONOID_CAP, FAMILY_ORDER,
                        FIN, MON, NC, NIL, ORD, PS, REG, SUF, UF, FamilyLabel,
                        Verdict, label_sort_key, parse_family_label, reg_z,
                        rl_p, rl_v)
+from .hierarchy import hierarchy
 from .monoid import monoid_elements
 from .regex import Regex, is_union_free_syntax
 from .words import Alphabet, Word, word_to_text
@@ -50,19 +53,8 @@ class Evidence:
     words: tuple[Word, ...] = ()
 
 
-# Inclusions between structural families: (X, Y) reads "every X language is
-# a Y language".  classify() enforces these on its own verdicts.
-STRUCTURAL_IMPLICATIONS: tuple[tuple[FamilyLabel, FamilyLabel], ...] = (
-    (MON, NIL), (MON, SUF), (MON, COMM),
-    (FIN, NIL),
-    (NIL, DEF),
-    (COMB, DEF),
-    (DEF, ORD),
-    (ORD, NC),
-    (NC, PS),
-    (SUF, PS),
-    (COMM, CIRC),
-)
+# the one table of known inclusions that classify() checks its verdicts against
+_INCLUSIONS = hierarchy("subregular", 2)
 
 
 def _require_alphabet(d: Dfa, U: Alphabet) -> None:
@@ -681,19 +673,16 @@ def classify(d: Dfa, U: Alphabet, *, source_regex: Regex | None = None,
 
 
 def _cross_validate(report: FamilyReport) -> None:
-    v = report.verdicts
-    for x, y in STRUCTURAL_IMPLICATIONS:
-        if v[x] is Verdict.YES and v[y] is Verdict.NO:
+    """No family that holds may reach one that fails over the known edges
+    of the ``subregular`` table; REG_Z(k) holds exactly when the minimal
+    DFA has at most k states."""
+    v = dict(report.verdicts)
+    for k in (1, 2):
+        v[reg_z(k)] = Verdict.YES if report.min_state_count <= k else Verdict.NO
+    no = {y for y, vy in v.items() if vy is Verdict.NO}
+    for x, vx in v.items():
+        if vx is Verdict.YES and not _INCLUSIONS.reach[x].isdisjoint(no):
+            y = min(_INCLUSIONS.reach[x] & no, key=label_sort_key)
             raise InternalConsistencyError(
                 f"{x} holds but {y} does not for {report.language}: "
                 "violates a known inclusion")
-    if v[MON] is Verdict.YES and report.min_state_count != 1:
-        raise InternalConsistencyError("full language with more than one state")
-    if v[COMB] is Verdict.YES and report.min_state_count > 2:
-        raise InternalConsistencyError(
-            "final-symbol language needs more than two states")
-    if report.min_state_count == 1:
-        for label in (NIL, SUF, COMM, CIRC):
-            if v[label] is Verdict.NO:
-                raise InternalConsistencyError(
-                    f"one-state language fails {label}")

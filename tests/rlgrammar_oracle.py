@@ -3,19 +3,34 @@
 Word rules become chains of fresh states of their own, a shared final
 state ``_FIN`` ends every terminating rule, and unit rules are removed by
 closure: every nonterminal inherits the first moves and the acceptance of
-everything it unit-derives.
+everything it unit-derives.  The closure is the breadth-first search that
+``icgram.rlgrammar._unit_closure`` replaced, one ``bfs_words`` per
+nonterminal with every unit target as a letter.
 ``tests/test_rlgrammar.py`` checks ``icgram.rlgrammar.grammar_to_nfa``,
-which reads the automaton off ``normalize_regular``, against it.
+which reads the automaton off ``normalize_regular``, and ``_unit_closure``
+against them.
 """
 
-from icgram.automata import Nfa
-from icgram.rlgrammar import _unit_closure
+from icgram.automata import Nfa, bfs_words
 
 _FIN = ("$fin",)
 
 
+def unit_closure(g):
+    units = {(r.lhs, r.successor) for r in g.rules
+             if not r.word and r.successor is not None}
+    successors = {b for _, b in units}
+    targets = tuple(b for b in g.nonterminals if b in successors)
+
+    def step(x, b):
+        return b if (x, b) in units else None
+
+    return {a: [b for b, _ in bfs_words(a, step, targets)]
+            for a in g.nonterminals}
+
+
 def grammar_to_nfa(g):
-    closure = _unit_closure(g)
+    closure = unit_closure(g)
     states = set(g.nonterminals) | {_FIN}
     base = {a: {} for a in g.nonterminals}
     transitions = {}

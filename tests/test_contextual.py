@@ -13,7 +13,7 @@ from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
 from icgram.errors import (AlphabetMismatchError, DecompositionMismatchError,
                            InvalidGrammarError, NonFiniteSelectionError,
                            ResourceLimitError)
-from icgram.regex import parse_regex
+from icgram.regex import Literal, Star, alt, parse_regex, seq
 from icgram.subregular import Verdict, parse_family_label
 from icgram.witnesses import build_witness
 from icgram.words import Alphabet, all_words, word_from_text, word_to_text
@@ -271,6 +271,21 @@ def test_split_definite_verifies_the_decomposition():
         split_definite_selection(g, [([("a", "b")], [("b",)])])
     with pytest.raises(DecompositionMismatchError):
         split_definite_selection(g, [])
+
+
+def test_certificate_start_is_named_apart_from_every_symbol():
+    """The one nonterminal of a word-set or suffix certificate is the
+    shortest run of ``S`` that no selection symbol starts with."""
+    u = Alphabet.of("Sa", "b")
+    sel = alt([Literal("Sa"), seq([Star(alt([Literal("Sa"), Literal("b")])),
+                                   Literal("b")])])
+    g = ContextualGrammar(u, (("b",),), (SelectionPair.from_regex(
+        u, sel, (Context(("Sa",), ()),)),))
+    split = split_definite_selection(g, [([("Sa",)], [("b",)])])
+    assert [p.source_grammar.start for p in split.pairs] == ["SS", "SS"]
+    assert enumerate_ic(split, 4) == enumerate_ic(g, 4)
+    assert SelectionPair.from_words(Alphabet.of("S", "SSx"), [("S",)],
+                                    ()).source_grammar.start == "SSS"
 
 
 # --- selection families ---------------------------------------------------------

@@ -25,6 +25,41 @@ def test_subregular_reachability():
     assert not t.reachable(REG, FIN)
 
 
+# inclusions that classify()'s cross-check must catch a breach of, its
+# state-count rules among them as REG_Z(k) edges
+CROSS_CHECKED = [
+    (MON, NIL), (MON, SUF), (MON, COMM), (FIN, NIL), (NIL, DEF), (COMB, DEF),
+    (DEF, ORD), (ORD, NC), (NC, PS), (SUF, PS), (COMM, CIRC),
+    (MON, reg_z(1)), (COMB, reg_z(2)),
+    (reg_z(1), NIL), (reg_z(1), SUF), (reg_z(1), COMM), (reg_z(1), CIRC)]
+
+
+@pytest.mark.parametrize("src, dst", CROSS_CHECKED)
+def test_subregular_table_derives_every_cross_checked_inclusion(src, dst):
+    assert hierarchy("subregular", 2).reachable(src, dst)
+
+
+def test_reachable_agrees_with_a_search_over_the_edges():
+    """The closure computed once per table answers as a fresh depth-first
+    search over the known edges, both ways along ``equal``, would."""
+    for scope in SCOPES:
+        t = hierarchy(scope)
+        adj = {x: set() for x in t.nodes}
+        for e in t.edges:
+            if e.status != UNKNOWN:
+                adj[e.src].add(e.dst)
+                if e.status == EQUAL:
+                    adj[e.dst].add(e.src)
+        for src in t.nodes:
+            seen, stack = {src}, [src]
+            while stack:
+                for y in adj[stack.pop()] - seen:
+                    seen.add(y)
+                    stack.append(y)
+            assert {y for y in t.nodes if t.reachable(src, y)} == seen, src
+        assert t.reach is t.reach
+
+
 def test_equal_edges_travel_both_ways():
     t = hierarchy("merged")
     assert t.reachable(MON, reg_z(1)) and t.reachable(reg_z(1), MON)

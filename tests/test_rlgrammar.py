@@ -13,7 +13,7 @@ from icgram.errors import InvalidGrammarError, TextFormatError
 from icgram.regex import parse_regex
 from icgram.rlgrammar import (RightLinearGrammar, Rule, bounded_words,
                               grammar_to_nfa, grammar_to_text,
-                              normalize_regular, parse_grammar)
+                              normalize_regular, parse_grammar, _unit_closure)
 from icgram.words import EMPTY_WORD, Alphabet
 
 U = Alphabet.of("a", "b")
@@ -120,6 +120,25 @@ def test_normalize_regular_names_apart_from_terminals():
         assert enumerate_regular(_dfa(g), 5) == bounded_words(g, 5)
 
 
+def test_a_long_unit_chain_normalizes_to_one_rule_per_link():
+    """``A0 -> A1 -> ... -> A399 -> a``: each link unit-derives the one word
+    rule at the end, so the normal form has 400 rules ``Ai -> a _fin`` and
+    ``_fin -> @``, and the language is {a}.  Each closure is walked along
+    its own unit successors, not over every unit target per node."""
+    nts = tuple(f"A{i}" for i in range(400))
+    g = RightLinearGrammar(
+        nts, Alphabet.of("a"),
+        tuple(Rule(a, EMPTY_WORD, b) for a, b in zip(nts, nts[1:]))
+        + (Rule(nts[-1], ("a",), None),), "A0")
+    assert _unit_closure(g)["A0"] == list(nts)
+    gn = normalize_regular(g)
+    assert len(gn.rules) == 401
+    assert gn.rules[:2] == (Rule("A0", ("a",), "_fin"), Rule("A1", ("a",), "_fin"))
+    assert gn.rules[-1] == Rule("_fin", EMPTY_WORD, None)
+    assert bounded_words(gn, 3) == bounded_words(g, 3) == {("a",)}
+    assert enumerate_regular(_dfa(g), 3) == {("a",)}
+
+
 def _random_grammar(rng, alphabet):
     nts = ("S", "A", "B", "C")[:rng.randint(1, 4)]
     rules = tuple(Rule(rng.choice(nts),
@@ -133,12 +152,14 @@ def _random_grammar(rng, alphabet):
 def test_grammar_to_nfa_matches_the_direct_compiler_on_seeded_grammars():
     """Reading the automaton off the normal form gives the same subset
     automaton, state for state, as compiling word chains and unit closures
-    directly; both accept exactly the derivable words."""
+    directly; both accept exactly the derivable words, and the unit
+    closures list the same nonterminals in the same order."""
     rng = random.Random(3)
     alphabets = (Alphabet.of("a"), U, Alphabet.of("a", "b", "c"),
                  Alphabet.of("a", "_fin", "_0_1"))
     for _ in range(4000):
         g = _random_grammar(rng, rng.choice(alphabets))
+        assert _unit_closure(g) == rlgrammar_oracle.unit_closure(g), grammar_to_text(g)
         d = nfa_to_dfa(grammar_to_nfa(g))
         assert d == nfa_to_dfa(rlgrammar_oracle.grammar_to_nfa(g)), grammar_to_text(g)
         assert enumerate_regular(d, 6) == bounded_words(g, 6), grammar_to_text(g)

@@ -14,11 +14,13 @@ from icgram.automata import (Dfa, accepts, complement, dfa_to_table, equivalent,
                              word_set_dfa)
 from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
                                selection_in_family)
-from icgram.errors import ResourceLimitError, UndecidedError
+from icgram.errors import (InternalConsistencyError, ResourceLimitError,
+                           UndecidedError)
+from icgram.hierarchy import hierarchy
 from icgram.regex import parse_regex
 from icgram.resources import min_states
 from icgram.subregular import (CIRC, COMB, COMM, DEF, FIN, MON, NC, NIL, ORD,
-                               PS, REG, SUF, UF, STRUCTURAL_IMPLICATIONS,
+                               PS, REG, SUF, UF, Evidence,
                                Verdict, classify, is_circular,
                                is_combinational, is_commutative, is_definite,
                                is_finite, is_monoidal, is_nilpotent,
@@ -448,13 +450,32 @@ def test_implications_hold_on_random_dfas(seed, n_states, n_letters):
     u = Alphabet(("a", "b", "c")[:n_letters])
     d = random_dfa(rng, n_states, u)
     rep = classify(d, u, monoid_cap=50_000)
-    for src, dst in STRUCTURAL_IMPLICATIONS:
-        if rep.verdicts[src] is Verdict.YES:
-            assert rep.verdicts[dst] is not Verdict.NO, (src, dst)
+    table = hierarchy("subregular", 2)
+    for src, dst in itertools.product(rep.verdicts, repeat=2):
+        if rep.verdicts[src] is Verdict.YES and rep.verdicts[dst] is Verdict.NO:
+            assert not table.reachable(src, dst), (src, dst)
     if rep.verdicts[COMB] is Verdict.YES:
         assert rep.min_state_count <= 2
     if rep.verdicts[MON] is Verdict.YES:
         assert rep.min_state_count == 1
+
+
+def test_cross_check_catches_a_decider_that_breaks_an_inclusion(monkeypatch):
+    """DEF answering no on a finite language contradicts FIN -> NIL -> DEF."""
+    monkeypatch.setitem(subregular._CHECKS, DEF,
+                        lambda an: (False, Evidence("patched")))
+    with pytest.raises(InternalConsistencyError, match="FIN holds but DEF"):
+        classify(_dfa("ab", UAB), UAB)
+
+
+def test_cross_check_reads_the_state_count_as_reg_z(monkeypatch):
+    """MON answering yes on {ε}, whose minimal DFA has two states, breaks
+    MON -> REG_Z(1); every other family MON reaches holds on {ε}."""
+    monkeypatch.setitem(subregular._CHECKS, MON,
+                        lambda an: (True, Evidence("patched")))
+    with pytest.raises(InternalConsistencyError,
+                       match=re.escape("MON holds but REG_Z(1) does not")):
+        classify(_dfa("()", UA), UA)
 
 
 @settings(max_examples=60, deadline=None)
