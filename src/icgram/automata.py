@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
-from .errors import AlphabetMismatchError, InvalidAutomatonError, TextFormatError
+from .errors import (AlphabetMismatchError, InvalidAutomatonError, TextFormatError,
+                     at_line)
 from .regex import (EmptyLang, EmptyWord, Literal, Concat, Union, Star, Regex,
                     literal_symbols, simplify_empty)
 from .words import EMPTY_WORD, Alphabet, Word, clean_lines
@@ -505,10 +506,8 @@ def _parse_dfa_lines(lines: list[tuple[int, str]]) -> Dfa:
     if not state_names:
         raise TextFormatError("empty state list", line=lines[0][0])
     ln_a, sym_names = split_header(1, "alphabet")
-    try:
+    with at_line(ln_a):
         alphabet = Alphabet(tuple(sym_names))
-    except ValueError as e:
-        raise TextFormatError(str(e), line=ln_a) from None
     ln_i, initial = split_header(2, "initial")
     if len(initial) != 1 or initial[0] not in state_names:
         raise TextFormatError("initial must name exactly one known state", line=ln_i)
@@ -531,10 +530,8 @@ def _parse_dfa_lines(lines: list[tuple[int, str]]) -> Dfa:
         if (q, a) in delta:
             raise TextFormatError(f"duplicate transition for ({q}, {a})", line=ln)
         delta[(q, a)] = t
-    try:
+    with at_line(lines[0][0]):
         return Dfa(tuple(state_names), alphabet, delta, initial[0], frozenset(accepting))
-    except InvalidAutomatonError as e:
-        raise TextFormatError(str(e), line=lines[0][0]) from None
 
 
 def parse_dfa_table(text: str) -> Dfa:

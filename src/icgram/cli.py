@@ -27,9 +27,9 @@ from pathlib import Path
 
 from .automata import Dfa, dfa_to_table, enumerate_regular, minimize, regex_to_dfa
 from .contextual import (DEFAULT_FRONTIER_CAP, ContextualGrammar,
-                         DerivationStep, SelectionPair, _pair_family_verdict,
-                         derive_step, enumerate_ic, member_ic, member_trace,
-                         selection_in_family, split_finite_selection)
+                         DerivationStep, derive_step, enumerate_ic, member_ic,
+                         member_trace, selection_in_family,
+                         split_finite_selection)
 from .ctxformat import format_contextual, parse_contextual
 from .errors import (IcgramError, InternalConsistencyError,
                      InvalidGrammarError, ResourceLimitError, TextFormatError)
@@ -120,7 +120,7 @@ def _verdict_exit(v: Verdict) -> int:
 # --- commands -------------------------------------------------------------
 
 def _cmd_classify(args) -> int:
-    from .subregular import classify
+    from .subregular import _family_verdict, classify
     caps = _parse_caps(args.caps)
     _check_one_language(args)
     if args.regex is not None:
@@ -128,12 +128,12 @@ def _cmd_classify(args) -> int:
         if args.family is not None:
             # the decision path of a grammar's selections, on this language
             label = parse_family_label(args.family)
-            pv = _pair_family_verdict(0, SelectionPair.from_regex(u, r, ()), label,
-                                      caps["monoid_cap"], caps["search"])
-            _emit(args, f"{label}: {pv.verdict}  # {pv.note}\n",
+            v, note = _family_verdict(d, label, caps["monoid_cap"],
+                                      caps["search"], source_regex=r)
+            _emit(args, f"{label}: {v}  # {note}\n",
                   {"language": args.regex, "family": str(label),
-                   "verdict": str(pv.verdict), "note": pv.note})
-            return _verdict_exit(pv.verdict)
+                   "verdict": str(v), "note": note})
+            return _verdict_exit(v)
         report = classify(d, u, source_regex=r, language_name=args.regex,
                           monoid_cap=caps["monoid_cap"])
         _emit(args, report.to_text(), report.to_json_dict())

@@ -10,16 +10,17 @@ word, which is what makes bounded enumeration and exact membership both
 terminate.
 
 The engine compiles each grammar once, on first use: words become ``str``
-with one character per symbol, and each selection DFA becomes rows over its
-live states and, when some symbol cannot start an infix, a compiled finder
-of the positions one can start at (see :class:`_Compiled`).  The forward
-step and enumeration wrap contexts around the selected infixes that one
-scan of an encoded word finds, :func:`_spans`; enumeration runs its closure
-on encoded words in length order, builds the tuple form of a word only
-when the word is new, and skips steps that only repeat a word: empty-infix
-steps commute, so they go at increasing positions, and an infix that the
-selection and context also allow one symbol further left is taken only
-there (see :func:`enumerate_ic`).  The inverse step,
+with one character per symbol, and each selection becomes rows over the
+states of its minimal DFA, the dead state left out, and, when some symbol
+cannot start an infix, a compiled finder of the positions one can start at
+(see :class:`_Compiled`).  The forward step and enumeration wrap contexts
+around the selected infixes that one scan of an encoded word finds,
+:func:`_spans`; enumeration runs its closure on encoded words in length
+order, builds the tuple form of a word only when the word is new, and
+skips steps that only repeat a word: empty-infix steps commute, so they go
+at increasing positions, and an infix that the selection and context also
+allow one symbol further left is taken only there (see
+:func:`enumerate_ic`).  The inverse step,
 :func:`_predecessor_steps`, is one lazy generator that runs the same rows
 from each infix start a context's left side ends at, and strips the
 contexts that enclose a selected infix.
@@ -45,14 +46,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .automata import (Dfa, _distance_to_accepting, accepts, bfs_words,
-                       distinguishing_suffix, enumerate_regular, equivalent,
-                       language_is_finite, minimize, nfa_to_dfa, regex_to_dfa)
+from .automata import (Dfa, _useful_states, accepts, enumerate_regular,
+                       equivalent, language_is_finite, minimize, nfa_to_dfa,
+                       regex_to_dfa)
 from .errors import (DecompositionMismatchError, InvalidGrammarError,
                      NonFiniteSelectionError, ResourceLimitError)
 from .families import DEFAULT_MONOID_CAP, FamilyLabel, Verdict
 from .regex import Regex, alt, seq, word_regex, Star, Literal
-from .resources import SearchCaps, bounded_min_grammar, count_resources, min_states
+from .resources import SearchCaps
 from .rlgrammar import RightLinearGrammar, Rule, grammar_to_nfa
 from .words import Alphabet, Word, fresh_prefix, sort_words, word_to_text
 
@@ -150,21 +151,22 @@ class _Compiled:
 
     Words are encoded as ``str``, one character per symbol (``chr(k)`` for
     the k-th alphabet symbol), so slicing and hashing a long word is cheap;
-    ``code`` and ``symbol`` map between the two forms.  Per pair, the live
-    states of the selection DFA (those that can still accept) reachable
-    from its initial state are numbered from 0, the initial one; ``rows[q]``
-    maps a code to the next live state, with no entry for a foreign symbol
-    or a move into a dead state, and ``acc[q]`` tells whether q accepts.
-    The rows are empty when the initial state is dead.  Unless row 0 is
-    empty or has every code, ``starts`` is the ``finditer`` of a class over
-    row 0's codes, which finds in C the only positions a non-empty infix
-    can start at; otherwise it is None (a finder that matches nearly every
-    position costs more than it saves).  ``slides`` has the codes that lead
-    from the initial state to a state of the same language (a pair walk:
-    the DFA need not be minimal).  Each context comes as ``(context,
-    encoded left, encoded right, weight)``, and each pair as ``(rows, acc,
-    starts, contexts, slides)``.  ``plans`` keeps, per room up to
-    ``widest`` (the widest context), the steps :func:`enumerate_ic` tries.
+    ``code`` and ``symbol`` map between the two forms.  Per pair, the rows
+    are those of the selection's minimal DFA (:func:`minimize`) but its
+    dead state, the one that cannot accept, numbered as there with that
+    state left out, so the initial state is 0; ``rows[q]`` maps a code to
+    the next state, with no entry for a foreign symbol or a move into the
+    dead state, and ``acc[q]`` tells whether q accepts.  The rows are empty
+    when the selection is.  Unless row 0 is empty or has every code,
+    ``starts`` is the ``finditer`` of a class over row 0's codes, which
+    finds in C the only positions a non-empty infix can start at;
+    otherwise it is None (a finder that matches nearly every position costs
+    more than it saves).  ``slides`` has the codes that loop at the initial
+    state: in a minimal DFA, a letter that keeps the language keeps the
+    state.  Each context comes as ``(context, encoded left, encoded right,
+    weight)``, and each pair as ``(rows, acc, starts, contexts, slides)``.
+    ``plans`` keeps, per room up to ``widest`` (the widest context), the
+    steps :func:`enumerate_ic` tries.
 
     ``lattice`` is an echelon basis, ``(pivot column, row)`` pairs with
     positive pivots by column, of the lattice spanned by the Parikh vectors
@@ -205,23 +207,19 @@ class _Compiled:
                                 for rows, acc, starts, *_ in live)}
 
     def _pair(self, pair: SelectionPair):
-        d = pair.dfa
-        live = _distance_to_accepting(d)
-        step = lambda q, a: t if (t := d.delta[(q, a)]) in live else None
-        order = ([q for q, _ in bfs_words(d.initial, step, d.alphabet)]
-                 if d.initial in live else [])
-        number = {q: k for k, q in enumerate(order)}
-        rows = tuple({self.code[a]: number[t] for a in d.alphabet
-                      if (t := step(q, a)) is not None} for q in order)
-        acc = tuple(q in d.accepting for q in order)
+        dm = minimize(pair.dfa)
+        useful = _useful_states(dm)
+        number = {q: k for k, q in enumerate(q for q in dm.states if q in useful)}
+        rows = tuple({self.code[a]: number[t] for a, row in zip(dm.alphabet, dm.rows)
+                      if (t := row[q]) in number} for q in number)
+        acc = tuple(q in dm.accepting for q in number)
         starts = None
         if rows and 0 < len(rows[0]) < len(self.code):
             codes = "".join(map(re.escape, rows[0]))
             starts = re.compile(f"[{codes}]").finditer
         contexts = tuple((ctx, self.encode(ctx.left), self.encode(ctx.right),
                           ctx.weight) for ctx in pair.contexts)
-        slides = tuple(self.code[a] for a in d.alphabet if (t := step(d.initial, a))
-                       is not None and distinguishing_suffix(d, d.initial, t) is None)
+        slides = tuple(c for c, t in rows[0].items() if t == 0) if rows else ()
         return rows, acc, starts, contexts, slides
 
     def residue(self, s: str) -> tuple[int, ...]:
@@ -333,13 +331,13 @@ def _spans(rows: tuple[dict, ...], acc: tuple[bool, ...], starts, s: str,
     """Every ``(i, j)`` with ``s[i:j]`` in a pair's selection, ordered by
     ``i`` and then ``j``, for the forward step and :func:`enumerate_ic`.
     ``s`` is an encoded word and ``rows``/``acc``/``starts`` are the pair's
-    compiled live states and start finder (see :class:`_Compiled`).  With a
+    compiled rows and start finder (see :class:`_Compiled`).  With a
     finder, only the positions it matches, those whose code has an entry in
     row 0, can start a non-empty infix; else every position is tried.  Given
     a string of codes ``skip``, only non-empty infixes are found, none of
     them right after a code in ``skip``.  The scan runs once from each start
     and stops at a code with no entry in the current row: a symbol outside
-    the subalphabet, or a move into a dead state."""
+    the subalphabet, or a move into the dead state."""
     if not rows:
         return
     n = len(s)
@@ -627,17 +625,16 @@ def selection_in_family(g: ContextualGrammar, label: FamilyLabel, *,
                         monoid_cap: int = DEFAULT_MONOID_CAP,
                         caps: SearchCaps = SearchCaps()
                         ) -> SelectionFamilyResult:
-    """Do all selection languages of ``g`` lie in the given family?
-
-    Structural families are decided outright (NC/PS up to the monoid cap).
-    Nonterminal/rule bounds are semi-decided: yes when a small enough grammar
-    is in hand or is found by bounded search, unknown otherwise.  State
-    bounds are exact.
-    """
+    """Do all selection languages of ``g`` lie in the given family?  Each
+    is decided by ``subregular._family_verdict``: structural families and
+    state bounds outright (NC/PS up to the monoid cap), nonterminal/rule
+    bounds up to a yes."""
+    from .subregular import _family_verdict  # the deciders load here
     ensure_valid(g)
-    per_pair: list[PairVerdict] = []
-    for i, pair in enumerate(g.pairs):
-        per_pair.append(_pair_family_verdict(i, pair, label, monoid_cap, caps))
+    per_pair = [PairVerdict(i, *_family_verdict(
+                    pair.dfa, label, monoid_cap, caps,
+                    pair.source_regex, pair.source_grammar))
+                for i, pair in enumerate(g.pairs)]
     if any(pv.verdict is Verdict.NO for pv in per_pair):
         overall = Verdict.NO
     elif all(pv.verdict is Verdict.YES for pv in per_pair):
@@ -645,42 +642,3 @@ def selection_in_family(g: ContextualGrammar, label: FamilyLabel, *,
     else:
         overall = Verdict.UNKNOWN
     return SelectionFamilyResult(label, overall, tuple(per_pair))
-
-
-def _pair_family_verdict(i: int, pair: SelectionPair, label: FamilyLabel,
-                         monoid_cap: int, caps: SearchCaps) -> PairVerdict:
-    from .subregular import _Analysis, union_free_syntax  # the deciders load here
-    kind = label.kind
-    if label.structural and kind != "UF":
-        v, ev = _Analysis(minimize(pair.dfa), monoid_cap).decide(label)
-        return PairVerdict(i, v, ev.note)
-    if kind == "REG":
-        return PairVerdict(i, Verdict.YES, "regular by construction")
-    if kind == "UF":
-        if pair.source_regex is not None:
-            v = union_free_syntax(pair.source_regex)
-            note = ("union-free expression as written" if v is Verdict.YES
-                    else "expression uses union; syntactic check only")
-            return PairVerdict(i, v, note)
-        return PairVerdict(i, Verdict.UNKNOWN, "no source expression retained")
-    if kind == "REG_Z":
-        m = min_states(pair.dfa)
-        ok = m <= label.n
-        return PairVerdict(i, Verdict.YES if ok else Verdict.NO,
-                           f"minimal complete automaton has {m} "
-                           f"state{'' if m == 1 else 's'}")
-    assert kind in ("RL_V", "RL_P")
-    want = 0 if kind == "RL_V" else 1
-    if pair.source_grammar is not None:
-        have = count_resources(pair.source_grammar)[want]
-        if have <= label.n:
-            noun = "nonterminal" if want == 0 else "rule"
-            return PairVerdict(i, Verdict.YES,
-                               f"selection grammar as written has {have} "
-                               f"{noun}{'' if have == 1 else 's'}")
-    m = bounded_min_grammar(pair.dfa, "nonterminals" if want == 0 else "rules",
-                            caps)
-    if m.upper <= label.n:
-        return PairVerdict(i, Verdict.YES, f"certificate found: {m.note}")
-    return PairVerdict(i, Verdict.UNKNOWN,
-                       f"no small enough grammar within caps ({m.note})")

@@ -31,9 +31,11 @@ trip is stable from the first re-parse onwards.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .automata import _parse_dfa_lines, dfa_to_table
 from .contextual import Context, ContextualGrammar, SelectionPair
-from .errors import AlphabetMismatchError, TextFormatError
+from .errors import TextFormatError, at_line
 from .regex import format_regex, parse_regex
 from .rlgrammar import grammar_to_text, parse_grammar_lines
 from .words import Alphabet, clean_lines, word_from_text, word_to_text
@@ -78,11 +80,9 @@ def _parse_context(body: str, alphabet: Alphabet, ln: int) -> Context:
     if inner.count(",") != 1:
         raise TextFormatError("context needs exactly one comma", line=ln)
     left_text, right_text = (part.strip() for part in inner.split(","))
-    try:
+    with at_line(ln):
         return Context(word_from_text(left_text, alphabet),
                        word_from_text(right_text, alphabet))
-    except AlphabetMismatchError as e:
-        raise TextFormatError(str(e), line=ln) from None
 
 
 def parse_contextual(text: str) -> ContextualGrammar:
@@ -94,19 +94,15 @@ def parse_contextual(text: str) -> ContextualGrammar:
     ln, first = lines[pos]
     if not first.startswith("alphabet:"):
         raise TextFormatError("grammar starts with an 'alphabet:' line", line=ln)
-    try:
+    with at_line(ln):
         alphabet = Alphabet(tuple(first[len("alphabet:"):].split()))
-    except ValueError as e:
-        raise TextFormatError(str(e), line=ln) from None
     pos += 1
 
     axioms = []
     while pos < len(lines) and lines[pos][1].startswith("axiom:"):
         ln, t = lines[pos]
-        try:
+        with at_line(ln):
             axioms.append(word_from_text(t[len("axiom:"):], alphabet))
-        except AlphabetMismatchError as e:
-            raise TextFormatError(str(e), line=ln) from None
         pos += 1
 
     pairs = []
@@ -127,10 +123,8 @@ def _parse_pair(lines: list[tuple[int, str]], pos: int,
         ln = lines[pos][0] if pos < len(lines) else lines[-1][0]
         raise TextFormatError("pair starts with its 'alphabet:' line", line=ln)
     ln, t = lines[pos]
-    try:
+    with at_line(ln):
         declared = Alphabet(tuple(t[len("alphabet:"):].split()))
-    except ValueError as e:
-        raise TextFormatError(str(e), line=ln) from None
     pos += 1
 
     if pos >= len(lines):
@@ -176,18 +170,11 @@ def _parse_pair(lines: list[tuple[int, str]], pos: int,
         if regex_text:
             raise TextFormatError("grammar selections start on the next line",
                                   line=sel_line)
-        g = parse_grammar_lines(block)
-        pair = SelectionPair.from_grammar(g, contexts)
-        if g.terminals != declared:
-            # keep the declared alphabet authoritative; validate() reports it
-            pair = SelectionPair(declared, pair.dfa, pair.contexts,
-                                 source_grammar=g)
+        pair = SelectionPair.from_grammar(parse_grammar_lines(block), contexts)
     else:
         if regex_text:
             raise TextFormatError("dfa selections start on the next line",
                                   line=sel_line)
-        d = _parse_dfa_lines(block)
-        pair = SelectionPair.from_dfa(d, contexts)
-        if d.alphabet != declared:
-            pair = SelectionPair(declared, d, pair.contexts)
-    return pair, pos
+        pair = SelectionPair.from_dfa(_parse_dfa_lines(block), contexts)
+    # the declared alphabet stays authoritative; validate() reports a mismatch
+    return replace(pair, declared_alphabet=declared), pos

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class IcgramError(Exception):
     """Base class for all errors raised by this package."""
@@ -63,3 +65,14 @@ class DecompositionMismatchError(IcgramError):
 
 class InternalConsistencyError(IcgramError):
     """Cross-validation of decision procedures failed; indicates a bug, not bad input."""
+
+
+@contextmanager
+def at_line(line: int = 1):
+    """Re-raise a bad alphabet, symbol or object met while reading a text
+    format as a :class:`TextFormatError` at ``line``, with its message."""
+    try:
+        yield
+    except (ValueError, AlphabetMismatchError, InvalidAutomatonError,
+            InvalidGrammarError) as e:
+        raise TextFormatError(str(e), line=line) from None

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import TextFormatError
+from .errors import TextFormatError, at_line
 
 DEFAULT_MONOID_CAP = 10_000  # elements of a transition monoid
 
@@ -93,14 +93,10 @@ def parse_family_label(text: str) -> FamilyLabel:
             n = int(rest[:-1])
         except ValueError:
             raise TextFormatError(f"malformed family bound in {text!r}") from None
-        try:
+        with at_line():
             return FamilyLabel(kind.strip(), n)
-        except ValueError as e:
-            raise TextFormatError(str(e)) from None
-    try:
+    with at_line():
         return FamilyLabel(text)
-    except ValueError as e:
-        raise TextFormatError(str(e)) from None
 
 
 def label_sort_key(label: FamilyLabel) -> tuple:

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .automata import Nfa
-from .errors import AlphabetMismatchError, InvalidGrammarError, TextFormatError
+from .errors import InvalidGrammarError, TextFormatError, at_line
 from .words import (EMPTY_WORD, Alphabet, Word, clean_lines, fresh_prefix,
                     word_from_text, word_to_text)
 
@@ -197,10 +197,8 @@ def _parse_rule_rhs(tokens: list[str], nonterminals: set[str],
     for tok in tokens:
         if tok == "@":
             raise TextFormatError("'@' must stand alone", line=line)
-        try:
+        with at_line(line):
             word = word + word_from_text(tok, terminals)
-        except AlphabetMismatchError as e:
-            raise TextFormatError(str(e), line=line) from None
     return word, successor
 
 
@@ -222,10 +220,8 @@ def parse_grammar_lines(lines: list[tuple[int, str]]) -> RightLinearGrammar:
     nts = headers["nonterminals"][1]
     if not nts:
         raise TextFormatError("empty nonterminal list", line=headers["nonterminals"][0])
-    try:
+    with at_line(headers["terminals"][0]):
         terminals = Alphabet(tuple(headers["terminals"][1]))
-    except ValueError as e:
-        raise TextFormatError(str(e), line=headers["terminals"][0]) from None
     if len(headers["start"][1]) != 1:
         raise TextFormatError("start line must name one nonterminal",
                               line=headers["start"][0])
@@ -241,7 +237,5 @@ def parse_grammar_lines(lines: list[tuple[int, str]]) -> RightLinearGrammar:
             raise TextFormatError(f"unknown nonterminal {lhs!r}", line=ln)
         word, successor = _parse_rule_rhs(rhs_text.split(), nt_set, terminals, ln)
         rules.append(Rule(lhs, word, successor))
-    try:
+    with at_line(lines[0][0]):
         return RightLinearGrammar(tuple(nts), terminals, tuple(rules), start)
-    except InvalidGrammarError as e:
-        raise TextFormatError(str(e), line=lines[0][0]) from None

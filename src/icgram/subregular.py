@@ -13,7 +13,9 @@ already {a b} has an unorderable minimal automaton).  The check here is
 three-valued — yes with an explicit order or a definite bound, no with a
 repetition witness, unknown in the remaining gap.
 
-The predicates, :func:`classify` and ``contextual.selection_in_family``
+The predicates, :func:`classify` and :func:`_family_verdict`, the one
+answer to "is this selection in that family" of
+``contextual.selection_in_family`` and ``classify --regex --family``,
 decide through one :class:`_Analysis` of the minimal DFA, which runs each
 search that several checks share at most once.  :func:`classify` also
 checks its verdicts, with REG_Z(1) and REG_Z(2) read off the state count,
@@ -42,6 +44,8 @@ from .families import (CIRC, COMB, COMM, DEF, DEFAULT_MONOID_CAP, FAMILY_ORDER,
 from .hierarchy import hierarchy
 from .monoid import monoid_elements
 from .regex import Regex, is_union_free_syntax
+from .resources import SearchCaps, bounded_min_grammar, count_resources
+from .rlgrammar import RightLinearGrammar
 from .words import Alphabet, Word, word_to_text
 
 
@@ -587,6 +591,48 @@ def union_free_syntax(r: Regex) -> Verdict:
     empty-language constant); UNKNOWN otherwise — the language may still have
     a union-free expression."""
     return Verdict.YES if is_union_free_syntax(r) else Verdict.UNKNOWN
+
+
+def _family_verdict(d: Dfa, label: FamilyLabel, monoid_cap: int,
+                    caps: SearchCaps, source_regex: Regex | None = None,
+                    source_grammar: RightLinearGrammar | None = None
+                    ) -> tuple[Verdict, str]:
+    """Verdict and note on whether ``L(d)`` lies in one family, for
+    ``contextual.selection_in_family`` and ``classify --regex --family``.
+
+    Structural families are decided on the minimal DFA (NC/PS up to the
+    monoid cap), UF on ``source_regex`` as written.  Nonterminal/rule
+    bounds are semi-decided: yes when ``source_grammar`` or a grammar found
+    by bounded search is small enough, unknown otherwise.  State bounds are
+    exact."""
+    kind = label.kind
+    if label.structural and kind != "UF":
+        v, ev = _Analysis(minimize(d), monoid_cap).decide(label)
+        return v, ev.note
+    if kind == "REG":
+        return Verdict.YES, "regular by construction"
+    if kind == "UF":
+        if source_regex is None:
+            return Verdict.UNKNOWN, "no source expression retained"
+        v = union_free_syntax(source_regex)
+        return v, ("union-free expression as written" if v is Verdict.YES
+                   else "expression uses union; syntactic check only")
+    if kind == "REG_Z":
+        m = len(minimize(d).states)
+        return (Verdict.YES if m <= label.n else Verdict.NO,
+                f"minimal complete automaton has {m} state{'' if m == 1 else 's'}")
+    assert kind in ("RL_V", "RL_P")
+    want = 0 if kind == "RL_V" else 1
+    noun = "nonterminal" if want == 0 else "rule"
+    if source_grammar is not None:
+        have = count_resources(source_grammar)[want]
+        if have <= label.n:
+            return Verdict.YES, (f"selection grammar as written has {have} "
+                                 f"{noun}{'' if have == 1 else 's'}")
+    m = bounded_min_grammar(d, noun + "s", caps)
+    if m.upper <= label.n:
+        return Verdict.YES, f"certificate found: {m.note}"
+    return Verdict.UNKNOWN, f"no small enough grammar within caps ({m.note})"
 
 
 # --- combined classification ---------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
-from .errors import AlphabetMismatchError, TextFormatError
+from .errors import AlphabetMismatchError, TextFormatError, at_line
 
 Symbol = str
 Word = tuple[Symbol, ...]
@@ -64,10 +64,8 @@ class Alphabet:
         out = []
         for p in parts:
             out.extend(p.split(".")) if "." in p else out.append(p)
-        try:
+        with at_line():
             return cls(tuple(out))
-        except ValueError as e:
-            raise TextFormatError(str(e)) from None
 
     def __iter__(self) -> Iterator[Symbol]:
         return iter(self.symbols)

@@ -8,9 +8,42 @@ selection DFA for every candidate infix, and membership recurses once per
 step.
 ``tests/test_contextual.py`` checks the engine in ``icgram.contextual``
 against them, step for step and in the same order.
+
+:func:`compile_pair` is the engine's compiled form of one selection pair,
+built on the selection DFA as given, which need not be minimal.
 """
 
+import re
+
+from icgram.automata import (_distance_to_accepting, bfs_words,
+                             distinguishing_suffix)
 from icgram.contextual import DerivationStep
+
+
+def compile_pair(c, pair):
+    """``(rows, acc, starts, contexts, slides)`` for ``pair`` under the
+    compiled grammar ``c``: a breadth-first walk numbers the live states
+    (those that can still accept) reachable from the initial one, and a
+    slide is a code to a state that no suffix tells apart from the initial
+    one."""
+    d = pair.dfa
+    live = _distance_to_accepting(d)
+    step = lambda q, a: t if (t := d.delta[(q, a)]) in live else None
+    order = ([q for q, _ in bfs_words(d.initial, step, d.alphabet)]
+             if d.initial in live else [])
+    number = {q: k for k, q in enumerate(order)}
+    rows = tuple({c.code[a]: number[t] for a in d.alphabet
+                  if (t := step(q, a)) is not None} for q in order)
+    acc = tuple(q in d.accepting for q in order)
+    starts = None
+    if rows and 0 < len(rows[0]) < len(c.code):
+        codes = "".join(map(re.escape, rows[0]))
+        starts = re.compile(f"[{codes}]").finditer
+    contexts = tuple((ctx, c.encode(ctx.left), c.encode(ctx.right), ctx.weight)
+                     for ctx in pair.contexts)
+    slides = tuple(c.code[a] for a in d.alphabet if (t := step(d.initial, a))
+                   is not None and distinguishing_suffix(d, d.initial, t) is None)
+    return rows, acc, starts, contexts, slides
 
 
 def _steps_unchecked(g, w):

@@ -15,7 +15,9 @@ from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
                                enumerate_ic)
 from icgram.ctxformat import format_contextual, parse_contextual
 from icgram.errors import InternalConsistencyError
+from icgram.families import parse_family_label
 from icgram.regex import parse_regex
+from icgram.resources import SearchCaps
 from icgram.subregular import classify
 from icgram.words import Alphabet, sort_words, word_to_text
 
@@ -83,6 +85,28 @@ def test_family_verdicts_drive_exit_codes():
     code, out = run_cli(["classify", "--regex", "(ab)*", "--alphabet", "ab",
                          "--family", "ORD"])
     assert code == 3 and out.startswith("ORD: unknown")
+
+
+@pytest.mark.parametrize("family", ["MON", "FIN", "DEF", "ORD", "NC", "PS",
+                                    "UF", "REG", "REG_Z(1)", "RL_V(1)",
+                                    "RL_P(2)"])
+def test_classify_family_of_a_regex_is_the_verdict_on_its_selection(family):
+    # one decision path: a regex on the command line, and the same regex as
+    # the one selection of a grammar
+    u = Alphabet.of("a", "b")
+    label = parse_family_label(family)
+    for regex in ("a*", "ab", "(ab)*", "ab|b", "(a|b)*", "(a|b)*b", "a(a|b)*"):
+        pair = SelectionPair.from_regex(u, parse_regex(regex, u),
+                                        (Context(("a",), ()),))
+        res = contextual.selection_in_family(
+            ContextualGrammar(u, (("a",),), (pair,)), label, monoid_cap=40,
+            caps=SearchCaps(max_candidates=3000))
+        (pv,) = res.per_pair
+        code, out = run_cli(["classify", "--regex", regex, "--alphabet", "ab",
+                             "--family", family, "--caps",
+                             "monoid_cap=40,max_candidates=3000"])
+        assert out == f"{label}: {pv.verdict}  # {pv.note}\n", regex
+        assert code == cli._verdict_exit(res.overall), regex
 
 
 def test_member_accepts_a_long_word(tmp_path):

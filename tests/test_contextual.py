@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contextual_oracle as oracle
+from conftest import random_dfa
+from icgram.automata import Dfa
 from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
                                _predecessor_steps, derive_step, enumerate_ic,
                                ensure_valid, member_ic, member_trace,
@@ -443,6 +445,54 @@ def _seeded_grammars(count=600, seed=11):
             for _ in range(rng.randint(1, 3)))
         yield ContextualGrammar(UAB, tuple(rng.sample(_AXIOMS, rng.randint(1, 2))),
                                 pairs)
+
+
+def _padded(rng, d):
+    """``d`` with every state split in two equivalent copies that the
+    transitions pick at random, and one unreachable state."""
+    states = [(q, k) for q in d.states for k in (0, 1)] + ["unreachable"]
+    delta = {(s, a): (d.delta[(q, a)], rng.randrange(2))
+             for s in states for a in d.alphabet
+             for q in [d.initial if s == "unreachable" else s[0]]}
+    return Dfa(tuple(states), d.alphabet, delta, (d.initial, 0),
+               frozenset(s for s in states[:-1] if s[0] in d.accepting))
+
+
+def _rows_language(rows, acc, longest):
+    """The encoded words of length <= longest that the rows accept."""
+    out, layer = set(), [("", 0)] if rows else []
+    for _ in range(longest + 1):
+        out |= {s for s, q in layer if acc[q]}
+        layer = [(s + a, t) for s, q in layer for a, t in rows[q].items()]
+    return out
+
+
+def test_compiled_pairs_match_the_compiler_on_the_dfa_as_given():
+    # the engine compiles the minimal DFA; the oracle walks the DFA as
+    # given, here padded with equivalent and unreachable states
+    rng = random.Random(11)
+    subs = [Alphabet(tuple(x)) for x in ("a", "b", "c", "ab", "ac", "bc", "abc")]
+    dfas = []
+    for _ in range(500):
+        d = random_dfa(rng, rng.randint(1, 8), rng.choice(subs))
+        dfas += [d, _padded(rng, d)]
+    for u in subs:
+        for accepting in (frozenset(), frozenset({0})):  # empty and full
+            one = Dfa((0,), u, {(0, a): 0 for a in u}, 0, accepting)
+            dfas += [one, _padded(rng, one)]
+    counts = {"slides": 0, "empty": 0}
+    for d in dfas:
+        pair = SelectionPair.from_dfa(d, (Context(("a",), ("b", "c")),))
+        c = ContextualGrammar(Alphabet.of("a", "b", "c"), ((),), (pair,))._compiled
+        rows, acc, _, contexts, slides = c.pairs[0]
+        ref_rows, ref_acc, _, ref_contexts, ref_slides = oracle.compile_pair(c, pair)
+        assert [list(r) for r in rows[:1]] == [list(r) for r in ref_rows[:1]]
+        assert acc[:1] == ref_acc[:1]
+        assert slides == ref_slides and contexts == ref_contexts
+        assert _rows_language(rows, acc, 5) == _rows_language(ref_rows, ref_acc, 5)
+        counts["slides"] += bool(slides)
+        counts["empty"] += not rows
+    assert counts["slides"] > 300 and counts["empty"] > 150, counts
 
 
 def test_enumeration_matches_the_plain_oracle_on_seeded_grammars():

@@ -150,3 +150,44 @@ def test_grammar_selection_round_trip_from_text():
     assert not pair.selects(("a",))
     assert format_contextual(parse_contextual(format_contextual(g))) \
         == format_contextual(g)
+
+
+def test_a_selection_over_another_alphabet_keeps_the_declared_one():
+    # the reader keeps each pair's 'alphabet:' line and leaves the mismatch
+    # with the selection's own alphabet to validate()
+    text = (
+        "alphabet: a b\n"
+        "axiom: a\n"
+        "pair:\n"
+        "  alphabet: a b\n"
+        "  selection grammar:\n"
+        "    nonterminals: S\n"
+        "    terminals: a\n"
+        "    start: S\n"
+        "    S -> a S\n"
+        "    S -> @\n"
+        "  context: (b, @)\n"
+        "pair:\n"
+        "  alphabet: a\n"
+        "  selection dfa:\n"
+        "    states: 0\n"
+        "    alphabet: a b\n"
+        "    initial: 0\n"
+        "    accepting: 0\n"
+        "    0 a 0\n"
+        "    0 b 0\n"
+        "  context: (@, a)\n")
+    g = parse_contextual(text)
+    grammar_pair, dfa_pair = g.pairs
+    assert grammar_pair.declared_alphabet == Alphabet.of("a", "b")
+    assert grammar_pair.source_grammar.terminals == Alphabet.of("a")
+    assert grammar_pair.dfa.alphabet == Alphabet.of("a")
+    assert dfa_pair.declared_alphabet == Alphabet.of("a")
+    assert dfa_pair.dfa.alphabet == Alphabet.of("a", "b")
+    assert [str(d) for d in validate(g)] == [
+        "pair 1: selection automaton alphabet differs from the declared "
+        "subalphabet",
+        "pair 1: selection grammar terminals differ from the declared "
+        "subalphabet",
+        "pair 2: selection automaton alphabet differs from the declared "
+        "subalphabet"]
