@@ -236,10 +236,11 @@ def _step_record(s: DerivationStep, alphabet: Alphabet) -> dict:
 
 
 def _cmd_derive(args) -> int:
+    caps = _parse_caps(args.caps)
     g = _read_grammar(args.grammar)
     w = word_from_text(args.word, g.alphabet)
     if args.trace:
-        trace = member_trace(g, w)
+        trace = member_trace(g, w, frontier_cap=caps["frontier_cap"])
         if trace is None:
             _emit(args, "no derivation\n",
                   {"word": word_to_text(w, g.alphabet), "derivable": False,
@@ -419,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--trace", action="store_true",
                    help="derive the word from an axiom instead")
-    _add_common(p, caps=False)
+    _add_common(p)
     p.set_defaults(fn=_cmd_derive)
 
     p = sub.add_parser("witness", help="built-in witness grammars")

@@ -18,8 +18,8 @@ around the selected infixes that one scan of an encoded word finds,
 :func:`_spans`; enumeration runs its closure on encoded words in length
 order, builds the tuple form of a word only when the word is new, and
 skips steps that only repeat a word: empty-infix steps commute, so they go
-at increasing positions, and an infix that the selection and context also
-allow one symbol further left is taken only there (see
+at increasing positions, and an infix that the selection and contexts also
+allow one symbol further left or right is taken only there (see
 :func:`enumerate_ic`).  The inverse step,
 :func:`_predecessor_steps`, is one lazy generator that runs the same rows
 from each infix start a context's left side ends at, and strips the
@@ -122,10 +122,9 @@ class SelectionPair:
         return cls.from_grammar(g, contexts)
 
     def selects(self, w: Word) -> bool:
-        for s in w:
-            if s not in self.declared_alphabet:
-                return False
-        return accepts(self.dfa, w)
+        """False for a symbol outside the declared or the DFA's alphabet."""
+        return all(s in self.declared_alphabet and s in self.dfa.alphabet
+                   for s in w) and accepts(self.dfa, w)
 
 
 @dataclass(frozen=True)
@@ -327,7 +326,7 @@ def _step(source: Word, pair_index: int, ctx: Context, i: int, j: int
 
 
 def _spans(rows: tuple[dict, ...], acc: tuple[bool, ...], starts, s: str,
-           skip: str | None = None):
+           skip: str | None = None, right: str = ""):
     """Every ``(i, j)`` with ``s[i:j]`` in a pair's selection, ordered by
     ``i`` and then ``j``, for the forward step and :func:`enumerate_ic`.
     ``s`` is an encoded word and ``rows``/``acc``/``starts`` are the pair's
@@ -335,9 +334,10 @@ def _spans(rows: tuple[dict, ...], acc: tuple[bool, ...], starts, s: str,
     finder, only the positions it matches, those whose code has an entry in
     row 0, can start a non-empty infix; else every position is tried.  Given
     a string of codes ``skip``, only non-empty infixes are found, none of
-    them right after a code in ``skip``.  The scan runs once from each start
-    and stops at a code with no entry in the current row: a symbol outside
-    the subalphabet, or a move into the dead state."""
+    them right after a code in ``skip``, nor right before a code in
+    ``right`` that moves the scan on to an accepting state.  The scan runs
+    once from each start and stops at a code with no entry in the current
+    row: a symbol outside the subalphabet, or a move into the dead state."""
     if not rows:
         return
     n = len(s)
@@ -354,7 +354,8 @@ def _spans(rows: tuple[dict, ...], acc: tuple[bool, ...], starts, s: str,
             if q is None:
                 break
             j += 1
-            if acc[q]:
+            if acc[q] and not (j < n and s[j] in right and (
+                    t := rows[q].get(s[j])) is not None and acc[t]):
                 yield i, j
 
 
@@ -384,11 +385,17 @@ def enumerate_ic(g: ContextualGrammar, max_len: int, *,
     and commute (one at or before an earlier one can go first, shifting it
     right), so after one at p they go only at p + 1 on; a word keeps the
     least such bound over the ways it is made (0 for an axiom or a non-empty
-    infix), final before it is extended.  A non-empty infix right after a
-    code c of the pair's ``slides`` is selected with c in front too, which
-    gives the same word when ``u`` is empty or a power of c (``c u = u c``).
-    More than ``frontier_cap`` words in ``seen``, the axioms included,
-    raise :class:`ResourceLimitError`.
+    infix), final before it is extended.  Non-empty infixes go in one scan
+    per group of a pair's contexts, keyed by the codes c of the pair's
+    ``slides`` that ``u`` is empty or a power of: an infix right after
+    such a c is selected with c in front too, which gives the same word
+    (``c u = u c``), so it is skipped.  Mirrored, an infix right before a
+    right code b of the group, one that every ``v`` of the group is empty
+    or a power of, is skipped when the selection also takes it with b
+    behind (``v b = b v``).  Each skip moves the span strictly left or
+    right, so every chain of skips ends at a span that is taken.  More
+    than ``frontier_cap`` words in ``seen``, the axioms included, raise
+    :class:`ResourceLimitError`.
     """
     c = g._compiled
     seen = {c.encode(w): w for w in g.axioms if len(w) <= max_len}
@@ -418,7 +425,10 @@ def enumerate_ic(g: ContextualGrammar, max_len: int, *,
                 for e in fits:
                     skip = "".join(a for a in slides if e[1] == a * len(e[1]))
                     groups.setdefault(skip, []).append(e)
-                scans += [(rows, acc, starts, group, skip) for skip, group in groups.items()]
+                for skip, group in groups.items():
+                    right = "".join(a for a in c.symbol
+                                    if all(e[2] == a * len(e[2]) for e in group))
+                    scans.append((rows, acc, starts, group, skip, right))
             plans[room] = empty, scans
         empty, scans = plans[room]
         for s in buckets.pop(size):
@@ -432,8 +442,8 @@ def enumerate_ic(g: ContextualGrammar, max_len: int, *,
                         low[t] = p + 1
                     elif low.get(t, 0) > p:
                         low[t] = p + 1
-            for rows, acc, starts, fits, skip in scans:
-                for i, j in _spans(rows, acc, starts, s, skip):
+            for rows, acc, starts, fits, skip, right in scans:
+                for i, j in _spans(rows, acc, starts, s, skip, right):
                     x1, x2, x3 = s[:i], s[i:j], s[j:]
                     for ctx, u, v, _ in fits:
                         t = x1 + u + x2 + v + x3

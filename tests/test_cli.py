@@ -136,6 +136,10 @@ def test_member_search_cap_exits_three(tmp_path):
     argv = ["member", "--grammar", str(path), "--word", "aaaababaaba"]
     assert run_cli(argv) == (1, "false\n")
     assert run_cli(argv + ["--caps", "frontier_cap=5"]) == (3, "")
+    # derive --trace runs the same search under the same cap
+    argv = ["derive", "--grammar", str(path), "--word", "aaaababaaba", "--trace"]
+    assert run_cli(argv) == (1, "no derivation\n")
+    assert run_cli(argv + ["--caps", "frontier_cap=5"]) == (3, "")
     # 4 b's against L4(1)'s 3: the Parikh residue rejects it without a search
     argv = ["member", "--grammar", str(path), "--word", "ababababa",
             "--caps", "frontier_cap=5"]

@@ -12,6 +12,7 @@ from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
                                ensure_valid, member_ic, member_trace,
                                selection_in_family, split_definite_selection,
                                split_finite_selection, successors, validate)
+from icgram.ctxformat import format_contextual
 from icgram.errors import (AlphabetMismatchError, DecompositionMismatchError,
                            InvalidGrammarError, NonFiniteSelectionError,
                            ResourceLimitError)
@@ -435,13 +436,14 @@ _SEEDED_SELECTIONS = _SELECTIONS + ["a*b*", "(ab)*", "a*ba*", "b(a|b)*",
 _SEEDED_CONTEXTS = _CONTEXTS + [("aa", "a"), ("", "a"), ("b", "b")]
 
 
-def _seeded_grammars(count=600, seed=11):
+def _seeded_grammars(count=600, seed=11, selections=_SEEDED_SELECTIONS,
+                     contexts=_SEEDED_CONTEXTS):
     rng = random.Random(seed)
     for _ in range(count):
         pairs = tuple(SelectionPair.from_regex(
-            UAB, parse_regex(rng.choice(_SEEDED_SELECTIONS), UAB),
+            UAB, parse_regex(rng.choice(selections), UAB),
             tuple(Context(tuple(l), tuple(r)) for l, r
-                  in rng.sample(_SEEDED_CONTEXTS, rng.randint(1, 3))))
+                  in rng.sample(contexts, rng.randint(1, 3))))
             for _ in range(rng.randint(1, 3)))
         yield ContextualGrammar(UAB, tuple(rng.sample(_AXIOMS, rng.randint(1, 2))),
                                 pairs)
@@ -499,7 +501,28 @@ def test_enumeration_matches_the_plain_oracle_on_seeded_grammars():
     # the closure skips insertions that repeat a word; the plain closure
     # tries every step
     for g in _seeded_grammars():
-        assert enumerate_ic(g, 6) == oracle._enumerate_plain(g, 6), g
+        assert enumerate_ic(g, 6) == oracle._enumerate_plain(g, 6), \
+            format_contextual(g)
+
+
+# selections that accept x c whenever they accept x, for c = a or for both
+# letters, and b(ab)*, which can read on after an accepted x without
+# accepting x a; contexts whose right side is empty or a power of one
+# letter, next to two-sided ones; contexts with different right letters
+# often share a scan (an empty left side slides at every code)
+_RIGHT_SELECTIONS = ["a*", "ba*", "a*b*", "(a|b)*", "a*ba*", "b(ab)*"]
+_RIGHT_CONTEXTS = [("", "a"), ("", "aa"), ("", "b"), ("a", ""), ("b", ""),
+                   ("a", "a"), ("b", "aa"), ("ab", "b"), ("a", "ba"),
+                   ("ba", "ab")]
+
+
+def test_enumeration_matches_the_plain_oracle_on_right_slides():
+    # the closure skips an infix that the selection also takes one symbol
+    # further right when every context's right side in its scan commutes
+    # with that symbol
+    for g in _seeded_grammars(120, 19, _RIGHT_SELECTIONS, _RIGHT_CONTEXTS):
+        assert enumerate_ic(g, 7) == oracle._enumerate_plain(g, 7), \
+            format_contextual(g)
 
 
 def test_engine_matches_the_plain_oracle_on_a_wide_alphabet():

@@ -152,32 +152,36 @@ def test_grammar_selection_round_trip_from_text():
         == format_contextual(g)
 
 
+# pair 1's selection is over a narrower alphabet than its 'alphabet:'
+# line, pair 2's over a wider one
+_MISMATCHED = (
+    "alphabet: a b\n"
+    "axiom: a\n"
+    "pair:\n"
+    "  alphabet: a b\n"
+    "  selection grammar:\n"
+    "    nonterminals: S\n"
+    "    terminals: a\n"
+    "    start: S\n"
+    "    S -> a S\n"
+    "    S -> @\n"
+    "  context: (b, @)\n"
+    "pair:\n"
+    "  alphabet: a\n"
+    "  selection dfa:\n"
+    "    states: 0\n"
+    "    alphabet: a b\n"
+    "    initial: 0\n"
+    "    accepting: 0\n"
+    "    0 a 0\n"
+    "    0 b 0\n"
+    "  context: (@, a)\n")
+
+
 def test_a_selection_over_another_alphabet_keeps_the_declared_one():
     # the reader keeps each pair's 'alphabet:' line and leaves the mismatch
     # with the selection's own alphabet to validate()
-    text = (
-        "alphabet: a b\n"
-        "axiom: a\n"
-        "pair:\n"
-        "  alphabet: a b\n"
-        "  selection grammar:\n"
-        "    nonterminals: S\n"
-        "    terminals: a\n"
-        "    start: S\n"
-        "    S -> a S\n"
-        "    S -> @\n"
-        "  context: (b, @)\n"
-        "pair:\n"
-        "  alphabet: a\n"
-        "  selection dfa:\n"
-        "    states: 0\n"
-        "    alphabet: a b\n"
-        "    initial: 0\n"
-        "    accepting: 0\n"
-        "    0 a 0\n"
-        "    0 b 0\n"
-        "  context: (@, a)\n")
-    g = parse_contextual(text)
+    g = parse_contextual(_MISMATCHED)
     grammar_pair, dfa_pair = g.pairs
     assert grammar_pair.declared_alphabet == Alphabet.of("a", "b")
     assert grammar_pair.source_grammar.terminals == Alphabet.of("a")
@@ -191,3 +195,14 @@ def test_a_selection_over_another_alphabet_keeps_the_declared_one():
         "subalphabet",
         "pair 2: selection automaton alphabet differs from the declared "
         "subalphabet"]
+
+
+def test_selects_is_false_for_a_symbol_outside_either_alphabet():
+    # pair 1 declares {a, b} over a DFA on {a}, pair 2 declares {a} over a
+    # DFA on {a, b}: a symbol missing from either alphabet is not selected
+    grammar_pair, dfa_pair = parse_contextual(_MISMATCHED).pairs
+    assert grammar_pair.selects(()) and grammar_pair.selects(("a", "a"))
+    assert not grammar_pair.selects(("b",))
+    assert not grammar_pair.selects(("a", "b"))
+    assert dfa_pair.selects(("a",)) and not dfa_pair.selects(("b",))
+    assert not grammar_pair.selects(("c",)) and not dfa_pair.selects(("c",))
