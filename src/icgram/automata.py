@@ -22,7 +22,8 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (AlphabetMismatchError, InvalidAutomatonError, TextFormatError,
                      at_line)
@@ -109,6 +110,13 @@ class Dfa:
                 raise AlphabetMismatchError(f"symbol {a!r} not in automaton alphabet")
             q = self.delta[(q, a)]
         return q
+
+
+def compose(t: tuple[int, ...], g: Sequence[int]) -> tuple[int, ...]:
+    """The transformation "apply ``t``, then ``g``", stored as ``Dfa.rows``
+    stores a letter's: entry ``i`` is ``g[t[i]]``."""
+    # itemgetter with one index returns the element, not a 1-tuple
+    return itemgetter(*t)(g) if len(t) > 1 else (g[t[0]],)
 
 
 def accepts(d: Dfa, w: Word) -> bool:
@@ -259,7 +267,7 @@ def minimize(d: Dfa) -> Dfa:
     block = [0 if q in r.accepting else 1 for q in r.states]
     count = len(set(block))
     while True:
-        signatures = list(zip(block, *([block[t] for t in row] for row in r.rows)))
+        signatures = list(zip(block, *(compose(row, block) for row in r.rows)))
         ids: dict[tuple, int] = {}
         new_block = [ids.setdefault(sig, len(ids)) for sig in signatures]
         if len(ids) == count:

@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import fields
 from pathlib import Path
 
 from .automata import Dfa, dfa_to_table, enumerate_regular, minimize, regex_to_dfa
@@ -45,14 +46,13 @@ EXIT_USAGE = 2
 EXIT_CAPPED = 3
 EXIT_INTERNAL = 4
 
-_CAP_KEYS = ("max_nonterminals", "max_rules", "max_rhs_len", "check_len",
-             "max_candidates", "monoid_cap", "frontier_cap")
+_CAP_KEYS = (*(f.name for f in fields(SearchCaps)), "monoid_cap", "frontier_cap")
 
 
 def _parse_caps(text: str | None) -> dict:
     """``--caps key=value,...``; keys from the search/monoid/frontier caps."""
     out = {"monoid_cap": DEFAULT_MONOID_CAP, "frontier_cap": DEFAULT_FRONTIER_CAP}
-    fields = {}
+    search = {}
     if text:
         for part in text.split(","):
             part = part.strip()
@@ -72,8 +72,8 @@ def _parse_caps(text: str | None) -> dict:
             if key in ("monoid_cap", "frontier_cap"):
                 out[key] = n
             else:
-                fields[key] = n
-    out["search"] = SearchCaps(**fields)
+                search[key] = n
+    out["search"] = SearchCaps(**search)
     return out
 
 

@@ -40,9 +40,6 @@ from .regex import format_regex, parse_regex
 from .rlgrammar import grammar_to_text, parse_grammar_lines
 from .words import Alphabet, clean_lines, word_from_text, word_to_text
 
-_PAIR_KEYS = ("alphabet:", "selection regex:", "selection grammar:",
-              "selection dfa:", "context:", "pair:")
-
 
 def format_contextual(g: ContextualGrammar) -> str:
     out: list[str] = ["alphabet: " + " ".join(g.alphabet)]

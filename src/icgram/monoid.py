@@ -2,7 +2,8 @@
 
 Each element is the state transformation of some word, stored like the
 letter rows of :attr:`Dfa.rows` that generate it: a tuple ``t`` with
-``t[i] = index of the state reached from state i``.
+``t[i] = index of the state reached from state i``, composed only by
+:func:`~icgram.automata.compose`.
 :func:`monoid_elements` walks the monoid breadth-first, one element at a
 time, extending each element by the letters in alphabet order; every
 element therefore comes out paired with the shortlex-least word inducing
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .automata import Dfa, bfs_words
+from .automata import Dfa, bfs_words, compose
 from .errors import ResourceLimitError
 from .families import DEFAULT_MONOID_CAP
 from .words import Alphabet, Word
@@ -34,12 +35,9 @@ def monoid_elements(d: Dfa, cap: int = DEFAULT_MONOID_CAP
     """
     gen = dict(zip(d.alphabet, d.rows))
     identity = tuple(range(len(d.states)))
-
-    def step(t: Transformation, a: str) -> Transformation:
-        g = gen[a]  # the transformation of w . a from that of w
-        return tuple([g[x] for x in t])
-
-    for i, element in enumerate(bfs_words(identity, step, d.alphabet)):
+    # the transformation of w . a is that of w, then a's row
+    walk = bfs_words(identity, lambda t, a: compose(t, gen[a]), d.alphabet)
+    for i, element in enumerate(walk):
         if i == cap:
             raise ResourceLimitError(
                 f"transition monoid exceeds cap of {cap} elements",
@@ -66,15 +64,13 @@ class TransitionMonoid:
 
     def compose(self, i: int, j: int) -> int:
         """Index of the transformation of ``uv`` given those of ``u``, ``v``."""
-        u, v = self.elements[i], self.elements[j]
-        return self.index_of(tuple(v[x] for x in u))
+        return self.index_of(compose(self.elements[i], self.elements[j]))
 
     def element_of_word(self, w: Word) -> Transformation:
         gen = dict(zip(self.alphabet, self.generators))
         cur = tuple(range(len(self.state_order)))
         for a in w:
-            step = gen[a]
-            cur = tuple(step[x] for x in cur)
+            cur = compose(cur, gen[a])
         return cur
 
 

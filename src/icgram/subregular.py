@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
-from .automata import (Dfa, access_words, bfs_words, complement,
+from .automata import (Dfa, access_words, bfs_words, complement, compose,
                        distinguishing_suffix, distinguishing_word, ends_with_dfa,
                        minimize, shortest_accepted, _longest_word_length,
                        _pair_step, _pair_word, _useful_states)
@@ -443,7 +443,9 @@ def _check_circular(an: _Analysis) -> tuple[bool, Evidence]:
 
 def _check_noncounting(an: _Analysis) -> tuple[bool, Evidence]:
     """Aperiodicity of the transition monoid, stopping at the first element
-    ``t`` (in shortlex order of its word) with ``t^N != t^(N+1)``."""
+    ``t`` (in shortlex order of its word) with ``t^N != t^(N+1)``.  The
+    witness exponent is the first power of ``t`` on its cycle, at most n
+    steps in, where the period of ``t`` can be the lcm of its cycle lengths."""
     dm = an.dm
     squarings = len(dm.states).bit_length()  # N = 2^squarings > pre-period
     m = 0
@@ -451,23 +453,16 @@ def _check_noncounting(an: _Analysis) -> tuple[bool, Evidence]:
         m += 1
         stable = t
         for _ in range(squarings):
-            stable = tuple([stable[x] for x in stable])
-        if stable != tuple([t[x] for x in stable]):
+            stable = compose(stable, stable)
+        if stable != compose(stable, t):
             break
     else:
         return True, Evidence(f"aperiodic transition monoid ({m} elements)")
     an.counter = t, y
-    # pre-period of the power sequence t, t^2, ...
-    seen: dict[tuple, int] = {}
-    cur, e = t, 1
-    while cur not in seen:
-        seen[cur] = e
-        cur = tuple(t[x] for x in cur)
-        e += 1
-    k0 = seen[cur]  # first exponent on the cycle
-    exp = k0
-    p_k = cur                        # t^{k0}
-    p_k1 = tuple(t[x] for x in cur)  # t^{k0 + 1}
+    exp, p_k, p_k1 = 1, t, compose(t, t)  # t^exp and t^(exp + 1)
+    # img(t^(exp+1)) <= img(t^exp); equal sizes mean t permutes img(t^exp)
+    while len(set(p_k1)) < len(set(p_k)):
+        exp, p_k, p_k1 = exp + 1, p_k1, compose(p_k1, t)
     assert p_k != p_k1  # this element's cycle has period >= 2
     s = next(q for q in dm.states if p_k[q] != p_k1[q])
     x = an.access[s]

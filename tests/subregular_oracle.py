@@ -8,6 +8,10 @@ a non-definite language walks back from the first mixed pair of the
 fixpoint.  ``tests/test_subregular.py`` checks the one-pass pair-graph check
 against it, bound for bound and witness for witness.
 
+The first cyclic power of a transformation stores every power until one
+repeats, a walk over the whole period; the non-counting check reads the
+same exponent off the first power whose image stops shrinking.
+
 The power-separating check walks the transition monoid on its own, from the
 identity, instead of resuming the walk that the non-counting check stopped;
 the shared walk must give its verdict and evidence exactly.
@@ -104,6 +108,18 @@ def _check_definite(dm):
     return False, Evidence(
         f"membership still differs after a shared suffix of length {len(z)}",
         (acc[p] + z, acc[q] + z))
+
+
+def first_cyclic_power(t):
+    """The first exponent ``k`` with ``t^k`` on the cycle of the powers
+    ``t, t^2, ...``, found by storing each power until one repeats."""
+    seen = {}
+    cur, e = t, 1
+    while cur not in seen:
+        seen[cur] = e
+        cur = tuple(t[x] for x in cur)
+        e += 1
+    return seen[cur]
 
 
 def check_power_separating(dm, cap):

@@ -1,10 +1,11 @@
 import pytest
 
 from conftest import random_dfa
-from icgram.automata import minimize, regex_to_dfa
+from icgram.automata import compose, empty_dfa, minimize, regex_to_dfa, universal_dfa
 from icgram.errors import ResourceLimitError
 from icgram.monoid import monoid_elements, transition_monoid
 from icgram.regex import parse_regex
+from icgram.subregular import NC, PS, Verdict, classify
 from icgram.words import Alphabet, all_words
 
 UA = Alphabet.of("a")
@@ -107,3 +108,24 @@ def test_words_are_shortlex_least(rng, n_states):
             for w in all_words(u, longest):
                 first.setdefault(m.element_of_word(w), w)
             assert m.words == tuple(first[t] for t in m.elements)
+
+
+def test_compose_applies_the_first_transformation_then_the_second():
+    assert compose((1, 2, 0), (0, 0, 2)) == (0, 2, 0)
+    assert compose((0,), (0,)) == (0,)  # a 1-tuple, not the bare element
+
+
+@pytest.mark.parametrize("make", [universal_dfa, empty_dfa])
+def test_one_state_automata_compose_to_one_tuples(make):
+    """``compose`` on one state goes through Moore signatures, the monoid
+    walk and both monoid deciders."""
+    d = make(UBC)
+    assert minimize(d) == d
+    m = transition_monoid(d)
+    assert m.elements == ((0,),) and m.words == ((),)
+    assert m.compose(0, 0) == 0
+    assert m.element_of_word(("b", "c", "b")) == (0,)
+    rep = classify(d, UBC)
+    assert rep.verdicts[NC] is Verdict.YES
+    assert rep.evidence[NC].note == "aperiodic transition monoid (1 elements)"
+    assert rep.verdicts[PS] is Verdict.YES

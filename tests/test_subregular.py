@@ -371,6 +371,57 @@ def test_noncounting():
     assert accepts(d, w1) != accepts(d, w2)
 
 
+def test_noncounting_exponent_is_the_first_cyclic_power():
+    """The witness exponent read off the shrinking image is the first power
+    of the counter on its cycle, as the walk over the period finds it."""
+    exponents = set()
+    for dm in _random_minimal_dfas(20, 600):
+        an = _Analysis(dm)
+        verdict, ev = an.decide(NC)
+        if verdict is not Verdict.NO:
+            continue
+        k0 = oracle.first_cyclic_power(an.counter[0])
+        assert f"(exponents {k0} vs {k0 + 1})" in ev.note, dfa_to_table(dm)
+        w1, w2 = ev.words
+        assert accepts(dm, w1) != accepts(dm, w2), dfa_to_table(dm)
+        exponents.add(k0)
+    assert exponents >= {1, 2, 3, 4, 5}, exponents
+
+
+def _coprime_cycles_dfa(n):
+    """``a`` permutes the states in cycles of the first primes 2, 3, 5, ...
+    (their lengths sum to ``n``), ``b`` is the n-cycle, 0 accepts.  The
+    period of ``a`` is the product of those primes."""
+    lengths, p = [], 2
+    while sum(lengths) < n:
+        if all(p % q for q in lengths):
+            lengths.append(p)
+        p += 1
+    assert sum(lengths) == n
+    delta, start = {}, 0
+    for length in lengths:
+        for i in range(length):
+            delta[(start + i, "a")] = start + (i + 1) % length
+        start += length
+    delta.update({(q, "b"): (q + 1) % n for q in range(n)})
+    return Dfa(tuple(range(n)), UAB, delta, 0, frozenset([0]))
+
+
+@pytest.mark.parametrize("n", [100, 197])
+def test_noncounting_does_not_walk_the_period_of_a_counter(n):
+    """The period of ``a`` is 223,092,870 at 100 states and about 7.4e12
+    at 197, so a walk over it cannot finish; the image-size loop stops at
+    the first power."""
+    d = _coprime_cycles_dfa(n)
+    rep = classify(d, UAB)
+    assert rep.min_state_count == n
+    assert rep.verdicts[NC] is Verdict.NO
+    ev = rep.evidence[NC]
+    assert "repetitions of a (exponents 1 vs 2)" in ev.note
+    assert ev.words == (("a",), ("a", "a"))
+    assert accepts(d, ev.words[1]) and not accepts(d, ev.words[0])
+
+
 def test_power_separating():
     assert is_power_separating(_dfa("b*c", UBC), UBC)
     with pytest.raises(UndecidedError, match="monoid cap"):
