@@ -21,17 +21,18 @@ skips steps that only repeat a word: empty-infix steps commute, so they go
 at increasing positions, and an infix that the selection and contexts also
 allow one symbol further left or right is taken only there (see
 :func:`enumerate_ic`).  The inverse step,
-:func:`_predecessor_steps`, is one lazy generator that runs the same rows
-from each infix start a context's left side ends at, and strips the
-contexts that enclose a selected infix.
+:func:`_predecessor_steps`, is one lazy generator that walks one flat table
+of every pair's contexts, runs the same rows from each infix start a
+context's left side ends at, and strips the contexts that enclose a
+selected infix.
 Membership first compares the word's Parikh vector (its count of each
 symbol), modulo the lattice the contexts span, with those of the axioms a
 step applies to: every insertion adds a context's vector, so a word outside
 all of their cosets is rejected before any search.  Otherwise it is a
 depth-first search over inverse steps on an explicit stack, so no recursion
-limit bounds the word length; it runs on encoded words end to end and stops
-with :class:`ResourceLimitError` once it has explored more words than its
-``frontier_cap``.
+limit bounds the word length; it runs on encoded words end to end, keeps
+only the words that failed, and stops with :class:`ResourceLimitError` once
+it has explored more words than its ``frontier_cap``.
 
 Construction is deliberately permissive: malformed grammars can be built and
 then inspected with :func:`validate`, which returns the full list of
@@ -165,7 +166,10 @@ class _Compiled:
     state.  Each context comes as ``(context, encoded left, encoded right,
     weight)``, and each pair as ``(rows, acc, starts, contexts, slides)``.
     ``plans`` keeps, per room up to ``widest`` (the widest context), the
-    steps :func:`enumerate_ic` tries.
+    steps :func:`enumerate_ic` tries.  ``inverse`` has ``(pair index, rows,
+    acc, rows[0], acc[0], context, encoded left, encoded right, their
+    lengths)`` per context of a pair that selects something, in order, for
+    :func:`_predecessor_steps`; ``longest`` is the longest axiom's length.
 
     ``lattice`` is an echelon basis, ``(pivot column, row)`` pairs with
     positive pivots by column, of the lattice spanned by the Parikh vectors
@@ -187,6 +191,10 @@ class _Compiled:
         self.axioms = frozenset(map(self.encode, g.axioms))
         self.pairs = tuple(self._pair(pair) for pair in g.pairs)
         live = [pair for pair in self.pairs if pair[0]]
+        self.inverse = tuple((k, rows, acc, rows[0], acc[0], ctx, u, v, len(u), len(v))
+                             for k, (rows, acc, _, contexts, _) in enumerate(self.pairs)
+                             if rows for ctx, u, v, _ in contexts)
+        self.longest = max(map(len, self.axioms), default=0)
         basis: dict[int, list[int]] = {}
         for *_, contexts, _ in live:
             for _, u, v, _ in contexts:
@@ -461,31 +469,26 @@ def _predecessor_steps(c: _Compiled, s: str):
     ordered by pair, context, infix start and infix end.
 
     Lazy, in one frame, because the search often needs only the first
-    predecessor.  Per context it walks the infix starts of ``s`` itself:
-    a start that ``u`` does not end at, or (unless the empty word is
+    predecessor.  Per entry of ``c.inverse`` it walks the infix starts of
+    ``s``: a start that ``u`` does not end at, or (unless the empty word is
     selected) whose first code has no entry in row 0, is skipped without a
     scan; from the others the compiled rows run as in :func:`_spans`."""
     n = len(s)
-    for pair_index, (rows, acc, _, contexts, _) in enumerate(c.pairs):
-        if not rows:
-            continue
-        row0, every = rows[0], acc[0]
-        for ctx, u, v, _ in contexts:
-            lu, lv = len(u), len(v)
-            for i in range(lu, n + 1 if every else n):
-                if not (every or s[i] in row0) or not s.startswith(u, i - lu):
-                    continue
-                q, j = 0, i
-                while True:
-                    if acc[q] and s.startswith(v, j):
-                        yield (s[:i - lu] + s[i:j] + s[j + lv:], pair_index,
-                               ctx, i - lu, j - lu)
-                    if j == n:
-                        break
-                    q = rows[q].get(s[j])
-                    if q is None:
-                        break
-                    j += 1
+    for pair_index, rows, acc, row0, every, ctx, u, v, lu, lv in c.inverse:
+        for i in range(lu, n + 1 if every else n):
+            if not (every or s[i] in row0) or not s.startswith(u, i - lu):
+                continue
+            q, j = 0, i
+            while True:
+                if acc[q] and s.startswith(v, j):
+                    yield (s[:i - lu] + s[i:j] + s[j + lv:], pair_index,
+                           ctx, i - lu, j - lu)
+                if j == n:
+                    break
+                q = rows[q].get(s[j])
+                if q is None:
+                    break
+                j += 1
 
 
 def _derivation(g: ContextualGrammar, w: Word, frontier_cap: int
@@ -494,8 +497,10 @@ def _derivation(g: ContextualGrammar, w: Word, frontier_cap: int
     when ``w``'s residue is no extendable axiom's (see :class:`_Compiled`;
     inverse steps keep the residue, so it is checked once), else
     depth-first over :func:`_predecessor_steps`, on encoded words.  Inverse
-    steps shorten the word, so a word seen before is not on the stack and
-    has failed already.  More than ``frontier_cap`` words in ``seen`` raise
+    steps shorten the word, so a word met again is not on the chain and has
+    failed already: only failed words are kept, and a word is hashed only
+    to look it up among them or, if no longer than ``longest``, the axioms.
+    More than ``frontier_cap`` words explored, ``w`` included, raise
     :class:`ResourceLimitError`."""
     c = g._compiled
     axioms = c.axioms
@@ -504,23 +509,26 @@ def _derivation(g: ContextualGrammar, w: Word, frontier_cap: int
         return []
     if c.residue(s) not in c.residues:
         return None
-    seen = {s}
-    stack = [(None, _predecessor_steps(c, s))]
-    while stack:
-        for step in stack[-1][1]:
+    longest, failed, explored = c.longest, set(), 1
+    steps, gens = [], [_predecessor_steps(c, s)]
+    while gens:
+        for step in gens[-1]:
             p = step[0]
-            if p in axioms:
-                return [entry for entry, _ in stack[1:]] + [step]
-            if p not in seen:
-                seen.add(p)
-                if len(seen) > frontier_cap:
-                    raise ResourceLimitError(
-                        f"membership search exceeded {frontier_cap} words",
-                        cap=frontier_cap, reached=len(seen))
-                stack.append((step, _predecessor_steps(c, p)))
-                break
+            if len(p) <= longest and p in axioms:
+                return steps + [step]
+            if failed and p in failed:
+                continue
+            explored += 1
+            if explored > frontier_cap:
+                raise ResourceLimitError(
+                    f"membership search exceeded {frontier_cap} words",
+                    cap=frontier_cap, reached=explored)
+            steps.append(step)
+            gens.append(_predecessor_steps(c, p))
+            break
         else:
-            stack.pop()
+            gens.pop()
+            failed.add(steps.pop()[0] if steps else s)
     return None
 
 
@@ -530,8 +538,8 @@ def member_ic(g: ContextualGrammar, w: Word, *,
     from ``w`` down to an axiom (each one strictly shortens the word, so the
     search space is finite).  A word whose Parikh residue no extendable
     axiom shares is rejected before any search, whatever the cap.  The
-    search runs on encoded words and keeps every word it has explored; more
-    than ``frontier_cap`` of them raise :class:`ResourceLimitError`."""
+    search runs on encoded words and keeps only the words that failed; more
+    than ``frontier_cap`` explored words raise :class:`ResourceLimitError`."""
     return _derivation(g, w, frontier_cap) is not None
 
 

@@ -3,9 +3,18 @@ import io
 import random
 
 import pytest
+from hypothesis import settings
 
 from icgram.automata import Dfa
 from icgram.words import Alphabet
+
+# every property test draws the same examples on every run, seeded from the
+# test itself, so a failure reproduces on the next run; this also turns off
+# the example database, which would replay earlier failures first.  Fixed
+# examples stop exploring across runs, so each run draws more of them: 200
+# where a test sets no count
+settings.register_profile("derandomized", derandomize=True, max_examples=200)
+settings.load_profile("derandomized")
 
 
 def run_cli(argv):

@@ -11,13 +11,18 @@ against them, step for step and in the same order.
 
 :func:`compile_pair` is the engine's compiled form of one selection pair,
 built on the selection DFA as given, which need not be minimal.
+:func:`_derivation` is the engine's backward search as it was when it kept
+every explored word; the engine's search keeps only the failed ones, and
+must find the same chains and stop at the same count.
 """
 
 import re
 
+from icgram import contextual as engine
 from icgram.automata import (_distance_to_accepting, bfs_words,
                              distinguishing_suffix)
 from icgram.contextual import DerivationStep
+from icgram.errors import ResourceLimitError
 
 
 def compile_pair(c, pair):
@@ -118,4 +123,37 @@ def _member_rec(g, w, memo):
         if sub is not None:
             memo[w] = sub + (step,)
             return memo[w]
+    return None
+
+
+def _derivation(g, w, frontier_cap):
+    """The inverse steps from ``w`` back to an axiom, or None: after the
+    engine's residue check, depth-first over the engine's inverse step
+    (checked against :func:`_predecessor_steps` above) with a stack of
+    ``(step, generator)`` pairs, keeping every explored word in ``seen``;
+    more than ``frontier_cap`` of them raise :class:`ResourceLimitError`."""
+    c = g._compiled
+    axioms = c.axioms
+    s = c.encode(w)
+    if s in axioms:
+        return []
+    if c.residue(s) not in c.residues:
+        return None
+    seen = {s}
+    stack = [(None, engine._predecessor_steps(c, s))]
+    while stack:
+        for step in stack[-1][1]:
+            p = step[0]
+            if p in axioms:
+                return [entry for entry, _ in stack[1:]] + [step]
+            if p not in seen:
+                seen.add(p)
+                if len(seen) > frontier_cap:
+                    raise ResourceLimitError(
+                        f"membership search exceeded {frontier_cap} words",
+                        cap=frontier_cap, reached=len(seen))
+                stack.append((step, engine._predecessor_steps(c, p)))
+                break
+        else:
+            stack.pop()
     return None

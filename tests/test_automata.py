@@ -198,7 +198,7 @@ def test_table_parse_errors():
 
 # --- properties over random automata ---------------------------------------
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
 def test_minimize_canonical_under_state_renaming(seed, n_states):
     rng = random.Random(seed)
@@ -212,7 +212,7 @@ def test_minimize_canonical_under_state_renaming(seed, n_states):
     assert minimize(d) == minimize(renamed)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5))
 def test_equivalent_iff_no_distinguishing_word(seed, n1, n2):
     rng = random.Random(seed)
@@ -228,7 +228,7 @@ def test_equivalent_iff_no_distinguishing_word(seed, n1, n2):
             assert _lang(d1, len(w) - 1) == _lang(d2, len(w) - 1)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
 def test_nfa_determinization_preserves_words(seed, n_states):
     rng = random.Random(seed)

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 import contextual_oracle as oracle
 from conftest import random_dfa
+from icgram import contextual
 from icgram.automata import Dfa
-from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
+from icgram.contextual import (DEFAULT_FRONTIER_CAP, Context,
+                               ContextualGrammar, SelectionPair, _derivation,
                                _predecessor_steps, derive_step, enumerate_ic,
                                ensure_valid, member_ic, member_trace,
                                selection_in_family, split_definite_selection,
@@ -118,9 +120,10 @@ def test_long_member_needs_no_recursion():
 
 
 def test_membership_search_cap():
-    # the backward search keeps at most frontier_cap explored words; this
-    # non-member has L4(1)'s Parikh residue (an even count of a's, 3 b's),
-    # so only the search can reject it
+    # the backward search explores at most frontier_cap words, the input
+    # included, and keeps only those that failed; this non-member has
+    # L4(1)'s Parikh residue (an even count of a's, 3 b's), so only the
+    # search can reject it
     g = build_witness("L4", 1).grammar
     w = tuple("aaaababaaba")
     assert not member_ic(g, w) and member_trace(g, w) is None
@@ -132,6 +135,73 @@ def test_membership_search_cap():
     w = tuple("ababababa")
     assert not member_ic(g, w, frontier_cap=5)
     assert member_trace(g, w, frontier_cap=5) is None
+
+
+def test_membership_search_expands_each_failed_word_once(monkeypatch):
+    # a word met again has failed already, so it is not expanded again;
+    # without that memo the traces stay the same but the work blows up
+    g = build_witness("L4", 1).grammar
+    w = tuple("aaaababaaba")
+    expanded = []
+
+    def recording(c, s):
+        expanded.append(s)
+        return _predecessor_steps(c, s)
+
+    monkeypatch.setattr(contextual, "_predecessor_steps", recording)
+    assert not member_ic(g, w)
+    explored = len(expanded)
+    assert len(set(expanded)) == explored == 6
+    # every explored word is expanded, and the one past the cap is counted
+    # in ``reached`` but refused before its expansion
+    assert not member_ic(g, w, frontier_cap=explored)
+    for cap in (3, explored - 1):
+        expanded.clear()
+        with pytest.raises(ResourceLimitError) as e:
+            member_ic(g, w, frontier_cap=cap)
+        assert (e.value.cap, e.value.reached) == (cap, cap + 1)
+        assert len(expanded) == len(set(expanded)) == cap
+
+
+def _search(derivation, g, w, cap):
+    """The path of ``derivation`` with contexts as (left, right) pairs,
+    None, or the (cap, reached) of the cap it hit."""
+    try:
+        path = derivation(g, w, cap)
+    except ResourceLimitError as e:
+        return e.cap, e.reached
+    if path is None:
+        return None
+    return [(p, k, (ctx.left, ctx.right), i, j) for p, k, ctx, i, j in path]
+
+
+def test_membership_search_matches_the_search_that_kept_every_word():
+    # same chains, same misses and the same cap count as the search that
+    # kept every explored word, on members, their one-deletion and
+    # one-transposition neighbours, and random words
+    checks = capped = 0
+    for case_id, n, bound in (("L1", None, 10), ("L2", None, 20), ("L3", 1, 8),
+                              ("L3", 2, 6), ("L4", 1, 24), ("L6", 2, 30),
+                              ("L7", 2, 6)):
+        g = build_witness(case_id, n).grammar
+        rng = random.Random(f"{case_id}{n}")
+        members = sorted(enumerate_ic(g, bound))
+        words = set(rng.sample(members, min(40, len(members))))
+        for w in list(words):
+            words |= {w[:k] + w[k + 1:] for k in range(len(w))}
+            words |= {w[:k] + w[k + 1:k + 2] + w[k:k + 1] + w[k + 2:]
+                      for k in range(len(w) - 1)}
+        symbols = g.alphabet.symbols
+        words |= {tuple(rng.choice(symbols) for _ in range(rng.randint(0, bound)))
+                  for _ in range(100)}
+        for w in sorted(words):
+            for cap in (3, 10, 50, DEFAULT_FRONTIER_CAP):
+                got = _search(_derivation, g, w, cap)
+                assert got == _search(oracle._derivation, g, w, cap), \
+                    (case_id, n, word_to_text(w), cap)
+                checks += 1
+                capped += isinstance(got, tuple)
+    assert checks > 10_000 and capped > 1_000, (checks, capped)
 
 
 def test_parikh_residue_rejects_without_a_search():
@@ -351,7 +421,7 @@ def _grammar(sels, ctxs, axioms, alphabet=UAB) -> ContextualGrammar:
     return ContextualGrammar(alphabet, tuple(axioms), pairs)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(*_GRAMMAR_PARTS)
 def test_enumeration_and_membership_agree(sels, ctxs, axioms):
     g = _grammar(sels, ctxs, axioms)
@@ -398,14 +468,14 @@ def _passes_the_residue_filter(g, words):
         assert s in c.axioms or c.residue(s) in c.residues, word_to_text(w)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(*_GRAMMAR_PARTS)
 def test_derivable_words_pass_the_residue_filter(sels, ctxs, axioms):
     g = _grammar(sels, ctxs, axioms)
     _passes_the_residue_filter(g, enumerate_ic(g, 8))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(*_FOREIGN_PARTS)
 def test_derivable_words_pass_the_residue_filter_on_foreign_symbols(
         sels, ctxs, axioms):
@@ -413,14 +483,14 @@ def test_derivable_words_pass_the_residue_filter_on_foreign_symbols(
     _passes_the_residue_filter(g, enumerate_ic(g, 7))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(*_GRAMMAR_PARTS)
 def test_enumeration_matches_the_plain_oracle(sels, ctxs, axioms):
     g = _grammar(sels, ctxs, axioms)
     assert enumerate_ic(g, 8) == oracle._enumerate_plain(g, 8)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(*_FOREIGN_PARTS)
 def test_enumeration_matches_the_plain_oracle_on_foreign_symbols(sels, ctxs,
                                                                  axioms):

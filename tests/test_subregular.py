@@ -494,7 +494,7 @@ def test_labels_are_values():
 
 # --- structural implications on random automata ----------------------------
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 3))
 def test_implications_hold_on_random_dfas(seed, n_states, n_letters):
     rng = random.Random(seed)
@@ -529,7 +529,7 @@ def test_cross_check_reads_the_state_count_as_reg_z(monkeypatch):
         classify(_dfa("()", UA), UA)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
 def test_classification_invariant_under_renaming(seed, n_states):
     rng = random.Random(seed)
@@ -546,7 +546,7 @@ def test_classification_invariant_under_renaming(seed, n_states):
         {k: e.words for k, e in r2.evidence.items()}
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
 def test_no_witnesses_are_honest(seed, n_states):
     """Every 'no' verdict carries words; where the relation is checkable
