@@ -23,7 +23,7 @@ _EXPORTS = {
         "InvalidGrammarError ResourceLimitError TextFormatError "
         "UndecidedError NonFiniteSelectionError DecompositionMismatchError",
     "regex": "Regex EmptyLang EmptyWord Literal Concat Union Star "
-        "parse_regex format_regex enumerate_regex",
+        "parse_regex format_regex",
     "automata": "Dfa Nfa accepts regex_to_dfa regex_to_nfa nfa_to_dfa "
         "minimize equivalent complement combine enumerate_regular "
         "language_is_finite dfa_to_table parse_dfa_table",
@@ -36,10 +36,10 @@ _EXPORTS = {
         "is_nilpotent is_combinational is_definite is_suffix_closed "
         "is_ordered is_commutative is_circular is_noncounting "
         "is_power_separating union_free_syntax",
-    "resources": "ResourceMeasure SearchCaps min_states count_resources "
+    "resources": "ResourceMeasure SearchCaps count_resources "
         "bounded_min_grammar dfa_to_grammar measure",
     "contextual": "Context ContextualGrammar SelectionPair DerivationStep "
-        "Diagnostic PairVerdict validate ensure_valid derive_step successors "
+        "Diagnostic PairVerdict validate ensure_valid derive_step "
         "enumerate_ic member_ic member_trace split_finite_selection "
         "split_definite_selection selection_in_family SelectionFamilyResult",
     "ctxformat": "format_contextual parse_contextual",

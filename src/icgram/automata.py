@@ -20,7 +20,7 @@ witness word is shortlex-least, and equal languages fed through
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -329,12 +329,6 @@ def complement(d: Dfa) -> Dfa:
                frozenset(set(d.states) - set(d.accepting)))
 
 
-def inclusion_witness(d1: Dfa, d2: Dfa) -> Word | None:
-    """Shortest word in L(d1) \\ L(d2), or None when L(d1) is a subset."""
-    _check_same_alphabet(d1, d2)
-    return _pair_word(d1, d1.initial, d2, d2.initial, "difference")
-
-
 # --- queries ------------------------------------------------------------
 
 def shortest_accepted(d: Dfa, start: State | None = None) -> Word | None:
@@ -430,37 +424,6 @@ def language_is_finite(d: Dfa) -> bool:
 
 
 # --- simple builders ----------------------------------------------------
-
-def universal_dfa(alphabet: Alphabet) -> Dfa:
-    delta = {(0, a): 0 for a in alphabet}
-    return Dfa((0,), alphabet, delta, 0, frozenset([0]))
-
-
-def empty_dfa(alphabet: Alphabet) -> Dfa:
-    delta = {(0, a): 0 for a in alphabet}
-    return Dfa((0,), alphabet, delta, 0, frozenset())
-
-
-def word_set_dfa(words: Iterable[Word], alphabet: Alphabet) -> Dfa:
-    """Trie acceptor (plus sink) for a finite set of words."""
-    words = list(words)
-    for w in words:
-        alphabet.check_word(w)
-    prefixes: dict[Word, int] = {EMPTY_WORD: 0}
-    for w in sorted(words):
-        for i in range(1, len(w) + 1):
-            if w[:i] not in prefixes:
-                prefixes[w[:i]] = len(prefixes)
-    sink = len(prefixes)
-    delta = {}
-    for p, i in prefixes.items():
-        for a in alphabet:
-            delta[(i, a)] = prefixes.get(p + (a,), sink)
-    for a in alphabet:
-        delta[(sink, a)] = sink
-    accepting = frozenset(prefixes[w] for w in words)
-    return Dfa(tuple(range(sink + 1)), alphabet, delta, 0, accepting)
-
 
 def ends_with_dfa(alphabet: Alphabet, final_symbols: Iterable[str]) -> Dfa:
     """Words whose last symbol lies in ``final_symbols`` (state = last symbol

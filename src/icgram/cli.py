@@ -33,7 +33,7 @@ from .contextual import (DEFAULT_FRONTIER_CAP, ContextualGrammar,
                          split_finite_selection)
 from .ctxformat import format_contextual, parse_contextual
 from .errors import (IcgramError, InternalConsistencyError,
-                     InvalidGrammarError, ResourceLimitError, TextFormatError)
+                     InvalidGrammarError, ResourceLimitError)
 from .families import DEFAULT_MONOID_CAP, SCOPES, Verdict, parse_family_label
 from .regex import Regex, parse_regex
 from .resources import KINDS, SearchCaps, count_resources, dfa_to_grammar, measure
@@ -247,13 +247,14 @@ def _cmd_derive(args) -> int:
                    "trace": []})
             return EXIT_NEGATIVE
         start = trace[0].source if trace else w
-        lines = [word_to_text(start, g.alphabet)] + [str(s) for s in trace]
+        lines = [word_to_text(start, g.alphabet)] + [s.to_text(g.alphabet)
+                                                     for s in trace]
         _emit(args, "\n".join(lines) + "\n",
               {"word": word_to_text(w, g.alphabet), "derivable": True,
                "trace": [_step_record(s, g.alphabet) for s in trace]})
         return EXIT_OK
     steps = derive_step(g, w)
-    _emit(args, "".join(str(s) + "\n" for s in steps),
+    _emit(args, "".join(s.to_text(g.alphabet) + "\n" for s in steps),
           {"word": word_to_text(w, g.alphabet),
            "steps": [_step_record(s, g.alphabet) for s in steps]})
     return EXIT_OK
@@ -317,7 +318,9 @@ def _cmd_witness(args) -> int:
     reports = []
     for cid, n in _witness_targets(args.case, args.n):
         case = build_witness(cid, n)
-        reports.append(check_witness(case, args.max_len, caps=caps["search"]))
+        reports.append(check_witness(
+            case, args.max_len, caps=caps["search"],
+            monoid_cap=caps["monoid_cap"], frontier_cap=caps["frontier_cap"]))
     human = "\n".join(r.to_text() for r in reports)
     payload = {"reports": [
         {"case": r.case_label, "ok": r.ok,

@@ -75,8 +75,11 @@ class Context:
     def weight(self) -> int:
         return len(self.left) + len(self.right)
 
-    def __str__(self) -> str:
-        return f"({word_to_text(self.left)}, {word_to_text(self.right)})"
+    def to_text(self, alphabet: Alphabet | None = None) -> str:
+        return (f"({word_to_text(self.left, alphabet)}, "
+                f"{word_to_text(self.right, alphabet)})")
+
+    __str__ = to_text
 
 
 @dataclass(frozen=True)
@@ -319,10 +322,15 @@ class DerivationStep:
     context: Context
     target: Word
 
-    def __str__(self) -> str:
-        return (f"{word_to_text(self.source)} => {word_to_text(self.target)}"
-                f"  [pair {self.pair_index + 1}, {self.context}, "
-                f"infix {word_to_text(self.x2)}]")
+    def to_text(self, alphabet: Alphabet | None = None) -> str:
+        """One line; pass the grammar's alphabet so that every word reads
+        back with ``word_from_text``."""
+        source, target, x2 = (word_to_text(w, alphabet)
+                              for w in (self.source, self.target, self.x2))
+        return (f"{source} => {target}  [pair {self.pair_index + 1}, "
+                f"{self.context.to_text(alphabet)}, infix {x2}]")
+
+    __str__ = to_text
 
 
 def _step(source: Word, pair_index: int, ctx: Context, i: int, j: int
@@ -376,10 +384,6 @@ def derive_step(g: ContextualGrammar, w: Word) -> tuple[DerivationStep, ...]:
                  for pair_index, (rows, acc, starts, contexts, _) in enumerate(c.pairs)
                  for i, j in _spans(rows, acc, starts, s)
                  for ctx, _, _, _ in contexts)
-
-
-def successors(g: ContextualGrammar, w: Word) -> set[Word]:
-    return {s.target for s in derive_step(g, w)}
 
 
 def enumerate_ic(g: ContextualGrammar, max_len: int, *,

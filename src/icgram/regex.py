@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TextFormatError
-from .words import EMPTY_WORD, Alphabet, Word
+from .words import Alphabet, Word
 
 
 class Regex:
@@ -239,42 +239,3 @@ def parse_regex(text: str, alphabet: Alphabet) -> Regex:
     if not alphabet.single_char:
         raise TextFormatError("regex notation requires a single-character alphabet")
     return _RegexParser(text, alphabet).parse()
-
-
-# --- naive enumeration (independent oracle, no automata involved) -------
-
-def enumerate_regex(r: Regex, max_len: int) -> set[Word]:
-    """All words of length <= max_len, by direct structural recursion.
-
-    Deliberately naive: used as an oracle against the automaton pipeline.
-    """
-    if max_len < 0:
-        return set()
-    if isinstance(r, EmptyLang):
-        return set()
-    if isinstance(r, EmptyWord):
-        return {EMPTY_WORD}
-    if isinstance(r, Literal):
-        return {(r.symbol,)} if max_len >= 1 else set()
-    if isinstance(r, Union):
-        out: set[Word] = set()
-        for p in r.parts:
-            out |= enumerate_regex(p, max_len)
-        return out
-    if isinstance(r, Concat):
-        acc: set[Word] = {EMPTY_WORD}
-        for p in r.parts:
-            step = enumerate_regex(p, max_len)
-            acc = {u + v for u in acc for v in step if len(u) + len(v) <= max_len}
-            if not acc:
-                return set()
-        return acc
-    assert isinstance(r, Star)
-    base = enumerate_regex(r.inner, max_len) - {EMPTY_WORD}
-    out = {EMPTY_WORD}
-    frontier = {EMPTY_WORD}
-    while frontier:
-        nxt = {u + v for u in frontier for v in base if len(u) + len(v) <= max_len}
-        frontier = nxt - out
-        out |= frontier
-    return out

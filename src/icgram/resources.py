@@ -61,11 +61,6 @@ class ResourceMeasure:
         return self.upper
 
 
-def min_states(d: Dfa) -> int:
-    """States of the minimal complete DFA (the sink, when needed, counts)."""
-    return len(minimize(d).states)
-
-
 def count_resources(g: RightLinearGrammar) -> tuple[int, int]:
     """(nonterminal count, rule count) of a grammar as written; an erasing
     rule counts like any other rule."""

@@ -10,7 +10,6 @@ otherwise; the empty word is always written ``@``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import AlphabetMismatchError, TextFormatError, at_line
@@ -137,10 +136,3 @@ def fresh_prefix(stem: str, names: Iterable[str]) -> str:
     while any(s.startswith(prefix) for s in names):
         prefix += stem
     return prefix
-
-
-def all_words(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
-    """All words of length <= max_len in shortlex order."""
-    for n in range(max_len + 1):
-        for tup in product(alphabet.symbols, repeat=n):
-            yield tup

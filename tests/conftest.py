@@ -1,6 +1,7 @@
 import contextlib
 import io
 import random
+from itertools import product
 
 import pytest
 from hypothesis import settings
@@ -36,6 +37,12 @@ def random_dfa(rng: random.Random, n_states: int, alphabet: Alphabet) -> Dfa:
             delta[(q, a)] = rng.randrange(n_states)
     accepting = frozenset(q for q in states if rng.randrange(2))
     return Dfa(states, alphabet, delta, 0, accepting)
+
+
+def all_words(alphabet: Alphabet, max_len: int):
+    """All words of length <= max_len in shortlex order."""
+    for n in range(max_len + 1):
+        yield from product(alphabet.symbols, repeat=n)
 
 
 @pytest.fixture

@@ -1,0 +1,111 @@
+"""Digests that pin "same behaviour": one function per named recipe.
+
+Each recipe runs a fixed, seeded workload through the public API and
+returns the sha256 hex digest of its answers.  How the answers are written
+out is fixed here in code, so a change that must keep behaviour cites a
+recipe by name and compares digests.  ``tests/test_digests.py`` pins the
+values.  To print them all:
+
+    PYTHONPATH=src python tests/digests.py
+"""
+
+import hashlib
+import json
+import random
+
+from conftest import random_dfa
+from icgram.contextual import derive_step, enumerate_ic, member_trace
+from icgram.subregular import classify
+from icgram.witnesses import build_witness
+from icgram.words import Alphabet, sort_words, word_to_text
+
+# (case, n, bound): the enumerations that bench/workloads.py times as the
+# ic-enumerate workload
+ENUMERATIONS = (("L1", None, 12), ("L1", None, 15), ("L2", None, 60),
+                ("L2", None, 160), ("L3", 1, 6), ("L3", 1, 10),
+                ("L4", 1, 20), ("L4", 1, 36), ("L6", 2, 40), ("L6", 2, 160),
+                ("L7", 2, 8), ("L7", 2, 10), ("L3", 2, 7))
+
+
+def classify_digest() -> str:
+    """``classify`` on 1,200 random DFAs from ``random.Random(7)``: per DFA
+    n = randint(1, 24) states, then the first k = randint(1, 3) letters of
+    ``abc``, then ``conftest.random_dfa``; each is classified at monoid caps
+    3 and 10,000, and each report is fed as its ``to_text()`` followed by
+    ``json.dumps(to_json_dict(), sort_keys=True)``."""
+    rng = random.Random(7)
+    h = hashlib.sha256()
+    for _ in range(1200):
+        n = rng.randint(1, 24)
+        u = Alphabet(("a", "b", "c")[:rng.randint(1, 3)])
+        d = random_dfa(rng, n, u)
+        for cap in (3, 10_000):
+            report = classify(d, u, monoid_cap=cap)
+            h.update(report.to_text().encode())
+            h.update(json.dumps(report.to_json_dict(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def engine_digest() -> str:
+    """The derivation engine, forwards and backwards.
+
+    First the ``enumerate_ic`` set of each of ``ENUMERATIONS``, shortlex
+    sorted and rendered one word a line.  Then, per witness grammar, on
+    words drawn from ``random.Random(22)``: eight members of length <= 10
+    from its first enumeration, a one-deletion and a one-transposition
+    neighbour of each, and four random words of length <= 8.  Each word is fed with its ``derive_step``
+    steps and its ``member_trace`` (``none`` when it has none); a step is
+    written as its pair index, its infix start and length, its context and
+    its target."""
+    h = hashlib.sha256()
+
+    def feed(label, lines):
+        h.update((label + "\n" + "".join(x + "\n" for x in lines)).encode())
+
+    grammars, members = {}, {}
+    for cid, n, bound in ENUMERATIONS:
+        g = grammars.setdefault((cid, n), build_witness(cid, n).grammar)
+        words = sort_words(enumerate_ic(g, bound), g.alphabet)
+        feed(f"enumerate {cid} {n} {bound}",
+             [word_to_text(w, g.alphabet) for w in words])
+        members.setdefault((cid, n), [w for w in words if len(w) <= 10])
+
+    rng = random.Random(22)
+    for (cid, n), g in grammars.items():
+        def text(w):
+            return word_to_text(w, g.alphabet)
+
+        def step(s):
+            return (f"{s.pair_index} {len(s.x1)} {len(s.x2)} "
+                    f"{text(s.context.left)} {text(s.context.right)} "
+                    f"{text(s.target)}")
+
+        for w in _probe_words(rng, members[cid, n], g.alphabet.symbols):
+            feed(f"derive {cid} {n} {text(w)}",
+                 [step(s) for s in derive_step(g, w)])
+            trace = member_trace(g, w)
+            feed(f"trace {cid} {n} {text(w)}",
+                 ["none"] if trace is None
+                 else [text(trace[0].source) if trace else text(w)]
+                 + [step(s) for s in trace])
+    return h.hexdigest()
+
+
+def _probe_words(rng, members, symbols):
+    for w in rng.sample(members, min(8, len(members))):
+        yield w
+        if w:
+            i = rng.randrange(len(w))
+            yield w[:i] + w[i + 1:]
+        if len(w) > 1:
+            i = rng.randrange(len(w) - 1)
+            yield w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+    for _ in range(4):
+        yield tuple(rng.choice(symbols) for _ in range(rng.randint(0, 8)))
+
+
+RECIPES = {"classify": classify_digest, "engine": engine_digest}
+
+if __name__ == "__main__":
+    for name, recipe in RECIPES.items():
+        print(name, recipe())

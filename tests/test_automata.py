@@ -6,18 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import automata_oracle
-from conftest import random_dfa
+from automata_oracle import (empty_dfa, inclusion_witness, universal_dfa,
+                             word_set_dfa)
+from conftest import all_words, random_dfa
 from icgram.automata import (Dfa, Nfa, access_words, accepts, combine, complement,
                              dfa_to_table, distinguishing_suffix,
-                             distinguishing_word, empty_dfa, ends_with_dfa,
-                             enumerate_regular, equivalent,
-                             inclusion_witness, language_is_finite, minimize,
-                             nfa_to_dfa, parse_dfa_table, regex_to_dfa,
-                             regex_to_nfa, shortest_accepted, universal_dfa,
-                             word_set_dfa)
+                             distinguishing_word, ends_with_dfa,
+                             enumerate_regular, equivalent, language_is_finite,
+                             minimize, nfa_to_dfa, parse_dfa_table,
+                             regex_to_dfa, regex_to_nfa, shortest_accepted)
 from icgram.errors import InvalidAutomatonError, TextFormatError
-from icgram.regex import enumerate_regex, parse_regex
-from icgram.words import Alphabet, all_words
+from icgram.regex import parse_regex
+from icgram.words import Alphabet
+from regex_oracle import enumerate_regex
 
 U2 = Alphabet.of("a", "b")
 U3 = Alphabet.of("a", "b", "c")

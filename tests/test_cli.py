@@ -5,6 +5,7 @@ are exactly what a shell would see.
 """
 
 import json
+import re
 
 import pytest
 from conftest import run_cli
@@ -12,14 +13,14 @@ from conftest import run_cli
 from icgram import cli, contextual
 from icgram.automata import regex_to_dfa
 from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
-                               enumerate_ic)
+                               derive_step, enumerate_ic, member_trace)
 from icgram.ctxformat import format_contextual, parse_contextual
 from icgram.errors import InternalConsistencyError
 from icgram.families import parse_family_label
 from icgram.regex import parse_regex
 from icgram.resources import SearchCaps
 from icgram.subregular import classify
-from icgram.words import Alphabet, sort_words, word_to_text
+from icgram.words import Alphabet, sort_words, word_from_text, word_to_text
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,30 @@ def test_witness_run_l2_passes():
     assert out.splitlines()[0] == "witness L2"
     assert "status: PASS" in out
     assert "fail" not in out
+
+
+def test_witness_run_obeys_the_frontier_cap(capsys):
+    # the same cap makes ``enumerate`` on the exported L2 grammar exit 3
+    code, out = run_cli(["witness", "run", "L2", "--max-len", "8",
+                         "--caps", "frontier_cap=3"])
+    assert (code, out) == (cli.EXIT_CAPPED, "")
+    assert capsys.readouterr().err == "error: enumeration exceeded 3 words\n"
+
+
+def test_witness_run_passes_the_monoid_cap_on(monkeypatch):
+    from icgram import witnesses
+    decide = witnesses.selection_in_family
+    seen = []
+
+    def recording(g, label, *, monoid_cap, caps):
+        seen.append(monoid_cap)
+        return decide(g, label, monoid_cap=monoid_cap, caps=caps)
+
+    monkeypatch.setattr(witnesses, "selection_in_family", recording)
+    code, _ = run_cli(["witness", "run", "L2", "--max-len", "4",
+                       "--caps", "monoid_cap=7"])
+    assert code == 0
+    assert seen and set(seen) == {7}
 
 
 def test_member_accepts_l1_word(grammar_files):
@@ -335,6 +360,45 @@ def test_derive_successors_and_trace(grammar_files):
                          "--word", "ab", "--trace"])
     assert code == 1
     assert out == "no derivation\n"
+
+
+STEP_LINE = re.compile(
+    r"(\S+) => (\S+)  \[pair (\d+), \((\S+), (\S+)\), infix (\S+)\]")
+
+
+def test_derive_prints_words_that_read_back_on_a_mixed_width_alphabet(tmp_path):
+    # with symbols of widths 1 and 2 every word is written dot-separated,
+    # even one whose own symbols are all single characters
+    u = Alphabet.of("a", "b", "c1")
+    g = ContextualGrammar(u, (("a", "b"),), (SelectionPair.from_words(
+        Alphabet.of("a"), [("a",)], (Context(("c1",), ("b",)),)),))
+    path = tmp_path / "mixed.ctx"
+    path.write_text(format_contextual(g), encoding="utf-8")
+
+    def read_back(line, step):
+        source, target, pair, left, right, x2 = STEP_LINE.fullmatch(line).groups()
+        assert [word_from_text(t, u) for t in (source, target, left, right, x2)] \
+            == [step.source, step.target, step.context.left,
+                step.context.right, step.x2]
+        assert int(pair) == step.pair_index + 1
+
+    code, out = run_cli(["derive", "--grammar", str(path), "--word", "a.b"])
+    assert code == 0
+    steps = derive_step(g, ("a", "b"))
+    assert len(out.splitlines()) == len(steps) == 1
+    for line, step in zip(out.splitlines(), steps):
+        read_back(line, step)
+
+    w = ("c1", "c1", "a", "b", "b", "b")
+    code, out = run_cli(["derive", "--grammar", str(path), "--word",
+                         word_to_text(w, u), "--trace"])
+    assert code == 0
+    start, *lines = out.splitlines()
+    trace = member_trace(g, w)
+    assert word_from_text(start, u) == trace[0].source == ("a", "b")
+    assert len(lines) == len(trace) == 2
+    for line, step in zip(lines, trace):
+        read_back(line, step)
 
 
 def test_convert_regex_targets():

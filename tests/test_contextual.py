@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contextual_oracle as oracle
-from conftest import random_dfa
+from conftest import all_words, random_dfa
 from icgram import contextual
 from icgram.automata import Dfa
 from icgram.contextual import (DEFAULT_FRONTIER_CAP, Context,
@@ -13,7 +13,7 @@ from icgram.contextual import (DEFAULT_FRONTIER_CAP, Context,
                                _predecessor_steps, derive_step, enumerate_ic,
                                ensure_valid, member_ic, member_trace,
                                selection_in_family, split_definite_selection,
-                               split_finite_selection, successors, validate)
+                               split_finite_selection, validate)
 from icgram.ctxformat import format_contextual
 from icgram.errors import (AlphabetMismatchError, DecompositionMismatchError,
                            InvalidGrammarError, NonFiniteSelectionError,
@@ -21,7 +21,7 @@ from icgram.errors import (AlphabetMismatchError, DecompositionMismatchError,
 from icgram.regex import Literal, Star, alt, parse_regex, seq
 from icgram.subregular import Verdict, parse_family_label
 from icgram.witnesses import build_witness
-from icgram.words import Alphabet, all_words, word_from_text, word_to_text
+from icgram.words import Alphabet, word_from_text, word_to_text
 
 UAB = Alphabet.of("a", "b")
 
@@ -59,7 +59,7 @@ def test_step_anatomy_holds_everywhere(l1, l2):
 
 
 def test_successors_of_l2_axiom(l2):
-    got = {word_to_text(w) for w in successors(l2, ("a", "b"))}
+    got = {word_to_text(s.target) for s in derive_step(l2, ("a", "b"))}
     assert got == {"acbc", "cabc"}
 
 

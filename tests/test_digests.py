@@ -1,0 +1,17 @@
+"""The "same behaviour" digests of ``tests/digests.py``, pinned.
+
+A change that moves one of these values changes what the program answers,
+and says so, with the reason, in CHANGES.md.
+"""
+
+import digests
+
+
+def test_classify_digest():
+    assert digests.classify_digest() == \
+        "e82533d766f875dc46539c26c663551ccc67f429e06dc45a39bec5987f5c80da"
+
+
+def test_engine_digest():
+    assert digests.engine_digest() == \
+        "d6fe5712864f1c235364f23afe294f28495e85ff120e0a60f1106933c757a2a0"

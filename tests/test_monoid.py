@@ -1,12 +1,13 @@
 import pytest
 
-from conftest import random_dfa
-from icgram.automata import compose, empty_dfa, minimize, regex_to_dfa, universal_dfa
+from automata_oracle import empty_dfa, universal_dfa
+from conftest import all_words, random_dfa
+from icgram.automata import compose, minimize, regex_to_dfa
 from icgram.errors import ResourceLimitError
 from icgram.monoid import monoid_elements, transition_monoid
 from icgram.regex import parse_regex
 from icgram.subregular import NC, PS, Verdict, classify
-from icgram.words import Alphabet, all_words
+from icgram.words import Alphabet
 
 UA = Alphabet.of("a")
 UBC = Alphabet.of("b", "c")

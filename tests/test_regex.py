@@ -4,10 +4,10 @@ from hypothesis import strategies as st
 
 from icgram.errors import TextFormatError
 from icgram.regex import (Concat, EmptyLang, EmptyWord, Literal, Star, Union,
-                          alt, enumerate_regex, format_regex,
-                          is_union_free_syntax, parse_regex, seq,
-                          simplify_empty, word_regex)
+                          alt, format_regex, is_union_free_syntax,
+                          parse_regex, seq, simplify_empty, word_regex)
 from icgram.words import Alphabet
+from regex_oracle import enumerate_regex
 
 U = Alphabet.of("a", "b", "c")
 

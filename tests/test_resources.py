@@ -7,7 +7,7 @@ from icgram.automata import equivalent, minimize, nfa_to_dfa, regex_to_dfa
 from icgram.regex import parse_regex
 from icgram.resources import (KINDS, ResourceMeasure, SearchCaps,
                               bounded_min_grammar, count_resources,
-                              dfa_to_grammar, measure, min_states)
+                              dfa_to_grammar, measure)
 from icgram.rlgrammar import (RightLinearGrammar, Rule, bounded_words,
                               grammar_to_nfa)
 from icgram.words import EMPTY_WORD, Alphabet
@@ -26,11 +26,11 @@ def _grammar_language(g):
 
 
 def test_min_states_counts_the_sink():
-    assert min_states(_dfa("(a|b)*", UAB)) == 1
-    assert min_states(_dfa("(aa)*", UA)) == 2
+    assert measure(_dfa("(a|b)*", UAB), "states").value == 1
+    assert measure(_dfa("(aa)*", UA), "states").value == 2
     # b*c needs start, accept and a dead state once complete
-    assert min_states(_dfa("b*c", UBC)) == 3
-    assert min_states(_dfa("(b*c)(b*c)*", UBC)) == 2
+    assert measure(_dfa("b*c", UBC), "states").value == 3
+    assert measure(_dfa("(b*c)(b*c)*", UBC), "states").value == 2
 
 
 def test_count_resources_as_written():

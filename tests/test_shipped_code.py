@@ -1,0 +1,75 @@
+"""The package ships only what the product calls.
+
+Every top-level definition of ``src/icgram/*.py`` (dunders aside) must be
+referenced from the product: ``src/``, ``bench/`` or ``demos/``.  Code that
+only the tests call belongs in ``tests/``, as an oracle or a helper.  A
+reference is an identifier (a name, an attribute or an imported name), or
+a string constant equal to the name, as ``bench/`` calls the ``is_*``
+predicates by their names.  A definition's own body does not count, so a
+recursive function is not its own caller.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CALLERS = ("src", "bench", "demos")
+
+# public names kept although only the tests call them
+EXCEPTIONS = {
+    # the paper's finite-plus-suffix split of a definite selection, which
+    # acceptance criterion 5 exercises
+    ("contextual", "split_definite_selection"),
+    # the readers of the texts that ``convert --to rlgrammar`` and
+    # ``convert --to dfa`` write
+    ("rlgrammar", "parse_grammar"),
+    ("automata", "parse_dfa_table"),
+}
+
+
+def _defined(statement: ast.stmt) -> list[str]:
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = (statement.targets if isinstance(statement, ast.Assign)
+                   else [statement.target])
+        return [n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)]
+    return []
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rpartition(".")[2])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_definition_in_the_package_has_a_caller_outside_the_tests():
+    # per file, the names each top-level statement references
+    refs = {path: [_referenced(s) for s in ast.parse(path.read_text()).body]
+            for top in CALLERS for path in sorted((ROOT / top).rglob("*.py"))}
+    unused = []
+    for path in sorted((ROOT / "src" / "icgram").glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        elsewhere = set().union(*(names for other, r in refs.items()
+                                  if other != path for names in r))
+        for i, statement in enumerate(body):
+            callers = elsewhere.union(*(r for j, r in enumerate(refs[path])
+                                        if j != i))
+            unused += [f"{path.stem}.{name}" for name in _defined(statement)
+                       if not _dunder(name) and name not in callers
+                       and (path.stem, name) not in EXCEPTIONS]
+    assert not unused, f"referenced only from tests/, or nowhere: {unused}"

@@ -7,18 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subregular_oracle as oracle
+from automata_oracle import word_set_dfa
 from conftest import random_dfa
 from icgram import automata, subregular
 from icgram.automata import (Dfa, accepts, complement, dfa_to_table, equivalent,
-                             language_is_finite, minimize, regex_to_dfa,
-                             word_set_dfa)
+                             language_is_finite, minimize, regex_to_dfa)
 from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
                                selection_in_family)
 from icgram.errors import (InternalConsistencyError, ResourceLimitError,
                            UndecidedError)
 from icgram.hierarchy import hierarchy
 from icgram.regex import parse_regex
-from icgram.resources import min_states
+from icgram.resources import measure
 from icgram.subregular import (CIRC, COMB, COMM, DEF, FIN, MON, NC, NIL, ORD,
                                PS, REG, SUF, UF, Evidence,
                                Verdict, classify, is_circular,
@@ -138,7 +138,7 @@ def test_definite():
     # the two words end in the same suffix of the stated length, at least
     # as long as the minimal automaton has states
     k = int(re.search(r"shared suffix of length (\d+)", ev.note).group(1))
-    assert k >= min_states(d)
+    assert k >= measure(d, "states").value
     assert min(len(w1), len(w2)) >= k and w1[-k:] == w2[-k:]
 
 

@@ -3,9 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from icgram.errors import AlphabetMismatchError
-from icgram.words import (EMPTY_WORD, Alphabet, all_words, fresh_prefix,
-                          shortlex_key, sort_words, word_from_text,
-                          word_to_text)
+from conftest import all_words
+from icgram.words import (EMPTY_WORD, Alphabet, fresh_prefix, shortlex_key,
+                          sort_words, word_from_text, word_to_text)
 
 
 def test_alphabet_from_text_forms():
