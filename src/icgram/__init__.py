@@ -1,14 +1,14 @@
 """Internal contextual grammars with regular selection languages.
 
 Three layers: a regular-language core (``words``, ``regex``, ``automata``,
-``rlgrammar``) with the family vocabulary (``families``); the contextual
-layer (``contextual``, ``ctxformat``, ``witnesses``, ``resources``) of
-derivation, enumeration, membership and witness grammars; and the deciders
+``rlgrammar``) with the family and cap vocabulary (``families``); the
+contextual layer (``contextual``, ``ctxformat``, ``witnesses``, ``resources``)
+of derivation, enumeration, membership and witness grammars; and the deciders
 (``subregular``, ``monoid``, ``hierarchy``) of families and inclusions.
 
 ``import icgram`` loads no submodule: each public name loads its module on
-first use.  Derivation, enumeration, membership and ``build_witness`` never
-load the deciders; ``classify``, the ``is_*`` predicates,
+first use.  Derivation, enumeration, membership and ``build_witness`` load
+neither the deciders nor ``resources``; ``classify``, the ``is_*`` predicates,
 ``selection_in_family``, ``check_witness`` and ``hierarchy`` do.
 ``icgram.cli`` exposes all of it as a command-line tool.
 """
@@ -30,18 +30,19 @@ _EXPORTS = {
     "rlgrammar": "RightLinearGrammar Rule grammar_to_nfa normalize_regular "
         "bounded_words parse_grammar grammar_to_text",
     "monoid": "TransitionMonoid transition_monoid",
-    "families": "DEFAULT_MONOID_CAP Verdict FamilyLabel parse_family_label "
-        "MON FIN NIL COMB DEF SUF ORD COMM CIRC NC PS UF REG rl_v rl_p reg_z",
+    "families": "DEFAULT_MONOID_CAP SearchCaps Verdict FamilyLabel "
+        "parse_family_label MON FIN NIL COMB DEF SUF ORD COMM CIRC NC PS UF "
+        "REG rl_v rl_p reg_z",
     "subregular": "Evidence FamilyReport classify is_monoidal is_finite "
         "is_nilpotent is_combinational is_definite is_suffix_closed "
         "is_ordered is_commutative is_circular is_noncounting "
-        "is_power_separating union_free_syntax",
-    "resources": "ResourceMeasure SearchCaps count_resources "
-        "bounded_min_grammar dfa_to_grammar measure",
+        "is_power_separating union_free_syntax selection_in_family "
+        "PairVerdict SelectionFamilyResult",
+    "resources": "ResourceMeasure count_resources bounded_min_grammar "
+        "dfa_to_grammar measure",
     "contextual": "Context ContextualGrammar SelectionPair DerivationStep "
-        "Diagnostic PairVerdict validate ensure_valid derive_step "
-        "enumerate_ic member_ic member_trace split_finite_selection "
-        "split_definite_selection selection_in_family SelectionFamilyResult",
+        "Diagnostic validate ensure_valid derive_step enumerate_ic member_ic "
+        "member_trace split_finite_selection split_definite_selection",
     "ctxformat": "format_contextual parse_contextual",
     "hierarchy": "Edge HierarchyTable hierarchy SCOPES",
     "witnesses": "WitnessCase WitnessReport CheckResult WITNESS_IDS "

@@ -25,8 +25,9 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import (AlphabetMismatchError, InvalidAutomatonError, TextFormatError,
-                     at_line)
+from .errors import (AlphabetMismatchError, InvalidAutomatonError,
+                     ResourceLimitError, TextFormatError, at_line)
+from .families import DEFAULT_FRONTIER_CAP
 from .regex import (EmptyLang, EmptyWord, Literal, Concat, Union, Star, Regex,
                     literal_symbols, simplify_empty)
 from .words import EMPTY_WORD, Alphabet, Word, clean_lines
@@ -367,8 +368,13 @@ def _distance_to_accepting(d: Dfa) -> dict:
     return dist
 
 
-def enumerate_regular(d: Dfa, max_len: int) -> set[Word]:
-    """All accepted words of length <= max_len (pruned breadth-first walk)."""
+def enumerate_regular(d: Dfa, max_len: int, *,
+                      frontier_cap: int = DEFAULT_FRONTIER_CAP) -> set[Word]:
+    """All accepted words of length <= max_len (pruned breadth-first walk).
+
+    Each word kept is an accepted word or a prefix still to extend, which
+    leads to an accepted word of its own; more than ``frontier_cap`` of
+    them, both kinds together, raise :class:`ResourceLimitError`."""
     dist = _distance_to_accepting(d)
     out: set[Word] = set()
     if d.initial not in dist:
@@ -379,12 +385,14 @@ def enumerate_regular(d: Dfa, max_len: int) -> set[Word]:
         for q, w in layer:
             if q in d.accepting:
                 out.add(w)
-            if length == max_len:
-                continue
-            for a in d.alphabet:
+            for a in d.alphabet if length < max_len else ():
                 t = d.delta[(q, a)]
                 if t in dist and dist[t] <= max_len - length - 1:
                     nxt.append((t, w + (a,)))
+            if len(out) + len(nxt) > frontier_cap:
+                raise ResourceLimitError(
+                    f"enumeration exceeded {frontier_cap} words",
+                    cap=frontier_cap, reached=len(out) + len(nxt))
         layer = nxt
     return out
 

@@ -27,16 +27,15 @@ from dataclasses import fields
 from pathlib import Path
 
 from .automata import Dfa, dfa_to_table, enumerate_regular, minimize, regex_to_dfa
-from .contextual import (DEFAULT_FRONTIER_CAP, ContextualGrammar,
-                         DerivationStep, derive_step, enumerate_ic, member_ic,
-                         member_trace, selection_in_family,
+from .contextual import (ContextualGrammar, DerivationStep, derive_step,
+                         enumerate_ic, member_ic, member_trace,
                          split_finite_selection)
 from .ctxformat import format_contextual, parse_contextual
 from .errors import (IcgramError, InternalConsistencyError,
                      InvalidGrammarError, ResourceLimitError)
-from .families import DEFAULT_MONOID_CAP, SCOPES, Verdict, parse_family_label
+from .families import SCOPES, SearchCaps, Verdict, parse_family_label
 from .regex import Regex, parse_regex
-from .resources import KINDS, SearchCaps, count_resources, dfa_to_grammar, measure
+from .resources import KINDS, count_resources, dfa_to_grammar, measure
 from .rlgrammar import grammar_to_text
 from .words import Alphabet, sort_words, word_from_text, word_to_text
 
@@ -46,13 +45,12 @@ EXIT_USAGE = 2
 EXIT_CAPPED = 3
 EXIT_INTERNAL = 4
 
-_CAP_KEYS = (*(f.name for f in fields(SearchCaps)), "monoid_cap", "frontier_cap")
+_CAP_KEYS = tuple(f.name for f in fields(SearchCaps))
 
 
-def _parse_caps(text: str | None) -> dict:
-    """``--caps key=value,...``; keys from the search/monoid/frontier caps."""
-    out = {"monoid_cap": DEFAULT_MONOID_CAP, "frontier_cap": DEFAULT_FRONTIER_CAP}
-    search = {}
+def _parse_caps(text: str | None) -> SearchCaps:
+    """``--caps key=value,...``, each key a field of :class:`SearchCaps`."""
+    caps = {}
     if text:
         for part in text.split(","):
             part = part.strip()
@@ -69,12 +67,8 @@ def _parse_caps(text: str | None) -> dict:
                 raise IcgramError(f"--caps {key} needs an integer, got {value!r}")
             if n < 0:
                 raise IcgramError(f"--caps {key} must be >= 0")
-            if key in ("monoid_cap", "frontier_cap"):
-                out[key] = n
-            else:
-                search[key] = n
-    out["search"] = SearchCaps(**search)
-    return out
+            caps[key] = n
+    return SearchCaps(**caps)
 
 
 def _read_grammar(path: str) -> ContextualGrammar:
@@ -120,29 +114,26 @@ def _verdict_exit(v: Verdict) -> int:
 # --- commands -------------------------------------------------------------
 
 def _cmd_classify(args) -> int:
-    from .subregular import _family_verdict, classify
-    caps = _parse_caps(args.caps)
+    from .subregular import _family_verdict, classify, selection_in_family
     _check_one_language(args)
     if args.regex is not None:
         r, d, u = _regex_language(args)
         if args.family is not None:
             # the decision path of a grammar's selections, on this language
             label = parse_family_label(args.family)
-            v, note = _family_verdict(d, label, caps["monoid_cap"],
-                                      caps["search"], source_regex=r)
+            v, note = _family_verdict(d, label, args.caps, source_regex=r)
             _emit(args, f"{label}: {v}  # {note}\n",
                   {"language": args.regex, "family": str(label),
                    "verdict": str(v), "note": note})
             return _verdict_exit(v)
         report = classify(d, u, source_regex=r, language_name=args.regex,
-                          monoid_cap=caps["monoid_cap"])
+                          monoid_cap=args.caps.monoid_cap)
         _emit(args, report.to_text(), report.to_json_dict())
         return EXIT_OK
     g = _read_grammar(args.grammar)
     if args.family is not None:
         label = parse_family_label(args.family)
-        res = selection_in_family(g, label, monoid_cap=caps["monoid_cap"],
-                                  caps=caps["search"])
+        res = selection_in_family(g, label, caps=args.caps)
         lines = [f"{label}: {res.overall}"]
         for pv in res.per_pair:
             lines.append(f"  pair {pv.pair_index + 1}: {pv.verdict}  # {pv.note}")
@@ -156,17 +147,17 @@ def _cmd_classify(args) -> int:
         report = classify(pair.dfa, pair.declared_alphabet,
                           source_regex=pair.source_regex,
                           language_name=f"selection of pair {i + 1}",
-                          monoid_cap=caps["monoid_cap"])
+                          monoid_cap=args.caps.monoid_cap)
         texts.append(report.to_text())
         dicts.append(report.to_json_dict())
     _emit(args, "\n".join(texts), {"pairs": dicts})
     return EXIT_OK
 
 
-def _measure_lines(d: Dfa, caps: dict) -> tuple[list[str], list[dict]]:
+def _measure_lines(d: Dfa, caps: SearchCaps) -> tuple[list[str], list[dict]]:
     lines, records = [], []
     for kind in KINDS:
-        m = measure(d, kind, caps["search"])
+        m = measure(d, kind, caps)
         shown = str(m.upper) if m.exact else f"in [{m.lower}, {m.upper}]"
         suffix = " (exact)" if m.exact else ""
         lines.append(f"{kind}: {shown}{suffix}  # {m.note}")
@@ -176,18 +167,17 @@ def _measure_lines(d: Dfa, caps: dict) -> tuple[list[str], list[dict]]:
 
 
 def _cmd_measure(args) -> int:
-    caps = _parse_caps(args.caps)
     _check_one_language(args)
     if args.regex is not None:
         _, d, _ = _regex_language(args)
-        lines, records = _measure_lines(d, caps)
+        lines, records = _measure_lines(d, args.caps)
         _emit(args, "\n".join([f"language: {args.regex}"] + lines) + "\n",
               {"language": args.regex, "measures": records})
         return EXIT_OK
     g = _read_grammar(args.grammar)
     all_lines, pair_records = [], []
     for i, pair in enumerate(g.pairs):
-        lines, records = _measure_lines(pair.dfa, caps)
+        lines, records = _measure_lines(pair.dfa, args.caps)
         if pair.source_grammar is not None:
             v, p = count_resources(pair.source_grammar)
             lines.append(f"as written: {v} nonterminal{'' if v == 1 else 's'}, "
@@ -200,15 +190,15 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    caps = _parse_caps(args.caps)
+    cap = args.caps.frontier_cap
     _check_one_language(args)
     if args.regex is not None:
         _, d, u = _regex_language(args)
-        words = enumerate_regular(d, args.max_len)
+        words = enumerate_regular(d, args.max_len, frontier_cap=cap)
         alphabet = u
     else:
         g = _read_grammar(args.grammar)
-        words = enumerate_ic(g, args.max_len, frontier_cap=caps["frontier_cap"])
+        words = enumerate_ic(g, args.max_len, frontier_cap=cap)
         alphabet = g.alphabet
     rendered = [word_to_text(w, alphabet) for w in sort_words(words, alphabet)]
     _emit(args, "".join(x + "\n" for x in rendered),
@@ -217,10 +207,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    caps = _parse_caps(args.caps)
     g = _read_grammar(args.grammar)
     w = word_from_text(args.word, g.alphabet)
-    ok = member_ic(g, w, frontier_cap=caps["frontier_cap"])
+    ok = member_ic(g, w, frontier_cap=args.caps.frontier_cap)
     _emit(args, ("true" if ok else "false") + "\n",
           {"word": word_to_text(w, g.alphabet), "member": ok})
     return EXIT_OK if ok else EXIT_NEGATIVE
@@ -236,11 +225,10 @@ def _step_record(s: DerivationStep, alphabet: Alphabet) -> dict:
 
 
 def _cmd_derive(args) -> int:
-    caps = _parse_caps(args.caps)
     g = _read_grammar(args.grammar)
     w = word_from_text(args.word, g.alphabet)
     if args.trace:
-        trace = member_trace(g, w, frontier_cap=caps["frontier_cap"])
+        trace = member_trace(g, w, frontier_cap=args.caps.frontier_cap)
         if trace is None:
             _emit(args, "no derivation\n",
                   {"word": word_to_text(w, g.alphabet), "derivable": False,
@@ -314,13 +302,8 @@ def _cmd_witness(args) -> int:
         return EXIT_OK
 
     assert args.action == "run"
-    caps = _parse_caps(args.caps)
-    reports = []
-    for cid, n in _witness_targets(args.case, args.n):
-        case = build_witness(cid, n)
-        reports.append(check_witness(
-            case, args.max_len, caps=caps["search"],
-            monoid_cap=caps["monoid_cap"], frontier_cap=caps["frontier_cap"]))
+    reports = [check_witness(build_witness(cid, n), args.max_len, caps=args.caps)
+               for cid, n in _witness_targets(args.case, args.n)]
     human = "\n".join(r.to_text() for r in reports)
     payload = {"reports": [
         {"case": r.case_label, "ok": r.ok,
@@ -457,6 +440,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
+        if "caps" in args:  # one parse, for every command that has --caps
+            args.caps = _parse_caps(args.caps)
         return args.fn(args)
     except InternalConsistencyError:
         traceback.print_exc()

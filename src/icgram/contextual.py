@@ -52,14 +52,10 @@ from .automata import (Dfa, _useful_states, accepts, enumerate_regular,
                        regex_to_dfa)
 from .errors import (DecompositionMismatchError, InvalidGrammarError,
                      NonFiniteSelectionError, ResourceLimitError)
-from .families import DEFAULT_MONOID_CAP, FamilyLabel, Verdict
+from .families import DEFAULT_FRONTIER_CAP
 from .regex import Regex, alt, seq, word_regex, Star, Literal
-from .resources import SearchCaps
 from .rlgrammar import RightLinearGrammar, Rule, grammar_to_nfa
 from .words import Alphabet, Word, fresh_prefix, sort_words, word_to_text
-
-
-DEFAULT_FRONTIER_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -625,42 +621,3 @@ def split_definite_selection(
             new_pairs.append(SelectionPair.from_grammar(suffix_grammar,
                                                         pair.contexts))
     return ContextualGrammar(g.alphabet, g.axioms, tuple(new_pairs))
-
-
-# --- selection-family questions ------------------------------------------
-
-@dataclass(frozen=True)
-class PairVerdict:
-    pair_index: int
-    verdict: Verdict
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class SelectionFamilyResult:
-    family: FamilyLabel
-    overall: Verdict
-    per_pair: tuple[PairVerdict, ...]
-
-
-def selection_in_family(g: ContextualGrammar, label: FamilyLabel, *,
-                        monoid_cap: int = DEFAULT_MONOID_CAP,
-                        caps: SearchCaps = SearchCaps()
-                        ) -> SelectionFamilyResult:
-    """Do all selection languages of ``g`` lie in the given family?  Each
-    is decided by ``subregular._family_verdict``: structural families and
-    state bounds outright (NC/PS up to the monoid cap), nonterminal/rule
-    bounds up to a yes."""
-    from .subregular import _family_verdict  # the deciders load here
-    ensure_valid(g)
-    per_pair = [PairVerdict(i, *_family_verdict(
-                    pair.dfa, label, monoid_cap, caps,
-                    pair.source_regex, pair.source_grammar))
-                for i, pair in enumerate(g.pairs)]
-    if any(pv.verdict is Verdict.NO for pv in per_pair):
-        overall = Verdict.NO
-    elif all(pv.verdict is Verdict.YES for pv in per_pair):
-        overall = Verdict.YES
-    else:
-        overall = Verdict.UNKNOWN
-    return SelectionFamilyResult(label, overall, tuple(per_pair))

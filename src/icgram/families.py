@@ -1,5 +1,6 @@
-"""Verdicts and family labels, apart from the deciders (``subregular``
-re-exports them) so that naming a family does not load a decider."""
+"""Verdicts, family labels and the caps of every search, apart from the
+deciders (``subregular`` re-exports them) so that naming a family or a cap
+does not load a decider."""
 
 from __future__ import annotations
 
@@ -9,6 +10,26 @@ from enum import Enum
 from .errors import TextFormatError, at_line
 
 DEFAULT_MONOID_CAP = 10_000  # elements of a transition monoid
+DEFAULT_FRONTIER_CAP = 200_000  # words enumerated, or explored by membership
+
+
+@dataclass(frozen=True)
+class SearchCaps:
+    """Every cap of a search: the first five bound the grammar search behind
+    RL_V and RL_P, ``monoid_cap`` the transition-monoid walk behind NC and
+    PS, and ``frontier_cap`` enumeration and backward membership."""
+
+    max_nonterminals: int = 2
+    max_rules: int = 4
+    max_rhs_len: int = 3
+    check_len: int = 8
+    max_candidates: int = 200_000
+    monoid_cap: int = DEFAULT_MONOID_CAP
+    frontier_cap: int = DEFAULT_FRONTIER_CAP
+
+    def describe(self) -> str:
+        return (f"nonterminals<={self.max_nonterminals}, rules<={self.max_rules}, "
+                f"rhs<={self.max_rhs_len}, filter length {self.check_len}")
 
 
 class Verdict(str, Enum):

@@ -15,25 +15,11 @@ from itertools import combinations, product
 from math import comb
 
 from .automata import Dfa, minimize, nfa_to_dfa
+from .families import SearchCaps
 from .rlgrammar import RightLinearGrammar, Rule, bounded_words, grammar_to_nfa
 from .words import EMPTY_WORD, Alphabet, fresh_prefix
 
 KINDS = ("states", "nonterminals", "rules")
-
-
-@dataclass(frozen=True)
-class SearchCaps:
-    """Caps for the grammar search space."""
-
-    max_nonterminals: int = 2
-    max_rules: int = 4
-    max_rhs_len: int = 3
-    check_len: int = 8
-    max_candidates: int = 200_000
-
-    def describe(self) -> str:
-        return (f"nonterminals<={self.max_nonterminals}, rules<={self.max_rules}, "
-                f"rhs<={self.max_rhs_len}, filter length {self.check_len}")
 
 
 @dataclass(frozen=True)

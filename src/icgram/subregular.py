@@ -15,7 +15,7 @@ repetition witness, unknown in the remaining gap.
 
 The predicates, :func:`classify` and :func:`_family_verdict`, the one
 answer to "is this selection in that family" of
-``contextual.selection_in_family`` and ``classify --regex --family``,
+:func:`selection_in_family` and ``classify --regex --family``,
 decide through one :class:`_Analysis` of the minimal DFA, which runs each
 search that several checks share at most once.  :func:`classify` also
 checks its verdicts, with REG_Z(1) and REG_Z(2) read off the state count,
@@ -35,16 +35,17 @@ from .automata import (Dfa, access_words, bfs_words, complement, compose,
                        distinguishing_suffix, distinguishing_word, ends_with_dfa,
                        minimize, shortest_accepted, _longest_word_length,
                        _pair_step, _pair_word, _useful_states)
+from .contextual import ContextualGrammar, ensure_valid
 from .errors import (AlphabetMismatchError, InternalConsistencyError,
                      ResourceLimitError, UndecidedError)
 from .families import (CIRC, COMB, COMM, DEF, DEFAULT_MONOID_CAP, FAMILY_ORDER,
                        FIN, MON, NC, NIL, ORD, PS, REG, SUF, UF, FamilyLabel,
-                       Verdict, label_sort_key, parse_family_label, reg_z,
-                       rl_p, rl_v)
+                       SearchCaps, Verdict, label_sort_key, parse_family_label,
+                       reg_z, rl_p, rl_v)
 from .hierarchy import hierarchy
 from .monoid import monoid_elements
 from .regex import Regex, is_union_free_syntax
-from .resources import SearchCaps, bounded_min_grammar, count_resources
+from .resources import bounded_min_grammar, count_resources
 from .rlgrammar import RightLinearGrammar
 from .words import Alphabet, Word, word_to_text
 
@@ -588,12 +589,12 @@ def union_free_syntax(r: Regex) -> Verdict:
     return Verdict.YES if is_union_free_syntax(r) else Verdict.UNKNOWN
 
 
-def _family_verdict(d: Dfa, label: FamilyLabel, monoid_cap: int,
-                    caps: SearchCaps, source_regex: Regex | None = None,
+def _family_verdict(d: Dfa, label: FamilyLabel, caps: SearchCaps,
+                    source_regex: Regex | None = None,
                     source_grammar: RightLinearGrammar | None = None
                     ) -> tuple[Verdict, str]:
     """Verdict and note on whether ``L(d)`` lies in one family, for
-    ``contextual.selection_in_family`` and ``classify --regex --family``.
+    :func:`selection_in_family` and ``classify --regex --family``.
 
     Structural families are decided on the minimal DFA (NC/PS up to the
     monoid cap), UF on ``source_regex`` as written.  Nonterminal/rule
@@ -602,7 +603,7 @@ def _family_verdict(d: Dfa, label: FamilyLabel, monoid_cap: int,
     exact."""
     kind = label.kind
     if label.structural and kind != "UF":
-        v, ev = _Analysis(minimize(d), monoid_cap).decide(label)
+        v, ev = _Analysis(minimize(d), caps.monoid_cap).decide(label)
         return v, ev.note
     if kind == "REG":
         return Verdict.YES, "regular by construction"
@@ -628,6 +629,41 @@ def _family_verdict(d: Dfa, label: FamilyLabel, monoid_cap: int,
     if m.upper <= label.n:
         return Verdict.YES, f"certificate found: {m.note}"
     return Verdict.UNKNOWN, f"no small enough grammar within caps ({m.note})"
+
+
+@dataclass(frozen=True)
+class PairVerdict:
+    pair_index: int
+    verdict: Verdict
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class SelectionFamilyResult:
+    family: FamilyLabel
+    overall: Verdict
+    per_pair: tuple[PairVerdict, ...]
+
+
+def selection_in_family(g: ContextualGrammar, label: FamilyLabel, *,
+                        caps: SearchCaps = SearchCaps()
+                        ) -> SelectionFamilyResult:
+    """Do all selection languages of ``g`` lie in the given family?  Each
+    is decided by :func:`_family_verdict`: structural families and state
+    bounds outright (NC/PS up to the monoid cap), nonterminal/rule bounds
+    up to a yes."""
+    ensure_valid(g)
+    per_pair = [PairVerdict(i, *_family_verdict(
+                    pair.dfa, label, caps, pair.source_regex,
+                    pair.source_grammar))
+                for i, pair in enumerate(g.pairs)]
+    if any(pv.verdict is Verdict.NO for pv in per_pair):
+        overall = Verdict.NO
+    elif all(pv.verdict is Verdict.YES for pv in per_pair):
+        overall = Verdict.YES
+    else:
+        overall = Verdict.UNKNOWN
+    return SelectionFamilyResult(label, overall, tuple(per_pair))
 
 
 # --- combined classification ---------------------------------------------

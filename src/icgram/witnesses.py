@@ -20,14 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .contextual import (DEFAULT_FRONTIER_CAP, Context, ContextualGrammar,
-                         SelectionPair, enumerate_ic, selection_in_family,
-                         validate)
+from .contextual import (Context, ContextualGrammar, SelectionPair,
+                         enumerate_ic, validate)
 from .errors import IcgramError
-from .families import (COMB, COMM, DEFAULT_MONOID_CAP, FIN, MON, ORD, PS, SUF,
-                       CIRC, FamilyLabel, Verdict, reg_z, rl_p, rl_v)
+from .families import (COMB, COMM, FIN, MON, ORD, PS, SUF, CIRC, FamilyLabel,
+                       SearchCaps, Verdict, reg_z, rl_p, rl_v)
 from .regex import Literal, Star, alt, seq
-from .resources import SearchCaps
 from .rlgrammar import RightLinearGrammar, Rule
 from .words import EMPTY_WORD, Alphabet, Word
 
@@ -321,12 +319,11 @@ class WitnessReport:
 
 
 def check_witness(case: WitnessCase, max_len: int = 8, *,
-                  caps: SearchCaps = SearchCaps(),
-                  monoid_cap: int = DEFAULT_MONOID_CAP,
-                  frontier_cap: int = DEFAULT_FRONTIER_CAP) -> WitnessReport:
+                  caps: SearchCaps = SearchCaps()) -> WitnessReport:
     """Run every machine-checkable claim of the case; failures are reported,
     not raised, but a frontier cap that is hit raises ResourceLimitError."""
     from .hierarchy import hierarchy
+    from .subregular import selection_in_family
     results: list[CheckResult] = []
 
     problems = validate(case.grammar)
@@ -339,9 +336,10 @@ def check_witness(case: WitnessCase, max_len: int = 8, *,
         return WitnessReport(case.label, tuple(results))
 
     if case.variants or case.has_closed_form:
-        main_words = enumerate_ic(case.grammar, max_len, frontier_cap=frontier_cap)
+        cap = caps.frontier_cap
+        main_words = enumerate_ic(case.grammar, max_len, frontier_cap=cap)
         for name, g in case.variants:
-            same = enumerate_ic(g, max_len, frontier_cap=frontier_cap) == main_words
+            same = enumerate_ic(g, max_len, frontier_cap=cap) == main_words
             results.append(CheckResult(
                 f"variant '{name}' generates the same words up to length {max_len}",
                 same))
@@ -353,8 +351,7 @@ def check_witness(case: WitnessCase, max_len: int = 8, *,
                 f"{len(main_words)} word{'' if len(main_words) == 1 else 's'}"))
 
     for family, key in case.positive:
-        res = selection_in_family(case.grammar_named(key), family,
-                                  monoid_cap=monoid_cap, caps=caps)
+        res = selection_in_family(case.grammar_named(key), family, caps=caps)
         results.append(CheckResult(
             f"selections of '{key}' lie in {family}",
             res.overall is Verdict.YES,

@@ -14,9 +14,13 @@ import json
 import random
 
 from conftest import random_dfa
+from icgram.automata import minimize
 from icgram.contextual import derive_step, enumerate_ic, member_trace
-from icgram.subregular import classify
-from icgram.witnesses import build_witness
+from icgram.errors import ResourceLimitError
+from icgram.families import FAMILY_ORDER, SearchCaps, reg_z, rl_p, rl_v
+from icgram.monoid import monoid_elements
+from icgram.subregular import classify, selection_in_family
+from icgram.witnesses import _N_RANGE, WITNESS_IDS, build_witness
 from icgram.words import Alphabet, sort_words, word_to_text
 
 # (case, n, bound): the enumerations that bench/workloads.py times as the
@@ -104,7 +108,60 @@ def _probe_words(rng, members, symbols):
         yield tuple(rng.choice(symbols) for _ in range(rng.randint(0, 8)))
 
 
-RECIPES = {"classify": classify_digest, "engine": engine_digest}
+# the labels of selection_in_family_digest: every plain family, and bounds
+SELECTION_LABELS = FAMILY_ORDER + (rl_v(1), rl_v(2), rl_p(1), rl_p(2),
+                                   rl_p(3), reg_z(1), reg_z(2), reg_z(3))
+
+
+def selection_in_family_digest() -> str:
+    """``selection_in_family`` on the main grammar and every variant of
+    each witness case, at each ``n`` of its range, for each of
+    ``SELECTION_LABELS``, under ``SearchCaps(max_candidates=3000)`` and the
+    same with ``monoid_cap=3``.  Each answer is fed as a line of the case,
+    grammar, label and monoid cap with the overall verdict, then a line of
+    index, verdict and note per pair."""
+    h = hashlib.sha256()
+    for cid in WITNESS_IDS:
+        low, high = _N_RANGE.get(cid, (None, None))
+        for n in (None,) if low is None else range(low, high + 1):
+            case = build_witness(cid, n)
+            for key, g in (("main", case.grammar),) + case.variants:
+                for label in SELECTION_LABELS:
+                    for cap in (10_000, 3):
+                        caps = SearchCaps(max_candidates=3000, monoid_cap=cap)
+                        res = selection_in_family(g, label, caps=caps)
+                        h.update(f"{case.label} {key} {label} {cap} "
+                                 f"{res.overall}\n".encode())
+                        for pv in res.per_pair:
+                            h.update(f"  {pv.pair_index} {pv.verdict} "
+                                     f"{pv.note}\n".encode())
+    return h.hexdigest()
+
+
+def monoid_digest() -> str:
+    """``monoid_elements`` of the minimal DFAs of 400 random DFAs from
+    ``random.Random(12)``: per DFA n = randint(1, 8) states over the first
+    k = randint(1, 3) letters of ``abc``, then ``conftest.random_dfa``,
+    walked at cap 500.  Each element is fed as its transformation and its
+    word, one line each; a walk that hits the cap ends with ``capped``."""
+    rng = random.Random(12)
+    h = hashlib.sha256()
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        u = Alphabet(("a", "b", "c")[:rng.randint(1, 3)])
+        dm = minimize(random_dfa(rng, n, u))
+        h.update(f"dfa {len(dm.states)}\n".encode())
+        try:
+            for t, y in monoid_elements(dm, 500):
+                h.update(f"{t} {word_to_text(y, u)}\n".encode())
+        except ResourceLimitError:
+            h.update(b"capped\n")
+    return h.hexdigest()
+
+
+RECIPES = {"classify": classify_digest, "engine": engine_digest,
+           "selection_in_family": selection_in_family_digest,
+           "monoid": monoid_digest}
 
 if __name__ == "__main__":
     for name, recipe in RECIPES.items():

@@ -15,11 +15,11 @@ from conftest import random_dfa
 from icgram.automata import Dfa, complement, shortest_accepted
 from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
                                derive_step, enumerate_ic, member_ic,
-                               selection_in_family, split_definite_selection,
+                               split_definite_selection,
                                split_finite_selection)
 from icgram.regex import parse_regex
 from icgram.hierarchy import hierarchy
-from icgram.subregular import COMB, MON, Verdict, classify
+from icgram.subregular import COMB, MON, Verdict, classify, selection_in_family
 from icgram.witnesses import WITNESS_IDS, build_witness, closed_form
 from icgram.words import Alphabet, sort_words
 

@@ -10,15 +10,14 @@ import re
 import pytest
 from conftest import run_cli
 
-from icgram import cli, contextual
+from icgram import cli, contextual, subregular
 from icgram.automata import regex_to_dfa
 from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
                                derive_step, enumerate_ic, member_trace)
 from icgram.ctxformat import format_contextual, parse_contextual
 from icgram.errors import InternalConsistencyError
-from icgram.families import parse_family_label
+from icgram.families import SearchCaps, parse_family_label
 from icgram.regex import parse_regex
-from icgram.resources import SearchCaps
 from icgram.subregular import classify
 from icgram.words import Alphabet, sort_words, word_from_text, word_to_text
 
@@ -74,15 +73,14 @@ def test_witness_run_obeys_the_frontier_cap(capsys):
 
 
 def test_witness_run_passes_the_monoid_cap_on(monkeypatch):
-    from icgram import witnesses
-    decide = witnesses.selection_in_family
+    decide = subregular.selection_in_family
     seen = []
 
-    def recording(g, label, *, monoid_cap, caps):
-        seen.append(monoid_cap)
-        return decide(g, label, monoid_cap=monoid_cap, caps=caps)
+    def recording(g, label, *, caps):
+        seen.append(caps.monoid_cap)
+        return decide(g, label, caps=caps)
 
-    monkeypatch.setattr(witnesses, "selection_in_family", recording)
+    monkeypatch.setattr(subregular, "selection_in_family", recording)
     code, _ = run_cli(["witness", "run", "L2", "--max-len", "4",
                        "--caps", "monoid_cap=7"])
     assert code == 0
@@ -123,9 +121,9 @@ def test_classify_family_of_a_regex_is_the_verdict_on_its_selection(family):
     for regex in ("a*", "ab", "(ab)*", "ab|b", "(a|b)*", "(a|b)*b", "a(a|b)*"):
         pair = SelectionPair.from_regex(u, parse_regex(regex, u),
                                         (Context(("a",), ()),))
-        res = contextual.selection_in_family(
-            ContextualGrammar(u, (("a",),), (pair,)), label, monoid_cap=40,
-            caps=SearchCaps(max_candidates=3000))
+        res = subregular.selection_in_family(
+            ContextualGrammar(u, (("a",),), (pair,)), label,
+            caps=SearchCaps(monoid_cap=40, max_candidates=3000))
         (pv,) = res.per_pair
         code, out = run_cli(["classify", "--regex", regex, "--alphabet", "ab",
                              "--family", family, "--caps",
@@ -177,6 +175,34 @@ def test_enumerate_search_cap_exits_three(grammar_files):
     code, out = run_cli(argv)
     assert code == 0 and len(out.splitlines()) == 363
     assert run_cli(argv + ["--caps", "frontier_cap=5"]) == (3, "")
+
+
+def test_enumerate_regex_obeys_the_frontier_cap(capsys):
+    # (a|b)* has 15 words up to length 3: the walk stops past 3 of them
+    argv = ["enumerate", "--regex", "(a|b)*", "--alphabet", "ab",
+            "--max-len", "3"]
+    code, out = run_cli(argv)
+    assert code == 0 and len(out.splitlines()) == 15
+    assert run_cli(argv + ["--caps", "frontier_cap=3"]) == (3, "")
+    assert capsys.readouterr().err == "error: enumeration exceeded 3 words\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--regex", "a*", "--alphabet", "a"],
+    ["measure", "--regex", "a*", "--alphabet", "a"],
+    ["enumerate", "--regex", "a*", "--alphabet", "a", "--max-len", "2"],
+    ["member", "--grammar", "l2.ctx", "--word", "ab"],
+    ["derive", "--grammar", "l2.ctx", "--word", "ab"],
+    ["witness", "run", "L2"], ["witness", "list"], ["witness", "export", "L2"],
+    ["witness", "hierarchy"]], ids=lambda argv: "-".join(argv[:2]))
+def test_every_command_refuses_malformed_caps(grammar_files, capsys, argv):
+    argv = [grammar_files["L2"] if x == "l2.ctx" else x for x in argv]
+    assert run_cli(argv)[0] == 0
+    capsys.readouterr()
+    assert run_cli(argv + ["--caps", "bogus"]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: bad --caps entry 'bogus'; keys: max_nonterminals, max_rules, "
+        "max_rhs_len, check_len, max_candidates, monoid_cap, frontier_cap\n")
 
 
 def test_monoid_cap_exit_three():

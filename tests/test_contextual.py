@@ -12,14 +12,15 @@ from icgram.contextual import (DEFAULT_FRONTIER_CAP, Context,
                                ContextualGrammar, SelectionPair, _derivation,
                                _predecessor_steps, derive_step, enumerate_ic,
                                ensure_valid, member_ic, member_trace,
-                               selection_in_family, split_definite_selection,
+                               split_definite_selection,
                                split_finite_selection, validate)
 from icgram.ctxformat import format_contextual
 from icgram.errors import (AlphabetMismatchError, DecompositionMismatchError,
                            InvalidGrammarError, NonFiniteSelectionError,
                            ResourceLimitError)
 from icgram.regex import Literal, Star, alt, parse_regex, seq
-from icgram.subregular import Verdict, parse_family_label
+from icgram.families import SearchCaps
+from icgram.subregular import Verdict, parse_family_label, selection_in_family
 from icgram.witnesses import build_witness
 from icgram.words import Alphabet, word_from_text, word_to_text
 
@@ -373,7 +374,8 @@ def test_selection_in_family_per_pair(l1):
 
 
 def test_selection_in_family_cap_note_matches_classify(l1):
-    res = selection_in_family(l1, parse_family_label("NC"), monoid_cap=2)
+    res = selection_in_family(l1, parse_family_label("NC"),
+                              caps=SearchCaps(monoid_cap=2))
     assert res.per_pair[0].verdict is Verdict.UNKNOWN
     assert res.per_pair[0].note == \
         "monoid cap exceeded (cap 2); undecided at this cap"

@@ -15,3 +15,13 @@ def test_classify_digest():
 def test_engine_digest():
     assert digests.engine_digest() == \
         "d6fe5712864f1c235364f23afe294f28495e85ff120e0a60f1106933c757a2a0"
+
+
+def test_selection_in_family_digest():
+    assert digests.selection_in_family_digest() == \
+        "967dc97aaeb609ac4a0204b2749d8e4b6941c080cb5371be4f81f361b6e92d08"
+
+
+def test_monoid_digest():
+    assert digests.monoid_digest() == \
+        "fa85f7b600a403807b21431fba4496ae52d31efeda0b089a0dd5b28f4fa1bc04"

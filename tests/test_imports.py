@@ -16,7 +16,7 @@ import icgram
 ROOT = Path(__file__).resolve().parent.parent
 DECIDERS = {"icgram.subregular", "icgram.monoid", "icgram.hierarchy"}
 
-# Every public name, under the module the eager ``__init__`` imported it from.
+# Every public name, under its home module.
 PUBLIC = {
     "words": "Alphabet Symbol Word EMPTY_WORD word_from_text word_to_text",
     "errors": "IcgramError AlphabetMismatchError InvalidAutomatonError "
@@ -35,14 +35,15 @@ PUBLIC = {
                   "NC PS UF REG rl_v rl_p reg_z is_monoidal is_finite "
                   "is_nilpotent is_combinational is_definite is_suffix_closed "
                   "is_ordered is_commutative is_circular is_noncounting "
-                  "is_power_separating union_free_syntax",
-    "resources": "ResourceMeasure SearchCaps count_resources "
-                 "bounded_min_grammar dfa_to_grammar measure",
+                  "is_power_separating union_free_syntax selection_in_family "
+                  "SelectionFamilyResult PairVerdict",
+    "families": "SearchCaps",
+    "resources": "ResourceMeasure count_resources bounded_min_grammar "
+                 "dfa_to_grammar measure",
     "contextual": "Context ContextualGrammar SelectionPair DerivationStep "
                   "Diagnostic validate ensure_valid derive_step "
                   "enumerate_ic member_ic member_trace split_finite_selection "
-                  "split_definite_selection selection_in_family "
-                  "SelectionFamilyResult PairVerdict",
+                  "split_definite_selection",
     "ctxformat": "format_contextual parse_contextual",
     "hierarchy": "hierarchy Edge HierarchyTable SCOPES",
     "witnesses": "WitnessCase WitnessReport CheckResult WITNESS_IDS "
@@ -71,7 +72,7 @@ def test_import_loads_no_submodule():
 def test_the_grammar_format_loads_no_decider_and_no_witness():
     loaded = _loaded_after("import icgram.ctxformat")
     assert "icgram.ctxformat" in loaded
-    assert not loaded & (DECIDERS | {"icgram.witnesses"})
+    assert not loaded & (DECIDERS | {"icgram.witnesses", "icgram.resources"})
 
 
 def test_witnesses_and_membership_load_no_decider():
@@ -80,9 +81,10 @@ def test_witnesses_and_membership_load_no_decider():
         "g = icgram.build_witness('L6', 2).grammar\n"
         "w = icgram.word_from_text('a1.a2.a2.a1', g.alphabet)\n"
         "assert icgram.member_ic(g, w) is False\n"
-        "assert icgram.member_ic(g, w[:2]) is True")
+        "assert icgram.member_ic(g, w[:2]) is True\n"
+        "assert icgram.enumerate_ic(g, 6)")
     assert {"icgram.witnesses", "icgram.contextual"} <= loaded
-    assert not loaded & DECIDERS
+    assert not loaded & (DECIDERS | {"icgram.resources"})
 
 
 @pytest.mark.parametrize("name, module", [
@@ -115,11 +117,13 @@ def test_public_names_are_listed_and_star_imported():
 
 
 def test_family_vocabulary_is_one_set_of_objects():
-    from icgram import families, monoid, subregular
+    from icgram import contextual, families, monoid, resources, subregular
     for name in ("Verdict", "FamilyLabel", "MON", "REG", "rl_v",
                  "parse_family_label", "label_sort_key", "FAMILY_ORDER"):
         assert getattr(subregular, name) is getattr(families, name)
     assert monoid.DEFAULT_MONOID_CAP is families.DEFAULT_MONOID_CAP
+    assert contextual.DEFAULT_FRONTIER_CAP is families.DEFAULT_FRONTIER_CAP
+    assert resources.SearchCaps is families.SearchCaps
     hierarchy = importlib.import_module("icgram.hierarchy")
     assert hierarchy.SCOPES is families.SCOPES
 

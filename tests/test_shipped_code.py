@@ -4,9 +4,10 @@ Every top-level definition of ``src/icgram/*.py`` (dunders aside) must be
 referenced from the product: ``src/``, ``bench/`` or ``demos/``.  Code that
 only the tests call belongs in ``tests/``, as an oracle or a helper.  A
 reference is an identifier (a name, an attribute or an imported name), or
-a string constant equal to the name, as ``bench/`` calls the ``is_*``
-predicates by their names.  A definition's own body does not count, so a
-recursive function is not its own caller.
+a string equal to the name in a tuple, list or set display, as ``bench/``
+calls the ``is_*`` predicates by the names in its ``IS_FNS``; a dict key or
+a subscript that spells a name calls nothing.  A definition's own body does
+not count, so a recursive function is not its own caller.
 """
 
 import ast
@@ -48,8 +49,9 @@ def _referenced(tree: ast.AST) -> set[str]:
             out.add(n.attr)
         elif isinstance(n, ast.alias):
             out.add(n.name.rpartition(".")[2])
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            out.add(n.value)
+        elif isinstance(n, (ast.Tuple, ast.List, ast.Set)):
+            out.update(e.value for e in n.elts if isinstance(e, ast.Constant)
+                       and isinstance(e.value, str))
     return out
 
 
@@ -73,3 +75,14 @@ def test_every_definition_in_the_package_has_a_caller_outside_the_tests():
                        if not _dunder(name) and name not in callers
                        and (path.stem, name) not in EXCEPTIONS]
     assert not unused, f"referenced only from tests/, or nowhere: {unused}"
+
+
+def test_a_string_counts_only_where_a_name_is_called_by_it():
+    # bench/ calls the is_* predicates by the names in a tuple; a JSON key,
+    # a dict value or a subscript that spells a name calls nothing
+    refs = _referenced(ast.parse(
+        'FNS = ("is_finite",) + tuple(["is_definite"]) + tuple({"is_suffix_closed"})\n'
+        'record = {"min_states": 1, "kind": "measure"}\n'
+        'print(record["dfa_to_grammar"])\n'))
+    assert {"is_finite", "is_definite", "is_suffix_closed"} <= refs
+    assert not refs & {"min_states", "measure", "dfa_to_grammar"}

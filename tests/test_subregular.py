@@ -12,10 +12,10 @@ from conftest import random_dfa
 from icgram import automata, subregular
 from icgram.automata import (Dfa, accepts, complement, dfa_to_table, equivalent,
                              language_is_finite, minimize, regex_to_dfa)
-from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
-                               selection_in_family)
+from icgram.contextual import Context, ContextualGrammar, SelectionPair
 from icgram.errors import (InternalConsistencyError, ResourceLimitError,
                            UndecidedError)
+from icgram.families import SearchCaps
 from icgram.hierarchy import hierarchy
 from icgram.regex import parse_regex
 from icgram.resources import measure
@@ -27,7 +27,7 @@ from icgram.subregular import (CIRC, COMB, COMM, DEF, FIN, MON, NC, NIL, ORD,
                                is_noncounting, is_ordered,
                                is_power_separating, is_suffix_closed,
                                parse_family_label, rl_p, rl_v, reg_z,
-                               union_free_syntax, _Analysis,
+                               selection_in_family, union_free_syntax, _Analysis,
                                _check_definite, _check_finite, _suffix_pairs)
 from icgram.words import Alphabet
 
@@ -598,7 +598,8 @@ def test_predicates_classify_and_selection_family_agree():
                     assert str(e) == note, (label, cap)
                     undecided += 1
                 assert got is rep.verdicts[label], (label, cap, dfa_to_table(d))
-                (pv,) = selection_in_family(g, label, monoid_cap=cap).per_pair
+                (pv,) = selection_in_family(
+                    g, label, caps=SearchCaps(monoid_cap=cap)).per_pair
                 assert (pv.verdict, pv.note) == (got, note), (label, cap)
     assert undecided > 0
 
