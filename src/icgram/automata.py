@@ -23,7 +23,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from .errors import (AlphabetMismatchError, InvalidAutomatonError,
                      ResourceLimitError, TextFormatError, at_line)
@@ -429,22 +429,6 @@ def _longest_word_length(d: Dfa, useful: set) -> int | None:
 def language_is_finite(d: Dfa) -> bool:
     """True when no cycle lies on an accepting path."""
     return _longest_word_length(d, _useful_states(d)) is not None
-
-
-# --- simple builders ----------------------------------------------------
-
-def ends_with_dfa(alphabet: Alphabet, final_symbols: Iterable[str]) -> Dfa:
-    """Words whose last symbol lies in ``final_symbols`` (state = last symbol
-    class; this is the shape of every 2-state language of that kind)."""
-    fin = set(final_symbols)
-    for s in fin:
-        if s not in alphabet:
-            raise AlphabetMismatchError(f"symbol {s!r} not in alphabet")
-    delta = {}
-    for q in (0, 1):
-        for a in alphabet:
-            delta[(q, a)] = 1 if a in fin else 0
-    return Dfa((0, 1), alphabet, delta, 0, frozenset([1]))
 
 
 # --- transition table text form -----------------------------------------

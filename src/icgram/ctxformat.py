@@ -63,9 +63,7 @@ def format_contextual(g: ContextualGrammar) -> str:
             for line in dfa_to_table(pair.dfa).splitlines():
                 out.append("    " + line)
         for ctx in pair.contexts:
-            out.append("  context: ({}, {})".format(
-                word_to_text(ctx.left, g.alphabet),
-                word_to_text(ctx.right, g.alphabet)))
+            out.append("  context: " + ctx.to_text(g.alphabet))
     return "\n".join(out) + "\n"
 
 
@@ -126,19 +124,14 @@ def _parse_pair(lines: list[tuple[int, str]], pos: int,
 
     if pos >= len(lines):
         raise TextFormatError("pair is missing its selection", line=ln)
-    ln, t = lines[pos]
-    source_kind = None
-    regex_text = ""
-    for key in ("selection regex:", "selection grammar:", "selection dfa:"):
-        if t.startswith(key):
-            source_kind = key
-            regex_text = t[len(key):].strip()
-            break
-    if source_kind is None:
+    sel_line, t = lines[pos]
+    head, colon, rest = t.partition(":")
+    if head + colon not in ("selection regex:", "selection grammar:",
+                            "selection dfa:"):
         raise TextFormatError(
             "expected 'selection regex:', 'selection grammar:' or "
-            "'selection dfa:'", line=ln)
-    sel_line = ln
+            "'selection dfa:'", line=sel_line)
+    kind, rest = head[len("selection "):], rest.strip()
     pos += 1
 
     block: list[tuple[int, str]] = []
@@ -153,25 +146,22 @@ def _parse_pair(lines: list[tuple[int, str]], pos: int,
         contexts.append(_parse_context(t[len("context:"):], alphabet, ln))
         pos += 1
 
-    if source_kind == "selection regex:":
+    if kind == "regex":
         if block:
             raise TextFormatError("unexpected lines after a regex selection",
                                   line=block[0][0])
         try:
-            r = parse_regex(regex_text, declared)
+            r = parse_regex(rest, declared)
         except TextFormatError as e:
             raise TextFormatError(e.bare_message, line=sel_line,
                                   column=e.column) from None
         pair = SelectionPair.from_regex(declared, r, contexts)
-    elif source_kind == "selection grammar:":
-        if regex_text:
-            raise TextFormatError("grammar selections start on the next line",
-                                  line=sel_line)
+    elif rest:
+        raise TextFormatError(f"{kind} selections start on the next line",
+                              line=sel_line)
+    elif kind == "grammar":
         pair = SelectionPair.from_grammar(parse_grammar_lines(block), contexts)
     else:
-        if regex_text:
-            raise TextFormatError("dfa selections start on the next line",
-                                  line=sel_line)
         pair = SelectionPair.from_dfa(_parse_dfa_lines(block), contexts)
     # the declared alphabet stays authoritative; validate() reports a mismatch
     return replace(pair, declared_alphabet=declared), pos

@@ -50,16 +50,13 @@ class HierarchyTable:
     nodes: frozenset
     edges: frozenset
 
-    def known_edges(self) -> frozenset:
-        """Edges that assert an inclusion (everything but ``unknown``)."""
-        return frozenset(e for e in self.edges if e.status != UNKNOWN)
-
     @cached_property
     def reach(self) -> dict[FamilyLabel, set[FamilyLabel]]:
-        """Each node's families derivable over the known edges, itself
-        included (Warshall's closure), computed once per table."""
+        """Each node's families derivable over the known edges (all but
+        ``unknown``), itself included (Warshall's closure), computed once
+        per table."""
         reach = {x: {x} for x in self.nodes}
-        for e in self.known_edges():
+        for e in (e for e in self.edges if e.status != UNKNOWN):
             reach[e.src].add(e.dst)
             if e.status == EQUAL:
                 reach[e.dst].add(e.src)

@@ -20,7 +20,7 @@ from typing import Iterator
 from .automata import Dfa, bfs_words, compose
 from .errors import ResourceLimitError
 from .families import DEFAULT_MONOID_CAP
-from .words import Alphabet, Word
+from .words import Word
 
 Transformation = tuple[int, ...]
 
@@ -47,35 +47,19 @@ def monoid_elements(d: Dfa, cap: int = DEFAULT_MONOID_CAP
 
 @dataclass(frozen=True)
 class TransitionMonoid:
-    """Materialized transition monoid with a witness word per element."""
+    """The whole walk of :func:`monoid_elements`: each element, aligned with
+    its shortlex-least word."""
 
-    state_order: tuple
-    alphabet: Alphabet
     elements: tuple[Transformation, ...]
     words: tuple[Word, ...]
-    generators: tuple[Transformation, ...]  # aligned with alphabet order
 
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    def index_of(self, t: Transformation) -> int:
-        return self.elements.index(t)
-
-    def compose(self, i: int, j: int) -> int:
-        """Index of the transformation of ``uv`` given those of ``u``, ``v``."""
-        return self.index_of(compose(self.elements[i], self.elements[j]))
-
-    def element_of_word(self, w: Word) -> Transformation:
-        gen = dict(zip(self.alphabet, self.generators))
-        cur = tuple(range(len(self.state_order)))
-        for a in w:
-            cur = compose(cur, gen[a])
-        return cur
 
 
 def transition_monoid(d: Dfa, cap: int = DEFAULT_MONOID_CAP) -> TransitionMonoid:
     """Transition monoid of ``d`` (identity included as the image of the
     empty word)."""
     elements, words = zip(*monoid_elements(d, cap))
-    return TransitionMonoid(tuple(d.states), d.alphabet, elements, words, d.rows)
+    return TransitionMonoid(elements, words)

@@ -106,7 +106,8 @@ def bounded_min_grammar(d: Dfa, kind: str,
     if kind not in ("nonterminals", "rules"):
         raise ValueError(f"kind must be 'nonterminals' or 'rules', got {kind!r}")
     target = minimize(d)
-    target_words = bounded_words(dfa_to_grammar(target), caps.check_len)
+    fallback = dfa_to_grammar(target)
+    target_words = bounded_words(fallback, caps.check_len)
     prefix = fresh_prefix("N", d.alphabet)
     nt_names = tuple(f"{prefix}{i}" for i in range(1, caps.max_nonterminals + 1))
     budget = caps.max_candidates
@@ -139,7 +140,6 @@ def bounded_min_grammar(d: Dfa, kind: str,
                     kind, value, value, True, candidate,
                     f"exhaustive search ({caps.describe()})")
 
-    fallback = dfa_to_grammar(target)
     upper = count_resources(fallback)[0 if kind == "nonterminals" else 1]
     reason = ("candidate budget exhausted" if capped
               else "no certificate within caps")

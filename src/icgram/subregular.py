@@ -32,9 +32,9 @@ from functools import cached_property
 from itertools import chain
 
 from .automata import (Dfa, access_words, bfs_words, complement, compose,
-                       distinguishing_suffix, distinguishing_word, ends_with_dfa,
-                       minimize, shortest_accepted, _longest_word_length,
-                       _pair_step, _pair_word, _useful_states)
+                       distinguishing_suffix, minimize, shortest_accepted,
+                       _longest_word_length, _pair_step, _pair_word,
+                       _useful_states)
 from .contextual import ContextualGrammar, ensure_valid
 from .errors import (AlphabetMismatchError, InternalConsistencyError,
                      ResourceLimitError, UndecidedError)
@@ -113,15 +113,12 @@ class _Analysis:
             try:
                 ok, ev = _CHECKS[label](self)
             except ResourceLimitError as e:
-                ok, ev = Verdict.UNKNOWN, Evidence(_monoid_cap_note(e))
+                ok, ev = Verdict.UNKNOWN, Evidence(
+                    f"monoid cap exceeded (cap {e.cap}); undecided at this cap")
             if not isinstance(ok, Verdict):
                 ok = Verdict.YES if ok else Verdict.NO
             self.decided[label] = ok, ev
         return self.decided[label]
-
-
-def _monoid_cap_note(e: ResourceLimitError) -> str:
-    return f"monoid cap exceeded (cap {e.cap}); undecided at this cap"
 
 
 # --- individual checkers (all take the analysis of a minimal DFA) ---------
@@ -182,8 +179,12 @@ def _check_nilpotent(an: _Analysis) -> tuple[bool, Evidence]:
 def _check_combinational(an: _Analysis) -> tuple[bool, Evidence]:
     dm = an.dm
     choice = tuple(a for a in dm.alphabet if dm.run((a,)) in dm.accepting)
-    target = ends_with_dfa(dm.alphabet, choice)
-    w = distinguishing_word(dm, target)
+    # breadth-first over (state, "the last symbol is in choice"): the first
+    # node whose two halves disagree ends the shortlex-least witness
+    walk = bfs_words((dm.initial, False),
+                     lambda node, a: (dm.step(node[0], a), a in choice),
+                     dm.alphabet)
+    w = next((w for (q, last), w in walk if (q in dm.accepting) != last), None)
     if w is None:
         shown = " ".join(choice) if choice else "(none)"
         return True, Evidence(f"exactly the words ending in: {shown}")

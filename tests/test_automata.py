@@ -11,9 +11,8 @@ from automata_oracle import (empty_dfa, inclusion_witness, universal_dfa,
 from conftest import all_words, random_dfa
 from icgram.automata import (Dfa, Nfa, access_words, accepts, combine, complement,
                              dfa_to_table, distinguishing_suffix,
-                             distinguishing_word, ends_with_dfa,
-                             enumerate_regular, equivalent, language_is_finite,
-                             minimize, nfa_to_dfa, parse_dfa_table,
+                             distinguishing_word, enumerate_regular, equivalent,
+                             language_is_finite, minimize, nfa_to_dfa, parse_dfa_table,
                              regex_to_dfa, regex_to_nfa, shortest_accepted)
 from icgram.errors import InvalidAutomatonError, TextFormatError
 from icgram.regex import parse_regex
@@ -165,14 +164,10 @@ def test_finiteness():
     assert language_is_finite(empty_dfa(U2))
 
 
-def test_word_set_and_ends_with():
+def test_word_set_dfa():
     ws = {("a", "b"), ("b",)}
     d = word_set_dfa(ws, U2)
     assert _lang(d, 4) == ws
-    e = ends_with_dfa(U3, ["b", "c"])
-    assert _lang(e, 2) == {("b",), ("c",), ("a", "b"), ("a", "c"),
-                           ("b", "b"), ("b", "c"), ("c", "b"), ("c", "c")}
-    assert len(minimize(e).states) == 2
 
 
 def test_dfa_validation():

@@ -72,6 +72,9 @@ def _check_no(d: Dfa, label, note: str, words: tuple, min_states: int):
         (w,) = words
         ends = {a for a in d.alphabet if _accepts(d, (a,))}
         assert _accepts(d, w) != (bool(w) and w[-1] in ends)
+        if len(w) <= 7:  # and it is the shortlex-least such word
+            assert w == next(v for v in WORDS
+                             if _accepts(d, v) != (bool(v) and v[-1] in ends))
         assert note.endswith(("accepted" if _accepts(d, w) else "rejected")
                              + " witness)")
         return

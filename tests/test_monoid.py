@@ -17,13 +17,22 @@ def _minimal(text, u):
     return minimize(regex_to_dfa(parse_regex(text, u), u))
 
 
+def _element_of_word(d, w):
+    """The transformation of ``w``: the identity, then each letter's row."""
+    gen = dict(zip(d.alphabet, d.rows))
+    t = tuple(range(len(d.states)))
+    for a in w:
+        t = compose(t, gen[a])
+    return t
+
+
 def test_even_a_monoid():
     m = transition_monoid(_minimal("(aa)*", UA))
     assert m.size == 2  # identity and the swap
     assert m.words == ((), ("a",))
     # a . a = identity
-    i_a = m.index_of(m.element_of_word(("a",)))
-    assert m.compose(i_a, i_a) == m.index_of(m.element_of_word(()))
+    identity, swap = m.elements
+    assert compose(swap, swap) == identity
 
 
 def test_bstar_c_monoid():
@@ -33,12 +42,17 @@ def test_bstar_c_monoid():
 
 
 def test_element_of_word_is_fold_of_generators():
-    m = transition_monoid(_minimal("b*c", UBC))
-    w = ("b", "c", "b", "b")
-    acc = m.index_of(m.element_of_word(()))
-    for s in w:
-        acc = m.compose(acc, m.index_of(m.element_of_word((s,))))
-    assert m.elements[acc] == m.element_of_word(w)
+    d = _minimal("b*c", UBC)
+    m = transition_monoid(d)
+    element = dict(zip(m.words, m.elements))
+    assert (element[("b",)], element[("c",)]) == d.rows
+    # the monoid is closed under composition
+    assert {compose(s, t) for s in m.elements for t in m.elements} == set(m.elements)
+    # b c b b fails on its second b, as c b does
+    acc = element[()]
+    for s in ("b", "c", "b", "b"):
+        acc = compose(acc, element[(s,)])
+    assert acc == element[("c", "b")] == _element_of_word(d, ("b", "c", "b", "b"))
 
 
 def test_monoid_cap():
@@ -58,9 +72,10 @@ def test_monoid_cap():
 
 
 def test_witness_words_reproduce_their_elements():
-    m = transition_monoid(_minimal("b*c", UBC))
+    d = _minimal("b*c", UBC)
+    m = transition_monoid(d)
     for i, w in enumerate(m.words):
-        assert m.element_of_word(w) == m.elements[i]
+        assert _element_of_word(d, w) == m.elements[i]
     # representatives come out in shortlex discovery order
     keys = [(len(w), w) for w in m.words]
     assert keys == sorted(keys)
@@ -87,27 +102,28 @@ def test_words_are_shortlex_least(rng, n_states):
     length checks the same by brute force."""
     u = Alphabet.of("a", "b")
     for _ in range(10):
-        m = transition_monoid(random_dfa(rng, n_states, u))
+        d = random_dfa(rng, n_states, u)
+        m = transition_monoid(d)
         longest = max(len(w) for w in m.words)
-        levels = [{m.element_of_word(())}]
+        levels = [{_element_of_word(d, ())}]
         for _ in range(longest + 1):
-            levels.append({_then(t, g) for t in levels[-1] for g in m.generators})
+            levels.append({_then(t, g) for t in levels[-1] for g in d.rows})
         earlier = set().union(*levels[:-1])
         assert set(m.elements) == earlier and levels[-1] <= earlier
         same_length: dict = {}  # (T(w[:k] b), L - k - 1) -> its elements
         for t, w in zip(m.elements, m.words):
-            assert m.element_of_word(w) == t
+            assert _element_of_word(d, w) == t
             assert not any(t in level for level in levels[:len(w)])
             for k, a in enumerate(w):
                 for b in u.symbols[:u.symbols.index(a)]:
-                    key = (m.element_of_word(w[:k] + (b,)), len(w) - k - 1)
+                    key = (_element_of_word(d, w[:k] + (b,)), len(w) - k - 1)
                     if key not in same_length:
                         same_length[key] = {_then(key[0], r) for r in levels[key[1]]}
                     assert t not in same_length[key], (w, k, b)
         if longest <= 12:
             first: dict = {}
             for w in all_words(u, longest):
-                first.setdefault(m.element_of_word(w), w)
+                first.setdefault(_element_of_word(d, w), w)
             assert m.words == tuple(first[t] for t in m.elements)
 
 
@@ -124,8 +140,8 @@ def test_one_state_automata_compose_to_one_tuples(make):
     assert minimize(d) == d
     m = transition_monoid(d)
     assert m.elements == ((0,),) and m.words == ((),)
-    assert m.compose(0, 0) == 0
-    assert m.element_of_word(("b", "c", "b")) == (0,)
+    assert compose(m.elements[0], m.elements[0]) == (0,)
+    assert _element_of_word(d, ("b", "c", "b")) == (0,)
     rep = classify(d, UBC)
     assert rep.verdicts[NC] is Verdict.YES
     assert rep.evidence[NC].note == "aperiodic transition monoid (1 elements)"
