@@ -3,7 +3,8 @@
 Two machine types:
 
 * :class:`Nfa` — nondeterministic, epsilon-free, with a *set* of initial
-  states.  Produced by the regex and grammar compilers.
+  states.  Produced by the regex and grammar compilers; the regex one is the
+  position construction, one walk of the tree in which ``∅`` is a leaf.
 * :class:`Dfa` — deterministic and always complete (the transition function
   is total; unproductive behaviour is routed through an explicit sink that is
   counted like any other state).
@@ -28,8 +29,7 @@ from typing import Callable, Hashable, Iterator, Mapping, Sequence
 from .errors import (AlphabetMismatchError, InvalidAutomatonError,
                      ResourceLimitError, TextFormatError, at_line)
 from .families import DEFAULT_FRONTIER_CAP
-from .regex import (EmptyLang, EmptyWord, Literal, Concat, Union, Star, Regex,
-                    literal_symbols, simplify_empty)
+from .regex import EmptyLang, EmptyWord, Literal, Concat, Union, Star, Regex
 from .words import EMPTY_WORD, Alphabet, Word, clean_lines
 
 State = Hashable
@@ -179,23 +179,23 @@ def _pair_step(d1: Dfa, d2: Dfa) -> Callable:
 # --- compilers ----------------------------------------------------------
 
 def regex_to_nfa(r: Regex, alphabet: Alphabet) -> Nfa:
-    """Position construction (one state per literal occurrence, plus a start
-    state); epsilon-free by design."""
-    for s in literal_symbols(r):
-        if s not in alphabet:
-            raise AlphabetMismatchError(f"regex literal {s!r} not in alphabet")
-    r = simplify_empty(r)
-    if isinstance(r, EmptyLang):
-        return Nfa(frozenset(), alphabet, {}, frozenset(), frozenset())
-
+    """Position (Glushkov) construction in one walk of the tree: state 0
+    starts, each literal occurrence is a state, and ``∅`` is a leaf that is
+    not nullable and has no positions.  Literals are checked against
+    ``alphabet`` as met, so an error names the leftmost foreign one."""
     symbol_of: dict[int, str] = {}
     follow: dict[int, set[int]] = {}
 
     def walk(node: Regex) -> tuple[bool, list[int], list[int]]:
         # returns (nullable, first positions, last positions)
+        if isinstance(node, EmptyLang):
+            return False, [], []
         if isinstance(node, EmptyWord):
             return True, [], []
         if isinstance(node, Literal):
+            if node.symbol not in alphabet:
+                raise AlphabetMismatchError(
+                    f"regex literal {node.symbol!r} not in alphabet")
             p = len(symbol_of) + 1
             symbol_of[p] = node.symbol
             follow[p] = set()
@@ -227,19 +227,15 @@ def regex_to_nfa(r: Regex, alphabet: Alphabet) -> Nfa:
         return nullable, first, last
 
     nullable, first, last = walk(r)
-    start = 0
-    states = frozenset([start]) | frozenset(symbol_of)
-    transitions: dict[tuple[State, str], frozenset] = {}
-    succ: dict[tuple[State, str], set] = {}
-    for p in first:
-        succ.setdefault((start, symbol_of[p]), set()).add(p)
+    follow[0] = set(first)
+    moves: dict[tuple[State, str], set] = {}
     for q, targets in follow.items():
         for p in targets:
-            succ.setdefault((q, symbol_of[p]), set()).add(p)
-    for key, val in succ.items():
-        transitions[key] = frozenset(val)
-    accepting = frozenset(last) | (frozenset([start]) if nullable else frozenset())
-    return Nfa(states, alphabet, transitions, frozenset([start]), accepting)
+            moves.setdefault((q, symbol_of[p]), set()).add(p)
+    accepting = frozenset(last) | (frozenset([0]) if nullable else frozenset())
+    return Nfa(frozenset(follow), alphabet,
+               {key: frozenset(val) for key, val in moves.items()},
+               frozenset([0]), accepting)
 
 
 def nfa_to_dfa(n: Nfa) -> Dfa:

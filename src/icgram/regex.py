@@ -62,47 +62,31 @@ class Star(Regex):
     inner: Regex
 
 
-def seq(parts) -> Regex:
-    """Concatenation of any number of parts (0 -> empty word, 1 -> itself)."""
+def _flatten(node: type, empty: Regex, parts) -> Regex:
+    """The body of seq and alt: nested ``node`` parts are spliced in."""
     parts = tuple(parts)
     if not parts:
-        return EmptyWord()
+        return empty
     if len(parts) == 1:
         return parts[0]
     flat: list[Regex] = []
     for p in parts:
-        flat.extend(p.parts) if isinstance(p, Concat) else flat.append(p)
-    return Concat(tuple(flat))
+        flat.extend(p.parts) if isinstance(p, node) else flat.append(p)
+    return node(tuple(flat))
+
+
+def seq(parts) -> Regex:
+    """Concatenation of any number of parts (0 -> empty word, 1 -> itself)."""
+    return _flatten(Concat, EmptyWord(), parts)
 
 
 def alt(parts) -> Regex:
     """Union of any number of parts (0 -> empty language, 1 -> itself)."""
-    parts = tuple(parts)
-    if not parts:
-        return EmptyLang()
-    if len(parts) == 1:
-        return parts[0]
-    flat: list[Regex] = []
-    for p in parts:
-        flat.extend(p.parts) if isinstance(p, Union) else flat.append(p)
-    return Union(tuple(flat))
+    return _flatten(Union, EmptyLang(), parts)
 
 
 def word_regex(w: Word) -> Regex:
     return seq([Literal(s) for s in w])
-
-
-def literal_symbols(r: Regex) -> frozenset[str]:
-    if isinstance(r, Literal):
-        return frozenset([r.symbol])
-    if isinstance(r, (Concat, Union)):
-        out: frozenset[str] = frozenset()
-        for p in r.parts:
-            out |= literal_symbols(p)
-        return out
-    if isinstance(r, Star):
-        return literal_symbols(r.inner)
-    return frozenset()
 
 
 def is_union_free_syntax(r: Regex) -> bool:
@@ -114,30 +98,6 @@ def is_union_free_syntax(r: Regex) -> bool:
     if isinstance(r, Star):
         return is_union_free_syntax(r.inner)
     return True
-
-
-def simplify_empty(r: Regex) -> Regex:
-    """Propagate the empty language out of a tree.
-
-    The result either is the single node ``EmptyLang()`` or contains no
-    ``EmptyLang`` node at all; the denoted language is unchanged.  Position
-    automaton construction relies on this.
-    """
-    if isinstance(r, Concat):
-        parts = [simplify_empty(p) for p in r.parts]
-        if any(isinstance(p, EmptyLang) for p in parts):
-            return EmptyLang()
-        return seq([p for p in parts if not isinstance(p, EmptyWord)])
-    if isinstance(r, Union):
-        parts = [simplify_empty(p) for p in r.parts]
-        parts = [p for p in parts if not isinstance(p, EmptyLang)]
-        return alt(parts)
-    if isinstance(r, Star):
-        inner = simplify_empty(r.inner)
-        if isinstance(inner, (EmptyLang, EmptyWord)):
-            return EmptyWord()
-        return Star(inner)
-    return r
 
 
 # --- text form ---------------------------------------------------------

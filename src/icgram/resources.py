@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from .automata import Dfa, minimize, nfa_to_dfa
+from .automata import Dfa, equivalent, minimize, nfa_to_dfa
 from .families import SearchCaps
 from .rlgrammar import RightLinearGrammar, Rule, bounded_words, grammar_to_nfa
 from .words import EMPTY_WORD, Alphabet, fresh_prefix
@@ -54,8 +54,8 @@ def count_resources(g: RightLinearGrammar) -> tuple[int, int]:
 
 
 def dfa_to_grammar(d: Dfa) -> RightLinearGrammar:
-    """Right-linear grammar read off the automaton (one nonterminal per
-    reachable state); certifies the fallback upper bounds."""
+    """Right-linear grammar read off the minimal automaton of ``d`` (one
+    nonterminal per state of it); certifies the fallback upper bounds."""
     dm = minimize(d)
     prefix = fresh_prefix("Q", dm.alphabet)
     name = {q: f"{prefix}{q}" for q in dm.states}
@@ -85,11 +85,11 @@ def _rule_universe(nts: tuple[str, ...], terminals: Alphabet,
     return universe
 
 
-def _matches(candidate: RightLinearGrammar, target: Dfa,
+def _matches(candidate: RightLinearGrammar, d: Dfa,
              target_words: set, check_len: int) -> bool:
     if bounded_words(candidate, check_len) != target_words:
         return False
-    return minimize(nfa_to_dfa(grammar_to_nfa(candidate))) == target
+    return equivalent(nfa_to_dfa(grammar_to_nfa(candidate)), d)
 
 
 def bounded_min_grammar(d: Dfa, kind: str,
@@ -105,8 +105,7 @@ def bounded_min_grammar(d: Dfa, kind: str,
     """
     if kind not in ("nonterminals", "rules"):
         raise ValueError(f"kind must be 'nonterminals' or 'rules', got {kind!r}")
-    target = minimize(d)
-    fallback = dfa_to_grammar(target)
+    fallback = dfa_to_grammar(d)
     target_words = bounded_words(fallback, caps.check_len)
     prefix = fresh_prefix("N", d.alphabet)
     nt_names = tuple(f"{prefix}{i}" for i in range(1, caps.max_nonterminals + 1))
@@ -117,8 +116,7 @@ def bounded_min_grammar(d: Dfa, kind: str,
         levels = [(v, r) for v in range(1, caps.max_nonterminals + 1)
                   for r in range(1, caps.max_rules + 1)]
     else:
-        levels = [(v, r) for r in range(1, caps.max_rules + 1)
-                  for v in (caps.max_nonterminals,)]
+        levels = [(caps.max_nonterminals, r) for r in range(caps.max_rules + 1)]
 
     # the size of a level's _rule_universe, counted before building it:
     # each left side takes every word up to max_rhs_len alone and with every
@@ -131,10 +129,11 @@ def bounded_min_grammar(d: Dfa, kind: str,
             break
         budget -= n_level
         nts = nt_names[:v]
-        universe = _rule_universe(nts, d.alphabet, caps.max_rhs_len)
+        # level 0 has one candidate, the grammar with no rules
+        universe = _rule_universe(nts, d.alphabet, caps.max_rhs_len) if r else []
         for combo in combinations(universe, r):
             candidate = RightLinearGrammar(nts, d.alphabet, combo, nts[0])
-            if _matches(candidate, target, target_words, caps.check_len):
+            if _matches(candidate, d, target_words, caps.check_len):
                 value = v if kind == "nonterminals" else r
                 return ResourceMeasure(
                     kind, value, value, True, candidate,

@@ -1,13 +1,22 @@
-"""The naive regex enumeration, kept as a test oracle.
+"""Regex oracles: the naive enumeration and the three-pass compiler.
 
-It reads the words of a regex straight off its syntax tree, by structural
-recursion, with no automaton involved.  ``tests/test_automata.py`` checks
-the regex → NFA → DFA pipeline against it, and ``tests/test_regex.py``
-checks the regex rewrites with it.
+``enumerate_regex`` reads the words of a regex straight off its syntax
+tree, by structural recursion, with no automaton involved.
+``tests/test_automata.py`` and ``tests/test_regex.py`` check the regex →
+NFA → DFA pipeline against it.
+
+``regex_to_nfa`` is the position construction as it was before it read the
+tree once: it collects the literals to check the alphabet, pushes ∅ out of
+the tree (``simplify_empty``), and only then walks it.  ``tests/test_regex.py``
+checks that the one-walk compiler builds the same NFA on trees without ∅
+and the same minimal DFA on every tree.
 """
 
-from icgram.regex import Concat, EmptyLang, EmptyWord, Literal, Star, Union
-from icgram.words import EMPTY_WORD
+from icgram.automata import Nfa, State
+from icgram.errors import AlphabetMismatchError
+from icgram.regex import (Concat, EmptyLang, EmptyWord, Literal, Regex, Star,
+                          Union, alt, seq)
+from icgram.words import EMPTY_WORD, Alphabet
 
 
 def enumerate_regex(r, max_len):
@@ -42,3 +51,104 @@ def enumerate_regex(r, max_len):
         frontier = nxt - out
         out |= frontier
     return out
+
+
+def literal_symbols(r: Regex) -> frozenset[str]:
+    if isinstance(r, Literal):
+        return frozenset([r.symbol])
+    if isinstance(r, (Concat, Union)):
+        out: frozenset[str] = frozenset()
+        for p in r.parts:
+            out |= literal_symbols(p)
+        return out
+    if isinstance(r, Star):
+        return literal_symbols(r.inner)
+    return frozenset()
+
+
+def simplify_empty(r: Regex) -> Regex:
+    """Propagate the empty language out of a tree.
+
+    The result either is the single node ``EmptyLang()`` or contains no
+    ``EmptyLang`` node at all; the denoted language is unchanged.  The
+    oracle's position construction relies on this.
+    """
+    if isinstance(r, Concat):
+        parts = [simplify_empty(p) for p in r.parts]
+        if any(isinstance(p, EmptyLang) for p in parts):
+            return EmptyLang()
+        return seq([p for p in parts if not isinstance(p, EmptyWord)])
+    if isinstance(r, Union):
+        parts = [simplify_empty(p) for p in r.parts]
+        parts = [p for p in parts if not isinstance(p, EmptyLang)]
+        return alt(parts)
+    if isinstance(r, Star):
+        inner = simplify_empty(r.inner)
+        if isinstance(inner, (EmptyLang, EmptyWord)):
+            return EmptyWord()
+        return Star(inner)
+    return r
+
+
+def regex_to_nfa(r: Regex, alphabet: Alphabet) -> Nfa:
+    """Position construction on the ∅-free normal form of ``r`` (one state
+    per literal occurrence, plus a start state)."""
+    for s in literal_symbols(r):
+        if s not in alphabet:
+            raise AlphabetMismatchError(f"regex literal {s!r} not in alphabet")
+    r = simplify_empty(r)
+    if isinstance(r, EmptyLang):
+        return Nfa(frozenset(), alphabet, {}, frozenset(), frozenset())
+
+    symbol_of: dict[int, str] = {}
+    follow: dict[int, set[int]] = {}
+
+    def walk(node: Regex) -> tuple[bool, list[int], list[int]]:
+        # returns (nullable, first positions, last positions)
+        if isinstance(node, EmptyWord):
+            return True, [], []
+        if isinstance(node, Literal):
+            p = len(symbol_of) + 1
+            symbol_of[p] = node.symbol
+            follow[p] = set()
+            return False, [p], [p]
+        if isinstance(node, Star):
+            nullable, first, last = walk(node.inner)
+            for x in last:
+                follow[x].update(first)
+            return True, first, last
+        if isinstance(node, Union):
+            nullable, first, last = False, [], []
+            for part in node.parts:
+                n, f, l = walk(part)
+                nullable, first, last = nullable or n, first + f, last + l
+            return nullable, first, last
+        assert isinstance(node, Concat)
+        nullable, first, last = True, [], []
+        for part in node.parts:
+            n, f, l = walk(part)
+            for x in last:
+                follow[x].update(f)
+            if nullable:
+                first = first + f
+            if n:
+                last = last + l
+            else:
+                last = l
+            nullable = nullable and n
+        return nullable, first, last
+
+    nullable, first, last = walk(r)
+    start = 0
+    states = frozenset([start]) | frozenset(symbol_of)
+    transitions: dict[tuple[State, str], frozenset] = {}
+    succ: dict[tuple[State, str], set] = {}
+    for p in first:
+        succ.setdefault((start, symbol_of[p]), set()).add(p)
+    for q, targets in follow.items():
+        for p in targets:
+            succ.setdefault((q, symbol_of[p]), set()).add(p)
+    for key, val in succ.items():
+        transitions[key] = frozenset(val)
+    accepting = frozenset(last) | (frozenset([start]) if nullable else frozenset())
+    return Nfa(states, alphabet, transitions, frozenset([start]), accepting)

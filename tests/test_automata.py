@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +35,7 @@ def _lang(d, n):
 
 REGEXES = ["a", "()", "∅", "a*", "ab", "a|b", "(ab)*", "(a|b)*a", "a*b*",
            "(aa)*", "b*c", "(a|bc)*", "a(b|c)*a|b", "((a|b)(a|b))*",
-           "ab|ba", "(a*b)*"]
+           "ab|ba", "(a*b)*", "a∅b", "(a∅)*b", "a|∅", "∅*a"]
 
 
 @pytest.mark.parametrize("text", REGEXES)
@@ -39,6 +43,23 @@ def test_regex_pipeline_matches_enumeration(text):
     r = parse_regex(text, U3)
     d = regex_to_dfa(r, U3)
     assert _lang(d, 5) == enumerate_regex(r, 5)
+
+
+def test_foreign_literal_error_names_the_leftmost_under_any_hash_seed():
+    """The walk checks literals in the order of the tree, not in the set
+    order of one process: two hash seeds name the same literal."""
+    script = ("from icgram.automata import regex_to_nfa\n"
+              "from icgram.regex import Literal, seq\n"
+              "from icgram.words import Alphabet\n"
+              "try: regex_to_nfa(seq([Literal(s) for s in 'xyz']), Alphabet.of('a'))\n"
+              "except Exception as e: print(e)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert proc.stdout == "regex literal 'x' not in alphabet\n", seed
 
 
 @pytest.mark.parametrize("text", REGEXES)

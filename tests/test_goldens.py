@@ -8,6 +8,10 @@ rendered copy.  Regenerate after an intentional format change with
 and review the diff like any other code change.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,8 +76,27 @@ def regenerate() -> None:
         print(f"wrote {name} ({len(text)} bytes)")
 
 
-@pytest.mark.parametrize("name", sorted(_render_all()))
+@pytest.mark.parametrize("name", sorted(_rendered()))
 def test_golden(name):
     fresh = _rendered()[name]
     stored = (GOLDEN_DIR / name).read_text(encoding="utf-8")
     assert fresh == stored, f"{name} drifted from its golden copy"
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_goldens_do_not_depend_on_string_hashing(seed):
+    """Every golden renders the same under two fixed hash seeds, not only
+    under the one this process drew."""
+    here = Path(__file__).resolve().parent
+    script = ("import json, sys, test_goldens; "
+              "json.dump(test_goldens._rendered(), sys.stdout)")
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    fresh = json.loads(proc.stdout)
+    assert sorted(fresh) == sorted(_rendered())
+    for name, text in fresh.items():
+        stored = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+        assert text == stored, f"{name} drifted under PYTHONHASHSEED={seed}"

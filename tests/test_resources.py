@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icgram import resources
+from conftest import run_cli
+from icgram import automata, resources
 from icgram.automata import equivalent, minimize, nfa_to_dfa, regex_to_dfa
 from icgram.regex import parse_regex
 from icgram.resources import (KINDS, ResourceMeasure, SearchCaps,
@@ -70,6 +71,37 @@ def test_bstar_c_needs_exactly_two_rules():
     assert len(m.certificate.rules) == 2
     assert equivalent(_grammar_language(m.certificate),
                       minimize(_dfa("b*c", UBC)))
+
+
+def test_the_empty_language_needs_no_rules():
+    """A grammar with no rules generates ∅, so ∅ measures 0 rules (and
+    still 1 nonterminal, the start symbol)."""
+    d = _dfa("∅", UAB)
+    m = bounded_min_grammar(d, "rules")
+    assert m.exact and m.value == 0
+    assert count_resources(m.certificate)[1] == 0
+    assert bounded_words(m.certificate, 6) == set()
+    assert count_resources(RightLinearGrammar(("S",), UAB, (), "S")) == (1, 0)
+    assert bounded_min_grammar(d, "nonterminals").value == 1
+    code, out = run_cli(["measure", "--regex", "∅", "--alphabet", "ab"])
+    assert code == 0 and "\nrules: 0 (exact)" in out
+
+
+def test_a_grammar_search_minimizes_once(monkeypatch):
+    """Only the fallback grammar minimizes ``d``; candidates are confirmed
+    by equivalence with ``d`` as given."""
+    calls = []
+    real = automata.minimize
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(automata, "minimize", counting)
+    monkeypatch.setattr(resources, "minimize", counting)
+    m = measure(_dfa("(ab)*", UAB), "rules")
+    assert m.exact and m.value == 2
+    assert len(calls) == 1
 
 
 def test_even_a_rules():
