@@ -185,48 +185,48 @@ def regex_to_nfa(r: Regex, alphabet: Alphabet) -> Nfa:
     ``alphabet`` as met, so an error names the leftmost foreign one."""
     symbol_of: dict[int, str] = {}
     follow: dict[int, set[int]] = {}
-
-    def walk(node: Regex) -> tuple[bool, list[int], list[int]]:
-        # returns (nullable, first positions, last positions)
-        if isinstance(node, EmptyLang):
-            return False, [], []
-        if isinstance(node, EmptyWord):
-            return True, [], []
-        if isinstance(node, Literal):
+    # children first: a node goes back on ``todo`` as ``(node,)`` under its
+    # children; ``done`` holds (nullable, first, last) of finished subtrees
+    todo: list = [r]
+    done: list[tuple[bool, list[int], list[int]]] = []
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Star):
+            todo += [(node,), node.inner]
+        elif isinstance(node, (Concat, Union)):
+            todo += [(node,), *reversed(node.parts)]
+        elif isinstance(node, Literal):
             if node.symbol not in alphabet:
                 raise AlphabetMismatchError(
                     f"regex literal {node.symbol!r} not in alphabet")
             p = len(symbol_of) + 1
             symbol_of[p] = node.symbol
             follow[p] = set()
-            return False, [p], [p]
-        if isinstance(node, Star):
-            nullable, first, last = walk(node.inner)
+            done.append((False, [p], [p]))
+        elif not isinstance(node, tuple):
+            done.append((isinstance(node, EmptyWord), [], []))
+        elif isinstance(node[0], Star):
+            _, first, last = done.pop()
             for x in last:
                 follow[x].update(first)
-            return True, first, last
-        if isinstance(node, Union):
-            nullable, first, last = False, [], []
-            for part in node.parts:
-                n, f, l = walk(part)
-                nullable, first, last = nullable or n, first + f, last + l
-            return nullable, first, last
-        assert isinstance(node, Concat)
-        nullable, first, last = True, [], []
-        for part in node.parts:
-            n, f, l = walk(part)
-            for x in last:
-                follow[x].update(f)
-            if nullable:
-                first = first + f
-            if n:
-                last = last + l
-            else:
-                last = l
-            nullable = nullable and n
-        return nullable, first, last
-
-    nullable, first, last = walk(r)
+            done.append((True, first, last))
+        else:
+            kids = done[-len(node[0].parts):]
+            del done[-len(node[0].parts):]
+            if isinstance(node[0], Union):
+                done.append((any(n for n, _, _ in kids),
+                             [p for _, f, _ in kids for p in f],
+                             [p for _, _, l in kids for p in l]))
+                continue
+            nullable, first, last = True, [], []
+            for n, f, l in kids:
+                for x in last:
+                    follow[x].update(f)
+                first = first + f if nullable else first
+                last = last + l if n else l
+                nullable = nullable and n
+            done.append((nullable, first, last))
+    nullable, first, last = done.pop()
     follow[0] = set(first)
     moves: dict[tuple[State, str], set] = {}
     for q, targets in follow.items():

@@ -4,6 +4,10 @@ Notation: ``|`` union, juxtaposition concatenation, postfix ``*``,
 parentheses for grouping, ``()`` for the empty word and ``∅`` for the empty
 language.  The text parser only supports single-character symbols; trees over
 multi-character symbols can still be built programmatically.
+
+The parser and ``is_union_free_syntax`` keep their own stacks, so no depth
+of nesting exhausts Python's; only the printer recurses, once per level of
+concatenation or union (a run of stars is one loop).
 """
 
 from __future__ import annotations
@@ -91,12 +95,17 @@ def word_regex(w: Word) -> Regex:
 
 def is_union_free_syntax(r: Regex) -> bool:
     """True when the tree uses no union and no empty-language node."""
-    if isinstance(r, (Union, EmptyLang)):
+    if isinstance(r, (Union, EmptyLang)):  # answered without a worklist
         return False
-    if isinstance(r, Concat):
-        return all(is_union_free_syntax(p) for p in r.parts)
-    if isinstance(r, Star):
-        return is_union_free_syntax(r.inner)
+    todo = [r]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (Union, EmptyLang)):
+            return False
+        if isinstance(node, Concat):
+            todo.extend(node.parts)
+        elif isinstance(node, Star):
+            todo.append(node.inner)
     return True
 
 
@@ -109,93 +118,67 @@ def format_regex(r: Regex) -> str:
 
 def _fmt(r: Regex, level: int) -> str:
     # level: 0 union context, 1 concat context, 2 star operand
-    if isinstance(r, EmptyLang):
-        return "∅"
-    if isinstance(r, EmptyWord):
-        return "()"
+    stars = 0
+    while isinstance(r, Star):
+        r, level, stars = r.inner, 2, stars + 1
     if isinstance(r, Literal):
-        return r.symbol if len(r.symbol) == 1 else f"({r.symbol})"
-    if isinstance(r, Star):
-        return _fmt(r.inner, 2) + "*"
-    if isinstance(r, Concat):
-        body = "".join(_fmt(p, 1) for p in r.parts)
-        return f"({body})" if level >= 2 else body
-    body = "|".join(_fmt(p, 0) for p in r.parts)
-    return f"({body})" if level >= 1 else body
-
-
-class _RegexParser:
-    def __init__(self, text: str, alphabet: Alphabet):
-        self.text = text
-        self.alphabet = alphabet
-        self.pos = 0
-
-    def error(self, message: str) -> TextFormatError:
-        return TextFormatError(message, line=1, column=self.pos + 1)
-
-    def peek(self) -> str | None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def parse(self) -> Regex:
-        r = self.union()
-        if self.peek() is not None:
-            raise self.error(f"unexpected {self.text[self.pos]!r}")
-        return r
-
-    def union(self) -> Regex:
-        parts = [self.concat()]
-        while self.peek() == "|":
-            self.pos += 1
-            parts.append(self.concat())
-        return alt(parts)
-
-    def concat(self) -> Regex:
-        parts = []
-        while True:
-            c = self.peek()
-            if c is None or c in "|)":
-                break
-            parts.append(self.starred())
-        if not parts:
-            raise self.error("empty alternative (use () for the empty word)")
-        return seq(parts)
-
-    def starred(self) -> Regex:
-        r = self.atom()
-        while self.peek() == "*":
-            self.pos += 1
-            r = Star(r)
-        return r
-
-    def atom(self) -> Regex:
-        c = self.peek()
-        if c is None:
-            raise self.error("unexpected end of regex")
-        if c == "(":
-            self.pos += 1
-            if self.peek() == ")":
-                self.pos += 1
-                return EmptyWord()
-            r = self.union()
-            if self.peek() != ")":
-                raise self.error("expected ')'")
-            self.pos += 1
-            return r
-        if c == "∅":
-            self.pos += 1
-            return EmptyLang()
-        if c == "*":
-            raise self.error("'*' needs an operand")
-        if c not in self.alphabet:
-            raise self.error(f"symbol {c!r} not in alphabet")
-        self.pos += 1
-        return Literal(c)
+        text = r.symbol if len(r.symbol) == 1 else f"({r.symbol})"
+    elif isinstance(r, Concat):
+        text = "".join(_fmt(p, 1) for p in r.parts)
+        text = f"({text})" if level >= 2 else text
+    elif isinstance(r, Union):
+        text = "|".join(_fmt(p, 0) for p in r.parts)
+        text = f"({text})" if level >= 1 else text
+    else:
+        text = "∅" if isinstance(r, EmptyLang) else "()"
+    return text + "*" * stars
 
 
 def parse_regex(text: str, alphabet: Alphabet) -> Regex:
-    """Parse the concrete notation; positions in errors are 1-based columns."""
+    """Parse the concrete notation; positions in errors are 1-based columns.
+
+    One loop reads the text.  ``alts`` and ``parts`` are the alternatives so
+    far and the parts of the current one in the innermost open group; ``(``
+    saves them on ``groups`` and ``)`` restores them."""
     if not alphabet.single_char:
         raise TextFormatError("regex notation requires a single-character alphabet")
-    return _RegexParser(text, alphabet).parse()
+    groups: list[tuple[list[Regex], list[Regex]]] = []
+    alts: list[Regex] = []
+    parts: list[Regex] = []
+    for pos, c in enumerate([*text, ""]):
+        error = None
+        if c in "|)":  # or "", the end of the text
+            if not parts and (c != ")" or alts or not groups):
+                error = "empty alternative (use () for the empty word)"
+            elif c == "|":
+                alts.append(seq(parts))
+                parts = []
+            else:
+                r = alt(alts + [seq(parts)]) if parts else EmptyWord()
+                if not c and not groups:
+                    return r
+                if not c:
+                    error = "expected ')'"
+                elif not groups:
+                    error = "unexpected ')'"
+                else:
+                    alts, parts = groups.pop()
+                    parts.append(r)
+        elif c in " \t":
+            continue
+        elif c == "(":
+            groups.append((alts, parts))
+            alts, parts = [], []
+        elif c == "*":
+            if parts:
+                parts[-1] = Star(parts[-1])
+            else:
+                error = "'*' needs an operand"
+        elif c == "∅":
+            parts.append(EmptyLang())
+        elif c in alphabet:
+            parts.append(Literal(c))
+        else:
+            error = f"symbol {c!r} not in alphabet"
+        if error:
+            raise TextFormatError(error, line=1, column=pos + 1)

@@ -115,8 +115,9 @@ def bounded_min_grammar(d: Dfa, kind: str,
     if kind == "nonterminals":
         levels = [(v, r) for v in range(1, caps.max_nonterminals + 1)
                   for r in range(1, caps.max_rules + 1)]
-    else:
-        levels = [(caps.max_nonterminals, r) for r in range(caps.max_rules + 1)]
+    else:  # no level when no nonterminal may start a grammar
+        levels = [(caps.max_nonterminals, r) for r in range(caps.max_rules + 1)
+                  if caps.max_nonterminals]
 
     # the size of a level's _rule_universe, counted before building it:
     # each left side takes every word up to max_rhs_len alone and with every

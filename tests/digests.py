@@ -13,12 +13,14 @@ import hashlib
 import json
 import random
 
-from conftest import random_dfa
-from icgram.automata import minimize
+from conftest import REGEX_CHARS, random_dfa, random_regex
+from icgram.automata import dfa_to_table, minimize, regex_to_dfa, regex_to_nfa
 from icgram.contextual import derive_step, enumerate_ic, member_trace
-from icgram.errors import ResourceLimitError
+from icgram.errors import (AlphabetMismatchError, ResourceLimitError,
+                           TextFormatError)
 from icgram.families import FAMILY_ORDER, SearchCaps, reg_z, rl_p, rl_v
 from icgram.monoid import monoid_elements
+from icgram.regex import format_regex, is_union_free_syntax, parse_regex
 from icgram.subregular import classify, selection_in_family
 from icgram.witnesses import _N_RANGE, WITNESS_IDS, build_witness
 from icgram.words import Alphabet, sort_words, word_to_text
@@ -159,9 +161,46 @@ def monoid_digest() -> str:
     return h.hexdigest()
 
 
+def regex_digest() -> str:
+    """The regex layer on input from ``random.Random(26)``.
+
+    First 3,000 strings of length randint(0, 12) over
+    ``conftest.REGEX_CHARS``, each fed as its ``repr`` and what
+    ``parse_regex`` over ``ab`` makes of it: the ``format_regex`` of its
+    tree, or the error text with line and column.  Then 1,500 trees ``conftest.random_regex(rng, 6)``, each fed as
+    its ``format_regex`` and ``is_union_free_syntax``, then over the
+    alphabet ``a b xy`` either the alphabet error (for a tree with ``z``)
+    or the sorted transitions and accepting set of ``regex_to_nfa``, and
+    ``dfa_to_table`` of the minimal DFA of ``regex_to_dfa``."""
+    rng = random.Random(26)
+    h = hashlib.sha256()
+    ab = Alphabet(("a", "b"))
+    for _ in range(3000):
+        text = "".join(rng.choice(REGEX_CHARS)
+                       for _ in range(rng.randint(0, 12)))
+        try:
+            answer = format_regex(parse_regex(text, ab))
+        except TextFormatError as e:
+            answer = f"error {e}"
+        h.update(f"{text!r} {answer}\n".encode())
+    u = Alphabet(("a", "b", "xy"))
+    for _ in range(1500):
+        r = random_regex(rng, 6)
+        h.update(f"{format_regex(r)} {is_union_free_syntax(r)}\n".encode())
+        try:
+            nfa = regex_to_nfa(r, u)
+        except AlphabetMismatchError as e:
+            h.update(f"error {e}\n".encode())
+            continue
+        moves = sorted((q, a, sorted(ps)) for (q, a), ps in nfa.transitions.items())
+        h.update(f"{moves} {sorted(nfa.accepting)}\n".encode())
+        h.update(dfa_to_table(minimize(regex_to_dfa(r, u))).encode())
+    return h.hexdigest()
+
+
 RECIPES = {"classify": classify_digest, "engine": engine_digest,
            "selection_in_family": selection_in_family_digest,
-           "monoid": monoid_digest}
+           "monoid": monoid_digest, "regex": regex_digest}
 
 if __name__ == "__main__":
     for name, recipe in RECIPES.items():

@@ -1,4 +1,5 @@
-"""Regex oracles: the naive enumeration and the three-pass compiler.
+"""Regex oracles: the naive enumeration, the three-pass compiler, and the
+recursive parser and union-free check.
 
 ``enumerate_regex`` reads the words of a regex straight off its syntax
 tree, by structural recursion, with no automaton involved.
@@ -10,10 +11,15 @@ tree once: it collects the literals to check the alphabet, pushes ∅ out of
 the tree (``simplify_empty``), and only then walks it.  ``tests/test_regex.py``
 checks that the one-walk compiler builds the same NFA on trees without ∅
 and the same minimal DFA on every tree.
+
+``parse_regex`` and ``is_union_free_syntax`` are the recursive versions
+that the package replaced with one loop and one worklist: the parser spent
+four Python frames per level of nesting.  ``tests/test_regex.py`` checks
+that both versions agree on seeded strings and trees.
 """
 
 from icgram.automata import Nfa, State
-from icgram.errors import AlphabetMismatchError
+from icgram.errors import AlphabetMismatchError, TextFormatError
 from icgram.regex import (Concat, EmptyLang, EmptyWord, Literal, Regex, Star,
                           Union, alt, seq)
 from icgram.words import EMPTY_WORD, Alphabet
@@ -152,3 +158,91 @@ def regex_to_nfa(r: Regex, alphabet: Alphabet) -> Nfa:
         transitions[key] = frozenset(val)
     accepting = frozenset(last) | (frozenset([start]) if nullable else frozenset())
     return Nfa(states, alphabet, transitions, frozenset([start]), accepting)
+
+
+def is_union_free_syntax(r: Regex) -> bool:
+    """True when the tree uses no union and no empty-language node."""
+    if isinstance(r, (Union, EmptyLang)):
+        return False
+    if isinstance(r, Concat):
+        return all(is_union_free_syntax(p) for p in r.parts)
+    if isinstance(r, Star):
+        return is_union_free_syntax(r.inner)
+    return True
+
+
+class _RegexParser:
+    def __init__(self, text: str, alphabet: Alphabet):
+        self.text = text
+        self.alphabet = alphabet
+        self.pos = 0
+
+    def error(self, message: str) -> TextFormatError:
+        return TextFormatError(message, line=1, column=self.pos + 1)
+
+    def peek(self) -> str | None:
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else None
+
+    def parse(self) -> Regex:
+        r = self.union()
+        if self.peek() is not None:
+            raise self.error(f"unexpected {self.text[self.pos]!r}")
+        return r
+
+    def union(self) -> Regex:
+        parts = [self.concat()]
+        while self.peek() == "|":
+            self.pos += 1
+            parts.append(self.concat())
+        return alt(parts)
+
+    def concat(self) -> Regex:
+        parts = []
+        while True:
+            c = self.peek()
+            if c is None or c in "|)":
+                break
+            parts.append(self.starred())
+        if not parts:
+            raise self.error("empty alternative (use () for the empty word)")
+        return seq(parts)
+
+    def starred(self) -> Regex:
+        r = self.atom()
+        while self.peek() == "*":
+            self.pos += 1
+            r = Star(r)
+        return r
+
+    def atom(self) -> Regex:
+        c = self.peek()
+        if c is None:
+            raise self.error("unexpected end of regex")
+        if c == "(":
+            self.pos += 1
+            if self.peek() == ")":
+                self.pos += 1
+                return EmptyWord()
+            r = self.union()
+            if self.peek() != ")":
+                raise self.error("expected ')'")
+            self.pos += 1
+            return r
+        if c == "∅":
+            self.pos += 1
+            return EmptyLang()
+        if c == "*":
+            raise self.error("'*' needs an operand")
+        if c not in self.alphabet:
+            raise self.error(f"symbol {c!r} not in alphabet")
+        self.pos += 1
+        return Literal(c)
+
+
+def parse_regex(text: str, alphabet: Alphabet) -> Regex:
+    """Parse the concrete notation; positions in errors are 1-based columns."""
+    if not alphabet.single_char:
+        raise TextFormatError("regex notation requires a single-character alphabet")
+    return _RegexParser(text, alphabet).parse()

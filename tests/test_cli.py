@@ -309,6 +309,54 @@ def test_regex_errors_carry_line_and_column(capsys):
     assert "1:3" in capsys.readouterr().err
 
 
+# --- deep expressions: no depth of nesting exits 4 ---------------------------
+
+NESTED = "(" * 10_000 + "a" + ")" * 10_000
+STARRED = "a" + "*" * 10_000
+ALTERNATING = "(a(b|" * 1_000 + "c" + "))" * 1_000
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["classify", "--regex", NESTED, "--alphabet", "a"], "min-states: 3\n"),
+    (["classify", "--regex", STARRED, "--alphabet", "a"], "min-states: 1\n"),
+    (["enumerate", "--regex", NESTED, "--alphabet", "a", "--max-len", "4"],
+     "a\n"),
+    (["enumerate", "--regex", STARRED, "--alphabet", "a", "--max-len", "4"],
+     "@\na\naa\naaa\naaaa\n"),
+    (["enumerate", "--regex", ALTERNATING, "--alphabet", "abc",
+      "--max-len", "4"], "ab\naab\naaab\n"),
+    (["convert", "--regex", NESTED, "--alphabet", "a", "--to", "dfa"],
+     "states: q0 q1 q2\n"),
+    (["convert", "--regex", STARRED, "--alphabet", "a", "--to", "dfa"],
+     "states: q0\n"),
+    # a^k b for 1 <= k <= 1,000, and a^1000 c
+    (["convert", "--regex", ALTERNATING, "--alphabet", "abc", "--to", "dfa"],
+     "states: " + " ".join(f"q{i}" for i in range(1003)) + "\n"),
+], ids=["classify-nested", "classify-starred", "enumerate-nested",
+        "enumerate-starred", "enumerate-alternating", "convert-nested",
+        "convert-starred", "convert-alternating"])
+def test_deep_regexes_run_to_an_answer(capsys, argv, expected):
+    code, out = run_cli(argv)
+    assert code == 0 and expected in out
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("selection, printed", [(NESTED, "a"),
+                                                (STARRED, STARRED)],
+                         ids=["nested", "starred"])
+def test_deep_selections_in_a_grammar_file(tmp_path, capsys, selection,
+                                           printed):
+    text = ("alphabet: a b\naxiom: a\npair:\n  alphabet: a\n"
+            f"  selection regex: {{}}\n  context: (b, b)\n")
+    path = tmp_path / "deep.ctx"
+    path.write_text(text.format(selection), encoding="utf-8")
+    assert run_cli(["member", "--grammar", str(path), "--word", "bab"]) == \
+        (0, "true\n")
+    assert run_cli(["convert", "--grammar", str(path),
+                    "--to", "canonical"]) == (0, text.format(printed))
+    assert capsys.readouterr().err == ""
+
+
 # --- machine output ---------------------------------------------------------
 
 def test_machine_classify_round_trips():

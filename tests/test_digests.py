@@ -25,3 +25,8 @@ def test_selection_in_family_digest():
 def test_monoid_digest():
     assert digests.monoid_digest() == \
         "fa85f7b600a403807b21431fba4496ae52d31efeda0b089a0dd5b28f4fa1bc04"
+
+
+def test_regex_digest():
+    assert digests.regex_digest() == \
+        "a0cf80d0743f92795285aad6a9d19c19c77274babb5fa5dc2437c7e84db92e7a"

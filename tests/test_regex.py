@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regex_oracle
+from conftest import REGEX_CHARS, random_regex
 from icgram.automata import (enumerate_regular, minimize, nfa_to_dfa,
                              regex_to_dfa, regex_to_nfa)
 from icgram.errors import TextFormatError
@@ -125,3 +128,28 @@ def test_one_walk_matches_the_three_pass_oracle(r):
     if "∅" not in format_regex(r):
         assert nfa == oracle
     assert minimize(nfa_to_dfa(nfa)) == minimize(nfa_to_dfa(oracle))
+
+
+def _parse_or_error(parse, text, alphabet):
+    try:
+        return parse(text, alphabet)
+    except TextFormatError as e:
+        return e.bare_message, e.line, e.column
+
+
+def test_one_loop_parser_matches_the_recursive_oracle():
+    """Seeded strings over every token, a foreign letter and both blanks
+    get the same tree or the same error, line and column from both
+    parsers; seeded trees get the same union-free answer from both
+    walks."""
+    rng = random.Random(26)
+    ab = Alphabet.of("a", "b")
+    for _ in range(20_000):
+        text = "".join(rng.choice(REGEX_CHARS)
+                       for _ in range(rng.randint(0, 12)))
+        assert _parse_or_error(parse_regex, text, ab) == \
+            _parse_or_error(regex_oracle.parse_regex, text, ab), text
+    for _ in range(5_000):
+        r = random_regex(rng, 6)
+        assert is_union_free_syntax(r) == \
+            regex_oracle.is_union_free_syntax(r), format_regex(r)

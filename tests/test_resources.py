@@ -87,6 +87,24 @@ def test_the_empty_language_needs_no_rules():
     assert code == 0 and "\nrules: 0 (exact)" in out
 
 
+def test_no_nonterminals_gives_the_fallback_interval():
+    """With ``max_nonterminals=0`` neither search has a level to try, so
+    both report the canonical automaton grammar's bounds."""
+    code, out = run_cli(["measure", "--regex", "a", "--alphabet", "ab",
+                         "--caps", "max_nonterminals=0"])
+    assert code == 0
+    assert "\nnonterminals: in [1, 3]  # no certificate within caps" in out
+    assert "\nrules: in [1, 7]  # no certificate within caps" in out
+
+
+def test_no_nonterminals_leaves_a_rules_family_undecided():
+    code, out = run_cli(["classify", "--regex", "a", "--alphabet", "ab",
+                         "--family", "RL_P(3)",
+                         "--caps", "max_nonterminals=0"])
+    assert code == 3
+    assert out.startswith("RL_P(3): unknown  # no small enough grammar")
+
+
 def test_a_grammar_search_minimizes_once(monkeypatch):
     """Only the fallback grammar minimizes ``d``; candidates are confirmed
     by equivalence with ``d`` as given."""
