@@ -29,7 +29,7 @@ from typing import Callable, Hashable, Iterator, Mapping, Sequence
 from .errors import (AlphabetMismatchError, InvalidAutomatonError,
                      ResourceLimitError, TextFormatError, at_line)
 from .families import DEFAULT_FRONTIER_CAP
-from .regex import EmptyLang, EmptyWord, Literal, Concat, Union, Star, Regex
+from .regex import EmptyWord, Literal, Concat, Union, Star, Regex, fold
 from .words import EMPTY_WORD, Alphabet, Word, clean_lines
 
 State = Hashable
@@ -179,54 +179,42 @@ def _pair_step(d1: Dfa, d2: Dfa) -> Callable:
 # --- compilers ----------------------------------------------------------
 
 def regex_to_nfa(r: Regex, alphabet: Alphabet) -> Nfa:
-    """Position (Glushkov) construction in one walk of the tree: state 0
-    starts, each literal occurrence is a state, and ``∅`` is a leaf that is
-    not nullable and has no positions.  Literals are checked against
-    ``alphabet`` as met, so an error names the leftmost foreign one."""
+    """Position (Glushkov) construction in one :func:`fold` that gives each
+    node (nullable, first, last): state 0 starts, each literal occurrence is
+    a state, numbered left to right and checked against ``alphabet``, so an
+    error names the leftmost foreign one, and ``∅`` has no positions."""
     symbol_of: dict[int, str] = {}
     follow: dict[int, set[int]] = {}
-    # children first: a node goes back on ``todo`` as ``(node,)`` under its
-    # children; ``done`` holds (nullable, first, last) of finished subtrees
-    todo: list = [r]
-    done: list[tuple[bool, list[int], list[int]]] = []
-    while todo:
-        node = todo.pop()
-        if isinstance(node, Star):
-            todo += [(node,), node.inner]
-        elif isinstance(node, (Concat, Union)):
-            todo += [(node,), *reversed(node.parts)]
-        elif isinstance(node, Literal):
+
+    def positions(node: Regex, kids: list) -> tuple[bool, list, list]:
+        if isinstance(node, Literal):
             if node.symbol not in alphabet:
                 raise AlphabetMismatchError(
                     f"regex literal {node.symbol!r} not in alphabet")
             p = len(symbol_of) + 1
             symbol_of[p] = node.symbol
             follow[p] = set()
-            done.append((False, [p], [p]))
-        elif not isinstance(node, tuple):
-            done.append((isinstance(node, EmptyWord), [], []))
-        elif isinstance(node[0], Star):
-            _, first, last = done.pop()
+            return False, [p], [p]
+        if isinstance(node, Star):
+            (_, first, last), = kids
             for x in last:
                 follow[x].update(first)
-            done.append((True, first, last))
-        else:
-            kids = done[-len(node[0].parts):]
-            del done[-len(node[0].parts):]
-            if isinstance(node[0], Union):
-                done.append((any(n for n, _, _ in kids),
-                             [p for _, f, _ in kids for p in f],
-                             [p for _, _, l in kids for p in l]))
-                continue
-            nullable, first, last = True, [], []
-            for n, f, l in kids:
-                for x in last:
-                    follow[x].update(f)
-                first = first + f if nullable else first
-                last = last + l if n else l
-                nullable = nullable and n
-            done.append((nullable, first, last))
-    nullable, first, last = done.pop()
+            return True, first, last
+        if isinstance(node, Union):
+            return (any(n for n, _, _ in kids), [p for _, f, _ in kids for p in f],
+                    [p for _, _, l in kids for p in l])
+        if not isinstance(node, Concat):  # ∅ or the empty word
+            return isinstance(node, EmptyWord), [], []
+        nullable, first, last = True, [], []
+        for n, f, l in kids:
+            for x in last:
+                follow[x].update(f)
+            first = first + f if nullable else first
+            last = last + l if n else l
+            nullable = nullable and n
+        return nullable, first, last
+
+    nullable, first, last = fold(r, positions)
     follow[0] = set(first)
     moves: dict[tuple[State, str], set] = {}
     for q, targets in follow.items():

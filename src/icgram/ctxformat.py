@@ -106,13 +106,13 @@ def parse_contextual(text: str) -> ContextualGrammar:
         if t != "pair:":
             raise TextFormatError(f"expected 'pair:', got {t!r}", line=ln)
         pos += 1
-        pair, pos = _parse_pair(lines, pos, alphabet)
+        pair, pos = _parse_pair(text, lines, pos, alphabet)
         pairs.append(pair)
 
     return ContextualGrammar(alphabet, tuple(axioms), tuple(pairs))
 
 
-def _parse_pair(lines: list[tuple[int, str]], pos: int,
+def _parse_pair(text: str, lines: list[tuple[int, str]], pos: int,
                 alphabet: Alphabet) -> tuple[SelectionPair, int]:
     if pos >= len(lines) or not lines[pos][1].startswith("alphabet:"):
         ln = lines[pos][0] if pos < len(lines) else lines[-1][0]
@@ -152,9 +152,11 @@ def _parse_pair(lines: list[tuple[int, str]], pos: int,
                                   line=block[0][0])
         try:
             r = parse_regex(rest, declared)
-        except TextFormatError as e:
+        except TextFormatError as e:  # at its column in the raw line
+            raw = text.splitlines()[sel_line - 1]
+            start = raw.index(rest, raw.index(":") + 1)
             raise TextFormatError(e.bare_message, line=sel_line,
-                                  column=e.column) from None
+                                  column=start + e.column) from None
         pair = SelectionPair.from_regex(declared, r, contexts)
     elif rest:
         raise TextFormatError(f"{kind} selections start on the next line",

@@ -5,14 +5,14 @@ parentheses for grouping, ``()`` for the empty word and ``∅`` for the empty
 language.  The text parser only supports single-character symbols; trees over
 multi-character symbols can still be built programmatically.
 
-The parser and ``is_union_free_syntax`` keep their own stacks, so no depth
-of nesting exhausts Python's; only the printer recurses, once per level of
-concatenation or union (a run of stars is one loop).
+The parser keeps its own stack, and every walk of a tree is a :func:`fold`,
+which keeps its own, so no depth of nesting exhausts Python's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import TextFormatError
 from .words import Alphabet, Word
@@ -93,45 +93,54 @@ def word_regex(w: Word) -> Regex:
     return seq([Literal(s) for s in w])
 
 
-def is_union_free_syntax(r: Regex) -> bool:
-    """True when the tree uses no union and no empty-language node."""
-    if isinstance(r, (Union, EmptyLang)):  # answered without a worklist
-        return False
-    todo = [r]
+def fold(r: Regex, combine: Callable[[Regex, list], object]):
+    """``combine(node, values)`` at the root, ``values`` being what it gave at
+    the children, left to right.  An inner node goes back on the stack as
+    ``(node, number of children)`` under its children, leftmost on top."""
+    values, todo = [], [r]
     while todo:
         node = todo.pop()
-        if isinstance(node, (Union, EmptyLang)):
-            return False
-        if isinstance(node, Concat):
-            todo.extend(node.parts)
-        elif isinstance(node, Star):
-            todo.append(node.inner)
-    return True
+        kind = type(node)
+        if kind is tuple:  # the children are done: their values end the list
+            node, n = node
+            values[-n:] = [combine(node, values[-n:])]
+        elif kind is Concat or kind is Union:
+            todo += [(node, len(node.parts)), *reversed(node.parts)]
+        elif kind is Star:
+            todo += [(node, 1), node.inner]
+        else:
+            values.append(combine(node, []))
+    return values[0]
+
+
+def is_union_free_syntax(r: Regex) -> bool:
+    """True when the tree uses no union and no empty-language node."""
+    if isinstance(r, (Union, EmptyLang)):  # answered without a walk
+        return False
+    return fold(r, lambda node, kids: all(kids) and
+                not isinstance(node, (Union, EmptyLang)))
 
 
 # --- text form ---------------------------------------------------------
 
 def format_regex(r: Regex) -> str:
     """Render a tree in the concrete notation (minimally parenthesized)."""
-    return _fmt(r, 0)
+    return fold(r, _text)[0]
 
 
-def _fmt(r: Regex, level: int) -> str:
-    # level: 0 union context, 1 concat context, 2 star operand
-    stars = 0
-    while isinstance(r, Star):
-        r, level, stars = r.inner, 2, stars + 1
-    if isinstance(r, Literal):
-        text = r.symbol if len(r.symbol) == 1 else f"({r.symbol})"
-    elif isinstance(r, Concat):
-        text = "".join(_fmt(p, 1) for p in r.parts)
-        text = f"({text})" if level >= 2 else text
-    elif isinstance(r, Union):
-        text = "|".join(_fmt(p, 0) for p in r.parts)
-        text = f"({text})" if level >= 1 else text
-    else:
-        text = "∅" if isinstance(r, EmptyLang) else "()"
-    return text + "*" * stars
+def _text(node: Regex, kids: list[tuple[str, int]]) -> tuple[str, int]:
+    """The text of ``node`` and how tightly it binds: 0 a union, 1 a
+    concatenation, 2 an atom or a star, which is what a star's inner needs."""
+    if isinstance(node, Literal):
+        return node.symbol if len(node.symbol) == 1 else f"({node.symbol})", 2
+    if isinstance(node, Concat):
+        return "".join([t if b else f"({t})" for t, b in kids]), 1
+    if isinstance(node, Union):
+        return "|".join([t for t, _ in kids]), 0
+    if isinstance(node, Star):
+        (text, binds), = kids
+        return (text if binds == 2 else f"({text})") + "*", 2
+    return ("∅" if isinstance(node, EmptyLang) else "()"), 2
 
 
 def parse_regex(text: str, alphabet: Alphabet) -> Regex:

@@ -1,5 +1,5 @@
 """Regex oracles: the naive enumeration, the three-pass compiler, and the
-recursive parser and union-free check.
+recursive parser, union-free check and printer.
 
 ``enumerate_regex`` reads the words of a regex straight off its syntax
 tree, by structural recursion, with no automaton involved.
@@ -12,10 +12,12 @@ the tree (``simplify_empty``), and only then walks it.  ``tests/test_regex.py``
 checks that the one-walk compiler builds the same NFA on trees without ∅
 and the same minimal DFA on every tree.
 
-``parse_regex`` and ``is_union_free_syntax`` are the recursive versions
-that the package replaced with one loop and one worklist: the parser spent
-four Python frames per level of nesting.  ``tests/test_regex.py`` checks
-that both versions agree on seeded strings and trees.
+``parse_regex``, ``is_union_free_syntax`` and ``format_regex`` are the
+recursive versions that the package replaced with one loop and with folds
+of the tree: the parser spent four Python frames per level of nesting, and
+the printer one per level of concatenation or union.
+``tests/test_regex.py`` checks that both versions agree on seeded strings
+and trees.
 """
 
 from icgram.automata import Nfa, State
@@ -246,3 +248,26 @@ def parse_regex(text: str, alphabet: Alphabet) -> Regex:
     if not alphabet.single_char:
         raise TextFormatError("regex notation requires a single-character alphabet")
     return _RegexParser(text, alphabet).parse()
+
+
+def format_regex(r: Regex) -> str:
+    """Render a tree in the concrete notation (minimally parenthesized)."""
+    return _fmt(r, 0)
+
+
+def _fmt(r: Regex, level: int) -> str:
+    # level: 0 union context, 1 concat context, 2 star operand
+    stars = 0
+    while isinstance(r, Star):
+        r, level, stars = r.inner, 2, stars + 1
+    if isinstance(r, Literal):
+        text = r.symbol if len(r.symbol) == 1 else f"({r.symbol})"
+    elif isinstance(r, Concat):
+        text = "".join(_fmt(p, 1) for p in r.parts)
+        text = f"({text})" if level >= 2 else text
+    elif isinstance(r, Union):
+        text = "|".join(_fmt(p, 0) for p in r.parts)
+        text = f"({text})" if level >= 1 else text
+    else:
+        text = "∅" if isinstance(r, EmptyLang) else "()"
+    return text + "*" * stars

@@ -5,19 +5,21 @@ are exactly what a shell would see.
 """
 
 import json
+import random
 import re
+from textwrap import indent
 
 import pytest
-from conftest import run_cli
+from conftest import REGEX_CHARS, random_dfa, random_regex, run_cli
 
 from icgram import cli, contextual, subregular
-from icgram.automata import regex_to_dfa
+from icgram.automata import dfa_to_table, regex_to_dfa
 from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
                                derive_step, enumerate_ic, member_trace)
 from icgram.ctxformat import format_contextual, parse_contextual
 from icgram.errors import InternalConsistencyError
 from icgram.families import SearchCaps, parse_family_label
-from icgram.regex import parse_regex
+from icgram.regex import format_regex, parse_regex
 from icgram.subregular import classify
 from icgram.words import Alphabet, sort_words, word_from_text, word_to_text
 
@@ -341,20 +343,152 @@ def test_deep_regexes_run_to_an_answer(capsys, argv, expected):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("selection, printed", [(NESTED, "a"),
-                                                (STARRED, STARRED)],
-                         ids=["nested", "starred"])
-def test_deep_selections_in_a_grammar_file(tmp_path, capsys, selection,
-                                           printed):
-    text = ("alphabet: a b\naxiom: a\npair:\n  alphabet: a\n"
-            f"  selection regex: {{}}\n  context: (b, b)\n")
+@pytest.mark.parametrize("letters, selection, printed", [
+    ("a", NESTED, "a"), ("a", STARRED, STARRED),
+    ("a b c", ALTERNATING, "a(b|" * 1_000 + "c" + ")" * 1_000),
+], ids=["nested", "starred", "alternating"])
+def test_deep_selections_in_a_grammar_file(tmp_path, capsys, letters,
+                                           selection, printed):
+    """Each selection holds ``ab`` or ``a``, so ``babb`` derives from ``ab``;
+    the canonical text prints the selection minimally parenthesized."""
+    text = ("alphabet: a b c\naxiom: ab\npair:\n  alphabet: {}\n"
+            "  selection regex: {}\n  context: (b, b)\n")
     path = tmp_path / "deep.ctx"
-    path.write_text(text.format(selection), encoding="utf-8")
-    assert run_cli(["member", "--grammar", str(path), "--word", "bab"]) == \
+    path.write_text(text.format(letters, selection), encoding="utf-8")
+    assert run_cli(["member", "--grammar", str(path), "--word", "babb"]) == \
         (0, "true\n")
-    assert run_cli(["convert", "--grammar", str(path),
-                    "--to", "canonical"]) == (0, text.format(printed))
+    assert run_cli(["convert", "--grammar", str(path), "--to",
+                    "canonical"]) == (0, text.format(letters, printed))
     assert capsys.readouterr().err == ""
+
+
+# --- a seeded sweep: no input exits 4 ---------------------------------------
+
+_EDIT_CHARS = "ab1:()|*,.@#-> \n∅"
+
+
+def _mutate(rng: random.Random, text: str, edits: int) -> str:
+    """``text`` after ``edits`` random edits, each one character inserted,
+    dropped or replaced, or one line dropped or moved."""
+    for _ in range(edits):
+        i, kind = rng.randrange(len(text) + 1), rng.randrange(4)
+        if kind < 3:
+            new = "" if kind == 1 else rng.choice(_EDIT_CHARS)
+            text = text[:i] + new + text[i + (kind > 0):]
+            continue
+        lines = text.split("\n")
+        line = lines.pop(rng.randrange(len(lines)))
+        if rng.random() < 0.5:
+            lines.insert(rng.randrange(len(lines) + 1), line)
+        text = "\n".join(lines)
+    return text
+
+
+def _ctx_calls(rng, tmp_path, texts):
+    """Each ``.ctx`` text through every grammar command, with one of its
+    axioms as the word."""
+    calls = []
+    for k, text in enumerate(texts):
+        path = tmp_path / f"{k}.ctx"
+        path.write_text(text, encoding="utf-8")
+        g, word = str(path), rng.choice(re.findall(r"^axiom: (.*)$", text,
+                                                   re.M) or ["a"])
+        calls += [["enumerate", "--grammar", g, "--max-len", "4"],
+                  ["member", "--grammar", g, "--word", word],
+                  ["derive", "--grammar", g, "--word", word],
+                  ["classify", "--grammar", g],
+                  ["convert", "--grammar", g, "--to", "canonical"],
+                  ["convert", "--grammar", g, "--to", "split-finite"]]
+    return calls
+
+
+def _witness_exports(rng, tmp_path):
+    exports = [run_cli(["witness", "export", cid])[1]
+               for cid in ("L1", "L2", "L3", "L4", "L6", "L7")]
+    return _ctx_calls(rng, tmp_path, [
+        _mutate(rng, rng.choice(exports), rng.randint(1, 2))
+        for _ in range(40)])
+
+
+def _dfa_tables(rng, tmp_path):
+    ab = Alphabet.of("a", "b")
+    head = "alphabet: a b\naxiom: ab\npair:\n  alphabet: a b\n  selection dfa:\n"
+    return _ctx_calls(rng, tmp_path, [
+        _mutate(rng, head + indent(dfa_to_table(random_dfa(
+            rng, rng.randint(1, 4), ab)), "    ") + "  context: (a, b)\n",
+            rng.randint(0, 3))
+        for _ in range(30)])
+
+
+def _rule_texts(rng, tmp_path):
+    head = ("alphabet: a b\naxiom: a\npair:\n  alphabet: a b\n"
+            "  selection grammar:\n    nonterminals: S T\n"
+            "    terminals: a b\n    start: S\n")
+    texts = []
+    for _ in range(30):
+        rules = [f"S -> {rng.choice(['a', 'b', '@', 'ab'])}"
+                 f"{rng.choice(['', ' S', ' T'])}"
+                 for _ in range(rng.randint(1, 3))]
+        rules.append(f"T -> {rng.choice(['b', '@', 'a S'])}")
+        text = head + "".join(f"    {r}\n" for r in rules) + "  context: (b, @)\n"
+        texts.append(_mutate(rng, text, rng.randint(0, 3)))
+    return _ctx_calls(rng, tmp_path, texts)
+
+
+def _regexes(rng, tmp_path):
+    """The text of a random tree, whose leaves include ``xy`` and ``z``, or
+    a random token string, through every regex command.  ``measure`` runs
+    within small caps, as its search can take seconds: ``check_len`` too,
+    which bounds the words it lists whatever ``max_candidates`` says."""
+    calls = []
+    for _ in range(40):
+        if rng.random() < 0.5:
+            letters = rng.choice(["ab", "abxyz"])
+            text = format_regex(random_regex(rng, 6))
+        else:
+            letters = "ab"
+            text = "".join(rng.choice(REGEX_CHARS)
+                           for _ in range(rng.randint(0, 12)))
+        given = ["--regex", text, "--alphabet", letters]
+        calls += [["classify", *given],
+                  ["measure", *given, "--caps", "max_candidates=50,check_len=3"],
+                  ["enumerate", *given, "--max-len", "3"],
+                  ["convert", *given, "--to", rng.choice(["dfa", "rlgrammar"])]]
+    return calls
+
+
+def _deep(rng, tmp_path):
+    """Each deep expression above with one edit, twice, through
+    ``classify --family UF``, which reads the tree, and ``enumerate``, and
+    as a ``.ctx`` selection through ``convert --to canonical``, which prints
+    it."""
+    calls = []
+    for k, deep in enumerate(2 * [NESTED, STARRED, ALTERNATING]):
+        text = _mutate(rng, deep, 1)
+        path = tmp_path / f"{k}.ctx"
+        path.write_text("alphabet: a b c\naxiom: ab\npair:\n  alphabet: a b c\n"
+                        f"  selection regex: {text}\n  context: (b, b)\n",
+                        encoding="utf-8")
+        given = ["--regex", text, "--alphabet", "abc"]
+        calls += [["classify", *given, "--family", "UF"],
+                  ["enumerate", *given, "--max-len", "3"],
+                  ["convert", "--grammar", str(path), "--to", "canonical"]]
+    return calls
+
+
+_SWEEP = {"witness-exports": _witness_exports, "dfa-tables": _dfa_tables,
+          "rule-texts": _rule_texts, "regexes": _regexes, "deep": _deep}
+
+
+@pytest.mark.parametrize("source", _SWEEP)
+def test_no_seeded_input_exits_four(tmp_path, capsys, source):
+    """Every answer is a verdict, a usage or parse error, or a cap (exit
+    0-3), never an internal error with a traceback."""
+    for argv in _SWEEP[source](random.Random(14), tmp_path):
+        code, _ = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3) and "Traceback" not in err, \
+            ([a[:80] for a in argv], err[-400:])
 
 
 # --- machine output ---------------------------------------------------------

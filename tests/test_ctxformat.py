@@ -89,6 +89,8 @@ def test_parse_error_positions():
     with pytest.raises(TextFormatError) as e4:
         parse_contextual(bad_regex)
     assert e4.value.line == 5
+    # the column in the file's line, past the indentation and the keyword
+    assert e4.value.column == 22
 
 
 # the three places that read a word, each with the module whose

@@ -140,16 +140,21 @@ def _parse_or_error(parse, text, alphabet):
 def test_one_loop_parser_matches_the_recursive_oracle():
     """Seeded strings over every token, a foreign letter and both blanks
     get the same tree or the same error, line and column from both
-    parsers; seeded trees get the same union-free answer from both
-    walks."""
+    parsers; seeded trees, and the trees parsed, get the same union-free
+    answer from both walks and the same text from both printers."""
     rng = random.Random(26)
     ab = Alphabet.of("a", "b")
     for _ in range(20_000):
         text = "".join(rng.choice(REGEX_CHARS)
                        for _ in range(rng.randint(0, 12)))
-        assert _parse_or_error(parse_regex, text, ab) == \
+        parsed = _parse_or_error(parse_regex, text, ab)
+        assert parsed == \
             _parse_or_error(regex_oracle.parse_regex, text, ab), text
+        if not isinstance(parsed, tuple):
+            assert format_regex(parsed) == \
+                regex_oracle.format_regex(parsed), text
     for _ in range(5_000):
         r = random_regex(rng, 6)
         assert is_union_free_syntax(r) == \
             regex_oracle.is_union_free_syntax(r), format_regex(r)
+        assert format_regex(r) == regex_oracle.format_regex(r), r
