@@ -21,7 +21,6 @@ witness word is shortlex-least, and equal languages fed through
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Hashable, Iterator, Mapping, Sequence
@@ -30,13 +29,12 @@ from .errors import (AlphabetMismatchError, InvalidAutomatonError,
                      ResourceLimitError, TextFormatError, at_line)
 from .families import DEFAULT_FRONTIER_CAP
 from .regex import EmptyWord, Literal, Concat, Union, Star, Regex, fold
-from .words import EMPTY_WORD, Alphabet, Word, clean_lines
+from .words import EMPTY_WORD, Alphabet, Record, Word, clean_lines
 
 State = Hashable
 
 
-@dataclass(frozen=True)
-class Nfa:
+class Nfa(Record):
     """Epsilon-free NFA; ``initial`` is a set of states.
 
     ``transitions`` maps ``(state, symbol)`` to a frozenset of successor
@@ -65,8 +63,7 @@ class Nfa:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(Record):
     """Complete DFA.  ``states`` is an ordered tuple; ``delta`` is total."""
 
     states: tuple

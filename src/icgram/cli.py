@@ -23,7 +23,6 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import fields
 from pathlib import Path
 
 from .automata import Dfa, dfa_to_table, enumerate_regular, minimize, regex_to_dfa
@@ -45,7 +44,7 @@ EXIT_USAGE = 2
 EXIT_CAPPED = 3
 EXIT_INTERNAL = 4
 
-_CAP_KEYS = tuple(f.name for f in fields(SearchCaps))
+_CAP_KEYS = SearchCaps._fields
 
 
 def _parse_caps(text: str | None) -> SearchCaps:

@@ -43,7 +43,6 @@ compiling a grammar validates it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -55,11 +54,11 @@ from .errors import (DecompositionMismatchError, InvalidGrammarError,
 from .families import DEFAULT_FRONTIER_CAP
 from .regex import Regex, alt, seq, word_regex, Star, Literal
 from .rlgrammar import RightLinearGrammar, Rule, grammar_to_nfa
-from .words import Alphabet, Word, fresh_prefix, sort_words, word_to_text
+from .words import (Alphabet, Record, Word, fresh_prefix, sort_words,
+                    word_to_text)
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(Record):
     """An insertion context: ``left`` goes before the selected infix,
     ``right`` after it.  Validity (left+right non-empty, symbols in the
     grammar alphabet) is checked by :func:`validate`."""
@@ -78,8 +77,7 @@ class Context:
     __str__ = to_text
 
 
-@dataclass(frozen=True)
-class SelectionPair:
+class SelectionPair(Record):
     """A selection language with its contexts.
 
     The selection is held as a complete DFA over ``declared_alphabet``; when
@@ -127,8 +125,7 @@ class SelectionPair:
                    for s in w) and accepts(self.dfa, w)
 
 
-@dataclass(frozen=True)
-class ContextualGrammar:
+class ContextualGrammar(Record):
     alphabet: Alphabet
     axioms: tuple[Word, ...]
     pairs: tuple[SelectionPair, ...]
@@ -250,8 +247,7 @@ class _Compiled:
         return tuple(map(self.symbol.__getitem__, s))
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     where: str
     message: str
 
@@ -305,8 +301,7 @@ def ensure_valid(g: ContextualGrammar) -> None:
             diagnostics=problems)
 
 
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(Record):
     """One internal insertion, fully annotated: the source splits as
     x1 x2 x3 and the target is x1 . left . x2 . right . x3."""
 

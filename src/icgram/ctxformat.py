@@ -31,8 +31,6 @@ trip is stable from the first re-parse onwards.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .automata import _parse_dfa_lines, dfa_to_table
 from .contextual import Context, ContextualGrammar, SelectionPair
 from .errors import TextFormatError, at_line
@@ -166,4 +164,4 @@ def _parse_pair(text: str, lines: list[tuple[int, str]], pos: int,
     else:
         pair = SelectionPair.from_dfa(_parse_dfa_lines(block), contexts)
     # the declared alphabet stays authoritative; validate() reports a mismatch
-    return replace(pair, declared_alphabet=declared), pos
+    return pair.replace(declared_alphabet=declared), pos

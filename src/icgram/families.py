@@ -4,17 +4,16 @@ does not load a decider."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import TextFormatError, at_line
+from .words import Record
 
 DEFAULT_MONOID_CAP = 10_000  # elements of a transition monoid
 DEFAULT_FRONTIER_CAP = 200_000  # words enumerated, or explored by membership
 
 
-@dataclass(frozen=True)
-class SearchCaps:
+class SearchCaps(Record):
     """Every cap of a search: the first five bound the grammar search behind
     RL_V and RL_P, ``monoid_cap`` the transition-monoid walk behind NC and
     PS, and ``frontier_cap`` enumeration and backward membership."""
@@ -46,8 +45,7 @@ _PLAIN_KINDS = ("MON", "FIN", "NIL", "COMB", "DEF", "SUF", "ORD",
 _PARAM_KINDS = ("RL_V", "RL_P", "REG_Z")
 
 
-@dataclass(frozen=True)
-class FamilyLabel:
+class FamilyLabel(Record):
     """A family name, optionally with a resource bound: ``MON``, ``RL_V(2)``."""
 
     kind: str

@@ -19,13 +19,13 @@ are first-class data rather than silent omissions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 from .families import (CIRC, COMB, COMM, DEF, FIN, MON, NC, NIL, ORD, PS,
                          REG, SCOPES, SUF, UF, FamilyLabel, label_sort_key,
                          reg_z, rl_p, rl_v)
+from .words import Record
 
 PROPER = "proper"
 OPEN = "open-properness"
@@ -33,8 +33,7 @@ UNKNOWN = "unknown"
 EQUAL = "equal"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     src: FamilyLabel
     dst: FamilyLabel
     status: str = PROPER
@@ -44,8 +43,7 @@ class Edge:
         return f"{self.src} {arrow} {self.dst} [{self.status}]"
 
 
-@dataclass(frozen=True)
-class HierarchyTable:
+class HierarchyTable(Record):
     scope: str
     nodes: frozenset
     edges: frozenset

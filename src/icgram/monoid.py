@@ -14,13 +14,12 @@ first counter instead of building the whole monoid, and PS resumes there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .automata import Dfa, bfs_words, compose
 from .errors import ResourceLimitError
 from .families import DEFAULT_MONOID_CAP
-from .words import Word
+from .words import Record, Word
 
 Transformation = tuple[int, ...]
 
@@ -45,8 +44,7 @@ def monoid_elements(d: Dfa, cap: int = DEFAULT_MONOID_CAP
         yield element
 
 
-@dataclass(frozen=True)
-class TransitionMonoid:
+class TransitionMonoid(Record):
     """The whole walk of :func:`monoid_elements`: each element, aligned with
     its shortlex-least word."""
 

@@ -5,37 +5,57 @@ parentheses for grouping, ``()`` for the empty word and ``∅`` for the empty
 language.  The text parser only supports single-character symbols; trees over
 multi-character symbols can still be built programmatically.
 
-The parser keeps its own stack, and every walk of a tree is a :func:`fold`,
-which keeps its own, so no depth of nesting exhausts Python's.
+The parser keeps its own stack, and every walk of a tree is a :func:`fold`
+or ``repr``, which keep their own, so no depth of nesting exhausts Python's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import TextFormatError
-from .words import Alphabet, Word
+from .words import Alphabet, Record, Word
 
 
 class Regex:
-    """Base class of all regex nodes."""
+    """Base class of all regex nodes.  They compare and hash by the text of
+    ``repr``, which is written from an explicit stack."""
 
     __slots__ = ()
 
+    @property
+    def _values(self):
+        return repr(self)
 
-@dataclass(frozen=True)
-class EmptyLang(Regex):
+    def __repr__(self):
+        """The dataclass text; ``todo`` holds nodes and closing text."""
+        out, todo = [], [self]
+        while todo:
+            node = todo.pop()
+            kind = type(node)
+            if kind is str:
+                out.append(node)
+            elif kind is Concat or kind is Union:
+                out.append(f"{kind.__name__}(parts=(")
+                todo += ["))", *[x for p in reversed(node.parts)
+                                 for x in (", ", p)][1:]]
+            elif kind is Star:
+                out.append("Star(inner=")
+                todo += [")", node.inner]
+            else:
+                out.append(Record.__repr__(node))
+        return "".join(out)
+
+
+class EmptyLang(Regex, Record):
     pass
 
 
-@dataclass(frozen=True)
-class EmptyWord(Regex):
+class EmptyWord(Regex, Record):
     pass
 
 
-@dataclass(frozen=True)
-class Literal(Regex):
+class Literal(Regex, Record):
     symbol: str
 
     def __post_init__(self):
@@ -43,8 +63,7 @@ class Literal(Regex):
             raise ValueError("literal symbol must be non-empty")
 
 
-@dataclass(frozen=True)
-class Concat(Regex):
+class Concat(Regex, Record):
     parts: tuple[Regex, ...]
 
     def __post_init__(self):
@@ -52,8 +71,7 @@ class Concat(Regex):
             raise ValueError("Concat needs at least two parts; use seq()")
 
 
-@dataclass(frozen=True)
-class Union(Regex):
+class Union(Regex, Record):
     parts: tuple[Regex, ...]
 
     def __post_init__(self):
@@ -61,8 +79,7 @@ class Union(Regex):
             raise ValueError("Union needs at least two parts; use alt()")
 
 
-@dataclass(frozen=True)
-class Star(Regex):
+class Star(Regex, Record):
     inner: Regex
 
 

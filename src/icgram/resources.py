@@ -10,20 +10,18 @@ the minimal automaton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from .automata import Dfa, equivalent, minimize, nfa_to_dfa
+from .automata import Dfa, enumerate_regular, equivalent, minimize, nfa_to_dfa
 from .families import SearchCaps
 from .rlgrammar import RightLinearGrammar, Rule, bounded_words, grammar_to_nfa
-from .words import EMPTY_WORD, Alphabet, fresh_prefix
+from .words import EMPTY_WORD, Alphabet, Record, fresh_prefix
 
 KINDS = ("states", "nonterminals", "rules")
 
 
-@dataclass(frozen=True)
-class ResourceMeasure:
+class ResourceMeasure(Record):
     """Result of one resource measurement.
 
     ``exact`` means lower == upper and the value was established by the
@@ -106,7 +104,7 @@ def bounded_min_grammar(d: Dfa, kind: str,
     if kind not in ("nonterminals", "rules"):
         raise ValueError(f"kind must be 'nonterminals' or 'rules', got {kind!r}")
     fallback = dfa_to_grammar(d)
-    target_words = bounded_words(fallback, caps.check_len)
+    target_words = enumerate_regular(d, caps.check_len, frontier_cap=caps.frontier_cap)
     prefix = fresh_prefix("N", d.alphabet)
     nt_names = tuple(f"{prefix}{i}" for i in range(1, caps.max_nonterminals + 1))
     budget = caps.max_candidates

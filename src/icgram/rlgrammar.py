@@ -8,16 +8,14 @@ word: ``S -> aa S``, ``S -> @``, ``S -> T`` (unit rule).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .automata import Nfa
 from .errors import InvalidGrammarError, TextFormatError, at_line
-from .words import (EMPTY_WORD, Alphabet, Word, clean_lines, fresh_prefix,
-                    word_from_text, word_to_text)
+from .words import (EMPTY_WORD, Alphabet, Record, Word, clean_lines,
+                    fresh_prefix, word_from_text, word_to_text)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     lhs: str
     word: Word
     successor: str | None = None
@@ -27,8 +25,7 @@ class Rule:
         return not self.word and self.successor is None
 
 
-@dataclass(frozen=True)
-class RightLinearGrammar:
+class RightLinearGrammar(Record):
     nonterminals: tuple[str, ...]
     terminals: Alphabet
     rules: tuple[Rule, ...]

@@ -47,11 +47,10 @@ from .monoid import monoid_elements
 from .regex import Regex, is_union_free_syntax
 from .resources import bounded_min_grammar, count_resources
 from .rlgrammar import RightLinearGrammar
-from .words import Alphabet, Word, word_to_text
+from .words import Alphabet, Record, Word, word_to_text
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(Record):
     """Human-readable reason plus words whose membership backs the verdict."""
 
     note: str = ""
@@ -632,15 +631,13 @@ def _family_verdict(d: Dfa, label: FamilyLabel, caps: SearchCaps,
     return Verdict.UNKNOWN, f"no small enough grammar within caps ({m.note})"
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(Record):
     pair_index: int
     verdict: Verdict
     note: str = ""
 
 
-@dataclass(frozen=True)
-class SelectionFamilyResult:
+class SelectionFamilyResult(Record):
     family: FamilyLabel
     overall: Verdict
     per_pair: tuple[PairVerdict, ...]

@@ -17,7 +17,6 @@ against which the derivation engine is checked word for word at a bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .contextual import (Context, ContextualGrammar, SelectionPair,
@@ -27,15 +26,14 @@ from .families import (COMB, COMM, FIN, MON, ORD, PS, SUF, CIRC, FamilyLabel,
                        SearchCaps, Verdict, reg_z, rl_p, rl_v)
 from .regex import Literal, Star, alt, seq
 from .rlgrammar import RightLinearGrammar, Rule
-from .words import EMPTY_WORD, Alphabet, Word
+from .words import EMPTY_WORD, Alphabet, Record, Word
 
 WITNESS_IDS = ("L1", "L2", "L3", "L4", "L6", "L7")
 
 _N_RANGE = {"L3": (1, 3), "L4": (1, 3), "L6": (2, 3), "L7": (2, 3)}
 
 
-@dataclass(frozen=True)
-class WitnessCase:
+class WitnessCase(Record):
     case_id: str
     n: int | None
     grammar: ContextualGrammar
@@ -290,15 +288,13 @@ def _closed_l7(n: int, max_len: int) -> set[Word]:
 
 # --- claim checking -------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Record):
     case_label: str
     results: tuple[CheckResult, ...]
 

@@ -9,7 +9,7 @@ otherwise; the empty word is always written ``@``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import AlphabetMismatchError, TextFormatError, at_line
@@ -24,8 +24,60 @@ EMPTY_WORD: Word = ()
 _FORBIDDEN_IN_SYMBOLS = set("@()|*,.#:∅ \t\r\n")
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Values:
+    """``record._values``: the tuple of its fields, stored on it at first use."""
+
+    def __get__(self, record, cls):
+        values = cls._get(record)
+        object.__setattr__(record, "_values", values)
+        return values
+
+
+class Record:
+    """An immutable record, as ``@dataclass(frozen=True)`` makes one: its
+    fields are the annotations, defaulting to the class attributes of their
+    names.  The ``__init__`` compiled per class sets them and runs any
+    ``__post_init__``; ``==`` and ``hash`` read ``_values``."""
+
+    _fields: tuple[str, ...] = ()
+    _values = _Values()
+
+    def __init_subclass__(cls):
+        cls._fields = names = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+        cls._get = attrgetter(*names) if len(names) > 1 else \
+            lambda record: tuple(getattr(record, n) for n in names)
+        namespace = {"_set": object.__setattr__}
+        namespace.update((f"_d_{n}", getattr(cls, n)) for n in names if hasattr(cls, n))
+        params = "".join(f", {n}=_d_{n}" if hasattr(cls, n) else f", {n}" for n in names)
+        body = [f"_set(self, {n!r}, {n})" for n in names]
+        body += ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+        exec(f"def __init__(self{params}):\n    " + "\n    ".join(body or ["pass"]),
+             namespace)
+        cls.__init__ = namespace["__init__"]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):  # and, as __delattr__, without value
+        raise AttributeError(f"cannot assign or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def replace(self, **changes):
+        """A copy with the given fields changed."""
+        return self.__class__(**{n: getattr(self, n) for n in self._fields} | changes)
+
+
+class Alphabet(Record):
     """A finite, non-empty, ordered set of symbols.
 
     Order matters: it fixes shortlex enumeration, canonical state numbering

@@ -2,7 +2,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -293,8 +292,8 @@ def test_search_words_are_shortlex_least(rng, n_states):
                 for q in d.states:
                     z = distinguishing_suffix(d, p, q)
                     if z is None:
-                        assert (minimize(replace(d, initial=p))
-                                == minimize(replace(d, initial=q)))
+                        assert (minimize(d.replace(initial=p))
+                                == minimize(d.replace(initial=q)))
                     else:
                         assert z == _first(
                             all_words(u, len(z)),

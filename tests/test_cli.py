@@ -438,8 +438,10 @@ def _rule_texts(rng, tmp_path):
 def _regexes(rng, tmp_path):
     """The text of a random tree, whose leaves include ``xy`` and ``z``, or
     a random token string, through every regex command.  ``measure`` runs
-    within small caps, as its search can take seconds: ``check_len`` too,
-    which bounds the words it lists whatever ``max_candidates`` says."""
+    within small caps, as its search can take seconds: ``check_len`` too, as
+    the search lists the words up to that length of the language and of
+    each candidate, whatever ``max_candidates`` says (over five letters, up
+    to 488,281 words at the default 8, past ``frontier_cap``)."""
     calls = []
     for _ in range(40):
         if rng.random() < 0.5:

@@ -53,11 +53,12 @@ NAMES = [(module, name) for module, names in PUBLIC.items()
          for name in names.split()]
 
 
-def _loaded_after(code: str) -> set[str]:
-    """The ``icgram`` modules that a fresh interpreter holds after ``code``."""
+def _loaded_after(code: str, package: str = "icgram") -> set[str]:
+    """The modules of ``package`` that a fresh interpreter holds after
+    ``code``."""
     script = (code + "\nimport json, sys\n"
               "print(json.dumps(sorted(m for m in sys.modules "
-              "if m == 'icgram' or m.startswith('icgram.'))))")
+              f"if m == {package!r} or m.startswith({package + '.'!r}))))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
@@ -98,6 +99,13 @@ def test_the_command_line_loads_classify_and_witnesses_per_command():
     loaded = _loaded_after("import icgram.cli")
     assert not loaded & {"icgram.subregular", "icgram.monoid",
                          "icgram.witnesses", "icgram.hierarchy"}
+
+
+def test_records_load_no_dataclasses():
+    # one ``@dataclass`` on the engine's path would compile its methods at
+    # every start; the records are ``words.Record``s
+    assert not _loaded_after("import icgram.cli, icgram.witnesses, "
+                             "icgram.contextual", "dataclasses")
 
 
 def test_public_names_are_the_eager_objects():

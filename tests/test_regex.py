@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -158,3 +159,18 @@ def test_one_loop_parser_matches_the_recursive_oracle():
         assert is_union_free_syntax(r) == \
             regex_oracle.is_union_free_syntax(r), format_regex(r)
         assert format_regex(r) == regex_oracle.format_regex(r), r
+
+
+@pytest.mark.parametrize("text", [
+    "a" + "*" * 10_000,
+    "(" * 10_000 + "a" + ")" * 10_000,
+    "(a(b|" * 5_000 + "c" + "))" * 5_000,
+], ids=["stars", "parentheses", "concat-union"])
+def test_eq_hash_and_repr_of_a_deep_tree(text):
+    """None of the three recurses, and each takes time linear in the tree."""
+    r, same = parse_regex(text, U), parse_regex(text, U)
+    start = time.perf_counter()
+    assert r == same and hash(r) == hash(same)
+    assert r != Star(r) and Concat((r, r)) != Union((r, r))
+    assert repr(r).count("(") == repr(r).count(")")
+    assert time.perf_counter() - start < 1

@@ -122,6 +122,26 @@ def test_a_grammar_search_minimizes_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_the_target_words_come_from_the_automaton(monkeypatch):
+    """The search lists the words up to ``check_len`` on ``d`` itself, within
+    ``frontier_cap``; the fallback grammar, which derives every form through
+    its sink nonterminal, is never walked."""
+    d = _dfa("()", Alphabet.of(*"abxyz"))
+    walked = []
+
+    def recording(g, max_len):
+        walked.append(g)
+        return bounded_words(g, max_len)
+
+    monkeypatch.setattr(resources, "bounded_words", recording)
+    m = measure(d, "rules", SearchCaps(max_candidates=100))
+    assert m.certificate == dfa_to_grammar(d) and m.upper == 11
+    assert walked and dfa_to_grammar(d) not in walked
+    code, _ = run_cli(["measure", "--regex", "(a|b)*", "--alphabet", "ab",
+                       "--caps", "check_len=4,frontier_cap=10"])
+    assert code == 3
+
+
 def test_even_a_rules():
     m = bounded_min_grammar(_dfa("(aa)*", UA), "rules")
     assert m.exact and m.value == 2
