@@ -14,17 +14,16 @@ with one character per symbol, and each selection becomes rows over the
 states of its minimal DFA, the dead state left out, and, when some symbol
 cannot start an infix, a compiled finder of the positions one can start at
 (see :class:`_Compiled`).  The forward step and enumeration wrap contexts
-around the selected infixes that one scan of an encoded word finds,
-:func:`_spans`; enumeration runs its closure on encoded words in length
-order, builds the tuple form of a word only when the word is new, and
+around the selected infixes that one scan finds, :func:`_spans`; enumeration
+closes one length at a time on encoded words, scans all words of a length
+joined in one string, decodes them once no step can reach their length, and
 skips steps that only repeat a word: empty-infix steps commute, so they go
 at increasing positions, and an infix that the selection and contexts also
 allow one symbol further left or right is taken only there (see
-:func:`enumerate_ic`).  The inverse step,
-:func:`_predecessor_steps`, is one lazy generator that walks one flat table
-of every pair's contexts, runs the same rows from each infix start a
-context's left side ends at, and strips the contexts that enclose a
-selected infix.
+:func:`enumerate_ic`).  The inverse step, :func:`_predecessor_steps`, is one
+lazy generator that walks one flat table of every pair's contexts, runs the
+same rows from each infix start a context's left side ends at, and strips
+the contexts that enclose a selected infix.
 Membership first compares the word's Parikh vector (its count of each
 symbol), modulo the lattice the contexts span, with those of the axioms a
 step applies to: every insertion adds a context's vector, so a word outside
@@ -43,7 +42,7 @@ compiling a grammar validates it.
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable
 
 from .automata import (Dfa, _useful_states, accepts, enumerate_regular,
@@ -145,27 +144,30 @@ class ContextualGrammar(Record):
 class _Compiled:
     """A grammar compiled for the derivation engine.
 
-    Words are encoded as ``str``, one character per symbol (``chr(k)`` for
-    the k-th alphabet symbol), so slicing and hashing a long word is cheap;
-    ``code`` and ``symbol`` map between the two forms.  Per pair, the rows
-    are those of the selection's minimal DFA (:func:`minimize`) but its
-    dead state, the one that cannot accept, numbered as there with that
-    state left out, so the initial state is 0; ``rows[q]`` maps a code to
-    the next state, with no entry for a foreign symbol or a move into the
-    dead state, and ``acc[q]`` tells whether q accepts.  The rows are empty
-    when the selection is.  Unless row 0 is empty or has every code,
-    ``starts`` is the ``finditer`` of a class over row 0's codes, which
-    finds in C the only positions a non-empty infix can start at;
-    otherwise it is None (a finder that matches nearly every position costs
-    more than it saves).  ``slides`` has the codes that loop at the initial
-    state: in a minimal DFA, a letter that keeps the language keeps the
-    state.  Each context comes as ``(context, encoded left, encoded right,
-    weight)``, and each pair as ``(rows, acc, starts, contexts, slides)``.
-    ``plans`` keeps, per room up to ``widest`` (the widest context), the
-    steps :func:`enumerate_ic` tries.  ``inverse`` has ``(pair index, rows,
-    acc, rows[0], acc[0], context, encoded left, encoded right, their
-    lengths)`` per context of a pair that selects something, in order, for
-    :func:`_predecessor_steps`; ``longest`` is the longest axiom's length.
+    Words are encoded as ``str``, one character per symbol, so slicing and
+    hashing a long word is cheap: a one-character symbol is its own code (so
+    ``decode`` is ``tuple``), else the k-th symbol is ``chr(k)``, which
+    ``spell`` maps back; ``code`` and ``symbol`` map between the two forms.
+    ``sep``, the first character that is no code, has no entry in any row,
+    so no infix crosses it.  Per pair, the rows are those of the selection's
+    minimal DFA (:func:`minimize`) but its dead state, the one that cannot
+    accept, numbered as there with that state left out, so the initial state
+    is 0; ``rows[q]`` maps a code to the next state, with no entry for a
+    foreign symbol or a move into the dead state, and ``acc[q]`` tells
+    whether q accepts.  The rows are empty when the selection is.  Unless
+    row 0 is empty or has every code, ``starts`` is the ``finditer`` of a
+    class over row 0's codes, which finds in C the only positions a
+    non-empty infix can start at; otherwise it is None (a finder that
+    matches nearly every position costs more than it saves).  ``slides`` has
+    the codes that loop at the initial state: in a minimal DFA, a letter
+    that keeps the language keeps the state.  Each context comes as
+    ``(context, encoded left, encoded right, weight)``, and each pair as
+    ``(rows, acc, starts, contexts, slides)``.  ``plans`` keeps, per room up
+    to ``widest`` (the widest context), the steps :func:`enumerate_ic`
+    tries.  ``inverse`` has ``(pair index, rows, acc, rows[0], acc[0],
+    context, encoded left, encoded right, their lengths)`` per context of a
+    pair that selects something, in order, for :func:`_predecessor_steps`;
+    ``longest`` is the longest axiom's length.
 
     ``lattice`` is an echelon basis, ``(pivot column, row)`` pairs with
     positive pivots by column, of the lattice spanned by the Parikh vectors
@@ -182,8 +184,12 @@ class _Compiled:
     def __init__(self, g: ContextualGrammar):
         ensure_valid(g)
         self.alphabet = g.alphabet
-        self.code = {a: chr(k) for k, a in enumerate(g.alphabet)}
+        plain = all(len(a) == 1 for a in g.alphabet)
+        self.code = {a: a if plain else chr(k) for k, a in enumerate(g.alphabet)}
         self.symbol = {c: a for a, c in self.code.items()}
+        self.sep = next(x for x in map(chr, range(len(g.alphabet) + 1))
+                        if x not in self.symbol)
+        self.spell = None if plain else partial(map, self.symbol.__getitem__)
         self.axioms = frozenset(map(self.encode, g.axioms))
         self.pairs = tuple(self._pair(pair) for pair in g.pairs)
         live = [pair for pair in self.pairs if pair[0]]
@@ -244,7 +250,7 @@ class _Compiled:
             raise
 
     def decode(self, s: str) -> Word:
-        return tuple(map(self.symbol.__getitem__, s))
+        return tuple(self.spell(s) if self.spell else s)
 
 
 class Diagnostic(Record):
@@ -336,15 +342,16 @@ def _spans(rows: tuple[dict, ...], acc: tuple[bool, ...], starts, s: str,
            skip: str | None = None, right: str = ""):
     """Every ``(i, j)`` with ``s[i:j]`` in a pair's selection, ordered by
     ``i`` and then ``j``, for the forward step and :func:`enumerate_ic`.
-    ``s`` is an encoded word and ``rows``/``acc``/``starts`` are the pair's
-    compiled rows and start finder (see :class:`_Compiled`).  With a
-    finder, only the positions it matches, those whose code has an entry in
-    row 0, can start a non-empty infix; else every position is tried.  Given
-    a string of codes ``skip``, only non-empty infixes are found, none of
-    them right after a code in ``skip``, nor right before a code in
-    ``right`` that moves the scan on to an accepting state.  The scan runs
-    once from each start and stops at a code with no entry in the current
-    row: a symbol outside the subalphabet, or a move into the dead state."""
+    ``s`` is an encoded word, or several joined by ``sep``, and
+    ``rows``/``acc``/``starts`` are the pair's compiled rows and start
+    finder (see :class:`_Compiled`).  With a finder, only the positions it
+    matches, those whose code has an entry in row 0, can start a non-empty
+    infix; else every position is tried.  Given a string of codes ``skip``,
+    only non-empty infixes are found, none of them right after a code in
+    ``skip``, nor right before a code in ``right`` that moves the scan on to
+    an accepting state.  The scan runs once from each start and stops at a
+    code with no entry in the current row: a symbol outside the subalphabet,
+    or a move into the dead state."""
     if not rows:
         return
     n = len(s)
@@ -382,79 +389,85 @@ def enumerate_ic(g: ContextualGrammar, max_len: int, *,
     """Every derivable word of length <= max_len.
 
     Exact: steps strictly grow words, so the closure below the bound is
-    finite.  It runs on encoded words in length order; ``seen`` maps each to
-    its word, sliced from its parent's only when new.  Two kinds of step
-    that only repeat a word are skipped.  Empty-infix steps insert ``u + v``
-    and commute (one at or before an earlier one can go first, shifting it
-    right), so after one at p they go only at p + 1 on; a word keeps the
-    least such bound over the ways it is made (0 for an axiom or a non-empty
-    infix), final before it is extended.  Non-empty infixes go in one scan
-    per group of a pair's contexts, keyed by the codes c of the pair's
-    ``slides`` that ``u`` is empty or a power of: an infix right after
-    such a c is selected with c in front too, which gives the same word
-    (``c u = u c``), so it is skipped.  Mirrored, an infix right before a
-    right code b of the group, one that every ``v`` of the group is empty
-    or a power of, is skipped when the selection also takes it with b
-    behind (``v b = b v``).  Each skip moves the span strictly left or
-    right, so every chain of skips ends at a span that is taken.  More
-    than ``frontier_cap`` words in ``seen``, the axioms included, raise
-    :class:`ResourceLimitError`.
+    finite.  It runs on encoded words one length at a time, shortest first:
+    ``levels[n]`` maps each word of length n found so far to its bound, and
+    a length popped, which no step reaches again, goes to the result.  Two
+    kinds of step that only repeat a word are skipped.  Empty-infix steps
+    insert ``u + v`` and commute (one at or before an earlier one can go
+    first, shifting it right), so after one at p they go only at p + 1 on; a
+    word's bound is the least such p + 1 over the ways it is made (0 for an
+    axiom or a non-empty infix).  Non-empty infixes go in one scan of the
+    length's words, joined by ``sep``, per group of a pair's contexts, keyed
+    by the codes c of the pair's ``slides`` that ``u`` is empty or a power
+    of: an infix right after such a c is selected with c in front too, which
+    gives the same word (``c u = u c``), so it is skipped.  Mirrored, an
+    infix right before a right code b of the group, one that every ``v`` of
+    the group is empty or a power of, is skipped when the selection also
+    takes it with b behind (``v b = b v``).  Each skip moves the span
+    strictly left or right, so every chain of skips ends at a span that is
+    taken.  More than ``frontier_cap`` words found, the axioms included,
+    raise :class:`ResourceLimitError`.
     """
     c = g._compiled
-    seen = {c.encode(w): w for w in g.axioms if len(w) <= max_len}
-    low: dict[str, int] = {}  # bounds above 0 of the words not yet extended
-    buckets: dict[int, list[str]] = {}  # length -> words not yet extended
-
-    def admit(t: str, x: Word):
-        seen[t] = x
-        buckets.setdefault(len(t), []).append(t)
-        if len(seen) > frontier_cap:
-            raise ResourceLimitError(f"enumeration exceeded {frontier_cap} words",
-                                     cap=frontier_cap, reached=len(seen))
-
-    for s, w in list(seen.items()):
-        admit(s, w)
-    widest, plans = c.widest, c.plans
-    while buckets:
-        size = min(buckets)
+    levels: dict[int, dict[str, int]] = {}
+    for s in c.axioms:
+        if len(s) <= max_len:
+            levels.setdefault(len(s), {})[s] = 0
+    if (made := sum(map(len, levels.values()))) > frontier_cap:
+        raise _over(frontier_cap, made)
+    out: set[Word] = set()
+    widest, plans, sep = c.widest, c.plans, c.sep
+    while levels:
+        size = min(levels)
+        words = levels.pop(size)
+        if not words:
+            continue
         room = max_len - size if max_len - size < widest else widest
         if room not in plans:  # a scan per group of contexts sliding at the same codes
             empty, scans = [], []
             for rows, acc, starts, contexts, slides in c.pairs:
-                fits = [e for e in contexts if rows and e[3] <= room]
+                fits = [e[1:] for e in contexts if rows and e[3] <= room]
                 if fits and acc[0]:
-                    empty += [(u + v, ctx.left + ctx.right) for ctx, u, v, _ in fits]
+                    empty += [u + v for u, v, _ in fits]
                 groups: dict[str, list] = {}
                 for e in fits:
-                    skip = "".join(a for a in slides if e[1] == a * len(e[1]))
+                    skip = "".join(a for a in slides if e[0] == a * len(e[0]))
                     groups.setdefault(skip, []).append(e)
                 for skip, group in groups.items():
                     right = "".join(a for a in c.symbol
-                                    if all(e[2] == a * len(e[2]) for e in group))
+                                    if all(v == a * len(v) for _, v, _ in group))
                     scans.append((rows, acc, starts, group, skip, right))
             plans[room] = empty, scans
         empty, scans = plans[room]
-        for s in buckets.pop(size):
-            w, bound = seen[s], low.pop(s, 0)
-            for p in range(bound, size + 1) if empty else ():
+        targets = [(x, levels.setdefault(size + len(x), {})) for x in empty]
+        for s, bound in words.items() if empty else ():
+            for p in range(bound, size + 1):
                 x1, x3 = s[:p], s[p:]
-                for x, y in empty:
+                for x, level in targets:
                     t = x1 + x + x3
-                    if t not in seen:
-                        admit(t, w[:p] + y + w[p:])
-                        low[t] = p + 1
-                    elif low.get(t, 0) > p:
-                        low[t] = p + 1
-            for rows, acc, starts, fits, skip, right in scans:
-                for i, j in _spans(rows, acc, starts, s, skip, right):
-                    x1, x2, x3 = s[:i], s[i:j], s[j:]
-                    for ctx, u, v, _ in fits:
-                        t = x1 + u + x2 + v + x3
-                        if t not in seen:
-                            admit(t, w[:i] + ctx.left + w[i:j] + ctx.right + w[j:])
-                        elif low:
-                            low.pop(t, None)
-    return set(seen.values())
+                    b = level.get(t)
+                    if b is None and (made := made + 1) > frontier_cap:
+                        raise _over(frontier_cap, made)
+                    if b is None or b > p:
+                        level[t] = p + 1
+        joined, stride = sep.join(words), size + 1
+        for rows, acc, starts, group, skip, right in scans:
+            targets = [(u, v, levels.setdefault(size + k, {})) for u, v, k in group]
+            for i, j in _spans(rows, acc, starts, joined, skip, right):
+                start = i - i % stride  # of the word the span is in
+                x1, x2, x3 = joined[start:i], joined[i:j], joined[j:start + size]
+                for u, v, level in targets:
+                    t = x1 + u + x2 + v + x3
+                    if t not in level and (made := made + 1) > frontier_cap:
+                        raise _over(frontier_cap, made)
+                    level[t] = 0
+        out.update(map(tuple, map(c.spell, words) if c.spell else words))
+    return out
+
+
+def _over(cap: int, reached: int) -> ResourceLimitError:
+    return ResourceLimitError(f"enumeration exceeded {cap} words",
+                              cap=cap, reached=reached)
 
 
 def _predecessor_steps(c: _Compiled, s: str):

@@ -99,7 +99,8 @@ def bounded_min_grammar(d: Dfa, kind: str,
     against the language up to ``check_len``, and confirms survivors by full
     equivalence; the first hit is returned as an exact measure.  When the
     space is exhausted (or would exceed ``max_candidates``) the result is
-    the interval [1, fallback] instead.
+    the interval [1, fallback] instead, or exactly one nonterminal when
+    the fallback has one.
     """
     if kind not in ("nonterminals", "rules"):
         raise ValueError(f"kind must be 'nonterminals' or 'rules', got {kind!r}")
@@ -139,6 +140,9 @@ def bounded_min_grammar(d: Dfa, kind: str,
                     f"exhaustive search ({caps.describe()})")
 
     upper = count_resources(fallback)[0 if kind == "nonterminals" else 1]
+    if kind == "nonterminals" and upper == 1:  # every grammar has a start symbol
+        return ResourceMeasure(kind, 1, 1, True, fallback, "the canonical "
+                               "automaton grammar has one nonterminal")
     reason = ("candidate budget exhausted" if capped
               else "no certificate within caps")
     return ResourceMeasure(kind, 1, upper, False, fallback,

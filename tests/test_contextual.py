@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from icgram.errors import (AlphabetMismatchError, DecompositionMismatchError,
 from icgram.regex import Literal, Star, alt, parse_regex, seq
 from icgram.families import SearchCaps
 from icgram.subregular import Verdict, parse_family_label, selection_in_family
-from icgram.witnesses import build_witness
+from icgram.witnesses import build_witness, closed_form
 from icgram.words import Alphabet, word_from_text, word_to_text
 
 UAB = Alphabet.of("a", "b")
@@ -232,6 +233,19 @@ def test_enumeration_cap_counts_the_axioms():
     with pytest.raises(ResourceLimitError) as e:
         enumerate_ic(build_witness("L7", 2).grammar, 2, frontier_cap=3)
     assert (e.value.cap, e.value.reached) == (3, 7)
+
+
+def test_enumeration_of_l1_at_15(l1):
+    # the word count and digest pinned for L1@15: the words shortest first,
+    # then by symbols, one a line with their symbols joined by spaces
+    words = sorted(enumerate_ic(l1, 15), key=lambda w: (len(w), w))
+    text = "\n".join(" ".join(w) for w in words)
+    assert (len(words), hashlib.sha256(text.encode()).hexdigest()[:16]) == \
+        (5317, "af451ada397294c0")
+
+
+def test_enumeration_of_l2_at_160_is_its_closed_form(l2):
+    assert enumerate_ic(l2, 160) == closed_form("L2", 160)
 
 
 def test_enumeration_keeps_nothing_per_length_of_the_bound():
@@ -509,7 +523,7 @@ _SEEDED_CONTEXTS = _CONTEXTS + [("aa", "a"), ("", "a"), ("b", "b")]
 
 
 def _seeded_grammars(count=600, seed=11, selections=_SEEDED_SELECTIONS,
-                     contexts=_SEEDED_CONTEXTS):
+                     contexts=_SEEDED_CONTEXTS, axioms=_AXIOMS, most=2):
     rng = random.Random(seed)
     for _ in range(count):
         pairs = tuple(SelectionPair.from_regex(
@@ -517,7 +531,7 @@ def _seeded_grammars(count=600, seed=11, selections=_SEEDED_SELECTIONS,
             tuple(Context(tuple(l), tuple(r)) for l, r
                   in rng.sample(contexts, rng.randint(1, 3))))
             for _ in range(rng.randint(1, 3)))
-        yield ContextualGrammar(UAB, tuple(rng.sample(_AXIOMS, rng.randint(1, 2))),
+        yield ContextualGrammar(UAB, tuple(rng.sample(axioms, rng.randint(1, most))),
                                 pairs)
 
 
@@ -575,6 +589,53 @@ def test_enumeration_matches_the_plain_oracle_on_seeded_grammars():
     for g in _seeded_grammars():
         assert enumerate_ic(g, 6) == oracle._enumerate_plain(g, 6), \
             format_contextual(g)
+
+
+# single-character symbols are their own codes: these mean something in a
+# character class, and "\x00" is the first character a separator could be
+_OWN_CODES = Alphabet.of("-", "]", "^", "\\", "\x00")
+
+
+def _renamed(g, names):
+    """``g``, a grammar over {a, b}, over ``_OWN_CODES`` instead, with a
+    and b renamed as ``names``; the other three symbols are foreign to it."""
+    to = dict(zip("ab", names))
+    word = lambda w: tuple(to[x] for x in w)
+    pairs = []
+    for pair in g.pairs:
+        d = pair.dfa
+        d = Dfa(d.states, Alphabet(word(d.alphabet.symbols)),
+                {(q, to[x]): t for (q, x), t in d.delta.items()}, d.initial,
+                d.accepting)
+        pairs.append(SelectionPair.from_dfa(d, tuple(
+            Context(word(ctx.left), word(ctx.right)) for ctx in pair.contexts)))
+    return ContextualGrammar(_OWN_CODES, tuple(map(word, g.axioms)), tuple(pairs))
+
+
+def test_enumeration_matches_the_plain_oracle_on_symbols_that_are_their_own_codes():
+    # each length's words are scanned joined by a separator, a character
+    # that is no symbol; the empty axiom and several axioms of one length
+    # put more than one word in a length from the start
+    axioms = [(), ("a", "b"), ("b", "a"), ("b", "b"), ("a", "a", "b")]
+    for k, names in enumerate([("^", "-"), ("]", "\\"), ("\x00", "^"),
+                               ("-", "\x00"), ("\\", "]")]):
+        for g in _seeded_grammars(60, k, axioms=axioms, most=4):
+            h = _renamed(g, names)
+            assert h._compiled.code == {x: x for x in _OWN_CODES}
+            assert enumerate_ic(h, 6) == oracle._enumerate_plain(h, 6), \
+                (names, format_contextual(g))
+
+
+def test_single_character_symbols_are_their_own_codes():
+    # else the k-th symbol is chr(k); either way the separator is no code
+    plain = ContextualGrammar(_OWN_CODES, ((), ("^", "\x00")), ())._compiled
+    wide = ContextualGrammar(Alphabet.of("a", "b1", "-"), (("b1",),), ())._compiled
+    assert plain.code == {x: x for x in _OWN_CODES}
+    assert wide.code == {"a": "\x00", "b1": "\x01", "-": "\x02"}
+    for c in (plain, wide):
+        assert c.sep not in c.symbol
+        for w in all_words(c.alphabet, 3):
+            assert c.decode(c.encode(w)) == w
 
 
 # selections that accept x c whenever they accept x, for c = a or for both

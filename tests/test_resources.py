@@ -97,6 +97,21 @@ def test_no_nonterminals_gives_the_fallback_interval():
     assert "\nrules: in [1, 7]  # no certificate within caps" in out
 
 
+def test_one_nonterminal_is_exact_when_the_search_is_capped():
+    """Every grammar has a start symbol, so a language whose canonical
+    automaton grammar has one nonterminal needs exactly one, even when the
+    search runs out of candidates first."""
+    d = _dfa("(a|b)*", UAB)
+    m = measure(d, "nonterminals", SearchCaps(max_candidates=5))
+    assert m.exact and m.value == 1 and m.certificate == dfa_to_grammar(d)
+    code, out = run_cli(["measure", "--regex", "(a|b)*", "--alphabet", "ab",
+                         "--caps", "max_candidates=5"])
+    lines = out.splitlines()
+    assert code == 0 and lines[2] == ("nonterminals: 1 (exact)  # the canonical "
+                                      "automaton grammar has one nonterminal")
+    assert lines[3].startswith("rules: in [1, 3]  # candidate budget exhausted")
+
+
 def test_no_nonterminals_leaves_a_rules_family_undecided():
     code, out = run_cli(["classify", "--regex", "a", "--alphabet", "ab",
                          "--family", "RL_P(3)",
