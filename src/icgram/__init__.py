@@ -28,7 +28,7 @@ _EXPORTS = {
         "minimize equivalent complement combine enumerate_regular "
         "language_is_finite dfa_to_table parse_dfa_table",
     "rlgrammar": "RightLinearGrammar Rule grammar_to_nfa normalize_regular "
-        "bounded_words parse_grammar grammar_to_text",
+        "parse_grammar grammar_to_text",
     "monoid": "TransitionMonoid transition_monoid",
     "families": "DEFAULT_MONOID_CAP SearchCaps Verdict FamilyLabel "
         "parse_family_label MON FIN NIL COMB DEF SUF ORD COMM CIRC NC PS UF "

@@ -14,9 +14,10 @@ DEFAULT_FRONTIER_CAP = 200_000  # words enumerated, or explored by membership
 
 
 class SearchCaps(Record):
-    """Every cap of a search: the first five bound the grammar search behind
-    RL_V and RL_P, ``monoid_cap`` the transition-monoid walk behind NC and
-    PS, and ``frontier_cap`` enumeration and backward membership."""
+    """Every cap of a search: the first five belong to the grammar search
+    behind RL_V and RL_P (``check_len`` bounds nothing and is kept for its
+    notes, which print it), ``monoid_cap`` bounds the transition-monoid walk
+    behind NC and PS, and ``frontier_cap`` enumeration and backward membership."""
 
     max_nonterminals: int = 2
     max_rules: int = 4

@@ -2,10 +2,10 @@
 DFA, and bounded searches for grammars with few nonterminals or few rules.
 
 State counts are exact (minimization).  Grammar measures are decided by
-exhaustive search over a capped candidate space; a hit is the minimum within
-that space and comes with the found grammar as a certificate, a miss yields
-an interval whose upper end is certified by the canonical grammar read off
-the minimal automaton.
+exhaustive search over a capped candidate space, each candidate checked by
+one walk of its product with the automaton; a hit is the minimum within that
+space and comes with the found grammar as a certificate, a miss yields an
+interval whose upper end is certified by the canonical automaton grammar.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import comb
 
-from .automata import Dfa, enumerate_regular, equivalent, minimize, nfa_to_dfa
+from .automata import Dfa, bfs_words, minimize
 from .families import SearchCaps
-from .rlgrammar import RightLinearGrammar, Rule, bounded_words, grammar_to_nfa
+from .rlgrammar import RightLinearGrammar, Rule
 from .words import EMPTY_WORD, Alphabet, Record, fresh_prefix
 
 KINDS = ("states", "nonterminals", "rules")
@@ -83,11 +83,33 @@ def _rule_universe(nts: tuple[str, ...], terminals: Alphabet,
     return universe
 
 
-def _matches(candidate: RightLinearGrammar, d: Dfa,
-             target_words: set, check_len: int) -> bool:
-    if bounded_words(candidate, check_len) != target_words:
-        return False
-    return equivalent(nfa_to_dfa(grammar_to_nfa(candidate)), d)
+def _matches(candidate: RightLinearGrammar, d: Dfa) -> bool:
+    """Does ``candidate`` generate L(d)?  A breadth-first walk of the product
+    of ``d`` with the sets of grammar positions, stopped at the first node
+    where one accepts and the other does not.  A position ``(i, k)`` has read
+    ``k`` letters of rule ``i``'s word; at the word's end the walk enters the
+    successor's rules, or accepts (``None``) when the rule has none."""
+    rules = candidate.rules
+    enter = {None: {None}}  # where each successor's rules start; None accepts
+    for b in candidate.nonterminals:
+        enter[b] = {(i, 0) for i, r in enumerate(rules) if r.lhs == b and r.word}
+    # one round per nonterminal carries the rules without a word along chains
+    for _, r in product(candidate.nonterminals, rules):
+        if not r.word:
+            enter[r.lhs] |= enter[r.successor]
+
+    def step(node, a):
+        positions, q = node
+        out = set()
+        for i, k in filter(None, positions):
+            w = rules[i].word
+            if w[k] == a:
+                out |= enter[rules[i].successor] if k + 1 == len(w) else {(i, k + 1)}
+        return frozenset(out), d.delta[(q, a)]
+
+    start = frozenset(enter[candidate.start]), d.initial
+    return all((None in positions) == (q in d.accepting)
+               for (positions, q), _ in bfs_words(start, step, d.alphabet))
 
 
 def bounded_min_grammar(d: Dfa, kind: str,
@@ -95,17 +117,16 @@ def bounded_min_grammar(d: Dfa, kind: str,
     """Smallest grammar for ``L(d)`` by ``kind`` within the capped space.
 
     ``kind`` is "nonterminals" or "rules".  The search enumerates candidate
-    grammars in increasing order of the measured quantity, filters them
-    against the language up to ``check_len``, and confirms survivors by full
-    equivalence; the first hit is returned as an exact measure.  When the
-    space is exhausted (or would exceed ``max_candidates``) the result is
-    the interval [1, fallback] instead, or exactly one nonterminal when
-    the fallback has one.
+    grammars in increasing order of the measured quantity and checks each
+    for equivalence with ``d`` (:func:`_matches`); the first hit is returned
+    as an exact measure.  When the space is exhausted (or would exceed
+    ``max_candidates``) the result is the interval [1, fallback] instead
+    ([0, fallback] rules for the empty language), or exactly one
+    nonterminal when the fallback has one.
     """
     if kind not in ("nonterminals", "rules"):
         raise ValueError(f"kind must be 'nonterminals' or 'rules', got {kind!r}")
     fallback = dfa_to_grammar(d)
-    target_words = enumerate_regular(d, caps.check_len, frontier_cap=caps.frontier_cap)
     prefix = fresh_prefix("N", d.alphabet)
     nt_names = tuple(f"{prefix}{i}" for i in range(1, caps.max_nonterminals + 1))
     budget = caps.max_candidates
@@ -133,7 +154,7 @@ def bounded_min_grammar(d: Dfa, kind: str,
         universe = _rule_universe(nts, d.alphabet, caps.max_rhs_len) if r else []
         for combo in combinations(universe, r):
             candidate = RightLinearGrammar(nts, d.alphabet, combo, nts[0])
-            if _matches(candidate, d, target_words, caps.check_len):
+            if _matches(candidate, d):
                 value = v if kind == "nonterminals" else r
                 return ResourceMeasure(
                     kind, value, value, True, candidate,
@@ -145,7 +166,9 @@ def bounded_min_grammar(d: Dfa, kind: str,
                                "automaton grammar has one nonterminal")
     reason = ("candidate budget exhausted" if capped
               else "no certificate within caps")
-    return ResourceMeasure(kind, 1, upper, False, fallback,
+    # a fallback without an erasing rule generates ∅, which needs no rule
+    lower = 0 if kind == "rules" and not any(r.erasing for r in fallback.rules) else 1
+    return ResourceMeasure(kind, lower, upper, False, fallback,
                            f"{reason} ({caps.describe()}); upper bound from "
                            "the canonical automaton grammar")
 

@@ -7,8 +7,6 @@ word: ``S -> aa S``, ``S -> @``, ``S -> T`` (unit rule).
 
 from __future__ import annotations
 
-from collections import deque
-
 from .automata import Nfa
 from .errors import InvalidGrammarError, TextFormatError, at_line
 from .words import (EMPTY_WORD, Alphabet, Record, Word, clean_lines,
@@ -133,31 +131,6 @@ def normalize_regular(g: RightLinearGrammar) -> RightLinearGrammar:
     rules = tuple(dict.fromkeys(new_rules))  # dedupe, first occurrence order
     return RightLinearGrammar(g.nonterminals + tuple(fresh), g.terminals,
                               rules, g.start)
-
-
-def bounded_words(g: RightLinearGrammar, max_len: int) -> set[Word]:
-    """All derivable words of length <= max_len, by direct rule application.
-
-    Independent of the automaton pipeline (usable as an oracle against it).
-    """
-    by_lhs: dict[str, list[Rule]] = {a: [] for a in g.nonterminals}
-    for r in g.rules:
-        by_lhs[r.lhs].append(r)
-    out: set[Word] = set()
-    seen = {(EMPTY_WORD, g.start)}
-    queue = deque(seen)
-    while queue:
-        prefix, nt = queue.popleft()
-        for r in by_lhs[nt]:
-            w = prefix + r.word
-            if len(w) > max_len:
-                continue
-            if r.successor is None:
-                out.add(w)
-            elif (w, r.successor) not in seen:
-                seen.add((w, r.successor))
-                queue.append((w, r.successor))
-    return out
 
 
 # --- text form ------------------------------------------------------------

@@ -21,6 +21,8 @@ from icgram.errors import (AlphabetMismatchError, ResourceLimitError,
 from icgram.families import FAMILY_ORDER, SearchCaps, reg_z, rl_p, rl_v
 from icgram.monoid import monoid_elements
 from icgram.regex import format_regex, is_union_free_syntax, parse_regex
+from icgram.resources import bounded_min_grammar
+from icgram.rlgrammar import grammar_to_text
 from icgram.subregular import classify, selection_in_family
 from icgram.witnesses import _N_RANGE, WITNESS_IDS, build_witness
 from icgram.words import Alphabet, sort_words, word_to_text
@@ -198,9 +200,42 @@ def regex_digest() -> str:
     return h.hexdigest()
 
 
+def measure_digest() -> str:
+    """``bounded_min_grammar`` of both kinds on 60 random DFAs from
+    ``random.Random(31)``, each with n = randint(1, 4) states over ``ab``
+    (``conftest.random_dfa``), under ``SearchCaps(max_candidates=20_000)``;
+    then on the DFA of every selection pair of the main grammar and every
+    variant of each witness case, at each ``n`` of its range, under
+    ``SearchCaps(max_candidates=3000)``.  Each measure is fed as a line of
+    kind, lower, upper, exact and note, then the ``grammar_to_text`` of its
+    certificate."""
+    h = hashlib.sha256()
+
+    def feed(d, caps):
+        for kind in ("nonterminals", "rules"):
+            m = bounded_min_grammar(d, kind, caps)
+            h.update(f"{m.kind} {m.lower} {m.upper} {m.exact} {m.note}\n"
+                     f"{grammar_to_text(m.certificate)}".encode())
+
+    rng = random.Random(31)
+    ab = Alphabet(("a", "b"))
+    for _ in range(60):
+        feed(random_dfa(rng, rng.randint(1, 4), ab),
+             SearchCaps(max_candidates=20_000))
+    for cid in WITNESS_IDS:
+        low, high = _N_RANGE.get(cid, (None, None))
+        for n in (None,) if low is None else range(low, high + 1):
+            case = build_witness(cid, n)
+            for _, g in (("main", case.grammar),) + case.variants:
+                for pair in g.pairs:
+                    feed(pair.dfa, SearchCaps(max_candidates=3000))
+    return h.hexdigest()
+
+
 RECIPES = {"classify": classify_digest, "engine": engine_digest,
            "selection_in_family": selection_in_family_digest,
-           "monoid": monoid_digest, "regex": regex_digest}
+           "monoid": monoid_digest, "regex": regex_digest,
+           "measure": measure_digest}
 
 if __name__ == "__main__":
     for name, recipe in RECIPES.items():

@@ -9,9 +9,20 @@ nonterminal with every unit target as a letter.
 ``tests/test_rlgrammar.py`` checks ``icgram.rlgrammar.grammar_to_nfa``,
 which reads the automaton off ``normalize_regular``, and ``_unit_closure``
 against them.
+
+``bounded_words`` lists a grammar's words up to a length by applying its
+rules, with no automaton at all.  ``matches_by_listing`` is the two-stage
+check that the grammar search ran on each candidate before it walked the
+product of candidate and automaton: compare the words up to ``check_len``,
+then confirm by equivalence of automata.
 """
 
-from icgram.automata import Nfa, bfs_words
+from collections import deque
+
+from icgram import rlgrammar
+from icgram.automata import (Nfa, bfs_words, enumerate_regular, equivalent,
+                             nfa_to_dfa)
+from icgram.words import EMPTY_WORD
 
 _FIN = ("$fin",)
 
@@ -64,3 +75,31 @@ def grammar_to_nfa(g):
         merged[key] = frozenset(targets)
     return Nfa(frozenset(states), g.terminals, merged,
                frozenset([g.start]), frozenset(accepting))
+
+
+def bounded_words(g, max_len):
+    """All derivable words of length <= max_len, by direct rule application."""
+    by_lhs = {a: [] for a in g.nonterminals}
+    for r in g.rules:
+        by_lhs[r.lhs].append(r)
+    out = set()
+    seen = {(EMPTY_WORD, g.start)}
+    queue = deque(seen)
+    while queue:
+        prefix, nt = queue.popleft()
+        for r in by_lhs[nt]:
+            w = prefix + r.word
+            if len(w) > max_len:
+                continue
+            if r.successor is None:
+                out.add(w)
+            elif (w, r.successor) not in seen:
+                seen.add((w, r.successor))
+                queue.append((w, r.successor))
+    return out
+
+
+def matches_by_listing(candidate, d, check_len):
+    if bounded_words(candidate, check_len) != enumerate_regular(d, check_len):
+        return False
+    return equivalent(nfa_to_dfa(rlgrammar.grammar_to_nfa(candidate)), d)

@@ -438,10 +438,9 @@ def _rule_texts(rng, tmp_path):
 def _regexes(rng, tmp_path):
     """The text of a random tree, whose leaves include ``xy`` and ``z``, or
     a random token string, through every regex command.  ``measure`` runs
-    within small caps, as its search can take seconds: ``check_len`` too, as
-    the search lists the words up to that length of the language and of
-    each candidate, whatever ``max_candidates`` says (over five letters, up
-    to 488,281 words at the default 8, past ``frontier_cap``)."""
+    within a small ``max_candidates``, as its search can take seconds; the
+    search lists no words, so ``check_len`` bounds nothing and only shows in
+    the printed notes."""
     calls = []
     for _ in range(40):
         if rng.random() < 0.5:

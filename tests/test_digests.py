@@ -30,3 +30,8 @@ def test_monoid_digest():
 def test_regex_digest():
     assert digests.regex_digest() == \
         "a0cf80d0743f92795285aad6a9d19c19c77274babb5fa5dc2437c7e84db92e7a"
+
+
+def test_measure_digest():
+    assert digests.measure_digest() == \
+        "0b95ca7a99ba7ce4e5ed4cebefc1a266f8d33096f6643bdb7ef45841dbd1d649"

@@ -28,7 +28,7 @@ PUBLIC = {
                 "equivalent complement combine enumerate_regular "
                 "language_is_finite dfa_to_table parse_dfa_table",
     "rlgrammar": "RightLinearGrammar Rule grammar_to_nfa normalize_regular "
-                 "bounded_words parse_grammar grammar_to_text",
+                 "parse_grammar grammar_to_text",
     "monoid": "TransitionMonoid transition_monoid DEFAULT_MONOID_CAP",
     "subregular": "Verdict FamilyLabel Evidence FamilyReport classify "
                   "parse_family_label MON FIN NIL COMB DEF SUF ORD COMM CIRC "
@@ -109,7 +109,7 @@ def test_records_load_no_dataclasses():
 
 
 def test_public_names_are_the_eager_objects():
-    assert len(NAMES) == 117
+    assert len(NAMES) == 116
     assert sorted(icgram.__all__) == sorted(name for _, name in NAMES)
     for module, name in NAMES:
         home = importlib.import_module(f"icgram.{module}")

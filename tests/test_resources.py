@@ -1,17 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_cli
-from icgram import automata, resources
+import rlgrammar_oracle
+from conftest import random_dfa, run_cli
+from icgram import automata, resources, rlgrammar
 from icgram.automata import equivalent, minimize, nfa_to_dfa, regex_to_dfa
 from icgram.regex import parse_regex
 from icgram.resources import (KINDS, ResourceMeasure, SearchCaps,
                               bounded_min_grammar, count_resources,
                               dfa_to_grammar, measure)
-from icgram.rlgrammar import (RightLinearGrammar, Rule, bounded_words,
-                              grammar_to_nfa)
+from icgram.rlgrammar import RightLinearGrammar, Rule, grammar_to_nfa
 from icgram.words import EMPTY_WORD, Alphabet
+from rlgrammar_oracle import bounded_words, matches_by_listing
 
 UA = Alphabet.of("a")
 UAB = Alphabet.of("a", "b")
@@ -87,6 +90,17 @@ def test_the_empty_language_needs_no_rules():
     assert code == 0 and "\nrules: 0 (exact)" in out
 
 
+def test_the_empty_language_needs_no_rules_when_the_search_is_capped():
+    """With no candidate tried, the rules of ∅ still range from 0: the
+    canonical automaton grammar has no erasing rule, so it generates
+    nothing, and neither does the grammar with no rules."""
+    code, out = run_cli(["measure", "--regex", "∅", "--alphabet", "ab",
+                         "--caps", "max_candidates=0"])
+    assert code == 0
+    assert out.splitlines()[3].startswith(
+        "rules: in [0, 2]  # candidate budget exhausted")
+
+
 def test_no_nonterminals_gives_the_fallback_interval():
     """With ``max_nonterminals=0`` neither search has a level to try, so
     both report the canonical automaton grammar's bounds."""
@@ -137,24 +151,78 @@ def test_a_grammar_search_minimizes_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_the_target_words_come_from_the_automaton(monkeypatch):
-    """The search lists the words up to ``check_len`` on ``d`` itself, within
-    ``frontier_cap``; the fallback grammar, which derives every form through
-    its sink nonterminal, is never walked."""
-    d = _dfa("()", Alphabet.of(*"abxyz"))
-    walked = []
+def test_the_search_lists_no_words(monkeypatch):
+    """Each candidate is checked by one walk of its product with ``d``, so
+    neither the language's words nor a candidate's are listed, and neither
+    ``check_len`` nor ``frontier_cap`` bounds the search: over five letters
+    it answers, and at filter length 4 it still finds the 3-rule grammar."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grammar search listed words")
 
-    def recording(g, max_len):
-        walked.append(g)
-        return bounded_words(g, max_len)
+    monkeypatch.setattr(automata, "enumerate_regular", refuse)
+    assert not hasattr(resources, "enumerate_regular")
+    assert not hasattr(resources, "bounded_words")
+    assert not hasattr(rlgrammar, "bounded_words")
+    code, out = run_cli(["measure", "--regex", "(a|b|x|y|z)*",
+                         "--alphabet", "abxyz"])
+    lines = out.splitlines()
+    assert code == 0 and lines[2].startswith("nonterminals: 1 (exact)  # ")
+    assert lines[3].startswith("rules: in [1, 6]  # candidate budget exhausted")
+    code, out = run_cli(["measure", "--regex", "(a|b)*", "--alphabet", "ab",
+                         "--caps", "check_len=4,frontier_cap=10"])
+    assert code == 0 and out.splitlines()[3].startswith("rules: 3 (exact)  # ")
 
-    monkeypatch.setattr(resources, "bounded_words", recording)
-    m = measure(d, "rules", SearchCaps(max_candidates=100))
-    assert m.certificate == dfa_to_grammar(d) and m.upper == 11
-    assert walked and dfa_to_grammar(d) not in walked
-    code, _ = run_cli(["measure", "--regex", "(a|b)*", "--alphabet", "ab",
-                       "--caps", "check_len=4,frontier_cap=10"])
-    assert code == 3
+
+def _random_candidate(rng, alphabet):
+    """A grammar on S, T, U whose rules are drawn with unit rules, erasing
+    rules and words of up to three letters; a successor may have no rules."""
+    nts = ("S", "T", "U")
+    rules = []
+    for _ in range(rng.randint(0, 5)):
+        word = tuple(rng.choice(alphabet.symbols)
+                     for _ in range(rng.choice((0, 0, 1, 1, 2, 3))))
+        rules.append(Rule(rng.choice(nts), word,
+                          rng.choice((None,) + nts)))
+    return RightLinearGrammar(nts, alphabet, tuple(rules), "S")
+
+
+def test_the_product_walk_agrees_with_listing_and_equivalence():
+    """``_matches`` against the two-stage check it replaced: on 1,500 seeded
+    candidates, each checked against a random DFA with 1 to 4 states, its
+    own language and its own language with one state's acceptance flipped.
+    The first candidate reaches its erasing rule through two unit rules
+    listed in the order of the chain, the longest chain over three
+    nonterminals."""
+    rng = random.Random(15)
+    ab = Alphabet.of("a", "b")
+    chain = RightLinearGrammar(
+        ("S", "T", "U"), ab, (Rule("S", EMPTY_WORD, "T"),
+                              Rule("T", EMPTY_WORD, "U"),
+                              Rule("U", EMPTY_WORD, None)), "S")
+    seen, hits = set(), 0
+    for n in range(1500):
+        c = _random_candidate(rng, ab) if n else chain
+        own = nfa_to_dfa(rlgrammar_oracle.grammar_to_nfa(c))
+        flipped = own.accepting ^ {rng.choice(own.states)}
+        near = automata.Dfa(own.states, ab, own.delta, own.initial, flipped)
+        for d in (random_dfa(rng, rng.randint(1, 4), ab), own, near):
+            expected = matches_by_listing(c, d, 4)
+            assert resources._matches(c, d) == expected, \
+                rlgrammar.grammar_to_text(c)
+            hits += expected
+        lhs = {r.lhs for r in c.rules}
+        for r in c.rules:
+            seen.add("erasing" if r.erasing else "unit" if not r.word
+                     else f"word {len(r.word)}")
+            if r.successor is not None and r.successor not in lhs:
+                seen.add("successor without rules")
+        if any(not r.word and r.successor is not None
+               and Rule(r.successor, EMPTY_WORD, r.lhs) in c.rules
+               for r in c.rules):
+            seen.add("unit cycle")
+    assert seen >= {"erasing", "unit", "unit cycle", "word 2", "word 3",
+                    "successor without rules"}
+    assert hits >= 1500  # each candidate generates its own language
 
 
 def test_even_a_rules():

@@ -11,9 +11,10 @@ from icgram.automata import (enumerate_regular, equivalent, nfa_to_dfa,
                              regex_to_dfa)
 from icgram.errors import InvalidGrammarError, TextFormatError
 from icgram.regex import parse_regex
-from icgram.rlgrammar import (RightLinearGrammar, Rule, bounded_words,
-                              grammar_to_nfa, grammar_to_text,
-                              normalize_regular, parse_grammar, _unit_closure)
+from icgram.rlgrammar import (RightLinearGrammar, Rule, grammar_to_nfa,
+                              grammar_to_text, normalize_regular,
+                              parse_grammar, _unit_closure)
+from rlgrammar_oracle import bounded_words
 from icgram.words import EMPTY_WORD, Alphabet
 
 U = Alphabet.of("a", "b")
