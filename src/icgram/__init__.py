@@ -27,8 +27,8 @@ _EXPORTS = {
     "automata": "Dfa Nfa accepts regex_to_dfa regex_to_nfa nfa_to_dfa "
         "minimize equivalent complement combine enumerate_regular "
         "language_is_finite dfa_to_table parse_dfa_table",
-    "rlgrammar": "RightLinearGrammar Rule grammar_to_nfa normalize_regular "
-        "parse_grammar grammar_to_text",
+    "rlgrammar": "RightLinearGrammar Rule grammar_to_nfa parse_grammar "
+        "grammar_to_text",
     "monoid": "TransitionMonoid transition_monoid",
     "families": "DEFAULT_MONOID_CAP SearchCaps Verdict FamilyLabel "
         "parse_family_label MON FIN NIL COMB DEF SUF ORD COMM CIRC NC PS UF "

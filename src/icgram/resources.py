@@ -2,8 +2,8 @@
 DFA, and bounded searches for grammars with few nonterminals or few rules.
 
 State counts are exact (minimization).  Grammar measures are decided by
-exhaustive search over a capped candidate space, each candidate checked by
-one walk of its product with the automaton; a hit is the minimum within that
+exhaustive search over a capped candidate space, each candidate's grammar
+positions walked once against the automaton; a hit is the minimum within that
 space and comes with the found grammar as a certificate, a miss yields an
 interval whose upper end is certified by the canonical automaton grammar.
 """
@@ -15,7 +15,7 @@ from math import comb
 
 from .automata import Dfa, bfs_words, minimize
 from .families import SearchCaps
-from .rlgrammar import RightLinearGrammar, Rule
+from .rlgrammar import RightLinearGrammar, Rule, _entries
 from .words import EMPTY_WORD, Alphabet, Record, fresh_prefix
 
 KINDS = ("states", "nonterminals", "rules")
@@ -83,20 +83,13 @@ def _rule_universe(nts: tuple[str, ...], terminals: Alphabet,
     return universe
 
 
-def _matches(candidate: RightLinearGrammar, d: Dfa) -> bool:
-    """Does ``candidate`` generate L(d)?  A breadth-first walk of the product
-    of ``d`` with the sets of grammar positions, stopped at the first node
-    where one accepts and the other does not.  A position ``(i, k)`` has read
-    ``k`` letters of rule ``i``'s word; at the word's end the walk enters the
-    successor's rules, or accepts (``None``) when the rule has none."""
-    rules = candidate.rules
-    enter = {None: {None}}  # where each successor's rules start; None accepts
-    for b in candidate.nonterminals:
-        enter[b] = {(i, 0) for i, r in enumerate(rules) if r.lhs == b and r.word}
-    # one round per nonterminal carries the rules without a word along chains
-    for _, r in product(candidate.nonterminals, rules):
-        if not r.word:
-            enter[r.lhs] |= enter[r.successor]
+def _matches(nonterminals: tuple[str, ...], rules: tuple[Rule, ...],
+             d: Dfa) -> bool:
+    """Does the grammar of ``rules``, started at the first of
+    ``nonterminals``, generate L(d)?  A breadth-first walk of the product of
+    ``d`` with sets of grammar positions (``rlgrammar``), built as it goes
+    and stopped at the first node where one accepts and the other does not."""
+    enter = _entries(nonterminals, rules)
 
     def step(node, a):
         positions, q = node
@@ -107,7 +100,7 @@ def _matches(candidate: RightLinearGrammar, d: Dfa) -> bool:
                 out |= enter[rules[i].successor] if k + 1 == len(w) else {(i, k + 1)}
         return frozenset(out), d.delta[(q, a)]
 
-    start = frozenset(enter[candidate.start]), d.initial
+    start = frozenset(enter[nonterminals[0]]), d.initial
     return all((None in positions) == (q in d.accepting)
                for (positions, q), _ in bfs_words(start, step, d.alphabet))
 
@@ -153,11 +146,11 @@ def bounded_min_grammar(d: Dfa, kind: str,
         # level 0 has one candidate, the grammar with no rules
         universe = _rule_universe(nts, d.alphabet, caps.max_rhs_len) if r else []
         for combo in combinations(universe, r):
-            candidate = RightLinearGrammar(nts, d.alphabet, combo, nts[0])
-            if _matches(candidate, d):
+            if _matches(nts, combo, d):
                 value = v if kind == "nonterminals" else r
                 return ResourceMeasure(
-                    kind, value, value, True, candidate,
+                    kind, value, value, True,
+                    RightLinearGrammar(nts, d.alphabet, combo, nts[0]),
                     f"exhaustive search ({caps.describe()})")
 
     upper = count_resources(fallback)[0 if kind == "nonterminals" else 1]

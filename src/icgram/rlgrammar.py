@@ -1,6 +1,11 @@
 """Right-linear grammars in the general form: rules ``A -> w B`` and
 ``A -> w`` with ``w`` an arbitrary terminal word (possibly empty).
 
+A grammar runs as an automaton on its positions: ``(i, k)`` has read ``k``
+letters of the word of rule ``i``, and ``None`` accepts.  A letter moves
+``(i, k)`` to ``(i, k + 1)``, or, past the end of the word, to the positions
+where the rule's successor starts (:func:`_entries`).
+
 The rule text format is one rule per line, ``@`` standing for the empty
 word: ``S -> aa S``, ``S -> @``, ``S -> T`` (unit rule).
 """
@@ -10,7 +15,7 @@ from __future__ import annotations
 from .automata import Nfa
 from .errors import InvalidGrammarError, TextFormatError, at_line
 from .words import (EMPTY_WORD, Alphabet, Record, Word, clean_lines,
-                    fresh_prefix, word_from_text, word_to_text)
+                    word_from_text, word_to_text)
 
 
 class Rule(Record):
@@ -52,85 +57,44 @@ class RightLinearGrammar(Record):
 
 # --- compilation to an NFA ----------------------------------------------
 
-def _unit_closure(g: RightLinearGrammar) -> dict[str, list[str]]:
-    """closure[A] lists every B that A derives by unit rules (A -> B with
-    empty word), A first, in breadth-first order with each nonterminal's
-    unit successors tried in declaration order, so it never depends on
-    string hashing."""
-    units = {(r.lhs, r.successor) for r in g.rules
-             if not r.word and r.successor is not None}
-    rank = {b: i for i, b in enumerate(g.nonterminals)}
-    succ: dict[str, list[str]] = {a: [] for a in g.nonterminals}
-    for a, b in sorted(units, key=lambda unit: rank[unit[1]]):
-        succ[a].append(b)
-    closure = {}
-    for a in g.nonterminals:
-        order, seen = [a], {a}
-        for x in order:  # the list grows as it is read: a breadth-first queue
-            for b in succ[x]:
+def _entries(nonterminals: tuple[str, ...], rules: tuple[Rule, ...]) -> dict:
+    """The positions each nonterminal starts at (and ``None`` at ``None``):
+    ``(i, 0)`` for each word rule of a nonterminal it derives by unit rules,
+    itself included, and ``None`` when one of those is erasing.  Each
+    nonterminal's unit rules are walked breadth-first, once."""
+    own: dict = {b: set() for b in nonterminals}
+    units: dict = {}
+    for i, r in enumerate(rules):
+        if r.word:
+            own[r.lhs].add((i, 0))
+        elif r.successor is None:
+            own[r.lhs].add(None)
+        else:
+            units.setdefault(r.lhs, []).append(r.successor)
+    entries = {None: {None}, **own}
+    for a in units:
+        reach, seen = [a], {a}
+        for x in reach:  # the list grows as it is read: a breadth-first queue
+            for b in units.get(x, ()):
                 if b not in seen:
                     seen.add(b)
-                    order.append(b)
-        closure[a] = order
-    return closure
+                    reach.append(b)
+        entries[a] = set().union(*map(own.__getitem__, reach))
+    return entries
 
 
 def grammar_to_nfa(g: RightLinearGrammar) -> Nfa:
-    """Compile to an epsilon-free NFA: the strict form of
-    :func:`normalize_regular` read as an automaton, each rule ``A -> a B``
-    a move and each rule ``A -> @`` making ``A`` accepting."""
-    n = normalize_regular(g)
-    moves: dict[tuple[str, str], set[str]] = {}
-    for r in n.rules:
-        if r.word:
-            moves.setdefault((r.lhs, r.word[0]), set()).add(r.successor)
-    return Nfa(frozenset(n.nonterminals), n.terminals,
-               {key: frozenset(targets) for key, targets in moves.items()},
-               frozenset([n.start]), frozenset(r.lhs for r in n.rules if r.erasing))
-
-
-def normalize_regular(g: RightLinearGrammar) -> RightLinearGrammar:
-    """Equivalent grammar in strict regular form: every rule is ``A -> a B``
-    or ``A -> @`` (no unit rules, no multi-symbol words).  Each nonterminal
-    takes the rules of everything it unit-derives; a word rule becomes a
-    chain of fresh nonterminals, named apart from every symbol of ``g``."""
-    closure = _unit_closure(g)
-    prefix = fresh_prefix("_", g.nonterminals + g.terminals.symbols)
-    fin = prefix + "fin"
-
-    def chain_name(idx: int, pos: int) -> str:
-        return f"{prefix}{idx}_{pos}"
-
-    by_lhs: dict[str, list[tuple[int, Rule]]] = {a: [] for a in g.nonterminals}
-    for idx, r in enumerate(g.rules):
-        by_lhs[r.lhs].append((idx, r))
-    new_rules: list[Rule] = []
-    fresh: list[str] = []  # chain names are unique: each rule's chain is built once
-    used_fin = False
-    chains_done: set[int] = set()
-    for a in g.nonterminals:
-        for b in closure[a]:
-            for idx, r in by_lhs[b]:
-                if r.erasing:
-                    new_rules.append(Rule(a, EMPTY_WORD, None))
-                elif r.word:
-                    end = r.successor if r.successor is not None else fin
-                    used_fin = used_fin or r.successor is None
-                    first_target = chain_name(idx, 1) if len(r.word) > 1 else end
-                    new_rules.append(Rule(a, (r.word[0],), first_target))
-                    if len(r.word) > 1 and idx not in chains_done:
-                        chains_done.add(idx)
-                        for i in range(1, len(r.word)):
-                            name = chain_name(idx, i)
-                            fresh.append(name)
-                            target = chain_name(idx, i + 1) if i + 1 < len(r.word) else end
-                            new_rules.append(Rule(name, (r.word[i],), target))
-    if used_fin:
-        fresh.append(fin)
-        new_rules.append(Rule(fin, EMPTY_WORD, None))
-    rules = tuple(dict.fromkeys(new_rules))  # dedupe, first occurrence order
-    return RightLinearGrammar(g.nonterminals + tuple(fresh), g.terminals,
-                              rules, g.start)
+    """The position automaton of ``g``, the grammar form of the position
+    construction of :func:`~icgram.automata.regex_to_nfa`: it starts at the
+    start symbol's entries, and ``None`` is its only accepting state."""
+    entries = _entries(g.nonterminals, g.rules)
+    moves = {}
+    for i, r in enumerate(g.rules):
+        for k, a in enumerate(r.word):
+            moves[((i, k), a)] = frozenset(
+                {(i, k + 1)} if k + 1 < len(r.word) else entries[r.successor])
+    return Nfa(frozenset(p for p, _ in moves) | {None}, g.terminals, moves,
+               frozenset(entries[g.start]), frozenset([None]))
 
 
 # --- text form ------------------------------------------------------------

@@ -3,12 +3,10 @@
 Word rules become chains of fresh states of their own, a shared final
 state ``_FIN`` ends every terminating rule, and unit rules are removed by
 closure: every nonterminal inherits the first moves and the acceptance of
-everything it unit-derives.  The closure is the breadth-first search that
-``icgram.rlgrammar._unit_closure`` replaced, one ``bfs_words`` per
-nonterminal with every unit target as a letter.
-``tests/test_rlgrammar.py`` checks ``icgram.rlgrammar.grammar_to_nfa``,
-which reads the automaton off ``normalize_regular``, and ``_unit_closure``
-against them.
+everything it unit-derives, found by one ``bfs_words`` per nonterminal
+with every unit target as a letter.  ``tests/test_rlgrammar.py`` checks
+that ``icgram.rlgrammar.grammar_to_nfa``, the position automaton, accepts
+the same language: the two subset automata minimize to one automaton.
 
 ``bounded_words`` lists a grammar's words up to a length by applying its
 rules, with no automaton at all.  ``matches_by_listing`` is the two-stage

@@ -151,6 +151,18 @@ def test_a_grammar_search_minimizes_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_grammar_search_builds_only_its_certificate(monkeypatch):
+    """Candidates are walked as rule tuples: the search validates two
+    grammars, the fallback and the hit, not one per candidate tested."""
+    d = _dfa("(ab)*", UAB)
+    fallback, built = dfa_to_grammar(d), []
+    monkeypatch.setattr(RightLinearGrammar, "__post_init__",
+                        lambda g: built.append(g))
+    m = measure(d, "rules")
+    assert m.exact and m.value == 2
+    assert built == [fallback, m.certificate]
+
+
 def test_the_search_lists_no_words(monkeypatch):
     """Each candidate is checked by one walk of its product with ``d``, so
     neither the language's words nor a candidate's are listed, and neither
@@ -207,7 +219,7 @@ def test_the_product_walk_agrees_with_listing_and_equivalence():
         near = automata.Dfa(own.states, ab, own.delta, own.initial, flipped)
         for d in (random_dfa(rng, rng.randint(1, 4), ab), own, near):
             expected = matches_by_listing(c, d, 4)
-            assert resources._matches(c, d) == expected, \
+            assert resources._matches(c.nonterminals, c.rules, d) == expected, \
                 rlgrammar.grammar_to_text(c)
             hits += expected
         lhs = {r.lhs for r in c.rules}

@@ -7,13 +7,12 @@ from pathlib import Path
 import pytest
 
 import rlgrammar_oracle
-from icgram.automata import (enumerate_regular, equivalent, nfa_to_dfa,
-                             regex_to_dfa)
+from icgram.automata import (dfa_to_table, enumerate_regular, equivalent,
+                             minimize, nfa_to_dfa, regex_to_dfa)
 from icgram.errors import InvalidGrammarError, TextFormatError
 from icgram.regex import parse_regex
 from icgram.rlgrammar import (RightLinearGrammar, Rule, grammar_to_nfa,
-                              grammar_to_text, normalize_regular,
-                              parse_grammar, _unit_closure)
+                              grammar_to_text, parse_grammar)
 from rlgrammar_oracle import bounded_words
 from icgram.words import EMPTY_WORD, Alphabet
 
@@ -58,20 +57,8 @@ def test_unit_rules_and_empty_rhs():
     assert equivalent(_dfa(g), _dfa(G_ASTAR_B))
 
 
-def test_normalize_regular_form_and_language():
-    for g in (G_EVEN_A, G_ASTAR_B):
-        gn = normalize_regular(g)
-        for rule in gn.rules:
-            # strict right-linear normal form: A -> aB or A -> @
-            if rule.successor is None:
-                assert rule.word == EMPTY_WORD
-            else:
-                assert len(rule.word) == 1
-        assert bounded_words(gn, 8) == bounded_words(g, 8)
-
-
 # unit rules fanning out to four nonterminals, with word and erasing rules
-# under each: the normal form lists a rule for every pair of them
+# under each: S starts at the positions of all of them
 UNIT_FAN_OUT = """nonterminals: S A B C D
 terminals: a b c
 start: S
@@ -90,53 +77,50 @@ D -> @
 """
 
 
-def test_normalize_regular_does_not_depend_on_string_hashing():
-    """Rule order and fresh names follow the grammar, not the set order of
-    one process: two hash seeds print the same normal form as this one."""
-    script = ("import sys; from icgram.rlgrammar import *; sys.stdout.write("
-              "grammar_to_text(normalize_regular(parse_grammar(sys.stdin.read()))))")
+def test_grammar_to_nfa_does_not_depend_on_string_hashing():
+    """The subset automaton of the positions follows the grammar, not the
+    set order of one process: two hash seeds print the same table as this
+    one."""
+    script = ("import sys; from icgram.rlgrammar import *; "
+              "from icgram.automata import dfa_to_table, nfa_to_dfa; "
+              "sys.stdout.write(dfa_to_table(nfa_to_dfa(grammar_to_nfa("
+              "parse_grammar(sys.stdin.read())))))")
     src = str(Path(__file__).resolve().parent.parent / "src")
     g = parse_grammar(UNIT_FAN_OUT)
-    want = grammar_to_text(normalize_regular(g))
+    want = dfa_to_table(_dfa(g))
     for seed in ("0", "1"):
         env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
         proc = subprocess.run([sys.executable, "-c", script], input=UNIT_FAN_OUT,
                               env=env, capture_output=True, text=True,
                               timeout=60, check=True)
         assert proc.stdout == want, seed
-    assert bounded_words(normalize_regular(g), 8) == bounded_words(g, 8)
+    assert enumerate_regular(_dfa(g), 8) == bounded_words(g, 8)
 
 
-def test_normalize_regular_names_apart_from_terminals():
-    """Fresh names avoid the terminals too: ``_fin`` and ``_0_1`` are the
-    names the normal form would build for these grammars."""
+def test_grammar_to_nfa_on_terminals_named_like_chain_states():
+    """Terminals named ``_fin`` and ``_0_1``, the names the strict normal
+    form once gave its fresh nonterminals, compile like any other."""
     for g in (RightLinearGrammar(("S",), Alphabet.of("a", "_fin"),
                                  (Rule("S", ("a",), None),), "S"),
               RightLinearGrammar(("S",), Alphabet.of("a", "_0_1"),
                                  (Rule("S", ("a", "a"), "S"),
                                   Rule("S", ("_0_1",), None)), "S")):
-        gn = normalize_regular(g)
-        assert not set(gn.nonterminals) & set(g.terminals)
-        assert bounded_words(gn, 5) == bounded_words(g, 5)
         assert enumerate_regular(_dfa(g), 5) == bounded_words(g, 5)
 
 
-def test_a_long_unit_chain_normalizes_to_one_rule_per_link():
+def test_a_long_unit_chain_starts_at_the_one_word_rule():
     """``A0 -> A1 -> ... -> A399 -> a``: each link unit-derives the one word
-    rule at the end, so the normal form has 400 rules ``Ai -> a _fin`` and
-    ``_fin -> @``, and the language is {a}.  Each closure is walked along
-    its own unit successors, not over every unit target per node."""
+    rule at the end, so the automaton has that rule's one position and the
+    accepting ``None``, and the language is {a}.  Each nonterminal's unit
+    rules are walked once, not one round per nonterminal over every rule."""
     nts = tuple(f"A{i}" for i in range(400))
     g = RightLinearGrammar(
         nts, Alphabet.of("a"),
         tuple(Rule(a, EMPTY_WORD, b) for a, b in zip(nts, nts[1:]))
         + (Rule(nts[-1], ("a",), None),), "A0")
-    assert _unit_closure(g)["A0"] == list(nts)
-    gn = normalize_regular(g)
-    assert len(gn.rules) == 401
-    assert gn.rules[:2] == (Rule("A0", ("a",), "_fin"), Rule("A1", ("a",), "_fin"))
-    assert gn.rules[-1] == Rule("_fin", EMPTY_WORD, None)
-    assert bounded_words(gn, 3) == bounded_words(g, 3) == {("a",)}
+    n = grammar_to_nfa(g)
+    assert n.initial == {(399, 0)} and n.states == {(399, 0), None}
+    assert bounded_words(g, 3) == {("a",)}
     assert enumerate_regular(_dfa(g), 3) == {("a",)}
 
 
@@ -151,18 +135,17 @@ def _random_grammar(rng, alphabet):
 
 
 def test_grammar_to_nfa_matches_the_direct_compiler_on_seeded_grammars():
-    """Reading the automaton off the normal form gives the same subset
-    automaton, state for state, as compiling word chains and unit closures
-    directly; both accept exactly the derivable words, and the unit
-    closures list the same nonterminals in the same order."""
+    """The position automaton and the direct compiler of word chains and
+    unit closures give subset automata with one minimal automaton, so one
+    language, and it is exactly the derivable words."""
     rng = random.Random(3)
     alphabets = (Alphabet.of("a"), U, Alphabet.of("a", "b", "c"),
                  Alphabet.of("a", "_fin", "_0_1"))
     for _ in range(4000):
         g = _random_grammar(rng, rng.choice(alphabets))
-        assert _unit_closure(g) == rlgrammar_oracle.unit_closure(g), grammar_to_text(g)
         d = nfa_to_dfa(grammar_to_nfa(g))
-        assert d == nfa_to_dfa(rlgrammar_oracle.grammar_to_nfa(g)), grammar_to_text(g)
+        assert minimize(d) == minimize(nfa_to_dfa(rlgrammar_oracle.grammar_to_nfa(g))), \
+            grammar_to_text(g)
         assert enumerate_regular(d, 6) == bounded_words(g, 6), grammar_to_text(g)
 
 

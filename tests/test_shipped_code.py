@@ -9,9 +9,13 @@ the name in a tuple, list or set display, as ``bench/`` calls the ``is_*``
 predicates by the names in its ``IS_FNS``; a dict key or a subscript that
 spells a name calls nothing.  A definition's own body does not count, so a
 recursive function is not its own caller.
+
+The package also parses under the grammar of the oldest Python that
+``pyproject.toml`` admits, whichever interpreter runs the tests.
 """
 
 import ast
+import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -116,3 +120,11 @@ def test_a_method_counts_only_where_another_statement_calls_it():
     assert "used" in callers["C.used"]
     assert "caller" not in callers["C.caller"]
     assert "shown" not in callers["C.shown"]
+
+
+def test_the_package_parses_at_its_python_floor():
+    spec = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    floor = spec["project"]["requires-python"].removeprefix(">=")
+    version = tuple(int(part) for part in floor.split("."))
+    for path in sorted((ROOT / "src" / "icgram").glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=version)
