@@ -9,13 +9,16 @@ Two machine types:
   is total; unproductive behaviour is routed through an explicit sink that is
   counted like any other state).
 
-Every search over automaton states goes through one of two helpers, the
-one place that fixes discovery order (FIFO, letters in alphabet order, the
-first discovery of a node wins): :func:`bfs_words` pairs each reachable
-node with its shortlex-least word, and :func:`_explore` numbers the
-reachable part of a step function ``0..n-1`` as a :class:`Dfa`.  So every
-witness word is shortlex-least, and equal languages fed through
-:func:`minimize` yield structurally equal objects.
+Every search whose order shows in an answer goes through one of two
+helpers, the one place that fixes discovery order (FIFO, letters in
+alphabet order, the first discovery of a node wins): :func:`bfs_words`
+pairs each reachable node with its shortlex-least word, and
+:func:`_explore` numbers the reachable part of a step function ``0..n-1``
+as a :class:`Dfa`.  So every witness word is shortlex-least, and equal
+languages fed through :func:`minimize` yield structurally equal objects.
+:func:`_distance_to_accepting`, :func:`_longest_word_length` and
+:func:`enumerate_regular` each walk on their own: they return distances, a
+length and a set of words, which no discovery order changes.
 """
 
 from __future__ import annotations
@@ -236,11 +239,6 @@ def regex_to_dfa(r: Regex, alphabet: Alphabet) -> Dfa:
 
 # --- minimization and comparison ----------------------------------------
 
-def reachable_states(d: Dfa) -> list:
-    """Reachable states in breadth-first order (alphabet order)."""
-    return [q for q, _ in bfs_words(d.initial, d.step, d.alphabet)]
-
-
 def minimize(d: Dfa) -> Dfa:
     """Canonical minimal DFA: the reachable part, its states merged by Moore
     partition refinement over the letter rows, renumbered breadth-first.
@@ -371,17 +369,23 @@ def enumerate_regular(d: Dfa, max_len: int, *,
                 if t in dist and dist[t] <= max_len - length - 1:
                     nxt.append((t, w + (a,)))
             if len(out) + len(nxt) > frontier_cap:
-                raise ResourceLimitError(
-                    f"enumeration exceeded {frontier_cap} words",
-                    cap=frontier_cap, reached=len(out) + len(nxt))
+                raise frontier_exceeded(frontier_cap, len(out) + len(nxt))
         layer = nxt
     return out
 
 
-def _useful_states(d: Dfa) -> set:
-    """States that are reachable and can still reach an accepting state."""
+def frontier_exceeded(cap: int, reached: int) -> ResourceLimitError:
+    """The error of an enumeration that made more than ``cap`` words."""
+    return ResourceLimitError(f"enumeration exceeded {cap} words",
+                              cap=cap, reached=reached)
+
+
+def _useful_states(d: Dfa, access: Mapping | None = None) -> set:
+    """States that are reachable and can still reach an accepting state;
+    ``access`` is ``access_words(d)``, passed by a caller that has it."""
     dist = _distance_to_accepting(d)
-    return {q for q in reachable_states(d) if q in dist}
+    return {q for q in (access_words(d) if access is None else access)
+            if q in dist}
 
 
 def _longest_word_length(d: Dfa, useful: set) -> int | None:

@@ -60,6 +60,8 @@ def _parse_caps(text: str | None) -> SearchCaps:
             if not eq or key not in _CAP_KEYS:
                 raise IcgramError(
                     f"bad --caps entry {part!r}; keys: {', '.join(_CAP_KEYS)}")
+            if key in caps:
+                raise IcgramError(f"--caps key {key!r} given twice")
             try:
                 n = int(value)
             except ValueError:

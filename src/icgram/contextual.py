@@ -46,8 +46,8 @@ from functools import cached_property, partial
 from typing import Iterable
 
 from .automata import (Dfa, _useful_states, accepts, enumerate_regular,
-                       equivalent, language_is_finite, minimize, nfa_to_dfa,
-                       regex_to_dfa)
+                       equivalent, frontier_exceeded, language_is_finite,
+                       minimize, nfa_to_dfa, regex_to_dfa)
 from .errors import (DecompositionMismatchError, InvalidGrammarError,
                      NonFiniteSelectionError, ResourceLimitError)
 from .families import DEFAULT_FRONTIER_CAP
@@ -414,7 +414,7 @@ def enumerate_ic(g: ContextualGrammar, max_len: int, *,
         if len(s) <= max_len:
             levels.setdefault(len(s), {})[s] = 0
     if (made := sum(map(len, levels.values()))) > frontier_cap:
-        raise _over(frontier_cap, made)
+        raise frontier_exceeded(frontier_cap, made)
     out: set[Word] = set()
     widest, plans, sep = c.widest, c.plans, c.sep
     while levels:
@@ -447,7 +447,7 @@ def enumerate_ic(g: ContextualGrammar, max_len: int, *,
                     t = x1 + x + x3
                     b = level.get(t)
                     if b is None and (made := made + 1) > frontier_cap:
-                        raise _over(frontier_cap, made)
+                        raise frontier_exceeded(frontier_cap, made)
                     if b is None or b > p:
                         level[t] = p + 1
         joined, stride = sep.join(words), size + 1
@@ -459,15 +459,10 @@ def enumerate_ic(g: ContextualGrammar, max_len: int, *,
                 for u, v, level in targets:
                     t = x1 + u + x2 + v + x3
                     if t not in level and (made := made + 1) > frontier_cap:
-                        raise _over(frontier_cap, made)
+                        raise frontier_exceeded(frontier_cap, made)
                     level[t] = 0
         out.update(map(tuple, map(c.spell, words) if c.spell else words))
     return out
-
-
-def _over(cap: int, reached: int) -> ResourceLimitError:
-    return ResourceLimitError(f"enumeration exceeded {cap} words",
-                              cap=cap, reached=reached)
 
 
 def _predecessor_steps(c: _Compiled, s: str):

@@ -14,22 +14,20 @@ DEFAULT_FRONTIER_CAP = 200_000  # words enumerated, or explored by membership
 
 
 class SearchCaps(Record):
-    """Every cap of a search: the first five belong to the grammar search
-    behind RL_V and RL_P (``check_len`` bounds nothing and is kept for its
-    notes, which print it), ``monoid_cap`` bounds the transition-monoid walk
-    behind NC and PS, and ``frontier_cap`` enumeration and backward membership."""
+    """Every cap of a search: the first four bound the grammar search behind
+    RL_V and RL_P, ``monoid_cap`` the transition-monoid walk behind NC and
+    PS, and ``frontier_cap`` enumeration and backward membership."""
 
     max_nonterminals: int = 2
     max_rules: int = 4
     max_rhs_len: int = 3
-    check_len: int = 8
     max_candidates: int = 200_000
     monoid_cap: int = DEFAULT_MONOID_CAP
     frontier_cap: int = DEFAULT_FRONTIER_CAP
 
     def describe(self) -> str:
         return (f"nonterminals<={self.max_nonterminals}, rules<={self.max_rules}, "
-                f"rhs<={self.max_rhs_len}, filter length {self.check_len}")
+                f"rhs<={self.max_rhs_len}")
 
 
 class Verdict(str, Enum):

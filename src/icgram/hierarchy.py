@@ -20,7 +20,6 @@ are first-class data rather than silent omissions).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable
 
 from .families import (CIRC, COMB, COMM, DEF, FIN, MON, NC, NIL, ORD, PS,
                          REG, SCOPES, SUF, UF, FamilyLabel, label_sort_key,
@@ -45,8 +44,12 @@ class Edge(Record):
 
 class HierarchyTable(Record):
     scope: str
-    nodes: frozenset
     edges: frozenset
+
+    @cached_property
+    def nodes(self) -> frozenset:
+        """The families the edges join."""
+        return frozenset(x for e in self.edges for x in (e.src, e.dst))
 
     @cached_property
     def reach(self) -> dict[FamilyLabel, set[FamilyLabel]]:
@@ -78,12 +81,6 @@ class HierarchyTable(Record):
                                        label_sort_key(e.dst))):
             lines.append(str(e))
         return "\n".join(lines) + "\n"
-
-
-def _table(scope: str, edges: Iterable[Edge]) -> HierarchyTable:
-    edges = frozenset(edges)
-    nodes = frozenset(x for e in edges for x in (e.src, e.dst))
-    return HierarchyTable(scope, nodes, edges)
 
 
 def _resource_chains(n: int) -> list[Edge]:
@@ -150,11 +147,13 @@ def hierarchy(scope: str, max_param: int = 3) -> HierarchyTable:
     if max_param < 2:
         raise ValueError("max_param must be at least 2")
     if scope == "subregular":
-        return _table(scope, _subregular_edges(max_param))
-    if scope == "ic-structural":
-        return _table(scope, _ic_structural_edges())
-    if scope == "ic-resource":
-        return _table(scope, _ic_resource_edges(max_param))
-    if scope == "merged":
-        return _table(scope, _merged_edges(max_param))
-    raise ValueError(f"unknown scope {scope!r}; use one of {SCOPES}")
+        edges = _subregular_edges(max_param)
+    elif scope == "ic-structural":
+        edges = _ic_structural_edges()
+    elif scope == "ic-resource":
+        edges = _ic_resource_edges(max_param)
+    elif scope == "merged":
+        edges = _merged_edges(max_param)
+    else:
+        raise ValueError(f"unknown scope {scope!r}; use one of {SCOPES}")
+    return HierarchyTable(scope, frozenset(edges))

@@ -24,18 +24,20 @@ KINDS = ("states", "nonterminals", "rules")
 class ResourceMeasure(Record):
     """Result of one resource measurement.
 
-    ``exact`` means lower == upper and the value was established by the
-    procedure; otherwise the true value lies in [lower, upper].  The
-    certificate (a grammar, or the minimal DFA for state counts) always
-    realizes ``upper``.
+    The true value lies in [lower, upper]; it is known, and ``exact``,
+    when lower == upper.  The certificate (a grammar, or the minimal DFA for
+    state counts) always realizes ``upper``.
     """
 
     kind: str
     lower: int
     upper: int
-    exact: bool
     certificate: object
     note: str = ""
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
 
     @property
     def value(self) -> int:
@@ -149,19 +151,19 @@ def bounded_min_grammar(d: Dfa, kind: str,
             if _matches(nts, combo, d):
                 value = v if kind == "nonterminals" else r
                 return ResourceMeasure(
-                    kind, value, value, True,
+                    kind, value, value,
                     RightLinearGrammar(nts, d.alphabet, combo, nts[0]),
                     f"exhaustive search ({caps.describe()})")
 
     upper = count_resources(fallback)[0 if kind == "nonterminals" else 1]
     if kind == "nonterminals" and upper == 1:  # every grammar has a start symbol
-        return ResourceMeasure(kind, 1, 1, True, fallback, "the canonical "
+        return ResourceMeasure(kind, 1, 1, fallback, "the canonical "
                                "automaton grammar has one nonterminal")
     reason = ("candidate budget exhausted" if capped
               else "no certificate within caps")
     # a fallback without an erasing rule generates ∅, which needs no rule
     lower = 0 if kind == "rules" and not any(r.erasing for r in fallback.rules) else 1
-    return ResourceMeasure(kind, lower, upper, False, fallback,
+    return ResourceMeasure(kind, lower, upper, fallback,
                            f"{reason} ({caps.describe()}); upper bound from "
                            "the canonical automaton grammar")
 
@@ -170,6 +172,6 @@ def measure(d: Dfa, kind: str, caps: SearchCaps = SearchCaps()) -> ResourceMeasu
     """One-stop measurement used by the command line."""
     if kind == "states":
         dm = minimize(d)
-        return ResourceMeasure("states", len(dm.states), len(dm.states), True,
-                               dm, "minimal complete automaton")
+        return ResourceMeasure("states", len(dm.states), len(dm.states), dm,
+                               "minimal complete automaton")
     return bounded_min_grammar(d, kind, caps)

@@ -94,7 +94,7 @@ class _Analysis:
 
     @cached_property
     def useful(self) -> set:
-        return _useful_states(self.dm)
+        return _useful_states(self.dm, self.access)
 
     @cached_property
     def suffix_pairs(self) -> tuple[int | None, set[int], list]:
@@ -639,8 +639,16 @@ class PairVerdict(Record):
 
 class SelectionFamilyResult(Record):
     family: FamilyLabel
-    overall: Verdict
     per_pair: tuple[PairVerdict, ...]
+
+    @property
+    def overall(self) -> Verdict:
+        """NO when some selection is out of the family, YES when all are in,
+        UNKNOWN otherwise."""
+        verdicts = {pv.verdict for pv in self.per_pair}
+        if Verdict.NO in verdicts:
+            return Verdict.NO
+        return Verdict.YES if verdicts <= {Verdict.YES} else Verdict.UNKNOWN
 
 
 def selection_in_family(g: ContextualGrammar, label: FamilyLabel, *,
@@ -651,17 +659,10 @@ def selection_in_family(g: ContextualGrammar, label: FamilyLabel, *,
     bounds outright (NC/PS up to the monoid cap), nonterminal/rule bounds
     up to a yes."""
     ensure_valid(g)
-    per_pair = [PairVerdict(i, *_family_verdict(
-                    pair.dfa, label, caps, pair.source_regex,
-                    pair.source_grammar))
-                for i, pair in enumerate(g.pairs)]
-    if any(pv.verdict is Verdict.NO for pv in per_pair):
-        overall = Verdict.NO
-    elif all(pv.verdict is Verdict.YES for pv in per_pair):
-        overall = Verdict.YES
-    else:
-        overall = Verdict.UNKNOWN
-    return SelectionFamilyResult(label, overall, tuple(per_pair))
+    return SelectionFamilyResult(label, tuple(
+        PairVerdict(i, *_family_verdict(pair.dfa, label, caps, pair.source_regex,
+                                        pair.source_grammar))
+        for i, pair in enumerate(g.pairs)))
 
 
 # --- combined classification ---------------------------------------------

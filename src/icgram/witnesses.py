@@ -40,8 +40,11 @@ class WitnessCase(Record):
     variants: tuple[tuple[str, ContextualGrammar], ...]
     positive: tuple[tuple[FamilyLabel, str], ...]  # (family, grammar key)
     negative: tuple[FamilyLabel, ...]
-    has_closed_form: bool
     note: str = ""
+
+    @property
+    def has_closed_form(self) -> bool:
+        return self.case_id in _CLOSED_FORMS
 
     @property
     def label(self) -> str:
@@ -92,7 +95,6 @@ def _build_l1() -> WitnessCase:
         positive=((rl_v(1), "main"), (rl_p(2), "main"),
                   (reg_z(2), "two-state")),
         negative=(PS,),
-        has_closed_form=False,
         note="crossing insertions: d/e guard an even block of a's; the "
              "ab..ab wrapping makes high powers land on both sides")
 
@@ -111,7 +113,6 @@ def _build_l2() -> WitnessCase:
         positive=((FIN, "main"), (rl_v(1), "main"), (rl_p(2), "main"),
                   (COMB, "ends-in-b"), (reg_z(2), "ends-in-b")),
         negative=(SUF, CIRC),
-        has_closed_form=True,
         note="counts of c on both sides stay tied to the a/b skeleton")
 
 
@@ -136,7 +137,6 @@ def _build_l3(n: int) -> WitnessCase:
         "L3", n, main, (),
         positive=((MON, "main"),),
         negative=(rl_p(n),),
-        has_closed_form=False,
         note="two interleaved matching families force many rules")
 
 
@@ -151,7 +151,6 @@ def _build_l4(n: int) -> WitnessCase:
         "L4", n, main, (),
         positive=((COMM, "main"), (ORD, "main")),
         negative=(rl_v(n),),
-        has_closed_form=True,
         note="doubled exponent vector; every insertion bumps one exponent "
              "in both halves at once")
 
@@ -167,7 +166,6 @@ def _build_l6(n: int) -> WitnessCase:
         "L6", n, main, (),
         positive=((FIN, "main"),),
         negative=(reg_z(n),),
-        has_closed_form=True,
         note="repetitions of one fixed word; a smaller automaton cannot "
              "tell the block boundary apart")
 
@@ -185,7 +183,6 @@ def _build_l7(n: int) -> WitnessCase:
         "L7", n, main, (),
         positive=((COMM, "main"),),
         negative=(reg_z(n),),
-        has_closed_form=True,
         note="length residues modulo n above the threshold")
 
 
@@ -221,16 +218,12 @@ def closed_form(case_id: str, max_len: int, n: int | None = None) -> set[Word]:
     """The generated language, up to ``max_len``, from its arithmetic
     description (independent of the derivation engine).  Only L2, L4, L6 and
     L7 have one; the others raise."""
-    if case_id == "L2":
-        _param(case_id, n)
-        return _closed_l2(max_len)
-    if case_id in ("L4", "L6", "L7"):
-        n = _param(case_id, n)
-        return {"L4": _closed_l4, "L6": _closed_l6, "L7": _closed_l7}[case_id](n, max_len)
-    raise IcgramError(f"{case_id} has no closed form (use enumeration)")
+    if case_id not in _CLOSED_FORMS:
+        raise IcgramError(f"{case_id} has no closed form (use enumeration)")
+    return _CLOSED_FORMS[case_id](_param(case_id, n), max_len)
 
 
-def _closed_l2(max_len: int) -> set[Word]:
+def _closed_l2(n: None, max_len: int) -> set[Word]:
     out: set[Word] = set()
     for i in range(max_len + 1):
         for j in range(max_len + 1):
@@ -284,6 +277,10 @@ def _closed_l7(n: int, max_len: int) -> set[Word]:
         out.update(product(letters, repeat=length))
         length += n
     return out
+
+
+_CLOSED_FORMS = {"L2": _closed_l2, "L4": _closed_l4, "L6": _closed_l6,
+                 "L7": _closed_l7}
 
 
 # --- claim checking -------------------------------------------------------

@@ -13,12 +13,12 @@ of L(d1) \\ L(d2) off the pair search the deciders use.
 """
 
 from icgram.automata import (Dfa, _check_same_alphabet, _explore, _pair_word,
-                             reachable_states)
+                             access_words)
 from icgram.words import EMPTY_WORD
 
 
 def minimize(d):
-    reach = reachable_states(d)
+    reach = list(access_words(d))
     block = {}
     for q in reach:
         block[q] = 0 if q in d.accepting else 1

@@ -17,10 +17,11 @@ from icgram.automata import dfa_to_table, regex_to_dfa
 from icgram.contextual import (Context, ContextualGrammar, SelectionPair,
                                derive_step, enumerate_ic, member_trace)
 from icgram.ctxformat import format_contextual, parse_contextual
-from icgram.errors import InternalConsistencyError
+from icgram.errors import IcgramError, InternalConsistencyError
 from icgram.families import SearchCaps, parse_family_label
 from icgram.regex import format_regex, parse_regex
 from icgram.subregular import classify
+from icgram.witnesses import closed_form
 from icgram.words import Alphabet, sort_words, word_from_text, word_to_text
 
 
@@ -204,7 +205,9 @@ def test_every_command_refuses_malformed_caps(grammar_files, capsys, argv):
     assert run_cli(argv + ["--caps", "bogus"]) == (2, "")
     assert capsys.readouterr().err == (
         "error: bad --caps entry 'bogus'; keys: max_nonterminals, max_rules, "
-        "max_rhs_len, check_len, max_candidates, monoid_cap, frontier_cap\n")
+        "max_rhs_len, max_candidates, monoid_cap, frontier_cap\n")
+    assert run_cli(argv + ["--caps", "max_rules=1,max_rules=3"]) == (2, "")
+    assert capsys.readouterr().err == "error: --caps key 'max_rules' given twice\n"
 
 
 def test_monoid_cap_exit_three():
@@ -438,9 +441,7 @@ def _rule_texts(rng, tmp_path):
 def _regexes(rng, tmp_path):
     """The text of a random tree, whose leaves include ``xy`` and ``z``, or
     a random token string, through every regex command.  ``measure`` runs
-    within a small ``max_candidates``, as its search can take seconds; the
-    search lists no words, so ``check_len`` bounds nothing and only shows in
-    the printed notes."""
+    within a small ``max_candidates``, as its search can take seconds."""
     calls = []
     for _ in range(40):
         if rng.random() < 0.5:
@@ -452,7 +453,7 @@ def _regexes(rng, tmp_path):
                            for _ in range(rng.randint(0, 12)))
         given = ["--regex", text, "--alphabet", letters]
         calls += [["classify", *given],
-                  ["measure", *given, "--caps", "max_candidates=50,check_len=3"],
+                  ["measure", *given, "--caps", "max_candidates=50"],
                   ["enumerate", *given, "--max-len", "3"],
                   ["convert", *given, "--to", rng.choice(["dfa", "rlgrammar"])]]
     return calls
@@ -666,3 +667,20 @@ def test_witness_list_and_hierarchy():
     assert payload["scope"] == "subregular"
     assert len(payload["nodes"]) == 25
     assert len(payload["edges"]) == 39
+
+
+def test_witness_list_reports_the_closed_forms():
+    """``closed_form`` is true for exactly the cases that
+    ``witnesses.closed_form`` accepts."""
+    code, out = run_cli(["witness", "list", "--format", "machine"])
+    assert code == 0
+    flags = {case["id"]: case["closed_form"] for case in json.loads(out)["cases"]}
+    assert flags == {"L1": False, "L2": True, "L3": False, "L4": True,
+                     "L6": True, "L7": True}
+    for cid, flag in flags.items():
+        try:
+            closed_form(cid, 4)
+        except IcgramError:
+            assert not flag
+        else:
+            assert flag

@@ -19,7 +19,7 @@ def test_engine_digest():
 
 def test_selection_in_family_digest():
     assert digests.selection_in_family_digest() == \
-        "967dc97aaeb609ac4a0204b2749d8e4b6941c080cb5371be4f81f361b6e92d08"
+        "16712dcd54c7e41802b05dcc18346c4c8df3f5c2696c2742dd63dab1c4e9138e"
 
 
 def test_monoid_digest():
@@ -34,4 +34,4 @@ def test_regex_digest():
 
 def test_measure_digest():
     assert digests.measure_digest() == \
-        "0b95ca7a99ba7ce4e5ed4cebefc1a266f8d33096f6643bdb7ef45841dbd1d649"
+        "4808a83ef81b3deefdc20f0f95d9e314101cb4ff9468804d9b056e39a587c182"

@@ -30,8 +30,8 @@ def _twin(cls, *fields, post_init=None):
 TWINS = {
     Rule: _twin(Rule, "lhs", "word", ("successor", object, None)),
     SearchCaps: _twin(SearchCaps, *[(n, int, getattr(SearchCaps(), n)) for n in (
-        "max_nonterminals", "max_rules", "max_rhs_len", "check_len",
-        "max_candidates", "monoid_cap", "frontier_cap")]),
+        "max_nonterminals", "max_rules", "max_rhs_len", "max_candidates",
+        "monoid_cap", "frontier_cap")]),
     Evidence: _twin(Evidence, ("note", str, ""), ("words", tuple, ())),
     Context: _twin(Context, "left", "right"),
     Diagnostic: _twin(Diagnostic, "where", "message"),
@@ -54,8 +54,8 @@ CALLS = [
     (Rule, ("S",), {"word": ("a",), "successor": "T"}),
     (Rule, ("S", ("a", "b"), "T"), {}),
     (SearchCaps, (), {}),
-    (SearchCaps, (), {"check_len": 3, "max_candidates": 50}),
-    (SearchCaps, (2, 4, 3, 3, 50), {}),
+    (SearchCaps, (), {"max_rhs_len": 2, "max_candidates": 50}),
+    (SearchCaps, (2, 4, 3, 50), {}),
     (Evidence, (), {}),
     (Evidence, ("x",), {"words": (("a",),)}),
     (Context, (("a",), ()), {}),

@@ -165,9 +165,9 @@ def test_a_grammar_search_builds_only_its_certificate(monkeypatch):
 
 def test_the_search_lists_no_words(monkeypatch):
     """Each candidate is checked by one walk of its product with ``d``, so
-    neither the language's words nor a candidate's are listed, and neither
-    ``check_len`` nor ``frontier_cap`` bounds the search: over five letters
-    it answers, and at filter length 4 it still finds the 3-rule grammar."""
+    neither the language's words nor a candidate's are listed, and
+    ``frontier_cap`` does not bound the search: over five letters it
+    answers, and at a frontier cap of 10 it still finds the 3-rule grammar."""
     def refuse(*args, **kwargs):
         raise AssertionError("the grammar search listed words")
 
@@ -181,7 +181,7 @@ def test_the_search_lists_no_words(monkeypatch):
     assert code == 0 and lines[2].startswith("nonterminals: 1 (exact)  # ")
     assert lines[3].startswith("rules: in [1, 6]  # candidate budget exhausted")
     code, out = run_cli(["measure", "--regex", "(a|b)*", "--alphabet", "ab",
-                         "--caps", "check_len=4,frontier_cap=10"])
+                         "--caps", "frontier_cap=10"])
     assert code == 0 and out.splitlines()[3].startswith("rules: 3 (exact)  # ")
 
 
@@ -258,8 +258,7 @@ def test_interval_when_no_certificate_fits_the_caps():
 
 
 def test_tight_caps_report_an_interval_with_the_fallback_grammar():
-    caps = SearchCaps(max_nonterminals=1, max_rules=1, check_len=6,
-                      max_candidates=2_000)
+    caps = SearchCaps(max_nonterminals=1, max_rules=1, max_candidates=2_000)
     m = bounded_min_grammar(_dfa("b*c", UBC), "rules", caps)
     assert not m.exact
     assert "caps" in m.note or "budget" in m.note
@@ -307,8 +306,7 @@ def test_measure_dispatch_covers_all_kinds():
 @given(st.sampled_from(["a", "ab", "a*", "ab|b", "(aa)*", "a*b", "b|()"]))
 def test_certificates_always_generate_the_language(rx):
     d = _dfa(rx, UAB)
-    caps = SearchCaps(max_nonterminals=2, max_rules=3, check_len=6,
-                      max_candidates=20_000)
+    caps = SearchCaps(max_nonterminals=2, max_rules=3, max_candidates=20_000)
     for kind in ("nonterminals", "rules"):
         m = bounded_min_grammar(d, kind, caps)
         assert equivalent(_grammar_language(m.certificate), minimize(d))

@@ -10,8 +10,10 @@ predicates by the names in its ``IS_FNS``; a dict key or a subscript that
 spells a name calls nothing.  A definition's own body does not count, so a
 recursive function is not its own caller.
 
-The package also parses under the grammar of the oldest Python that
-``pyproject.toml`` admits, whichever interpreter runs the tests.
+Every field of ``SearchCaps`` is read by some other module of the package,
+so each cap bounds a search.  The package also parses under the grammar of
+the oldest Python that ``pyproject.toml`` admits, whichever interpreter
+runs the tests.
 """
 
 import ast
@@ -120,6 +122,18 @@ def test_a_method_counts_only_where_another_statement_calls_it():
     assert "used" in callers["C.used"]
     assert "caller" not in callers["C.caller"]
     assert "shown" not in callers["C.shown"]
+
+
+def test_every_search_cap_is_read_outside_its_record():
+    # a field of SearchCaps that only families.py reads bounds no search
+    package = ROOT / "src" / "icgram"
+    (caps,) = [s for s in ast.parse((package / "families.py").read_text()).body
+               if isinstance(s, ast.ClassDef) and s.name == "SearchCaps"]
+    fields = [s.target.id for s in caps.body if isinstance(s, ast.AnnAssign)]
+    read = {n.attr for path in package.glob("*.py") if path.name != "families.py"
+            for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    assert fields and not set(fields) - read, sorted(set(fields) - read)
 
 
 def test_the_package_parses_at_its_python_floor():
