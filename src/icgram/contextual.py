@@ -9,21 +9,21 @@ and (u, v) is one of that pair's contexts.  Every step strictly lengthens the
 word, which is what makes bounded enumeration and exact membership both
 terminate.
 
-The engine compiles each grammar once, on first use: words become ``str``
-with one character per symbol, and each selection becomes rows over the
-states of its minimal DFA, the dead state left out, and, when some symbol
-cannot start an infix, a compiled finder of the positions one can start at
-(see :class:`_Compiled`).  The forward step and enumeration wrap contexts
-around the selected infixes that one scan finds, :func:`_spans`; enumeration
-closes one length at a time on encoded words, scans all words of a length
-joined in one string, decodes them once no step can reach their length, and
-skips steps that only repeat a word: empty-infix steps commute, so they go
-at increasing positions, and an infix that the selection and contexts also
-allow one symbol further left or right is taken only there (see
-:func:`enumerate_ic`).  The inverse step, :func:`_predecessor_steps`, is one
-lazy generator that walks one flat table of every pair's contexts, runs the
-same rows from each infix start a context's left side ends at, and strips
-the contexts that enclose a selected infix.
+The engine compiles each grammar once, on first use: words become ``str`` with
+one character per symbol, and each selection becomes rows over the states of
+its minimal DFA, the dead state left out, and, when some symbol cannot start an
+infix, a compiled finder of the positions one can start at (see
+:class:`_Compiled`).  The forward step and enumeration wrap contexts around the
+selected infixes that one scan finds, :func:`_spans`; enumeration closes one
+length at a time on encoded words, scans all words of a length joined in one
+string, decodes them once no step can reach their length, and skips steps that
+only repeat a word: empty-infix steps commute, so they go at increasing
+positions, an infix that the selection and contexts also allow one symbol
+further left or right is taken only there, and (ε, v) inserts once per infix
+end, with self-loops jumped (see :func:`enumerate_ic`).  The inverse step,
+:func:`_predecessor_steps`, is one lazy generator that walks one flat table of
+every pair's contexts, runs the same rows from each infix start a context's
+left side ends at, and strips the contexts that enclose a selected infix.
 Membership first compares the word's Parikh vector (its count of each
 symbol), modulo the lattice the contexts span, with those of the axioms a
 step applies to: every insertion adds a context's vector, so a word outside
@@ -158,11 +158,11 @@ class _Compiled:
     row 0 is empty or has every code, ``starts`` is the ``finditer`` of a
     class over row 0's codes, which finds in C the only positions a
     non-empty infix can start at; otherwise it is None (a finder that
-    matches nearly every position costs more than it saves).  ``slides`` has
-    the codes that loop at the initial state: in a minimal DFA, a letter
-    that keeps the language keeps the state.  Each context comes as
-    ``(context, encoded left, encoded right, weight)``, and each pair as
-    ``(rows, acc, starts, contexts, slides)``.  ``plans`` keeps, per room up
+    matches nearly every position costs more than it saves).  ``loops[q]``
+    has the codes that loop at q: in a minimal DFA, a letter that keeps the
+    language keeps the state.  Each context comes as ``(context, encoded
+    left, encoded right, weight)``, and each pair as ``(rows, acc, starts,
+    contexts, loops)``.  ``plans`` keeps, per room up
     to ``widest`` (the widest context), the steps :func:`enumerate_ic`
     tries.  ``inverse`` has ``(pair index, rows, acc, rows[0], acc[0],
     context, encoded left, encoded right, their lengths)`` per context of a
@@ -228,8 +228,8 @@ class _Compiled:
             starts = re.compile(f"[{codes}]").finditer
         contexts = tuple((ctx, self.encode(ctx.left), self.encode(ctx.right),
                           ctx.weight) for ctx in pair.contexts)
-        slides = tuple(c for c, t in rows[0].items() if t == 0) if rows else ()
-        return rows, acc, starts, contexts, slides
+        loops = tuple("".join(a for a in row if row[a] == q) for q, row in enumerate(rows))
+        return rows, acc, starts, contexts, loops
 
     def residue(self, s: str) -> tuple[int, ...]:
         """The Parikh vector of an encoded word, reduced by the lattice
@@ -339,7 +339,7 @@ def _step(source: Word, pair_index: int, ctx: Context, i: int, j: int
 
 
 def _spans(rows: tuple[dict, ...], acc: tuple[bool, ...], starts, s: str,
-           skip: str | None = None, right: str = ""):
+           skip: str | None = None, right: str = "", jumps=None):
     """Every ``(i, j)`` with ``s[i:j]`` in a pair's selection, ordered by
     ``i`` and then ``j``, for the forward step and :func:`enumerate_ic`.
     ``s`` is an encoded word, or several joined by ``sep``, and
@@ -351,18 +351,32 @@ def _spans(rows: tuple[dict, ...], acc: tuple[bool, ...], starts, s: str,
     ``skip``, nor right before a code in ``right`` that moves the scan on to
     an accepting state.  The scan runs once from each start and stops at a
     code with no entry in the current row: a symbol outside the subalphabet,
-    or a move into the dead state."""
+    or a move into the dead state.  With ``jumps`` from :func:`enumerate_ic`
+    it jumps each run of ``loops[q]`` at a state q that takes no end in it."""
     if not rows:
         return
     n = len(s)
     found = (range(n + 1) if starts is None or skip is None and acc[0]
              else map(re.Match.start, starts(s)))
+    if jumps:  # per set of loops, "1" at each of their codes in s, "0" at others
+        loops, marks = jumps[0], {l: s.translate(t) + "0" for l, t in jumps[1].items()}
     for i in found:
         if skip and i and s[i - 1] in skip:
             continue
         q, j = 0, i
         if acc[0] and skip is None:
             yield i, i
+        if jumps:
+            while True:
+                if loops[q]:  # jump the run of q's loops from j
+                    j = marks[loops[q]].find("0", j)
+                if j > i and acc[q] and not (j < n and s[j] in right and (
+                        t := rows[q].get(s[j])) is not None and acc[t]):
+                    yield i, j
+                if j == n or (q := rows[q].get(s[j])) is None:
+                    break
+                j += 1
+            continue
         while j < n:
             q = rows[q].get(s[j])
             if q is None:
@@ -391,22 +405,23 @@ def enumerate_ic(g: ContextualGrammar, max_len: int, *,
     Exact: steps strictly grow words, so the closure below the bound is
     finite.  It runs on encoded words one length at a time, shortest first:
     ``levels[n]`` maps each word of length n found so far to its bound, and
-    a length popped, which no step reaches again, goes to the result.  Two
-    kinds of step that only repeat a word are skipped.  Empty-infix steps
-    insert ``u + v`` and commute (one at or before an earlier one can go
-    first, shifting it right), so after one at p they go only at p + 1 on; a
-    word's bound is the least such p + 1 over the ways it is made (0 for an
-    axiom or a non-empty infix).  Non-empty infixes go in one scan of the
-    length's words, joined by ``sep``, per group of a pair's contexts, keyed
-    by the codes c of the pair's ``slides`` that ``u`` is empty or a power
-    of: an infix right after such a c is selected with c in front too, which
-    gives the same word (``c u = u c``), so it is skipped.  Mirrored, an
-    infix right before a right code b of the group, one that every ``v`` of
-    the group is empty or a power of, is skipped when the selection also
-    takes it with b behind (``v b = b v``).  Each skip moves the span
-    strictly left or right, so every chain of skips ends at a span that is
-    taken.  More than ``frontier_cap`` words found, the axioms included,
-    raise :class:`ResourceLimitError`.
+    a length popped, which no step reaches again, goes to the result; steps
+    that only repeat a word are skipped.  Empty-infix steps commute, so
+    after one at p they go only at p + 1 on; a word's bound is the least
+    such p + 1 over the ways it is made (0 for an axiom or a non-empty
+    infix).  Non-empty infixes go in one scan of the length's words, joined
+    by ``sep``, per group of a pair's contexts.  Two-sided contexts group by
+    the codes c of ``loops[0]`` that ``u`` is a power of: an infix right
+    after such a c is selected with c in front too, so it is skipped, and
+    so is one right before a code b that each ``v`` of the group is empty
+    or a power of when the selection also takes it with b behind.  Contexts
+    (ε, v) form one group, whose word ``s[:j] v s[j:]`` depends on the end j
+    only: each end is taken once per v, but not when j − |ρ| is an end and
+    ``s[j−|ρ|:j]`` is ρ, the primitive root of v, nor when j − 1 is an end,
+    ``s[j−1]`` is ``v[−1]`` and ``s[j−1] v[:−1]`` is in the group.  A skip
+    moves a step strictly left, or right for b, never both in a group, so
+    every chain of skips ends at a step taken.  More than ``frontier_cap``
+    words found, the axioms included, raise :class:`ResourceLimitError`.
     """
     c = g._compiled
     levels: dict[int, dict[str, int]] = {}
@@ -425,18 +440,28 @@ def enumerate_ic(g: ContextualGrammar, max_len: int, *,
         room = max_len - size if max_len - size < widest else widest
         if room not in plans:  # a scan per group of contexts sliding at the same codes
             empty, scans = [], []
-            for rows, acc, starts, contexts, slides in c.pairs:
+            for rows, acc, starts, contexts, loops in c.pairs:
                 fits = [e[1:] for e in contexts if rows and e[3] <= room]
                 if fits and acc[0]:
                     empty += [u + v for u, v, _ in fits]
-                groups: dict[str, list] = {}
-                for e in fits:
-                    skip = "".join(a for a in slides if e[0] == a * len(e[0]))
-                    groups.setdefault(skip, []).append(e)
+                groups: dict[str | None, list] = {}
+                for u, v, k in fits:  # None: the one-sided contexts
+                    skip = "".join(a for a in loops[0] if u == a * len(u)) if u else None
+                    groups.setdefault(skip, []).append((u, v, k))
                 for skip, group in groups.items():
                     right = "".join(a for a in c.symbol
                                     if all(v == a * len(v) for _, v, _ in group))
-                    scans.append((rows, acc, starts, group, skip, right))
+                    if point := skip is None:  # (v, root, |root| > 1, v[-1] if rotated)
+                        skip, right, rights = loops[0], "", {v for _, v, _ in group}
+                        group = [(v, v[:(r := (v + v).find(v, 1))], r > 1 and r,
+                                  v[-1] if v[-1] + v[:-1] in rights else "", k)
+                                 for _, v, k in group]
+                    # a state jumps its loops when it takes no end inside their runs
+                    jump = ["" if a and l.strip(right) else l for l, a in zip(loops, acc)]
+                    tables = {l: {ord(a): "01"[a in l] for a in (*c.symbol, sep)}
+                              for l in jump if l}
+                    scans.append((rows, acc, starts, group, skip, right,
+                                  tables and (jump, tables), point))
             plans[room] = empty, scans
         empty, scans = plans[room]
         targets = [(x, levels.setdefault(size + len(x), {})) for x in empty]
@@ -444,20 +469,35 @@ def enumerate_ic(g: ContextualGrammar, max_len: int, *,
             for p in range(bound, size + 1):
                 x1, x3 = s[:p], s[p:]
                 for x, level in targets:
-                    t = x1 + x + x3
+                    t = f"{x1}{x}{x3}"
                     b = level.get(t)
                     if b is None and (made := made + 1) > frontier_cap:
                         raise frontier_exceeded(frontier_cap, made)
                     if b is None or b > p:
                         level[t] = p + 1
         joined, stride = sep.join(words), size + 1
-        for rows, acc, starts, group, skip, right in scans:
-            targets = [(u, v, levels.setdefault(size + k, {})) for u, v, k in group]
-            for i, j in _spans(rows, acc, starts, joined, skip, right):
+        for rows, acc, starts, group, skip, right, jumps, point in scans:
+            targets = [(*e[:-1], levels.setdefault(size + e[-1], {})) for e in group]
+            spans = _spans(rows, acc, starts, joined, skip, right, jumps)
+            if point:
+                for j in (ends := {j for _, j in spans}):
+                    start, x1 = j - j % stride, None  # of the word the end is in
+                    back = joined[j - 1] if j - 1 in ends else sep
+                    for v, root, r, last, level in targets:
+                        if back == last or r and j - r in ends and joined[j - r:j] == root:
+                            continue
+                        if x1 is None:
+                            x1, x3 = joined[start:j], joined[j:start + size]
+                        t = f"{x1}{v}{x3}"
+                        if t not in level and (made := made + 1) > frontier_cap:
+                            raise frontier_exceeded(frontier_cap, made)
+                        level[t] = 0
+                continue
+            for i, j in spans:
                 start = i - i % stride  # of the word the span is in
                 x1, x2, x3 = joined[start:i], joined[i:j], joined[j:start + size]
                 for u, v, level in targets:
-                    t = x1 + u + x2 + v + x3
+                    t = f"{x1}{u}{x2}{v}{x3}"
                     if t not in level and (made := made + 1) > frontier_cap:
                         raise frontier_exceeded(frontier_cap, made)
                     level[t] = 0

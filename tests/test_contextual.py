@@ -572,11 +572,12 @@ def test_compiled_pairs_match_the_compiler_on_the_dfa_as_given():
     for d in dfas:
         pair = SelectionPair.from_dfa(d, (Context(("a",), ("b", "c")),))
         c = ContextualGrammar(Alphabet.of("a", "b", "c"), ((),), (pair,))._compiled
-        rows, acc, _, contexts, slides = c.pairs[0]
+        rows, acc, _, contexts, loops = c.pairs[0]
         ref_rows, ref_acc, _, ref_contexts, ref_slides = oracle.compile_pair(c, pair)
         assert [list(r) for r in rows[:1]] == [list(r) for r in ref_rows[:1]]
         assert acc[:1] == ref_acc[:1]
-        assert slides == ref_slides and contexts == ref_contexts
+        slides = loops[0] if loops else ""
+        assert slides == "".join(ref_slides) and contexts == ref_contexts
         assert _rows_language(rows, acc, 5) == _rows_language(ref_rows, ref_acc, 5)
         counts["slides"] += bool(slides)
         counts["empty"] += not rows
@@ -656,6 +657,52 @@ def test_enumeration_matches_the_plain_oracle_on_right_slides():
     for g in _seeded_grammars(120, 19, _RIGHT_SELECTIONS, _RIGHT_CONTEXTS):
         assert enumerate_ic(g, 7) == oracle._enumerate_plain(g, 7), \
             format_contextual(g)
+
+
+# long runs of self-loops at rejecting states (a*ba*a*ba* before its second
+# b, b(aa)*b between its b's) and at accepting ones (a*ba*a*ba* after its
+# second b, (a|b)*ba* after its last b); one-sided contexts whose right sides
+# are periodic or rotations of each other, next to two-sided ones
+_LOOP_SELECTIONS = ["a*ba*a*ba*", "b(aa)*b", "(a|b)*ba*"]
+_POINT_CONTEXTS = [("", "ab"), ("", "ba"), ("", "abab"), ("", "aa"), ("", "b"),
+                   ("a", "a"), ("b", "aa"), ("ab", "b")]
+_RUN_AXIOMS = [("a",) * 4, tuple("aabaaa"), tuple("baaab"), tuple("abab"), ()]
+
+
+def test_engine_matches_the_plain_oracle_on_self_loops_and_one_sided_contexts():
+    # the scan jumps a run of codes that loop at a state taking no end
+    # inside it, and a one-sided context inserts once per end, skipping an
+    # end where a period of v or a rotation in its group gives the word
+    # further left
+    rng = random.Random(29)
+    for g in _seeded_grammars(160, 29, _LOOP_SELECTIONS, _POINT_CONTEXTS,
+                              _RUN_AXIOMS):
+        lang = enumerate_ic(g, 9)
+        assert lang == oracle._enumerate_plain(g, 9), format_contextual(g)
+        for w in rng.sample(sorted(lang), min(8, len(lang))):
+            assert derive_step(g, w) == tuple(oracle._steps_unchecked(g, w))
+
+
+def test_enumeration_meets_the_closed_forms_at_the_bench_bounds():
+    # the operations whose scans jump self-loops (L4) or insert once per end
+    # (L6, L7): a skip rule that drops a word fails here
+    for case_id, n, bounds in (("L4", 1, (20, 36)), ("L6", 2, (40, 160)),
+                               ("L7", 2, (8, 10))):
+        g = build_witness(case_id, n).grammar
+        for bound in bounds:
+            assert enumerate_ic(g, bound) == closed_form(case_id, bound, n), \
+                (case_id, bound)
+
+
+@pytest.mark.parametrize("case_id, bound", [("L7", 10), ("L6", 160)])
+def test_enumeration_cap_counts_words_on_one_sided_contexts(case_id, bound):
+    # the cap counts new words, not the candidates of the ends taken
+    g = build_witness(case_id, 2).grammar
+    words = enumerate_ic(g, bound)
+    with pytest.raises(ResourceLimitError) as e:
+        enumerate_ic(g, bound, frontier_cap=len(words) - 1)
+    assert (e.value.cap, e.value.reached) == (len(words) - 1, len(words))
+    assert enumerate_ic(g, bound, frontier_cap=len(words)) == words
 
 
 def test_engine_matches_the_plain_oracle_on_a_wide_alphabet():
