@@ -81,8 +81,8 @@ def _read_grammar(path: str) -> ContextualGrammar:
 
 
 def _check_one_language(args) -> None:
-    """classify, measure, enumerate and convert read exactly one of
-    ``--regex`` and ``--grammar``."""
+    """A command that takes a language reads exactly one of ``--regex`` and
+    ``--grammar``."""
     if args.grammar is not None and args.regex is not None:
         raise IcgramError("give either --grammar or --regex, not both")
     if args.grammar is None and args.regex is None:
@@ -116,7 +116,6 @@ def _verdict_exit(v: Verdict) -> int:
 
 def _cmd_classify(args) -> int:
     from .subregular import _family_verdict, classify, selection_in_family
-    _check_one_language(args)
     if args.regex is not None:
         r, d, u = _regex_language(args)
         if args.family is not None:
@@ -168,7 +167,6 @@ def _measure_lines(d: Dfa, caps: SearchCaps) -> tuple[list[str], list[dict]]:
 
 
 def _cmd_measure(args) -> int:
-    _check_one_language(args)
     if args.regex is not None:
         _, d, _ = _regex_language(args)
         lines, records = _measure_lines(d, args.caps)
@@ -192,7 +190,6 @@ def _cmd_measure(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     cap = args.caps.frontier_cap
-    _check_one_language(args)
     if args.regex is not None:
         _, d, u = _regex_language(args)
         words = enumerate_regular(d, args.max_len, frontier_cap=cap)
@@ -315,7 +312,6 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    _check_one_language(args)
     if args.regex is not None:
         _, d, _ = _regex_language(args)
         if args.to == "dfa":
@@ -353,6 +349,14 @@ def _int_at_least(low: int):
     return parse
 
 
+def _add_language(p: argparse.ArgumentParser) -> None:
+    """A language given by ``--regex`` over ``--alphabet``, or by the
+    selections of the grammar in ``--grammar``."""
+    p.add_argument("--regex")
+    p.add_argument("--alphabet")
+    p.add_argument("--grammar", metavar="PATH")
+
+
 def _add_common(p: argparse.ArgumentParser, *, caps: bool = True) -> None:
     p.add_argument("--format", choices=("human", "machine"), default="human",
                    help="human text or JSON")
@@ -372,25 +376,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="place a language or the selections "
                                         "of a grammar in the families")
-    p.add_argument("--regex")
-    p.add_argument("--alphabet")
-    p.add_argument("--grammar", metavar="PATH")
+    _add_language(p)
     p.add_argument("--family", help="decide one family label, e.g. ORD or RL_V(1)")
     _add_common(p)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("measure", help="state/nonterminal/rule measures")
-    p.add_argument("--regex")
-    p.add_argument("--alphabet")
-    p.add_argument("--grammar", metavar="PATH")
+    _add_language(p)
     _add_common(p)
     p.set_defaults(fn=_cmd_measure)
 
     p = sub.add_parser("enumerate", help="all generated/accepted words up to "
                                          "a length bound")
-    p.add_argument("--regex")
-    p.add_argument("--alphabet")
-    p.add_argument("--grammar", metavar="PATH")
+    _add_language(p)
     p.add_argument("--max-len", type=_int_at_least(0), required=True)
     _add_common(p)
     p.set_defaults(fn=_cmd_enumerate)
@@ -423,9 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_witness)
 
     p = sub.add_parser("convert", help="re-express a language or grammar")
-    p.add_argument("--regex")
-    p.add_argument("--alphabet")
-    p.add_argument("--grammar", metavar="PATH")
+    _add_language(p)
     p.add_argument("--to", required=True,
                    choices=("dfa", "rlgrammar", "canonical", "split-finite"))
     _add_common(p, caps=False)
@@ -443,6 +439,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "caps" in args:  # one parse, for every command that has --caps
             args.caps = _parse_caps(args.caps)
+        if "regex" in args:
+            _check_one_language(args)
         return args.fn(args)
     except InternalConsistencyError:
         traceback.print_exc()

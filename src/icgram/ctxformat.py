@@ -156,7 +156,7 @@ def _parse_pair(text: str, lines: list[tuple[int, str]], pos: int,
             raise TextFormatError(e.bare_message, line=sel_line,
                                   column=start + e.column) from None
         pair = SelectionPair.from_regex(declared, r, contexts)
-    elif rest:
+    elif rest or not block:
         raise TextFormatError(f"{kind} selections start on the next line",
                               line=sel_line)
     elif kind == "grammar":

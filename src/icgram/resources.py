@@ -39,13 +39,6 @@ class ResourceMeasure(Record):
     def exact(self) -> bool:
         return self.lower == self.upper
 
-    @property
-    def value(self) -> int:
-        if not self.exact:
-            raise ValueError(f"measure of {self.kind} is an interval "
-                             f"[{self.lower}, {self.upper}], not exact")
-        return self.upper
-
 
 def count_resources(g: RightLinearGrammar) -> tuple[int, int]:
     """(nonterminal count, rule count) of a grammar as written; an erasing

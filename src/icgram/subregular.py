@@ -322,8 +322,14 @@ def _search_monotone_order(dm: Dfa) -> list | None:
                     work.extend((r[x], r[y]) for r in rows if r[x] != r[y])
         return True
 
-    def search(above: list, below: list) -> list | None:
-        nonlocal visited
+    # depth first from an explicit stack: each entry is a node's parent
+    # order and the pair it adds; p < q is pushed last, so popped first
+    stack = [([0] * n, [0] * n, None)]
+    while stack:
+        above, below, pair = stack.pop()
+        above, below = above[:], below[:]
+        if pair is not None and not close(above, below, *pair):
+            continue
         visited += 1
         if visited > _ORDER_SEARCH_CAP:
             raise ResourceLimitError("state-order search exceeded its cap",
@@ -333,18 +339,10 @@ def _search_monotone_order(dm: Dfa) -> list | None:
         pick = next(((p, next(_bits(f))) for p, f in enumerate(later) if f),
                     None)
         if pick is None:
-            return below
+            break
         p, q = pick
-        for s, t in ((p, q), (q, p)):
-            a, b = above[:], below[:]
-            if close(a, b, s, t):
-                result = search(a, b)
-                if result is not None:
-                    return result
-        return None
-
-    below = search([0] * n, [0] * n)
-    if below is None:
+        stack += [(above, below, (q, p)), (above, below, (p, q))]
+    else:
         return None
     return [states[i] for i in sorted(
         range(n), key=lambda i: (below[i].bit_count(), str(states[i])))]
@@ -676,9 +674,6 @@ class FamilyReport:
     min_state_count: int
     verdicts: dict = field(default_factory=dict)
     evidence: dict = field(default_factory=dict)
-
-    def verdict(self, label: FamilyLabel) -> Verdict:
-        return self.verdicts[label]
 
     def to_text(self) -> str:
         lines = [f"language: {self.language}",

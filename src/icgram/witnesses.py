@@ -17,7 +17,7 @@ against which the derivation engine is checked word for word at a bound.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, pairwise, product
 
 from .contextual import (Context, ContextualGrammar, SelectionPair,
                          enumerate_ic, validate)
@@ -239,18 +239,13 @@ def _closed_l2(n: None, max_len: int) -> set[Word]:
 def _closed_l4(n: int, max_len: int) -> set[Word]:
     out: set[Word] = set()
     budget = (max_len - (2 * n + 1)) // 2  # total of the n+1 exponents
-
-    def rec(prefix: tuple[int, ...], remaining: int, left: int):
-        if left == 0:
-            half = tuple(x for p in prefix for x in ("a",) * p + ("b",))
-            w = half + half[:-1]  # second half has no trailing b
-            out.add(w)
-            return
-        for p in range(1, remaining - (left - 1) + 1):
-            rec(prefix + (p,), remaining - p, left - 1)
-
     for total in range(n + 1, budget + 1):
-        rec((), total, n + 1)
+        # the n+1 positive exponents are the gaps between n cuts of 1..total-1
+        for cuts in combinations(range(1, total), n):
+            bounds = (0,) + cuts + (total,)
+            half = tuple(x for lo, hi in pairwise(bounds)
+                         for x in ("a",) * (hi - lo) + ("b",))
+            out.add(half + half[:-1])  # second half has no trailing b
     return out
 
 

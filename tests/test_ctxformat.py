@@ -91,6 +91,13 @@ def test_parse_error_positions():
     assert e4.value.line == 5
     # the column in the file's line, past the indentation and the keyword
     assert e4.value.column == 22
+    # a grammar or DFA selection with no lines names its own line
+    for kind in ("grammar", "dfa"):
+        empty = ("alphabet: a\naxiom: a\npair:\n  alphabet: a\n"
+                 f"  selection {kind}:\n  context: (a, @)")
+        with pytest.raises(TextFormatError) as e5:
+            parse_contextual(empty)
+        assert e5.value.line == 5 and "next line" in str(e5.value)
 
 
 # the three places that read a word, each with the module whose

@@ -29,12 +29,17 @@ def _grammar_language(g):
     return minimize(nfa_to_dfa(grammar_to_nfa(g)))
 
 
+def _states(text, u):
+    m = measure(_dfa(text, u), "states")
+    return m.lower, m.upper
+
+
 def test_min_states_counts_the_sink():
-    assert measure(_dfa("(a|b)*", UAB), "states").value == 1
-    assert measure(_dfa("(aa)*", UA), "states").value == 2
+    assert _states("(a|b)*", UAB) == (1, 1)
+    assert _states("(aa)*", UA) == (2, 2)
     # b*c needs start, accept and a dead state once complete
-    assert measure(_dfa("b*c", UBC), "states").value == 3
-    assert measure(_dfa("(b*c)(b*c)*", UBC), "states").value == 2
+    assert _states("b*c", UBC) == (3, 3)
+    assert _states("(b*c)(b*c)*", UBC) == (2, 2)
 
 
 def test_count_resources_as_written():
@@ -55,13 +60,12 @@ def test_dfa_to_grammar_preserves_language():
 def test_measure_states_is_exact_with_dfa_certificate():
     m = measure(_dfa("b*c", UBC), "states")
     assert (m.kind, m.lower, m.upper, m.exact) == ("states", 3, 3, True)
-    assert m.value == 3
     assert equivalent(m.certificate, minimize(_dfa("b*c", UBC)))
 
 
 def test_bstar_c_one_nonterminal_suffices():
     m = bounded_min_grammar(_dfa("b*c", UBC), "nonterminals")
-    assert m.exact and m.value == 1
+    assert m.exact and m.upper == 1
     g = m.certificate
     assert len(g.nonterminals) == 1
     assert equivalent(_grammar_language(g), minimize(_dfa("b*c", UBC)))
@@ -70,7 +74,7 @@ def test_bstar_c_one_nonterminal_suffices():
 def test_bstar_c_needs_exactly_two_rules():
     # one right-linear rule generates at most one word, so 2 is a real minimum
     m = bounded_min_grammar(_dfa("b*c", UBC), "rules")
-    assert m.exact and m.value == 2
+    assert m.exact and m.upper == 2
     assert len(m.certificate.rules) == 2
     assert equivalent(_grammar_language(m.certificate),
                       minimize(_dfa("b*c", UBC)))
@@ -81,11 +85,12 @@ def test_the_empty_language_needs_no_rules():
     still 1 nonterminal, the start symbol)."""
     d = _dfa("∅", UAB)
     m = bounded_min_grammar(d, "rules")
-    assert m.exact and m.value == 0
+    assert m.exact and m.upper == 0
     assert count_resources(m.certificate)[1] == 0
     assert bounded_words(m.certificate, 6) == set()
     assert count_resources(RightLinearGrammar(("S",), UAB, (), "S")) == (1, 0)
-    assert bounded_min_grammar(d, "nonterminals").value == 1
+    m = bounded_min_grammar(d, "nonterminals")
+    assert m.exact and m.upper == 1
     code, out = run_cli(["measure", "--regex", "∅", "--alphabet", "ab"])
     assert code == 0 and "\nrules: 0 (exact)" in out
 
@@ -117,7 +122,7 @@ def test_one_nonterminal_is_exact_when_the_search_is_capped():
     search runs out of candidates first."""
     d = _dfa("(a|b)*", UAB)
     m = measure(d, "nonterminals", SearchCaps(max_candidates=5))
-    assert m.exact and m.value == 1 and m.certificate == dfa_to_grammar(d)
+    assert m.exact and m.upper == 1 and m.certificate == dfa_to_grammar(d)
     code, out = run_cli(["measure", "--regex", "(a|b)*", "--alphabet", "ab",
                          "--caps", "max_candidates=5"])
     lines = out.splitlines()
@@ -147,7 +152,7 @@ def test_a_grammar_search_minimizes_once(monkeypatch):
     monkeypatch.setattr(automata, "minimize", counting)
     monkeypatch.setattr(resources, "minimize", counting)
     m = measure(_dfa("(ab)*", UAB), "rules")
-    assert m.exact and m.value == 2
+    assert m.exact and m.upper == 2
     assert len(calls) == 1
 
 
@@ -159,7 +164,7 @@ def test_a_grammar_search_builds_only_its_certificate(monkeypatch):
     monkeypatch.setattr(RightLinearGrammar, "__post_init__",
                         lambda g: built.append(g))
     m = measure(d, "rules")
-    assert m.exact and m.value == 2
+    assert m.exact and m.upper == 2
     assert built == [fallback, m.certificate]
 
 
@@ -239,7 +244,7 @@ def test_the_product_walk_agrees_with_listing_and_equivalence():
 
 def test_even_a_rules():
     m = bounded_min_grammar(_dfa("(aa)*", UA), "rules")
-    assert m.exact and m.value == 2
+    assert m.exact and m.upper == 2
     assert equivalent(_grammar_language(m.certificate),
                       minimize(_dfa("(aa)*", UA)))
 
@@ -253,8 +258,6 @@ def test_interval_when_no_certificate_fits_the_caps():
     assert m.lower == 1
     assert m.upper == len(m.certificate.rules)
     assert equivalent(_grammar_language(m.certificate), minimize(d))
-    with pytest.raises(ValueError):
-        m.value
 
 
 def test_tight_caps_report_an_interval_with_the_fallback_grammar():
@@ -312,4 +315,4 @@ def test_certificates_always_generate_the_language(rx):
         assert equivalent(_grammar_language(m.certificate), minimize(d))
         if m.exact:
             have = count_resources(m.certificate)
-            assert have[0 if kind == "nonterminals" else 1] == m.value
+            assert have[0 if kind == "nonterminals" else 1] == m.upper

@@ -10,6 +10,10 @@ predicates by the names in its ``IS_FNS``; a dict key or a subscript that
 spells a name calls nothing.  A definition's own body does not count, so a
 recursive function is not its own caller.
 
+No function of the package calls itself: Python's stack holds about a
+thousand frames, so a walk that recurses once per state or per search node
+fails on inputs well inside the caps.  Each walk keeps its own stack.
+
 Every field of ``SearchCaps`` is read by some other module of the package,
 so each cap bounds a search.  The package also parses under the grammar of
 the oldest Python that ``pyproject.toml`` admits, whichever interpreter
@@ -122,6 +126,40 @@ def test_a_method_counts_only_where_another_statement_calls_it():
     assert "used" in callers["C.used"]
     assert "caller" not in callers["C.caller"]
     assert "shown" not in callers["C.shown"]
+
+
+def _self_callers(tree: ast.AST) -> list[str]:
+    """The functions in ``tree`` that call themselves: a function by its own
+    name, a method as ``self.<its name>``."""
+    methods = {id(s) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for s in c.body}
+    out = []
+    for f in ast.walk(tree):
+        if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own = f"self.{f.name}" if id(f) in methods else f.name
+        if any(isinstance(n, ast.Call) and ast.unparse(n.func) == own
+               for n in ast.walk(f)):
+            out.append(f.name)
+    return out
+
+
+def test_no_function_in_the_package_calls_itself():
+    recursive = [f"{path.stem}.{name}"
+                 for path in sorted((ROOT / "src" / "icgram").glob("*.py"))
+                 for name in _self_callers(ast.parse(path.read_text()))]
+    assert not recursive, f"recursive, so bounded by the call stack: {recursive}"
+
+
+def test_a_self_call_is_a_call_by_the_own_name_or_through_self():
+    tree = ast.parse(
+        "def walk(n):\n    return walk(n - 1)\n"
+        "def outer():\n    def rec(k):\n        rec(k)\n    rec(0)\n"
+        "class C:\n"
+        "    def again(self):\n        return self.again()\n"
+        "    def complement(self):\n        return automata.complement(self)\n"
+        "    def other(self):\n        return other.other()\n")
+    assert _self_callers(tree) == ["walk", "rec", "again"]
 
 
 def test_every_search_cap_is_read_outside_its_record():

@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -138,7 +140,7 @@ def test_definite():
     # the two words end in the same suffix of the stated length, at least
     # as long as the minimal automaton has states
     k = int(re.search(r"shared suffix of length (\d+)", ev.note).group(1))
-    assert k >= measure(d, "states").value
+    assert k >= measure(d, "states").upper
     assert min(len(w1), len(w2)) >= k and w1[-k:] == w2[-k:]
 
 
@@ -320,6 +322,20 @@ def test_order_search_matches_the_set_oracle(monkeypatch):
             assert got == want, (cap, dfa_to_table(dm))
             capped += isinstance(want, tuple)  # chains are lists
     assert capped > 0
+
+
+def test_order_search_depth_is_not_bounded_by_the_call_stack():
+    """The search keeps its own stack: on the 302-state minimal DFA of
+    {a^i b : i < 300} it finds an order with only 100 frames to spare."""
+    dm = minimize(word_set_dfa([("a",) * i + ("b",) for i in range(300)], UAB))
+    assert len(dm.states) == 302
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        chain = subregular._search_monotone_order(dm)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert chain is not None and _is_monotone(dm, chain)
 
 
 def test_order_search_agrees_with_brute_force():
