@@ -9,13 +9,14 @@ Two machine types:
   is total; unproductive behaviour is routed through an explicit sink that is
   counted like any other state).
 
-Every search whose order shows in an answer goes through one of two
-helpers, the one place that fixes discovery order (FIFO, letters in
-alphabet order, the first discovery of a node wins): :func:`bfs_words`
-pairs each reachable node with its shortlex-least word, and
-:func:`_explore` numbers the reachable part of a step function ``0..n-1``
-as a :class:`Dfa`.  So every witness word is shortlex-least, and equal
-languages fed through :func:`minimize` yield structurally equal objects.
+Every search walks state positions on :attr:`Dfa.rows` (a pair of states
+is the int ``p*n + q``) through one of two helpers, the one place that fixes
+discovery order (FIFO, letters in alphabet order, the first discovery of a
+node wins): :func:`bfs_tree` links each node to its parent, so that
+:func:`path_word` spells only the words a caller returns, and
+:func:`_explore` numbers the reachable part of a successor function
+``0..n-1`` as a :class:`Dfa`.  So every witness word is shortlex-least, and
+equal languages fed through :func:`minimize` yield equal objects.
 :func:`_distance_to_accepting`, :func:`_longest_word_length` and
 :func:`enumerate_regular` each walk on their own: they return distances, a
 length and a set of words, which no discovery order changes.
@@ -23,8 +24,9 @@ length and a set of words, which no discovery order changes.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from functools import cached_property
+from itertools import chain, product
 from operator import itemgetter
 from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
@@ -86,10 +88,11 @@ class Dfa(Record):
                 if (q, a) not in self.delta:
                     raise InvalidAutomatonError(
                         f"incomplete transition function: missing ({q!r}, {a!r})")
+        symbols = set(self.alphabet.symbols)
         for (q, a), t in self.delta.items():
             if q not in sset or t not in sset:
                 raise InvalidAutomatonError(f"transition on unknown state: {(q, a)}")
-            if a not in self.alphabet:
+            if a not in symbols:
                 raise InvalidAutomatonError(f"transition on foreign symbol {a!r}")
 
     @cached_property
@@ -100,9 +103,6 @@ class Dfa(Record):
         index = {q: i for i, q in enumerate(self.states)}
         return tuple(tuple(index[self.delta[(q, a)]] for q in self.states)
                      for a in self.alphabet)
-
-    def step(self, q: State, a: str) -> State:
-        return self.delta[(q, a)]
 
     def run(self, w: Word, start: State | None = None) -> State:
         q = self.initial if start is None else start
@@ -126,54 +126,75 @@ def accepts(d: Dfa, w: Word) -> bool:
 
 # --- breadth-first search -----------------------------------------------
 
-def bfs_words(start, step: Callable, alphabet: Alphabet) -> Iterator[tuple]:
-    """Yield ``(node, word)`` for every node reachable from ``start``, in
-    breadth-first discovery order; each word is the shortlex-least path to
-    its node.  ``step(node, a)`` returns the next node, or ``None`` for no
-    move.  A node is expanded only after it has been yielded, so a caller
-    that stops early explores nothing beyond that node."""
-    letters = tuple(alphabet)
-    words = {start: EMPTY_WORD}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        w = words[node]
+def bfs_tree(start, successors: Callable) -> tuple[Iterator, list]:
+    """The nodes reachable from ``start`` in breadth-first discovery order,
+    and the list of links the walk fills: ``links[j] == (k, i)`` when the
+    ``j``-th node was first reached from the ``k``-th by the letter of index
+    ``i`` (``links[0]`` is None).  ``successors(node)`` lists a node's images
+    letter by letter, ``None`` for no move.  A node is yielded as soon as it
+    is found, so a caller that stops early expands nothing beyond it."""
+    links: list = [None]
+    return _walk(start, successors, links), links
+
+
+def _walk(start, successors: Callable, links: list) -> Iterator:
+    yield start
+    order, seen = [start], {start}
+    for k, node in enumerate(order):  # grows while it is read
+        for i, t in enumerate(successors(node)):
+            if t is not None and t not in seen:
+                seen.add(t)
+                order.append(t)
+                links.append((k, i))
+                yield t
+
+
+def path_word(links: list, j: int, alphabet: Alphabet) -> Word:
+    """The word of the ``j``-th node of a :func:`bfs_tree` walk."""
+    letters = []
+    while (link := links[j]) is not None:
+        j, i = link
+        letters.append(alphabet.symbols[i])
+    return tuple(reversed(letters))
+
+
+def _all_words(walk: Iterator, links: list, alphabet: Alphabet) -> Iterator:
+    """``(node, word)`` for each node of a :func:`bfs_tree` walk."""
+    letters, words = alphabet.symbols, []
+    for node, link in zip(walk, links):  # a node is linked before it is yielded
+        w = EMPTY_WORD if link is None else words[link[0]] + (letters[link[1]],)
+        words.append(w)
         yield node, w
-        for a in letters:
-            t = step(node, a)
-            if t is not None and t not in words:
-                words[t] = w + (a,)
-                queue.append(t)
 
 
-def _explore(alphabet: Alphabet, start, step: Callable,
+def _explore(alphabet: Alphabet, start, successors: Callable,
              is_accepting: Callable) -> Dfa:
-    """The part of a total deterministic ``step`` reachable from ``start``,
-    as a :class:`Dfa` on ``0..n-1`` numbered in breadth-first discovery
-    order."""
-    letters = tuple(alphabet)
-    ids = {start: 0}
-    queue = deque([start])
-    delta: dict[tuple[State, str], State] = {}
-    accepting: set[int] = set()
-    while queue:
-        node = queue.popleft()
-        i = ids[node]
-        if is_accepting(node):
-            accepting.add(i)
-        for a in letters:
-            t = step(node, a)
+    """The part of a total ``successors`` reachable from ``start``, as a
+    :class:`Dfa` on ``0..n-1`` in discovery order, its rows filled on the way."""
+    ids, order = {start: 0}, [start]
+    rows: list[list[int]] = [[] for _ in alphabet]
+    for node in order:  # grows while it is read
+        for row, t in zip(rows, successors(node)):
             if t not in ids:
-                ids[t] = len(ids)
-                queue.append(t)
-            delta[(i, a)] = ids[t]
-    return Dfa(tuple(range(len(ids))), alphabet, delta, 0, frozenset(accepting))
+                ids[t] = len(order)
+                order.append(t)
+            row.append(ids[t])
+    n = len(order)
+    d = Dfa(tuple(range(n)), alphabet,
+            dict(zip(product(range(n), alphabet), chain.from_iterable(zip(*rows)))),
+            0, frozenset(i for i, node in enumerate(order) if is_accepting(node)))
+    vars(d)["rows"] = tuple(map(tuple, rows))  # where the cached property keeps it
+    return d
 
 
-def _pair_step(d1: Dfa, d2: Dfa) -> Callable:
-    """Step function of the product of two automata over one alphabet."""
-    delta1, delta2 = d1.delta, d2.delta
-    return lambda pair, a: (delta1[(pair[0], a)], delta2[(pair[1], a)])
+def _product(d1: Dfa, d2: Dfa, op: str) -> tuple[Callable, Callable]:
+    """Successors of the pair ``p*n2 + q`` of positions in two automata over
+    one alphabet, and whether ``_BOOL_OPS[op]`` holds of its acceptance."""
+    fn, n2 = _BOOL_OPS[op], len(d2.states)
+    rows = list(zip(d1.rows, d2.rows))
+    return (lambda x: [r1[x // n2] * n2 + r2[x % n2] for r1, r2 in rows],
+            lambda x: fn(d1.states[x // n2] in d1.accepting,
+                         d2.states[x % n2] in d2.accepting))
 
 
 # --- compilers ----------------------------------------------------------
@@ -229,7 +250,8 @@ def regex_to_nfa(r: Regex, alphabet: Alphabet) -> Nfa:
 def nfa_to_dfa(n: Nfa) -> Dfa:
     """Subset construction; the empty subset acts as the sink, so the result
     is complete.  States are renumbered 0,1,... in discovery order."""
-    return _explore(n.alphabet, frozenset(n.initial), n.move,
+    return _explore(n.alphabet, frozenset(n.initial),
+                    lambda subset: [n.move(subset, a) for a in n.alphabet.symbols],
                     lambda subset: bool(subset & n.accepting))
 
 
@@ -240,24 +262,24 @@ def regex_to_dfa(r: Regex, alphabet: Alphabet) -> Dfa:
 # --- minimization and comparison ----------------------------------------
 
 def minimize(d: Dfa) -> Dfa:
-    """Canonical minimal DFA: the reachable part, its states merged by Moore
-    partition refinement over the letter rows, renumbered breadth-first.
-    Two inputs with the same language minimize to structurally equal objects."""
-    r = _explore(d.alphabet, d.initial, d.step, d.accepting.__contains__)
-    block = [0 if q in r.accepting else 1 for q in r.states]
+    """Canonical minimal DFA: the states merged by Moore partition refinement
+    over the letter rows, the blocks reachable from the initial state's
+    renumbered breadth-first.  Two inputs with the same language minimize to
+    structurally equal objects."""
+    block = [0 if q in d.accepting else 1 for q in d.states]
     count = len(set(block))
     while True:
-        signatures = list(zip(block, *(compose(row, block) for row in r.rows)))
+        signatures = list(zip(block, *(compose(row, block) for row in d.rows)))
         ids: dict[tuple, int] = {}
         new_block = [ids.setdefault(sig, len(ids)) for sig in signatures]
         if len(ids) == count:
             break
         block, count = new_block, len(ids)
     # canonical renumber by BFS over blocks; any member stands for its block
-    rep = dict(zip(block, r.states))
-    return _explore(d.alphabet, block[0],
-                    lambda b, a: block[r.delta[(rep[b], a)]],
-                    lambda b: rep[b] in r.accepting)
+    rep = dict(zip(block, range(len(block))))
+    return _explore(d.alphabet, block[d.states.index(d.initial)],
+                    lambda b: [block[row[rep[b]]] for row in d.rows],
+                    lambda b: d.states[rep[b]] in d.accepting)
 
 
 def _check_same_alphabet(d1: Dfa, d2: Dfa) -> None:
@@ -274,20 +296,22 @@ _BOOL_OPS: dict[str, Callable[[bool, bool], bool]] = {
 }
 
 
-def _pair_word(d1: Dfa, p: State, d2: Dfa, q: State, op: str) -> Word | None:
-    """Shortlex-least word on which ``_BOOL_OPS[op]`` holds of its
-    acceptance from ``p`` in ``d1`` and from ``q`` in ``d2``, or None."""
-    fn = _BOOL_OPS[op]
-    for (x, y), w in bfs_words((p, q), _pair_step(d1, d2), d1.alphabet):
-        if fn(x in d1.accepting, y in d2.accepting):
-            return w
+def _pair_word(d1: Dfa, p: int, d2: Dfa, q: int, op: str) -> Word | None:
+    """Shortlex-least word on which ``_BOOL_OPS[op]`` holds of its acceptance
+    from position ``p`` in ``d1`` and position ``q`` in ``d2``, or None."""
+    successors, holds = _product(d1, d2, op)
+    walk, links = bfs_tree(p * len(d2.states) + q, successors)
+    for j, x in enumerate(walk):
+        if holds(x):
+            return path_word(links, j, d1.alphabet)
     return None
 
 
 def distinguishing_word(d1: Dfa, d2: Dfa) -> Word | None:
     """Shortest word accepted by exactly one of the two automata, or None."""
     _check_same_alphabet(d1, d2)
-    return _pair_word(d1, d1.initial, d2, d2.initial, "symmetric_difference")
+    return _pair_word(d1, d1.states.index(d1.initial),
+                      d2, d2.states.index(d2.initial), "symmetric_difference")
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
@@ -299,14 +323,14 @@ def combine(d1: Dfa, d2: Dfa, op: str) -> Dfa:
     _check_same_alphabet(d1, d2)
     if op not in _BOOL_OPS:
         raise ValueError(f"unknown op {op!r}; use one of {sorted(_BOOL_OPS)}")
-    fn = _BOOL_OPS[op]
-    return _explore(d1.alphabet, (d1.initial, d2.initial), _pair_step(d1, d2),
-                    lambda pair: fn(pair[0] in d1.accepting, pair[1] in d2.accepting))
+    start = d1.states.index(d1.initial) * len(d2.states) + d2.states.index(d2.initial)
+    return _explore(d1.alphabet, start, *_product(d1, d2, op))
 
 
 def complement(d: Dfa) -> Dfa:
-    return Dfa(d.states, d.alphabet, d.delta, d.initial,
-               frozenset(set(d.states) - set(d.accepting)))
+    c = d.replace(accepting=frozenset(set(d.states) - set(d.accepting)))
+    vars(c)["rows"] = d.rows  # the same table, so the cached property's value
+    return c
 
 
 # --- queries ------------------------------------------------------------
@@ -314,36 +338,40 @@ def complement(d: Dfa) -> Dfa:
 def shortest_accepted(d: Dfa, start: State | None = None) -> Word | None:
     """Shortlex-least word accepted from ``start`` (default: the initial
     state), or None when none is."""
-    q0 = d.initial if start is None else start
-    for q, w in bfs_words(q0, d.step, d.alphabet):
-        if q in d.accepting:
-            return w
+    walk, links = bfs_tree(d.states.index(d.initial if start is None else start),
+                           lambda q: [row[q] for row in d.rows])
+    for j, q in enumerate(walk):
+        if d.states[q] in d.accepting:
+            return path_word(links, j, d.alphabet)
     return None
 
 
 def access_words(d: Dfa) -> dict:
     """Shortlex-least word reaching each reachable state."""
-    return dict(bfs_words(d.initial, d.step, d.alphabet))
+    walk, links = bfs_tree(d.states.index(d.initial),
+                           list(zip(*d.rows)).__getitem__)
+    return {d.states[q]: w for q, w in _all_words(walk, links, d.alphabet)}
 
 
 def distinguishing_suffix(d: Dfa, p: State, q: State) -> Word | None:
     """Shortest word accepted from exactly one of two states of ``d``."""
-    return _pair_word(d, p, d, q, "symmetric_difference")
+    index = d.states.index
+    return _pair_word(d, index(p), d, index(q), "symmetric_difference")
 
 
-def _distance_to_accepting(d: Dfa) -> dict:
-    """Shortest suffix length from each state into an accepting state."""
-    dist: dict[State, int] = {q: 0 for q in d.accepting}
-    queue = deque(d.accepting)
-    back: dict[State, list] = {q: [] for q in d.states}
-    for (q, a), t in d.delta.items():
-        back[t].append(q)
-    while queue:
-        t = queue.popleft()
+def _distance_to_accepting(d: Dfa) -> dict[int, int]:
+    """Shortest suffix length into acceptance from each position that has one."""
+    back: list[list[int]] = [[] for _ in d.states]
+    for row in d.rows:
+        for q, t in enumerate(row):
+            back[t].append(q)
+    order = [i for i, q in enumerate(d.states) if q in d.accepting]
+    dist = dict.fromkeys(order, 0)
+    for t in order:  # grows while it is read
         for q in back[t]:
             if q not in dist:
                 dist[q] = dist[t] + 1
-                queue.append(q)
+                order.append(q)
     return dist
 
 
@@ -356,16 +384,18 @@ def enumerate_regular(d: Dfa, max_len: int, *,
     them, both kinds together, raise :class:`ResourceLimitError`."""
     dist = _distance_to_accepting(d)
     out: set[Word] = set()
-    if d.initial not in dist:
+    q0 = d.states.index(d.initial)
+    if q0 not in dist:
         return out
-    layer: list[tuple[State, Word]] = [(d.initial, EMPTY_WORD)]
+    layer: list[tuple[int, Word]] = [(q0, EMPTY_WORD)]
+    letters = list(zip(d.alphabet, d.rows))
     for length in range(max_len + 1):
-        nxt: list[tuple[State, Word]] = []
+        nxt: list[tuple[int, Word]] = []
         for q, w in layer:
-            if q in d.accepting:
+            if not dist[q]:
                 out.add(w)
-            for a in d.alphabet if length < max_len else ():
-                t = d.delta[(q, a)]
+            for a, row in letters if length < max_len else ():
+                t = row[q]
                 if t in dist and dist[t] <= max_len - length - 1:
                     nxt.append((t, w + (a,)))
             if len(out) + len(nxt) > frontier_cap:
@@ -380,21 +410,19 @@ def frontier_exceeded(cap: int, reached: int) -> ResourceLimitError:
                               cap=cap, reached=reached)
 
 
-def _useful_states(d: Dfa, access: Mapping | None = None) -> set:
-    """States that are reachable and can still reach an accepting state;
-    ``access`` is ``access_words(d)``, passed by a caller that has it."""
+def _useful_states(d: Dfa) -> set[int]:
+    """The reachable positions that can still reach acceptance."""
     dist = _distance_to_accepting(d)
-    return {q for q in (access_words(d) if access is None else access)
-            if q in dist}
+    walk, _ = bfs_tree(d.states.index(d.initial), list(zip(*d.rows)).__getitem__)
+    return {q for q in walk if q in dist}
 
 
-def _longest_word_length(d: Dfa, useful: set) -> int | None:
-    """Length of the longest accepted word, given the useful states; None for
-    an infinite language, -1 for the empty one.  A topological order of the
-    useful states covers them all exactly when no cycle lies on an accepting
-    path; read backwards, it gives each state's longest accepted suffix."""
-    succ = {q: [t for a in d.alphabet if (t := d.delta[(q, a)]) in useful]
-            for q in useful}
+def _longest_word_length(d: Dfa, useful: set[int]) -> int | None:
+    """Length of the longest accepted word, given the useful positions; None
+    for an infinite language, -1 for the empty one.  A topological order of
+    the useful states covers them all exactly when no cycle lies on an
+    accepting path; read backwards, it gives each state's longest suffix."""
+    succ = {q: [t for row in d.rows if (t := row[q]) in useful] for q in useful}
     indegree = Counter(t for ts in succ.values() for t in ts)
     order = [q for q in useful if not indegree[q]]
     for q in order:  # grows while it is read
@@ -404,11 +432,11 @@ def _longest_word_length(d: Dfa, useful: set) -> int | None:
                 order.append(t)
     if len(order) < len(useful):
         return None
-    longest: dict[State, int] = {}
+    longest: dict[int, int] = {}
     for q in reversed(order):
         longest[q] = max([1 + longest[t] for t in succ[q]]
-                         + ([0] if q in d.accepting else []))
-    return longest.get(d.initial, -1)
+                         + ([0] if d.states[q] in d.accepting else []))
+    return longest.get(d.states.index(d.initial), -1)
 
 
 def language_is_finite(d: Dfa) -> bool:

@@ -13,14 +13,16 @@ Exit codes: 0 success; 1 negative decision (non-member, family verdict no,
 failed witness check); 2 usage or parse error; 3 a configured resource cap
 was hit before a decision; 4 an internal error (a bug: a failed
 cross-check, or any exception the program does not expect), with its
-traceback on stderr.  ``--format machine`` switches every command to
-JSON on stdout; identical invocations produce identical bytes.
+traceback on stderr; 141, printing nothing more, when the reader of stdout
+closed it early, as ``| head`` may.  ``--format machine`` switches every
+command to JSON on stdout; identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -43,6 +45,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_CAPPED = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a piped reader gone
 
 _CAP_KEYS = SearchCaps._fields
 
@@ -442,6 +445,13 @@ def main(argv: list[str] | None = None) -> int:
         if "regex" in args:
             _check_one_language(args)
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader closed stdout: print nothing more, and let the flush at
+        # interpreter exit write to the null device instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except InternalConsistencyError:
         traceback.print_exc()
         return EXIT_INTERNAL

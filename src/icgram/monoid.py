@@ -14,9 +14,10 @@ first counter instead of building the whole monoid, and PS resumes there.
 
 from __future__ import annotations
 
+from itertools import islice, repeat
 from typing import Iterator
 
-from .automata import Dfa, bfs_words, compose
+from .automata import Dfa, _all_words, bfs_tree, compose
 from .errors import ResourceLimitError
 from .families import DEFAULT_MONOID_CAP
 from .words import Record, Word
@@ -32,16 +33,15 @@ def monoid_elements(d: Dfa, cap: int = DEFAULT_MONOID_CAP
     Raises :class:`ResourceLimitError` in place of yielding element
     ``cap + 1``, so no element beyond the cap is ever seen by the caller.
     """
-    gen = dict(zip(d.alphabet, d.rows))
-    identity = tuple(range(len(d.states)))
+    identity, rows = tuple(range(len(d.states))), d.rows
     # the transformation of w . a is that of w, then a's row
-    walk = bfs_words(identity, lambda t, a: compose(t, gen[a]), d.alphabet)
-    for i, element in enumerate(walk):
-        if i == cap:
-            raise ResourceLimitError(
-                f"transition monoid exceeds cap of {cap} elements",
-                cap=cap, reached=cap + 1)
-        yield element
+    walk, links = bfs_tree(identity, lambda t: map(compose, repeat(t), rows))
+    elements = _all_words(walk, links, d.alphabet)
+    yield from islice(elements, cap)
+    if next(elements, None) is not None:
+        raise ResourceLimitError(
+            f"transition monoid exceeds cap of {cap} elements",
+            cap=cap, reached=cap + 1)
 
 
 class TransitionMonoid(Record):

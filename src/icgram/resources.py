@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import comb
 
-from .automata import Dfa, bfs_words, minimize
+from .automata import Dfa, bfs_tree, minimize
 from .families import SearchCaps
 from .rlgrammar import RightLinearGrammar, Rule, _entries
 from .words import EMPTY_WORD, Alphabet, Record, fresh_prefix
@@ -53,9 +53,9 @@ def dfa_to_grammar(d: Dfa) -> RightLinearGrammar:
     prefix = fresh_prefix("Q", dm.alphabet)
     name = {q: f"{prefix}{q}" for q in dm.states}
     rules = []
-    for q in dm.states:
-        for a in dm.alphabet:
-            rules.append(Rule(name[q], (a,), name[dm.delta[(q, a)]]))
+    for q, images in zip(dm.states, zip(*dm.rows)):
+        for a, t in zip(dm.alphabet, images):
+            rules.append(Rule(name[q], (a,), name[t]))
         if q in dm.accepting:
             rules.append(Rule(name[q], EMPTY_WORD, None))
     return RightLinearGrammar(tuple(name[q] for q in dm.states), dm.alphabet,
@@ -86,18 +86,20 @@ def _matches(nonterminals: tuple[str, ...], rules: tuple[Rule, ...],
     and stopped at the first node where one accepts and the other does not."""
     enter = _entries(nonterminals, rules)
 
-    def step(node, a):
+    def successors(node):
         positions, q = node
-        out = set()
+        out: dict = {}
         for i, k in filter(None, positions):
             w = rules[i].word
-            if w[k] == a:
-                out |= enter[rules[i].successor] if k + 1 == len(w) else {(i, k + 1)}
-        return frozenset(out), d.delta[(q, a)]
+            out.setdefault(w[k], set()).update(
+                enter[rules[i].successor] if k + 1 == len(w) else {(i, k + 1)})
+        return [(frozenset(out.get(a, ())), row[q])
+                for a, row in zip(d.alphabet.symbols, d.rows)]
 
-    start = frozenset(enter[nonterminals[0]]), d.initial
-    return all((None in positions) == (q in d.accepting)
-               for (positions, q), _ in bfs_words(start, step, d.alphabet))
+    walk, _ = bfs_tree((frozenset(enter[nonterminals[0]]),
+                        d.states.index(d.initial)), successors)
+    return all((None in positions) == (d.states[q] in d.accepting)
+               for positions, q in walk)
 
 
 def bounded_min_grammar(d: Dfa, kind: str,

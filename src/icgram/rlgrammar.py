@@ -12,7 +12,7 @@ word: ``S -> aa S``, ``S -> @``, ``S -> T`` (unit rule).
 
 from __future__ import annotations
 
-from .automata import Nfa
+from .automata import Nfa, bfs_tree
 from .errors import InvalidGrammarError, TextFormatError, at_line
 from .words import (EMPTY_WORD, Alphabet, Record, Word, clean_lines,
                     word_from_text, word_to_text)
@@ -73,12 +73,7 @@ def _entries(nonterminals: tuple[str, ...], rules: tuple[Rule, ...]) -> dict:
             units.setdefault(r.lhs, []).append(r.successor)
     entries = {None: {None}, **own}
     for a in units:
-        reach, seen = [a], {a}
-        for x in reach:  # the list grows as it is read: a breadth-first queue
-            for b in units.get(x, ()):
-                if b not in seen:
-                    seen.add(b)
-                    reach.append(b)
+        reach, _ = bfs_tree(a, lambda x: units.get(x, ()))
         entries[a] = set().union(*map(own.__getitem__, reach))
     return entries
 

@@ -28,13 +28,13 @@ bug in one of the deciders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import chain
 
-from .automata import (Dfa, access_words, bfs_words, complement, compose,
-                       distinguishing_suffix, minimize, shortest_accepted,
-                       _longest_word_length, _pair_step, _pair_word,
-                       _useful_states)
+from .automata import (Dfa, access_words, bfs_tree, complement, compose,
+                       distinguishing_suffix, minimize, path_word,
+                       shortest_accepted, _longest_word_length,
+                       _pair_word, _product, _useful_states)
 from .contextual import ContextualGrammar, ensure_valid
 from .errors import (AlphabetMismatchError, InternalConsistencyError,
                      ResourceLimitError, UndecidedError)
@@ -94,7 +94,7 @@ class _Analysis:
 
     @cached_property
     def useful(self) -> set:
-        return _useful_states(self.dm, self.access)
+        return _useful_states(self.dm)
 
     @cached_property
     def suffix_pairs(self) -> tuple[int | None, set[int], list]:
@@ -135,19 +135,17 @@ def _pump_words(an: _Analysis) -> tuple[Word, Word, Word]:
     """(x, y, z) with x y^k z accepted for every k >= 0 and y non-empty.
     Only valid when the language is infinite."""
     dm, useful, acc = an.dm, an.useful, an.access
-    stand_in = object()
+    cols = list(zip(*dm.rows))
+    step = lambda s: [t if t in useful else None for t in cols[s]]
     for q in sorted(useful, key=lambda s: len(acc[s])):
-        # shortest non-empty loop at q through useful states: the search
-        # starts from a stand-in that moves like q, so that q itself is
-        # discovered only when a path returns to it
-        def step(s, a):
-            t = dm.delta[(q if s is stand_in else s, a)]
-            return t if t in useful else None
-
-        y = next((w for s, w in bfs_words(stand_in, step, dm.alphabet)
-                  if s == q), None)
-        if y is not None:
-            return acc[q], y, shortest_accepted(dm, q)
+        # the shortest non-empty loop at q through useful states: the word of
+        # the first node, breadth first from q, with an edge back, and its letter
+        walk, links = bfs_tree(q, step)
+        for j, s in enumerate(walk):
+            if q in cols[s]:
+                y = path_word(links, j, dm.alphabet) + (
+                    dm.alphabet.symbols[cols[s].index(q)],)
+                return acc[q], y, shortest_accepted(dm, q)
     raise AssertionError("no pumpable state in an infinite language")
 
 
@@ -177,19 +175,20 @@ def _check_nilpotent(an: _Analysis) -> tuple[bool, Evidence]:
 
 def _check_combinational(an: _Analysis) -> tuple[bool, Evidence]:
     dm = an.dm
-    choice = tuple(a for a in dm.alphabet if dm.run((a,)) in dm.accepting)
-    # breadth-first over (state, "the last symbol is in choice"): the first
-    # node whose two halves disagree ends the shortlex-least witness
-    walk = bfs_words((dm.initial, False),
-                     lambda node, a: (dm.step(node[0], a), a in choice),
-                     dm.alphabet)
-    w = next((w for (q, last), w in walk if (q in dm.accepting) != last), None)
-    if w is None:
-        shown = " ".join(choice) if choice else "(none)"
+    ends = [row[dm.initial] in dm.accepting for row in dm.rows]
+    # breadth-first over 2*state + whether the last letter alone is accepted:
+    # the first node whose halves disagree ends the shortlex-least witness
+    walk, links = bfs_tree(2 * dm.initial, lambda x: [
+        2 * row[x >> 1] + end for row, end in zip(dm.rows, ends)])
+    j, x = next(((j, x) for j, x in enumerate(walk)
+                 if (x >> 1 in dm.accepting) != x & 1), (None, None))
+    if x is None:
+        shown = " ".join(a for a, end in zip(dm.alphabet, ends) if end) or "(none)"
         return True, Evidence(f"exactly the words ending in: {shown}")
-    side = "accepted" if dm.run(w) in dm.accepting else "rejected"
+    side = "accepted" if x >> 1 in dm.accepting else "rejected"
     return False, Evidence(
-        f"membership is not a function of the final symbol ({side} witness)", (w,))
+        f"membership is not a function of the final symbol ({side} witness)",
+        (path_word(links, j, dm.alphabet),))
 
 
 def _pair_edges(rows: list, n: int, pair: int):
@@ -378,19 +377,18 @@ def _check_ordered(an: _Analysis) -> tuple[Verdict, Evidence]:
     if order is not None:
         return Verdict.YES, Evidence(
             "monotone state order: " + " < ".join(str(q) for q in order))
+    how = ("the state-order search hit its cap" if order_capped else
+           "the minimal automaton admits no monotone order")
     k = an.suffix_pairs[0]
     if k is not None:
         return Verdict.YES, Evidence(
-            f"the minimal automaton admits no monotone order, but membership "
-            f"depends only on the last {k} symbols and the last-{k}-symbols "
-            f"automaton does")
+            f"{how}, but membership depends only on the last {k} symbols and "
+            f"the last-{k}-symbols automaton does")
     nc_verdict, nc_ev = an.decide(NC)
     if nc_verdict is Verdict.NO:
         return Verdict.NO, Evidence(
             "monotone maps of a finite chain cannot count repetitions: "
             + nc_ev.note, nc_ev.words)
-    how = ("the state-order search hit its cap" if order_capped else
-           "the minimal automaton admits no monotone order")
     if nc_verdict is Verdict.UNKNOWN:
         return Verdict.UNKNOWN, Evidence(
             how + f"; the repetition check hit the monoid cap of {an.monoid_cap}, "
@@ -402,12 +400,11 @@ def _check_ordered(an: _Analysis) -> tuple[Verdict, Evidence]:
 
 def _check_commutative(an: _Analysis) -> tuple[bool, Evidence]:
     dm = an.dm
-    letters = list(dm.alphabet)
+    letters = list(zip(dm.alphabet, dm.rows))
     for q in dm.states:
-        for i, a in enumerate(letters):
-            for b in letters[i + 1:]:
-                s1 = dm.delta[(dm.delta[(q, a)], b)]
-                s2 = dm.delta[(dm.delta[(q, b)], a)]
+        for i, (a, ra) in enumerate(letters):
+            for b, rb in letters[i + 1:]:
+                s1, s2 = rb[ra[q]], ra[rb[q]]
                 if s1 != s2:
                     z = distinguishing_suffix(dm, s1, s2)
                     assert z is not None  # distinct states of a minimal DFA
@@ -419,24 +416,33 @@ def _check_commutative(an: _Analysis) -> tuple[bool, Evidence]:
 
 
 def _check_circular(an: _Analysis) -> tuple[bool, Evidence]:
+    """Words ``u, v`` with ``uv`` accepted and ``vu`` not: ``v`` leads ``q``
+    into acceptance and the initial state to ``b``, ``u`` the initial state
+    to ``q`` and ``b`` out of acceptance.  For each ``q``, the pairs reached
+    from ``(q, initial)`` are tried in the text order of their states."""
     dm = an.dm
-    q0 = dm.initial
-    step = _pair_step(dm, dm)
-    back: dict = {}
+    n, q0, alphabet = len(dm.states), dm.initial, dm.alphabet
+    rank = {q: i for i, q in enumerate(sorted(dm.states, key=str))}
+    step = cache(_product(dm, dm, "union")[0])
+    exits: dict[int, list] = {}
     for q in dm.states:
-        fwd = dict(bfs_words((q, q0), step, dm.alphabet))
-        for (a, b) in sorted(fwd, key=lambda pr: (str(pr[0]), str(pr[1]))):
-            if a not in dm.accepting:
-                continue
-            if b not in back:
-                back[b] = dict(bfs_words((q0, b), step, dm.alphabet))
-            for (c, dd) in sorted(back[b], key=lambda pr: (str(pr[0]), str(pr[1]))):
-                if c == q and dd not in dm.accepting:
-                    v = fwd[(a, b)]
-                    u = back[b][(c, dd)]
-                    return False, Evidence(
-                        "the second word is a rotation of the first (accepted) one",
-                        (u + v, v + u))
+        walk, fwd = bfs_tree(q * n + q0, step)
+        for x, j in sorted(((x, j) for j, x in enumerate(walk)
+                            if x // n in dm.accepting),
+                           key=lambda xj: (rank[xj[0] // n], rank[xj[0] % n])):
+            b = x % n
+            if b not in exits:
+                exits[b] = first = [None] * n  # per c, the first e reached
+                for c, e in (divmod(y, n) for y in bfs_tree(q0 * n + b, step)[0]):
+                    if e not in dm.accepting and rank[e] < rank.get(first[c], n):
+                        first[c] = e
+            if exits[b][q] is not None:
+                walk, back = bfs_tree(q0 * n + b, step)  # again, to where u ends
+                k = next(k for k, z in enumerate(walk) if z == q * n + exits[b][q])
+                u, v = path_word(back, k, alphabet), path_word(fwd, j, alphabet)
+                return False, Evidence(
+                    "the second word is a rotation of the first (accepted) one",
+                    (u + v, v + u))
     return True, Evidence("closed under cyclic shifts")
 
 
@@ -518,7 +524,7 @@ _CHECKS = {
 
 # --- public predicates ----------------------------------------------------
 
-def _holds(label: FamilyLabel, d: Dfa, U: Alphabet,
+def _holds(label: FamilyLabel, d: Dfa, U: Alphabet, *,
            monoid_cap: int = DEFAULT_MONOID_CAP) -> bool:
     """One family's verdict; UNKNOWN raises :class:`UndecidedError`."""
     _require_alphabet(d, U)
@@ -528,56 +534,14 @@ def _holds(label: FamilyLabel, d: Dfa, U: Alphabet,
     return v is Verdict.YES
 
 
-def is_monoidal(d: Dfa, U: Alphabet) -> bool:
-    return _holds(MON, d, U)
-
-
-def is_finite(d: Dfa, U: Alphabet) -> bool:
-    return _holds(FIN, d, U)
-
-
-def is_nilpotent(d: Dfa, U: Alphabet) -> bool:
-    return _holds(NIL, d, U)
-
-
-def is_combinational(d: Dfa, U: Alphabet) -> bool:
-    return _holds(COMB, d, U)
-
-
-def is_definite(d: Dfa, U: Alphabet) -> bool:
-    return _holds(DEF, d, U)
-
-
-def is_suffix_closed(d: Dfa, U: Alphabet) -> bool:
-    return _holds(SUF, d, U)
-
-
-def is_ordered(d: Dfa, U: Alphabet, *,
-               monoid_cap: int = DEFAULT_MONOID_CAP) -> bool:
-    """True/False when decidable; raises :class:`UndecidedError` otherwise.
-
-    See :func:`classify` for the three-valued form with evidence; the gap
-    (aperiodic, not definite, minimal automaton unorderable) is inherent in
-    the family's definition quantifying over *some* accepting automaton.
-    """
-    return _holds(ORD, d, U, monoid_cap)
-
-
-def is_commutative(d: Dfa, U: Alphabet) -> bool:
-    return _holds(COMM, d, U)
-
-
-def is_circular(d: Dfa, U: Alphabet) -> bool:
-    return _holds(CIRC, d, U)
-
-
-def is_noncounting(d: Dfa, U: Alphabet, *, monoid_cap: int = DEFAULT_MONOID_CAP) -> bool:
-    return _holds(NC, d, U, monoid_cap)
-
-
-def is_power_separating(d: Dfa, U: Alphabet, *,
-                        monoid_cap: int = DEFAULT_MONOID_CAP) -> bool:
-    return _holds(PS, d, U, monoid_cap)
+# ``is_finite(d, U)`` and the rest: True/False, or UndecidedError where
+# classify() says unknown, at a monoid cap that ``monoid_cap=`` sets (ORD's
+# gap, aperiodic and not definite with an unorderable minimal automaton, is
+# inherent: the family quantifies over *some* accepting automaton)
+(is_monoidal, is_finite, is_nilpotent, is_combinational, is_definite,
+ is_suffix_closed, is_ordered, is_commutative, is_circular, is_noncounting,
+ is_power_separating) = (partial(_holds, label) for label in (
+     MON, FIN, NIL, COMB, DEF, SUF, ORD, COMM, CIRC, NC, PS))
 
 
 def union_free_syntax(r: Regex) -> Verdict:

@@ -7,14 +7,102 @@ round, and the blocks are renumbered breadth-first at the end.
 ``tests/test_automata.py`` checks ``icgram.automata.minimize``, which
 refines over the integer letter rows of ``Dfa.rows``, against it.
 
+The searches on state names are the package's before it moved to state
+positions: ``bfs_words`` builds the word of every node it reaches, steps
+call ``(state, symbol)``-keyed ``delta`` lookups, and a product node is a
+tuple of two states.  ``_explore`` numbers the part of a step function
+reachable from a node ``0..n-1`` in discovery order, ``_pair_word`` and
+``access_words`` are the product and access-word searches, and
+``_distance_to_accepting`` maps each state that can still accept to its
+distance.  ``tests/test_automata.py`` checks ``icgram.automata.bfs_tree``
+and the searches built on it against them.
+
 The builders make the one-state universal and empty automata and the trie
 acceptor of a finite word set; ``inclusion_witness`` reads a shortest word
-of L(d1) \\ L(d2) off the pair search the deciders use.
+of L(d1) \\ L(d2) off the pair search.
 """
 
-from icgram.automata import (Dfa, _check_same_alphabet, _explore, _pair_word,
-                             access_words)
+from collections import deque
+
+from icgram.automata import Dfa, _check_same_alphabet
 from icgram.words import EMPTY_WORD
+
+
+def bfs_words(start, step, alphabet):
+    """Yield ``(node, word)`` for every node reachable from ``start``, in
+    breadth-first discovery order; each word is the shortlex-least path to
+    its node.  ``step(node, a)`` returns the next node, or ``None`` for no
+    move."""
+    letters = tuple(alphabet)
+    words = {start: EMPTY_WORD}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        w = words[node]
+        yield node, w
+        for a in letters:
+            t = step(node, a)
+            if t is not None and t not in words:
+                words[t] = w + (a,)
+                queue.append(t)
+
+
+def _explore(alphabet, start, step, is_accepting):
+    letters = tuple(alphabet)
+    ids = {start: 0}
+    queue = deque([start])
+    delta = {}
+    accepting = set()
+    while queue:
+        node = queue.popleft()
+        i = ids[node]
+        if is_accepting(node):
+            accepting.add(i)
+        for a in letters:
+            t = step(node, a)
+            if t not in ids:
+                ids[t] = len(ids)
+                queue.append(t)
+            delta[(i, a)] = ids[t]
+    return Dfa(tuple(range(len(ids))), alphabet, delta, 0, frozenset(accepting))
+
+
+_BOOL_OPS = {
+    "union": lambda x, y: x or y,
+    "intersection": lambda x, y: x and y,
+    "difference": lambda x, y: x and not y,
+    "symmetric_difference": lambda x, y: x != y,
+}
+
+
+def _pair_word(d1, p, d2, q, op):
+    """Shortlex-least word on which ``_BOOL_OPS[op]`` holds of its
+    acceptance from state ``p`` in ``d1`` and state ``q`` in ``d2``."""
+    fn = _BOOL_OPS[op]
+    step = lambda pair, a: (d1.delta[(pair[0], a)], d2.delta[(pair[1], a)])
+    for (x, y), w in bfs_words((p, q), step, d1.alphabet):
+        if fn(x in d1.accepting, y in d2.accepting):
+            return w
+    return None
+
+
+def access_words(d):
+    return dict(bfs_words(d.initial, lambda q, a: d.delta[(q, a)], d.alphabet))
+
+
+def _distance_to_accepting(d):
+    dist = {q: 0 for q in d.accepting}
+    queue = deque(d.accepting)
+    back = {q: [] for q in d.states}
+    for (q, a), t in d.delta.items():
+        back[t].append(q)
+    while queue:
+        t = queue.popleft()
+        for q in back[t]:
+            if q not in dist:
+                dist[q] = dist[t] + 1
+                queue.append(q)
+    return dist
 
 
 def minimize(d):

@@ -18,8 +18,8 @@ then confirm by equivalence of automata.
 from collections import deque
 
 from icgram import rlgrammar
-from icgram.automata import (Nfa, bfs_words, enumerate_regular, equivalent,
-                             nfa_to_dfa)
+from automata_oracle import bfs_words
+from icgram.automata import Nfa, enumerate_regular, equivalent, nfa_to_dfa
 from icgram.words import EMPTY_WORD
 
 _FIN = ("$fin",)

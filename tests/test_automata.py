@@ -12,11 +12,13 @@ import automata_oracle
 from automata_oracle import (empty_dfa, inclusion_witness, universal_dfa,
                              word_set_dfa)
 from conftest import all_words, random_dfa
-from icgram.automata import (Dfa, Nfa, access_words, accepts, combine, complement,
+from icgram.automata import (Dfa, Nfa, _BOOL_OPS, _pair_word, _product,
+                             access_words, accepts, bfs_tree, combine, complement,
                              dfa_to_table, distinguishing_suffix,
                              distinguishing_word, enumerate_regular, equivalent,
                              language_is_finite, minimize, nfa_to_dfa, parse_dfa_table,
-                             regex_to_dfa, regex_to_nfa, shortest_accepted)
+                             path_word, regex_to_dfa, regex_to_nfa,
+                             shortest_accepted)
 from icgram.errors import InvalidAutomatonError, TextFormatError
 from icgram.regex import parse_regex
 from icgram.words import Alphabet
@@ -299,3 +301,64 @@ def test_search_words_are_shortlex_least(rng, n_states):
                             all_words(u, len(z)),
                             lambda v: (d.run(v, p) in d.accepting)
                             != (d.run(v, q) in d.accepting))
+
+
+def _named_dfas(seed, count):
+    """Random complete DFAs with 1-9 states over 1-3 letters; every odd one
+    is read by ``parse_dfa_table`` from a table with string state names in
+    shuffled order and a random initial state."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n, u = rng.randint(1, 9), Alphabet(tuple("abc"[:rng.randint(1, 3)]))
+        d = random_dfa(rng, n, u)
+        if i % 2:
+            name = dict(zip(range(n), (f"s{j}" for j in rng.sample(range(100), n))))
+            states = tuple(name[q] for q in rng.sample(range(n), n))
+            d = parse_dfa_table(dfa_to_table(Dfa(
+                states, u, {(name[q], a): name[t] for (q, a), t in d.delta.items()},
+                name[rng.randrange(n)], frozenset(map(name.get, d.accepting)))))
+        yield d
+
+
+def _tree(start, successors, alphabet):
+    """``(node, word)`` for every node of a ``bfs_tree`` walk, in its order,
+    each word spelled from the links alone."""
+    walk, links = bfs_tree(start, successors)
+    nodes = list(walk)
+    return [(x, path_word(links, j, alphabet)) for j, x in enumerate(nodes)]
+
+
+def test_position_searches_match_the_state_name_searches():
+    """``bfs_tree`` on state positions and ``Dfa.rows`` visits the states
+    that the ``delta``-keyed ``bfs_words`` does, in the same order, and
+    spells the same words; so does the product search on ``p*n + q``
+    against tuple pairs, and ``_pair_word``, ``access_words`` and
+    ``shortest_accepted`` against their state-name forms."""
+    dfas = list(_named_dfas(36, 300))
+    assert any(isinstance(d.initial, str) for d in dfas)
+    for d, e in zip(dfas, dfas[1:] + dfas[:1]):
+        u = d.alphabet
+        cols = list(zip(*d.rows))
+        step = lambda q, a: d.delta[(q, a)]
+        for p in range(len(d.states)):
+            want = list(automata_oracle.bfs_words(d.states[p], step, u))
+            got = _tree(p, cols.__getitem__, u)
+            assert [(d.states[q], w) for q, w in got] == want, dfa_to_table(d)
+            assert shortest_accepted(d, d.states[p]) == next(
+                (w for q, w in want if q in d.accepting), None)
+        assert list(access_words(d).items()) == list(
+            automata_oracle.access_words(d).items())
+        if e.alphabet != u:
+            continue
+        n2 = len(e.states)
+        pair_step = lambda pq, a: (d.delta[(pq[0], a)], e.delta[(pq[1], a)])
+        for p in range(len(d.states)):
+            for q in range(n2):
+                want = list(automata_oracle.bfs_words(
+                    (d.states[p], e.states[q]), pair_step, u))
+                got = _tree(p * n2 + q, _product(d, e, "union")[0], u)
+                assert [((d.states[x // n2], e.states[x % n2]), w)
+                        for x, w in got] == want, (dfa_to_table(d), dfa_to_table(e))
+                for op in _BOOL_OPS:
+                    assert _pair_word(d, p, e, q, op) == automata_oracle._pair_word(
+                        d, d.states[p], e, e.states[q], op), op

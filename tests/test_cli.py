@@ -5,8 +5,11 @@ are exactly what a shell would see.
 """
 
 import json
+import os
 import random
 import re
+import sys
+from pathlib import Path
 from textwrap import indent
 
 import pytest
@@ -308,6 +311,30 @@ def test_internal_errors_exit_four(monkeypatch, capsys, error):
     assert err.endswith(f"{type(error).__name__}: {error}\n")
 
 
+def test_a_closed_stdout_ends_quietly_with_141(monkeypatch, capsys, tmp_path):
+    """Output into a pipe whose reader is gone is neither a usage error (2)
+    nor a bug (4): main prints nothing to stderr, returns 141 and points
+    stdout's descriptor at the null device, so the flush at interpreter
+    exit cannot raise again."""
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "out", "w") as out:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(out.fileno()))
+        code = cli.main(["witness", "hierarchy", "--scope", "merged",
+                         "--format", "machine"])
+        assert code == 141
+        assert os.path.samestat(os.fstat(out.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
+
+
 def test_regex_errors_carry_line_and_column(capsys):
     code, _ = run_cli(["classify", "--regex", "a(", "--alphabet", "a"])
     assert code == 2
@@ -549,6 +576,36 @@ def test_measure_exact_values():
     assert "states: 3 (exact)" in out
     assert "nonterminals: 1 (exact)" in out
     assert "rules: 2 (exact)" in out
+
+
+EXPORT_L1 = str(Path(__file__).resolve().parent / "goldens" / "export_l1.ctx")
+
+
+def test_classify_a_grammar_against_a_family():
+    """``classify --grammar --family`` answers per pair; each selection of
+    L1 is written as a one-nonterminal grammar, which settles RL_V(1)."""
+    code, out = run_cli(["classify", "--grammar", EXPORT_L1,
+                         "--family", "RL_V(1)"])
+    assert code == 0
+    assert out == (
+        "RL_V(1): yes\n"
+        "  pair 1: yes  # selection grammar as written has 1 nonterminal\n"
+        "  pair 2: yes  # selection grammar as written has 1 nonterminal\n")
+
+
+def test_measure_a_grammar_per_pair():
+    """``measure --grammar`` gives each pair's three measures and the size
+    of its selection grammar as written."""
+    search = "exhaustive search (nonterminals<=2, rules<=4, rhs<=3)"
+    code, out = run_cli(["measure", "--grammar", EXPORT_L1])
+    assert code == 0
+    assert out == "".join(
+        f"pair {i}:\n"
+        f"  states: {states} (exact)  # minimal complete automaton\n"
+        f"  nonterminals: 1 (exact)  # {search}\n"
+        f"  rules: 2 (exact)  # {search}\n"
+        "  as written: 1 nonterminal, 2 rules\n"
+        for i, states in ((1, 3), (2, 2)))
 
 
 def test_derive_successors_and_trace(grammar_files):

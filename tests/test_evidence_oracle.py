@@ -6,7 +6,17 @@ shared suffix, a rejected word, a word the final symbol misplaces.  Each
 relation is replayed on the automaton as given, not on its minimal form.
 Each YES of SUF, COMM, CIRC, MON and COMB is checked on every word up to
 length 7, and DEF's stated bound is checked to hold and to be least on the
-pairs of reachable states.  The automata are every DFA over {a, b} with at
+pairs of reachable states.
+
+FIN and NIL are checked by the lengths of accepted words: a language
+accepted by an automaton with n states is infinite exactly when it has a
+word of some length in [n, 2n), read off the sets of states that the words
+of each length reach.  A FIN yes must have no such length, and its stated
+longest length must be the last length below 2n that accepts; a FIN no
+names two accepted words, the second the first with a non-empty factor
+doubled.  NIL makes the same test on the complement: a yes is a finite or
+a cofinite language, and a no names an accepted and a rejected word of a
+language that is infinite with an infinite complement.  The automata are every DFA over {a, b} with at
 most 3 states and initial state 0, and a seeded sample of larger ones.
 """
 
@@ -19,8 +29,8 @@ import pytest
 
 from conftest import all_words, random_dfa
 from icgram.automata import Dfa
-from icgram.subregular import (CIRC, COMB, COMM, DEF, MON, SUF, Verdict,
-                               classify)
+from icgram.subregular import (CIRC, COMB, COMM, DEF, FIN, MON, NIL, SUF,
+                               Verdict, classify)
 from icgram.words import Alphabet
 
 UAB = Alphabet.of("a", "b")
@@ -59,11 +69,50 @@ def _reachable_pairs(d: Dfa) -> set:
     return {frozenset(p) for p in product(seen, repeat=2) if len(set(p)) == 2}
 
 
+def _length_layers(d: Dfa) -> list[set]:
+    """The states that the words of each length below 2n reach, n the
+    number of states of ``d``."""
+    layer, out = {d.initial}, []
+    for _ in range(2 * len(d.states)):
+        out.append(layer)
+        layer = {d.delta[(q, a)] for q in layer for a in d.alphabet}
+    return out
+
+
+def _infinite(d: Dfa, layers: list[set], complement: bool = False) -> bool:
+    """Whether the language, or its complement, has a word with a length
+    in [n, 2n)."""
+    return any(layer - d.accepting if complement else layer & d.accepting
+               for layer in layers[len(d.states):])
+
+
+def _check_finite_yes(d: Dfa, note: str, layers: list[set]):
+    assert not _infinite(d, layers)
+    lengths = [k for k, layer in enumerate(layers) if layer & d.accepting]
+    if note == "the empty language":
+        assert not lengths
+    else:
+        (m,) = map(int, re.findall(r"longest word has length (\d+)", note))
+        assert lengths[-1] == m
+
+
 def _mixed(d: Dfa, pairs: set) -> bool:
     return any(len({q in d.accepting for q in p}) == 2 for p in pairs)
 
 
 def _check_no(d: Dfa, label, note: str, words: tuple, min_states: int):
+    if label is FIN:
+        x, y = words
+        assert _accepts(d, x) and _accepts(d, y)
+        k = len(y) - len(x)
+        assert k > 0 and any(y == x[:i + k] + x[i:] for i in range(len(x) + 1))
+        return
+    if label is NIL:
+        x, y = words
+        assert _accepts(d, x) and not _accepts(d, y)
+        layers = _length_layers(d)
+        assert _infinite(d, layers) and _infinite(d, layers, complement=True)
+        return
     if label is MON:
         (w,) = words
         assert not _accepts(d, w)
@@ -96,7 +145,15 @@ def _check_no(d: Dfa, label, note: str, words: tuple, min_states: int):
 
 
 def _check_yes(d: Dfa, label, note: str, member: list[bool]):
-    if label is MON:
+    if label is FIN:
+        _check_finite_yes(d, note, _length_layers(d))
+    elif label is NIL:
+        layers = _length_layers(d)
+        if note == "cofinite language":
+            assert not _infinite(d, layers, complement=True)
+        else:
+            _check_finite_yes(d, note.removeprefix("finite language; "), layers)
+    elif label is MON:
         assert all(member)
     elif label is SUF:
         assert all(member[SUFFIX[i]] for i, m in enumerate(member) if m)
@@ -125,7 +182,7 @@ def _check_yes(d: Dfa, label, note: str, member: list[bool]):
 def _check(d: Dfa):
     report = classify(d, UAB)
     member = None
-    for label in (SUF, CIRC, COMM, DEF, MON, COMB):
+    for label in (SUF, CIRC, COMM, DEF, MON, COMB, FIN, NIL):
         v, ev = report.verdicts[label], report.evidence[label]
         if v is Verdict.NO:
             _check_no(d, label, ev.note, ev.words, report.min_state_count)

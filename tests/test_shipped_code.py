@@ -14,6 +14,11 @@ No function of the package calls itself: Python's stack holds about a
 thousand frames, so a walk that recurses once per state or per search node
 fails on inputs well inside the caps.  Each walk keeps its own stack.
 
+Inside the package, automata are walked on state positions and the
+integer letter rows of ``Dfa.rows``: no attribute named ``delta`` or
+``step`` is read outside ``class Dfa`` and ``dfa_to_table``, the text
+form, so no search steps through the ``(state, symbol)``-keyed dict.
+
 Every field of ``SearchCaps`` is read by some other module of the package,
 so each cap bounds a search.  The package also parses under the grammar of
 the oldest Python that ``pyproject.toml`` admits, whichever interpreter
@@ -160,6 +165,39 @@ def test_a_self_call_is_a_call_by_the_own_name_or_through_self():
         "    def complement(self):\n        return automata.complement(self)\n"
         "    def other(self):\n        return other.other()\n")
     assert _self_callers(tree) == ["walk", "rec", "again"]
+
+
+def _table_reads(tree: ast.AST) -> list[str]:
+    """Each read of an attribute named ``delta`` or ``step`` in ``tree``,
+    as ``line: expression``, outside ``class Dfa`` and ``dfa_to_table``;
+    an alias (``delta1 = d1.delta``) and a passed method (``d.step``) count
+    like a subscript or a call."""
+    allowed = {id(n) for s in ast.walk(tree)
+               if isinstance(s, (ast.ClassDef, ast.FunctionDef))
+               and s.name in ("Dfa", "dfa_to_table") for n in ast.walk(s)}
+    return [f"{n.lineno}: {ast.unparse(n)}" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr in ("delta", "step")
+            and isinstance(n.ctx, ast.Load) and id(n) not in allowed]
+
+
+def test_no_search_in_the_package_reads_the_transition_dict():
+    reads = [f"{path.name}:{read}"
+             for path in sorted((ROOT / "src" / "icgram").glob("*.py"))
+             for read in _table_reads(ast.parse(path.read_text()))]
+    assert not reads, f"walk Dfa.rows on state positions instead: {reads}"
+
+
+def test_a_transition_dict_read_counts_wherever_it_is_outside_dfa():
+    tree = ast.parse(
+        "class Dfa:\n"
+        "    def run(self, q, a):\n        return self.delta[(q, a)]\n"
+        "def dfa_to_table(d):\n    return d.delta\n"
+        "def alias(d1):\n    delta1 = d1.delta\n    return delta1\n"
+        "def passed(d):\n    return bfs(d.initial, d.step)\n"
+        "def looked_up(d, q, a):\n    return d.delta[(q, a)] + d.step(q, a)\n"
+        "def names_only(delta, step):\n    d.delta = delta\n    return step\n")
+    assert _table_reads(tree) == ["7: d1.delta", "10: d.step",
+                                  "12: d.delta", "12: d.step"]
 
 
 def test_every_search_cap_is_read_outside_its_record():

@@ -324,6 +324,27 @@ def test_order_search_matches_the_set_oracle(monkeypatch):
     assert capped > 0
 
 
+def test_a_capped_order_search_says_so_in_every_ord_note(monkeypatch):
+    """A state-order search that hits its cap proved nothing, so a yes
+    backed by the definite bound, and an unknown, say that the search was
+    capped rather than that no monotone order exists; uncapped, both
+    languages have one."""
+    assert _report("(a|b)*ab", UAB).evidence[ORD].note == \
+        "monotone state order: 0 < 2 < 1"
+    monkeypatch.setattr(subregular, "_ORDER_SEARCH_CAP", 0)
+    rep = _report("(a|b)*ab", UAB)
+    assert rep.verdicts[ORD] is Verdict.YES
+    assert rep.evidence[ORD].note == (
+        "the state-order search hit its cap, but membership depends only on "
+        "the last 2 symbols and the last-2-symbols automaton does")
+    rep = _report("b*a*", UAB)
+    assert rep.verdicts[ORD] is Verdict.UNKNOWN
+    assert rep.evidence[ORD].note == (
+        "the state-order search hit its cap; the language is neither definite "
+        "nor repetition-counting, and orderability of a larger accepting "
+        "automaton is not decided here")
+
+
 def test_order_search_depth_is_not_bounded_by_the_call_stack():
     """The search keeps its own stack: on the 302-state minimal DFA of
     {a^i b : i < 300} it finds an order with only 100 frames to spare."""
