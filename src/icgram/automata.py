@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import chain, product
 from operator import itemgetter
-from typing import Callable, Hashable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (AlphabetMismatchError, InvalidAutomatonError,
                      ResourceLimitError, TextFormatError, at_line)
@@ -171,18 +170,18 @@ def _explore(alphabet: Alphabet, start, successors: Callable,
              is_accepting: Callable) -> Dfa:
     """The part of a total ``successors`` reachable from ``start``, as a
     :class:`Dfa` on ``0..n-1`` in discovery order, its rows filled on the way."""
-    ids, order = {start: 0}, [start]
+    ids, order, delta, accepting = {start: 0}, [start], {}, set()
     rows: list[list[int]] = [[] for _ in alphabet]
-    for node in order:  # grows while it is read
-        for row, t in zip(rows, successors(node)):
+    for i, node in enumerate(order):  # grows while it is read
+        if is_accepting(node):
+            accepting.add(i)
+        for a, row, t in zip(alphabet.symbols, rows, successors(node)):
             if t not in ids:
                 ids[t] = len(order)
                 order.append(t)
-            row.append(ids[t])
-    n = len(order)
-    d = Dfa(tuple(range(n)), alphabet,
-            dict(zip(product(range(n), alphabet), chain.from_iterable(zip(*rows)))),
-            0, frozenset(i for i, node in enumerate(order) if is_accepting(node)))
+            row.append(j := ids[t])
+            delta[(i, a)] = j
+    d = Dfa(tuple(range(len(order))), alphabet, delta, 0, frozenset(accepting))
     vars(d)["rows"] = tuple(map(tuple, rows))  # where the cached property keeps it
     return d
 
@@ -191,10 +190,10 @@ def _product(d1: Dfa, d2: Dfa, op: str) -> tuple[Callable, Callable]:
     """Successors of the pair ``p*n2 + q`` of positions in two automata over
     one alphabet, and whether ``_BOOL_OPS[op]`` holds of its acceptance."""
     fn, n2 = _BOOL_OPS[op], len(d2.states)
-    rows = list(zip(d1.rows, d2.rows))
+    rows, s1, a1, s2, a2 = (list(zip(d1.rows, d2.rows)), d1.states, d1.accepting,
+                            d2.states, d2.accepting)
     return (lambda x: [r1[x // n2] * n2 + r2[x % n2] for r1, r2 in rows],
-            lambda x: fn(d1.states[x // n2] in d1.accepting,
-                         d2.states[x % n2] in d2.accepting))
+            lambda x: fn(s1[x // n2] in a1, s2[x % n2] in a2))
 
 
 # --- compilers ----------------------------------------------------------
@@ -299,6 +298,8 @@ _BOOL_OPS: dict[str, Callable[[bool, bool], bool]] = {
 def _pair_word(d1: Dfa, p: int, d2: Dfa, q: int, op: str) -> Word | None:
     """Shortlex-least word on which ``_BOOL_OPS[op]`` holds of its acceptance
     from position ``p`` in ``d1`` and position ``q`` in ``d2``, or None."""
+    if _BOOL_OPS[op](d1.states[p] in d1.accepting, d2.states[q] in d2.accepting):
+        return EMPTY_WORD  # the start pair holds: no product to build
     successors, holds = _product(d1, d2, op)
     walk, links = bfs_tree(p * len(d2.states) + q, successors)
     for j, x in enumerate(walk):
@@ -353,12 +354,6 @@ def access_words(d: Dfa) -> dict:
     return {d.states[q]: w for q, w in _all_words(walk, links, d.alphabet)}
 
 
-def distinguishing_suffix(d: Dfa, p: State, q: State) -> Word | None:
-    """Shortest word accepted from exactly one of two states of ``d``."""
-    index = d.states.index
-    return _pair_word(d, index(p), d, index(q), "symmetric_difference")
-
-
 def _distance_to_accepting(d: Dfa) -> dict[int, int]:
     """Shortest suffix length into acceptance from each position that has one."""
     back: list[list[int]] = [[] for _ in d.states]
@@ -410,11 +405,13 @@ def frontier_exceeded(cap: int, reached: int) -> ResourceLimitError:
                               cap=cap, reached=reached)
 
 
-def _useful_states(d: Dfa) -> set[int]:
-    """The reachable positions that can still reach acceptance."""
+def _useful_states(d: Dfa, access: Iterable | None = None) -> set[int]:
+    """The reachable positions that can still reach acceptance; ``access``
+    lists the reachable positions, passed by a caller that has them."""
     dist = _distance_to_accepting(d)
-    walk, _ = bfs_tree(d.states.index(d.initial), list(zip(*d.rows)).__getitem__)
-    return {q for q in walk if q in dist}
+    if access is None:
+        access, _ = bfs_tree(d.states.index(d.initial), list(zip(*d.rows)).__getitem__)
+    return {q for q in access if q in dist}
 
 
 def _longest_word_length(d: Dfa, useful: set[int]) -> int | None:

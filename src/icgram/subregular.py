@@ -28,13 +28,13 @@ bug in one of the deciders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from itertools import chain
 
 from .automata import (Dfa, access_words, bfs_tree, complement, compose,
-                       distinguishing_suffix, minimize, path_word,
-                       shortest_accepted, _longest_word_length,
-                       _pair_word, _product, _useful_states)
+                       minimize, path_word, shortest_accepted,
+                       _longest_word_length, _pair_word, _product,
+                       _useful_states)
 from .contextual import ContextualGrammar, ensure_valid
 from .errors import (AlphabetMismatchError, InternalConsistencyError,
                      ResourceLimitError, UndecidedError)
@@ -94,7 +94,7 @@ class _Analysis:
 
     @cached_property
     def useful(self) -> set:
-        return _useful_states(self.dm)
+        return _useful_states(self.dm, self.access)
 
     @cached_property
     def suffix_pairs(self) -> tuple[int | None, set[int], list]:
@@ -406,7 +406,7 @@ def _check_commutative(an: _Analysis) -> tuple[bool, Evidence]:
             for b, rb in letters[i + 1:]:
                 s1, s2 = rb[ra[q]], ra[rb[q]]
                 if s1 != s2:
-                    z = distinguishing_suffix(dm, s1, s2)
+                    z = _pair_word(dm, s1, dm, s2, "symmetric_difference")
                     assert z is not None  # distinct states of a minimal DFA
                     x = an.access[q]
                     return False, Evidence(
@@ -471,7 +471,7 @@ def _check_noncounting(an: _Analysis) -> tuple[bool, Evidence]:
     assert p_k != p_k1  # this element's cycle has period >= 2
     s = next(q for q in dm.states if p_k[q] != p_k1[q])
     x = an.access[s]
-    z = distinguishing_suffix(dm, p_k[s], p_k1[s])
+    z = _pair_word(dm, p_k[s], dm, p_k1[s], "symmetric_difference")
     assert z is not None
     return False, Evidence(
         f"membership depends on the number of repetitions of "
@@ -524,7 +524,7 @@ _CHECKS = {
 
 # --- public predicates ----------------------------------------------------
 
-def _holds(label: FamilyLabel, d: Dfa, U: Alphabet, *,
+def _holds(label: FamilyLabel, d: Dfa, U: Alphabet,
            monoid_cap: int = DEFAULT_MONOID_CAP) -> bool:
     """One family's verdict; UNKNOWN raises :class:`UndecidedError`."""
     _require_alphabet(d, U)
@@ -534,14 +534,56 @@ def _holds(label: FamilyLabel, d: Dfa, U: Alphabet, *,
     return v is Verdict.YES
 
 
-# ``is_finite(d, U)`` and the rest: True/False, or UndecidedError where
-# classify() says unknown, at a monoid cap that ``monoid_cap=`` sets (ORD's
-# gap, aperiodic and not definite with an unorderable minimal automaton, is
-# inherent: the family quantifies over *some* accepting automaton)
-(is_monoidal, is_finite, is_nilpotent, is_combinational, is_definite,
- is_suffix_closed, is_ordered, is_commutative, is_circular, is_noncounting,
- is_power_separating) = (partial(_holds, label) for label in (
-     MON, FIN, NIL, COMB, DEF, SUF, ORD, COMM, CIRC, NC, PS))
+def is_monoidal(d: Dfa, U: Alphabet) -> bool:
+    return _holds(MON, d, U)
+
+
+def is_finite(d: Dfa, U: Alphabet) -> bool:
+    return _holds(FIN, d, U)
+
+
+def is_nilpotent(d: Dfa, U: Alphabet) -> bool:
+    return _holds(NIL, d, U)
+
+
+def is_combinational(d: Dfa, U: Alphabet) -> bool:
+    return _holds(COMB, d, U)
+
+
+def is_definite(d: Dfa, U: Alphabet) -> bool:
+    return _holds(DEF, d, U)
+
+
+def is_suffix_closed(d: Dfa, U: Alphabet) -> bool:
+    return _holds(SUF, d, U)
+
+
+def is_ordered(d: Dfa, U: Alphabet, *,
+               monoid_cap: int = DEFAULT_MONOID_CAP) -> bool:
+    """True/False when decidable; raises :class:`UndecidedError` otherwise.
+
+    See :func:`classify` for the three-valued form with evidence; the gap
+    (aperiodic, not definite, minimal automaton unorderable) is inherent in
+    the family's definition quantifying over *some* accepting automaton.
+    """
+    return _holds(ORD, d, U, monoid_cap)
+
+
+def is_commutative(d: Dfa, U: Alphabet) -> bool:
+    return _holds(COMM, d, U)
+
+
+def is_circular(d: Dfa, U: Alphabet) -> bool:
+    return _holds(CIRC, d, U)
+
+
+def is_noncounting(d: Dfa, U: Alphabet, *, monoid_cap: int = DEFAULT_MONOID_CAP) -> bool:
+    return _holds(NC, d, U, monoid_cap)
+
+
+def is_power_separating(d: Dfa, U: Alphabet, *,
+                        monoid_cap: int = DEFAULT_MONOID_CAP) -> bool:
+    return _holds(PS, d, U, monoid_cap)
 
 
 def union_free_syntax(r: Regex) -> Verdict:

@@ -11,8 +11,9 @@ The searches on state names are the package's before it moved to state
 positions: ``bfs_words`` builds the word of every node it reaches, steps
 call ``(state, symbol)``-keyed ``delta`` lookups, and a product node is a
 tuple of two states.  ``_explore`` numbers the part of a step function
-reachable from a node ``0..n-1`` in discovery order, ``_pair_word`` and
-``access_words`` are the product and access-word searches, and
+reachable from a node ``0..n-1`` in discovery order, ``_pair_word``,
+``distinguishing_suffix`` and ``access_words`` are the product,
+distinguishing-suffix and access-word searches, and
 ``_distance_to_accepting`` maps each state that can still accept to its
 distance.  ``tests/test_automata.py`` checks ``icgram.automata.bfs_tree``
 and the searches built on it against them.
@@ -84,6 +85,11 @@ def _pair_word(d1, p, d2, q, op):
         if fn(x in d1.accepting, y in d2.accepting):
             return w
     return None
+
+
+def distinguishing_suffix(d, p, q):
+    """Shortest word accepted from exactly one of the states ``p`` and ``q``."""
+    return _pair_word(d, p, d, q, "symmetric_difference")
 
 
 def access_words(d):

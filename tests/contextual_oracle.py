@@ -18,9 +18,8 @@ must find the same chains and stop at the same count.
 
 import re
 
-from automata_oracle import _distance_to_accepting, bfs_words
+from automata_oracle import _distance_to_accepting, bfs_words, distinguishing_suffix
 from icgram import contextual as engine
-from icgram.automata import distinguishing_suffix
 from icgram.contextual import DerivationStep
 from icgram.errors import ResourceLimitError
 

@@ -14,7 +14,7 @@ from automata_oracle import (empty_dfa, inclusion_witness, universal_dfa,
 from conftest import all_words, random_dfa
 from icgram.automata import (Dfa, Nfa, _BOOL_OPS, _pair_word, _product,
                              access_words, accepts, bfs_tree, combine, complement,
-                             dfa_to_table, distinguishing_suffix,
+                             dfa_to_table,
                              distinguishing_word, enumerate_regular, equivalent,
                              language_is_finite, minimize, nfa_to_dfa, parse_dfa_table,
                              path_word, regex_to_dfa, regex_to_nfa,
@@ -292,7 +292,8 @@ def test_search_words_are_shortlex_least(rng, n_states):
                                    lambda v: accepts(d, v) != accepts(e, v))
             for p in d.states:
                 for q in d.states:
-                    z = distinguishing_suffix(d, p, q)
+                    z = _pair_word(d, d.states.index(p), d, d.states.index(q),
+                                   "symmetric_difference")
                     if z is None:
                         assert (minimize(d.replace(initial=p))
                                 == minimize(d.replace(initial=q)))
