@@ -9,14 +9,15 @@ Two machine types:
   is total; unproductive behaviour is routed through an explicit sink that is
   counted like any other state).
 
-Every search walks state positions on :attr:`Dfa.rows` (a pair of states
-is the int ``p*n + q``) through one of two helpers, the one place that fixes
-discovery order (FIFO, letters in alphabet order, the first discovery of a
-node wins): :func:`bfs_tree` links each node to its parent, so that
-:func:`path_word` spells only the words a caller returns, and
-:func:`_explore` numbers the reachable part of a successor function
-``0..n-1`` as a :class:`Dfa`.  So every witness word is shortlex-least, and
-equal languages fed through :func:`minimize` yield equal objects.
+Every search walks state positions on the integer view of a :class:`Dfa`,
+its ``rows``, ``start`` and ``final`` (a pair of states is the int
+``p*n + q``), through one of two helpers, the one place that fixes discovery
+order (FIFO, letters in alphabet order, the first discovery of a node
+wins): :func:`bfs_tree` links each node to its parent, so that
+:func:`path_word` spells only the words a caller returns, and :func:`_explore`
+numbers the reachable part of a successor function ``0..n-1`` as a
+:class:`Dfa`.  So every witness word is shortlex-least, and equal languages
+fed through :func:`minimize` yield equal objects.
 :func:`_distance_to_accepting`, :func:`_longest_word_length` and
 :func:`enumerate_regular` each walk on their own: they return distances, a
 length and a set of words, which no discovery order changes.
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Hashable, Iterator, Mapping, Sequence
 
 from .errors import (AlphabetMismatchError, InvalidAutomatonError,
                      ResourceLimitError, TextFormatError, at_line)
@@ -102,6 +103,16 @@ class Dfa(Record):
         index = {q: i for i, q in enumerate(self.states)}
         return tuple(tuple(index[self.delta[(q, a)]] for q in self.states)
                      for a in self.alphabet)
+
+    @cached_property
+    def start(self) -> int:
+        """The position of ``initial`` in ``states``, cached as ``rows`` is."""
+        return next(i for i, q in enumerate(self.states) if q == self.initial)
+
+    @cached_property
+    def final(self) -> tuple[bool, ...]:
+        """Whether each state, by position, is accepting; cached as ``rows`` is."""
+        return tuple(q in self.accepting for q in self.states)
 
     def run(self, w: Word, start: State | None = None) -> State:
         q = self.initial if start is None else start
@@ -190,10 +201,9 @@ def _product(d1: Dfa, d2: Dfa, op: str) -> tuple[Callable, Callable]:
     """Successors of the pair ``p*n2 + q`` of positions in two automata over
     one alphabet, and whether ``_BOOL_OPS[op]`` holds of its acceptance."""
     fn, n2 = _BOOL_OPS[op], len(d2.states)
-    rows, s1, a1, s2, a2 = (list(zip(d1.rows, d2.rows)), d1.states, d1.accepting,
-                            d2.states, d2.accepting)
+    rows, f1, f2 = list(zip(d1.rows, d2.rows)), d1.final, d2.final
     return (lambda x: [r1[x // n2] * n2 + r2[x % n2] for r1, r2 in rows],
-            lambda x: fn(s1[x // n2] in a1, s2[x % n2] in a2))
+            lambda x: fn(f1[x // n2], f2[x % n2]))
 
 
 # --- compilers ----------------------------------------------------------
@@ -265,7 +275,7 @@ def minimize(d: Dfa) -> Dfa:
     over the letter rows, the blocks reachable from the initial state's
     renumbered breadth-first.  Two inputs with the same language minimize to
     structurally equal objects."""
-    block = [0 if q in d.accepting else 1 for q in d.states]
+    block = [0 if f else 1 for f in d.final]
     count = len(set(block))
     while True:
         signatures = list(zip(block, *(compose(row, block) for row in d.rows)))
@@ -276,9 +286,9 @@ def minimize(d: Dfa) -> Dfa:
         block, count = new_block, len(ids)
     # canonical renumber by BFS over blocks; any member stands for its block
     rep = dict(zip(block, range(len(block))))
-    return _explore(d.alphabet, block[d.states.index(d.initial)],
+    return _explore(d.alphabet, block[d.start],
                     lambda b: [block[row[rep[b]]] for row in d.rows],
-                    lambda b: d.states[rep[b]] in d.accepting)
+                    lambda b: d.final[rep[b]])
 
 
 def _check_same_alphabet(d1: Dfa, d2: Dfa) -> None:
@@ -298,7 +308,7 @@ _BOOL_OPS: dict[str, Callable[[bool, bool], bool]] = {
 def _pair_word(d1: Dfa, p: int, d2: Dfa, q: int, op: str) -> Word | None:
     """Shortlex-least word on which ``_BOOL_OPS[op]`` holds of its acceptance
     from position ``p`` in ``d1`` and position ``q`` in ``d2``, or None."""
-    if _BOOL_OPS[op](d1.states[p] in d1.accepting, d2.states[q] in d2.accepting):
+    if _BOOL_OPS[op](d1.final[p], d2.final[q]):
         return EMPTY_WORD  # the start pair holds: no product to build
     successors, holds = _product(d1, d2, op)
     walk, links = bfs_tree(p * len(d2.states) + q, successors)
@@ -311,8 +321,7 @@ def _pair_word(d1: Dfa, p: int, d2: Dfa, q: int, op: str) -> Word | None:
 def distinguishing_word(d1: Dfa, d2: Dfa) -> Word | None:
     """Shortest word accepted by exactly one of the two automata, or None."""
     _check_same_alphabet(d1, d2)
-    return _pair_word(d1, d1.states.index(d1.initial),
-                      d2, d2.states.index(d2.initial), "symmetric_difference")
+    return _pair_word(d1, d1.start, d2, d2.start, "symmetric_difference")
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
@@ -324,34 +333,27 @@ def combine(d1: Dfa, d2: Dfa, op: str) -> Dfa:
     _check_same_alphabet(d1, d2)
     if op not in _BOOL_OPS:
         raise ValueError(f"unknown op {op!r}; use one of {sorted(_BOOL_OPS)}")
-    start = d1.states.index(d1.initial) * len(d2.states) + d2.states.index(d2.initial)
-    return _explore(d1.alphabet, start, *_product(d1, d2, op))
+    return _explore(d1.alphabet, d1.start * len(d2.states) + d2.start,
+                    *_product(d1, d2, op))
 
 
 def complement(d: Dfa) -> Dfa:
-    c = d.replace(accepting=frozenset(set(d.states) - set(d.accepting)))
+    c = d.replace(accepting=frozenset(q for q, f in zip(d.states, d.final) if not f))
     vars(c)["rows"] = d.rows  # the same table, so the cached property's value
     return c
 
 
 # --- queries ------------------------------------------------------------
 
-def shortest_accepted(d: Dfa, start: State | None = None) -> Word | None:
-    """Shortlex-least word accepted from ``start`` (default: the initial
-    state), or None when none is."""
-    walk, links = bfs_tree(d.states.index(d.initial if start is None else start),
+def shortest_accepted(d: Dfa, start: int | None = None) -> Word | None:
+    """Shortlex-least word accepted from position ``start`` (default: the
+    initial state's), or None when none is."""
+    walk, links = bfs_tree(d.start if start is None else start,
                            lambda q: [row[q] for row in d.rows])
     for j, q in enumerate(walk):
-        if d.states[q] in d.accepting:
+        if d.final[q]:
             return path_word(links, j, d.alphabet)
     return None
-
-
-def access_words(d: Dfa) -> dict:
-    """Shortlex-least word reaching each reachable state."""
-    walk, links = bfs_tree(d.states.index(d.initial),
-                           list(zip(*d.rows)).__getitem__)
-    return {d.states[q]: w for q, w in _all_words(walk, links, d.alphabet)}
 
 
 def _distance_to_accepting(d: Dfa) -> dict[int, int]:
@@ -360,7 +362,7 @@ def _distance_to_accepting(d: Dfa) -> dict[int, int]:
     for row in d.rows:
         for q, t in enumerate(row):
             back[t].append(q)
-    order = [i for i, q in enumerate(d.states) if q in d.accepting]
+    order = [q for q, f in enumerate(d.final) if f]
     dist = dict.fromkeys(order, 0)
     for t in order:  # grows while it is read
         for q in back[t]:
@@ -379,10 +381,9 @@ def enumerate_regular(d: Dfa, max_len: int, *,
     them, both kinds together, raise :class:`ResourceLimitError`."""
     dist = _distance_to_accepting(d)
     out: set[Word] = set()
-    q0 = d.states.index(d.initial)
-    if q0 not in dist:
+    if d.start not in dist:
         return out
-    layer: list[tuple[int, Word]] = [(q0, EMPTY_WORD)]
+    layer: list[tuple[int, Word]] = [(d.start, EMPTY_WORD)]
     letters = list(zip(d.alphabet, d.rows))
     for length in range(max_len + 1):
         nxt: list[tuple[int, Word]] = []
@@ -405,20 +406,12 @@ def frontier_exceeded(cap: int, reached: int) -> ResourceLimitError:
                               cap=cap, reached=reached)
 
 
-def _useful_states(d: Dfa, access: Iterable | None = None) -> set[int]:
-    """The reachable positions that can still reach acceptance; ``access``
-    lists the reachable positions, passed by a caller that has them."""
-    dist = _distance_to_accepting(d)
-    if access is None:
-        access, _ = bfs_tree(d.states.index(d.initial), list(zip(*d.rows)).__getitem__)
-    return {q for q in access if q in dist}
-
-
-def _longest_word_length(d: Dfa, useful: set[int]) -> int | None:
+def _longest_word_length(d: Dfa, useful: Collection[int]) -> int | None:
     """Length of the longest accepted word, given the useful positions; None
     for an infinite language, -1 for the empty one.  A topological order of
     the useful states covers them all exactly when no cycle lies on an
-    accepting path; read backwards, it gives each state's longest suffix."""
+    accepting path; read backwards, it gives each state's longest suffix (a
+    useful state that rejects has a useful successor)."""
     succ = {q: [t for row in d.rows if (t := row[q]) in useful] for q in useful}
     indegree = Counter(t for ts in succ.values() for t in ts)
     order = [q for q in useful if not indegree[q]]
@@ -431,14 +424,15 @@ def _longest_word_length(d: Dfa, useful: set[int]) -> int | None:
         return None
     longest: dict[int, int] = {}
     for q in reversed(order):
-        longest[q] = max([1 + longest[t] for t in succ[q]]
-                         + ([0] if d.states[q] in d.accepting else []))
-    return longest.get(d.states.index(d.initial), -1)
+        longest[q] = max((1 + longest[t] for t in succ[q]), default=0)
+    return longest.get(d.start, -1)
 
 
 def language_is_finite(d: Dfa) -> bool:
     """True when no cycle lies on an accepting path."""
-    return _longest_word_length(d, _useful_states(d)) is not None
+    reachable, _ = bfs_tree(d.start, list(zip(*d.rows)).__getitem__)
+    useful = _distance_to_accepting(d).keys() & set(reachable)
+    return _longest_word_length(d, useful) is not None
 
 
 # --- transition table text form -----------------------------------------

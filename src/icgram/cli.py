@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .automata import Dfa, dfa_to_table, enumerate_regular, minimize, regex_to_dfa
 from .contextual import (ContextualGrammar, DerivationStep, derive_step,
-                         enumerate_ic, member_ic, member_trace,
+                         ensure_valid, enumerate_ic, member_ic, member_trace,
                          split_finite_selection)
 from .ctxformat import format_contextual, parse_contextual
 from .errors import (IcgramError, InternalConsistencyError,
@@ -76,10 +76,9 @@ def _parse_caps(text: str | None) -> SearchCaps:
 
 
 def _read_grammar(path: str) -> ContextualGrammar:
-    """The grammar in the file, validated by compiling it once for the
-    engine (the compiled form is cached on the grammar)."""
+    """The grammar in the file, validated; the engine compiles it on first use."""
     g = parse_contextual(Path(path).read_text(encoding="utf-8"))
-    g._compiled
+    ensure_valid(g)
     return g
 
 

@@ -45,7 +45,7 @@ import re
 from functools import cached_property, partial
 from typing import Iterable
 
-from .automata import (Dfa, _useful_states, accepts, enumerate_regular,
+from .automata import (Dfa, _distance_to_accepting, accepts, enumerate_regular,
                        equivalent, frontier_exceeded, language_is_finite,
                        minimize, nfa_to_dfa, regex_to_dfa)
 from .errors import (DecompositionMismatchError, InvalidGrammarError,
@@ -135,6 +135,11 @@ class ContextualGrammar(Record):
             object.__setattr__(self, "axioms", deduped)
 
     @cached_property
+    def _problems(self) -> list[Diagnostic]:
+        """:func:`validate`'s findings, computed once per grammar."""
+        return validate(self)
+
+    @cached_property
     def _compiled(self) -> "_Compiled":
         """The engine's form of the grammar, built on first use; raises
         :class:`InvalidGrammarError` for an invalid grammar."""
@@ -216,12 +221,11 @@ class _Compiled:
                                 for rows, acc, starts, *_ in live)}
 
     def _pair(self, pair: SelectionPair):
-        dm = minimize(pair.dfa)
-        useful = _useful_states(dm)
-        number = {q: k for k, q in enumerate(q for q in dm.states if q in useful)}
+        dm = minimize(pair.dfa)  # every state reachable, so useful if it can accept
+        number = {q: k for k, q in enumerate(sorted(_distance_to_accepting(dm)))}
         rows = tuple({self.code[a]: number[t] for a, row in zip(dm.alphabet, dm.rows)
                       if (t := row[q]) in number} for q in number)
-        acc = tuple(q in dm.accepting for q in number)
+        acc = tuple(dm.final[q] for q in number)
         starts = None
         if rows and 0 < len(rows[0]) < len(self.code):
             codes = "".join(map(re.escape, rows[0]))
@@ -299,7 +303,7 @@ def validate(g: ContextualGrammar) -> list[Diagnostic]:
 
 
 def ensure_valid(g: ContextualGrammar) -> None:
-    problems = validate(g)
+    problems = g._problems
     if problems:
         raise InvalidGrammarError(
             f"invalid contextual grammar ({len(problems)} problem(s)): "

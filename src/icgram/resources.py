@@ -51,15 +51,14 @@ def dfa_to_grammar(d: Dfa) -> RightLinearGrammar:
     nonterminal per state of it); certifies the fallback upper bounds."""
     dm = minimize(d)
     prefix = fresh_prefix("Q", dm.alphabet)
-    name = {q: f"{prefix}{q}" for q in dm.states}
+    name = tuple(f"{prefix}{q}" for q in range(len(dm.states)))
     rules = []
-    for q, images in zip(dm.states, zip(*dm.rows)):
+    for q, images in enumerate(zip(*dm.rows)):
         for a, t in zip(dm.alphabet, images):
             rules.append(Rule(name[q], (a,), name[t]))
-        if q in dm.accepting:
+        if dm.final[q]:
             rules.append(Rule(name[q], EMPTY_WORD, None))
-    return RightLinearGrammar(tuple(name[q] for q in dm.states), dm.alphabet,
-                              tuple(rules), name[dm.initial])
+    return RightLinearGrammar(name, dm.alphabet, tuple(rules), name[dm.start])
 
 
 def _rule_universe(nts: tuple[str, ...], terminals: Alphabet,
@@ -96,10 +95,8 @@ def _matches(nonterminals: tuple[str, ...], rules: tuple[Rule, ...],
         return [(frozenset(out.get(a, ())), row[q])
                 for a, row in zip(d.alphabet.symbols, d.rows)]
 
-    walk, _ = bfs_tree((frozenset(enter[nonterminals[0]]),
-                        d.states.index(d.initial)), successors)
-    return all((None in positions) == (d.states[q] in d.accepting)
-               for positions, q in walk)
+    walk, _ = bfs_tree((frozenset(enter[nonterminals[0]]), d.start), successors)
+    return all((None in positions) == d.final[q] for positions, q in walk)
 
 
 def bounded_min_grammar(d: Dfa, kind: str,

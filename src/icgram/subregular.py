@@ -31,10 +31,9 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import chain
 
-from .automata import (Dfa, access_words, bfs_tree, complement, compose,
-                       minimize, path_word, shortest_accepted,
-                       _longest_word_length, _pair_word, _product,
-                       _useful_states)
+from .automata import (Dfa, bfs_tree, complement, compose, minimize,
+                       path_word, shortest_accepted, _distance_to_accepting,
+                       _longest_word_length, _pair_word, _product)
 from .contextual import ContextualGrammar, ensure_valid
 from .errors import (AlphabetMismatchError, InternalConsistencyError,
                      ResourceLimitError, UndecidedError)
@@ -44,7 +43,7 @@ from .families import (CIRC, COMB, COMM, DEF, DEFAULT_MONOID_CAP, FAMILY_ORDER,
                        reg_z, rl_p, rl_v)
 from .hierarchy import hierarchy
 from .monoid import monoid_elements
-from .regex import Regex, is_union_free_syntax
+from .regex import Regex, Union, fold, is_union_free_syntax
 from .resources import bounded_min_grammar, count_resources
 from .rlgrammar import RightLinearGrammar
 from .words import Alphabet, Record, Word, word_to_text
@@ -74,9 +73,9 @@ class _Analysis:
     run at most once, on first use; :meth:`decide` is the one dispatch from
     a family to its checker.
 
-    ``dm`` is a :func:`minimize` output or the complement of one, so its
-    states are ``0..n-1``: each state is its own position in ``dm.rows``.
-    NC walks ``monoid`` up to its first counter and leaves that element in
+    ``dm`` is a :func:`minimize` output or the complement of one, so
+    ``tree``, breadth first from its start, reaches every state; NC walks
+    ``monoid`` up to its first counter and leaves that element in
     ``counter``, where PS resumes the same walk."""
 
     def __init__(self, dm: Dfa, monoid_cap: int = DEFAULT_MONOID_CAP):
@@ -89,12 +88,15 @@ class _Analysis:
         return monoid_elements(self.dm, self.monoid_cap)
 
     @cached_property
-    def access(self) -> dict:
-        return access_words(self.dm)
+    def tree(self) -> tuple[dict[int, int], list]:
+        """Each state's index in the walk, and the walk's links."""
+        walk, links = bfs_tree(self.dm.start, list(zip(*self.dm.rows)).__getitem__)
+        return {q: j for j, q in enumerate(walk)}, links
 
-    @cached_property
-    def useful(self) -> set:
-        return _useful_states(self.dm, self.access)
+    def access(self, q: int) -> Word:
+        """The shortlex-least word that reaches position ``q``."""
+        place, links = self.tree
+        return path_word(links, place[q], self.dm.alphabet)
 
     @cached_property
     def suffix_pairs(self) -> tuple[int | None, set[int], list]:
@@ -123,21 +125,21 @@ class _Analysis:
 # --- individual checkers (all take the analysis of a minimal DFA) ---------
 
 def _check_monoidal(an: _Analysis) -> tuple[bool, Evidence]:
-    dm = an.dm
-    if len(dm.states) == 1 and dm.initial in dm.accepting:
+    if an.dm.final == (True,):
         return True, Evidence("the full language over the alphabet")
     w = shortest_accepted(an.complement.dm)
     assert w is not None
     return False, Evidence("a word is rejected", (w,))
 
 
-def _pump_words(an: _Analysis) -> tuple[Word, Word, Word]:
-    """(x, y, z) with x y^k z accepted for every k >= 0 and y non-empty.
-    Only valid when the language is infinite."""
-    dm, useful, acc = an.dm, an.useful, an.access
+def _pump_words(an: _Analysis, useful) -> tuple[Word, Word, Word]:
+    """(x, y, z) with x y^k z accepted for every k >= 0 and y non-empty, from
+    the first of the ``useful`` states, in the shortlex order of their access
+    words, that lies on a loop.  Only valid when the language is infinite."""
+    dm = an.dm
     cols = list(zip(*dm.rows))
     step = lambda s: [t if t in useful else None for t in cols[s]]
-    for q in sorted(useful, key=lambda s: len(acc[s])):
+    for q in filter(useful.__contains__, an.tree[0]):  # the tree's order
         # the shortest non-empty loop at q through useful states: the word of
         # the first node, breadth first from q, with an edge back, and its letter
         walk, links = bfs_tree(q, step)
@@ -145,14 +147,15 @@ def _pump_words(an: _Analysis) -> tuple[Word, Word, Word]:
             if q in cols[s]:
                 y = path_word(links, j, dm.alphabet) + (
                     dm.alphabet.symbols[cols[s].index(q)],)
-                return acc[q], y, shortest_accepted(dm, q)
+                return an.access(q), y, shortest_accepted(dm, q)
     raise AssertionError("no pumpable state in an infinite language")
 
 
 def _check_finite(an: _Analysis) -> tuple[bool, Evidence]:
-    m = _longest_word_length(an.dm, an.useful)
+    useful = _distance_to_accepting(an.dm).keys()  # every state is reachable
+    m = _longest_word_length(an.dm, useful)
     if m is None:
-        x, y, z = _pump_words(an)
+        x, y, z = _pump_words(an, useful)
         return False, Evidence("infinite: the first word pumps to the second",
                                (x + y + z, x + y + y + z))
     if m < 0:
@@ -174,18 +177,18 @@ def _check_nilpotent(an: _Analysis) -> tuple[bool, Evidence]:
 
 
 def _check_combinational(an: _Analysis) -> tuple[bool, Evidence]:
-    dm = an.dm
-    ends = [row[dm.initial] in dm.accepting for row in dm.rows]
+    dm, final = an.dm, an.dm.final
+    ends = [final[row[dm.start]] for row in dm.rows]
     # breadth-first over 2*state + whether the last letter alone is accepted:
     # the first node whose halves disagree ends the shortlex-least witness
-    walk, links = bfs_tree(2 * dm.initial, lambda x: [
+    walk, links = bfs_tree(2 * dm.start, lambda x: [
         2 * row[x >> 1] + end for row, end in zip(dm.rows, ends)])
     j, x = next(((j, x) for j, x in enumerate(walk)
-                 if (x >> 1 in dm.accepting) != x & 1), (None, None))
+                 if final[x >> 1] != x & 1), (None, None))
     if x is None:
         shown = " ".join(a for a, end in zip(dm.alphabet, ends) if end) or "(none)"
         return True, Evidence(f"exactly the words ending in: {shown}")
-    side = "accepted" if x >> 1 in dm.accepting else "rejected"
+    side = "accepted" if final[x >> 1] else "rejected"
     return False, Evidence(
         f"membership is not a function of the final symbol ({side} witness)",
         (path_word(links, j, dm.alphabet),))
@@ -230,7 +233,7 @@ def _suffix_pairs(dm: Dfa) -> tuple[int | None, set[int], list]:
             if not indegree[img]:
                 ready.append(img)
     survivors = {pair for pair, k in enumerate(indegree) if k}
-    acc = [q in dm.accepting for q in dm.states]
+    acc = dm.final
     mixed = [pair for p, block in enumerate(pairs) for pair in block
              if acc[p] != acc[pair % n]]
     bound = (None if survivors.intersection(mixed) else
@@ -244,11 +247,9 @@ def _check_definite(an: _Analysis) -> tuple[bool, Evidence]:
         return True, Evidence(f"membership depends only on the last {bound} symbols")
     # two words with a long shared suffix but different membership: walk back
     # from the first mixed survivor along the first edge into each pair
-    dm = an.dm
-    n = len(dm.states)
+    n, final = len(an.dm.states), an.dm.final
     order = sorted(survivors, key=lambda pair: sorted(map(str, divmod(pair, n))))
-    cur = next(pair for pair in order
-               if (pair // n in dm.accepting) != (pair % n in dm.accepting))
+    cur = next(pair for pair in order if final[pair // n] != final[pair % n])
     into: dict[int, tuple[int, str]] = {}
     for pair in order:
         for a, img in _pair_edges(rows, n, pair):
@@ -261,17 +262,17 @@ def _check_definite(an: _Analysis) -> tuple[bool, Evidence]:
     p, q = sorted(divmod(cur, n), key=str)
     return False, Evidence(
         f"membership still differs after a shared suffix of length {len(z)}",
-        (an.access[p] + z, an.access[q] + z))
+        (an.access(p) + z, an.access(q) + z))
 
 
 def _check_suffix_closed(an: _Analysis) -> tuple[bool, Evidence]:
     dm = an.dm
-    for q in dm.states:
-        y = _pair_word(dm, q, dm, dm.initial, "difference")
+    for q in range(len(dm.states)):
+        y = _pair_word(dm, q, dm, dm.start, "difference")
         if y is not None:
             return False, Evidence(
                 "the first word is accepted but its suffix (second word) is not",
-                (an.access[q] + y, y))
+                (an.access(q) + y, y))
     return True, Evidence("every suffix of every accepted word is accepted")
 
 
@@ -298,8 +299,7 @@ def _search_monotone_order(dm: Dfa) -> list | None:
     a FIFO worklist; one whose reverse is known fails its branch.  Raises
     :class:`ResourceLimitError` if the search tree outgrows its cap.
     """
-    states, rows = dm.states, dm.rows
-    n = len(states)
+    states, rows, n = dm.states, dm.rows, len(dm.states)
     full = (1 << n) - 1
     visited = 0
 
@@ -401,14 +401,14 @@ def _check_ordered(an: _Analysis) -> tuple[Verdict, Evidence]:
 def _check_commutative(an: _Analysis) -> tuple[bool, Evidence]:
     dm = an.dm
     letters = list(zip(dm.alphabet, dm.rows))
-    for q in dm.states:
+    for q in range(len(dm.states)):
         for i, (a, ra) in enumerate(letters):
             for b, rb in letters[i + 1:]:
                 s1, s2 = rb[ra[q]], ra[rb[q]]
                 if s1 != s2:
                     z = _pair_word(dm, s1, dm, s2, "symmetric_difference")
                     assert z is not None  # distinct states of a minimal DFA
-                    x = an.access[q]
+                    x = an.access(q)
                     return False, Evidence(
                         "the two words permute each other but only one is accepted",
                         (x + (a, b) + z, x + (b, a) + z))
@@ -419,22 +419,21 @@ def _check_circular(an: _Analysis) -> tuple[bool, Evidence]:
     """Words ``u, v`` with ``uv`` accepted and ``vu`` not: ``v`` leads ``q``
     into acceptance and the initial state to ``b``, ``u`` the initial state
     to ``q`` and ``b`` out of acceptance.  For each ``q``, the pairs reached
-    from ``(q, initial)`` are tried in the text order of their states."""
+    from ``(q, initial)`` are tried in the text order of their positions."""
     dm = an.dm
-    n, q0, alphabet = len(dm.states), dm.initial, dm.alphabet
-    rank = {q: i for i, q in enumerate(sorted(dm.states, key=str))}
+    n, q0, final, alphabet = len(dm.states), dm.start, dm.final, dm.alphabet
+    rank = {q: i for i, q in enumerate(sorted(range(n), key=str))}
     step = cache(_product(dm, dm, "union")[0])
     exits: dict[int, list] = {}
-    for q in dm.states:
+    for q in range(n):
         walk, fwd = bfs_tree(q * n + q0, step)
-        for x, j in sorted(((x, j) for j, x in enumerate(walk)
-                            if x // n in dm.accepting),
+        for x, j in sorted(((x, j) for j, x in enumerate(walk) if final[x // n]),
                            key=lambda xj: (rank[xj[0] // n], rank[xj[0] % n])):
             b = x % n
             if b not in exits:
                 exits[b] = first = [None] * n  # per c, the first e reached
                 for c, e in (divmod(y, n) for y in bfs_tree(q0 * n + b, step)[0]):
-                    if e not in dm.accepting and rank[e] < rank.get(first[c], n):
+                    if not final[e] and rank[e] < rank.get(first[c], n):
                         first[c] = e
             if exits[b][q] is not None:
                 walk, back = bfs_tree(q0 * n + b, step)  # again, to where u ends
@@ -469,8 +468,8 @@ def _check_noncounting(an: _Analysis) -> tuple[bool, Evidence]:
     while len(set(p_k1)) < len(set(p_k)):
         exp, p_k, p_k1 = exp + 1, p_k1, compose(p_k1, t)
     assert p_k != p_k1  # this element's cycle has period >= 2
-    s = next(q for q in dm.states if p_k[q] != p_k1[q])
-    x = an.access[s]
+    s = next(q for q in range(len(dm.states)) if p_k[q] != p_k1[q])
+    x = an.access(s)
     z = _pair_word(dm, p_k[s], dm, p_k1[s], "symmetric_difference")
     assert z is not None
     return False, Evidence(
@@ -488,12 +487,10 @@ def _check_power_separating(an: _Analysis) -> tuple[Verdict, Evidence]:
     if nc_verdict is Verdict.UNKNOWN:
         return nc_verdict, nc_ev
     dm = an.dm
-    n = len(dm.states)
-    q0 = dm.initial
-    accepting = [q in dm.accepting for q in dm.states]
+    n, accepting = len(dm.states), dm.final
     resumed = () if nc_verdict is Verdict.YES else chain([an.counter], an.monoid)
     for t, y in resumed:
-        v = t[q0]                        # state after y^1
+        v = t[dm.start]                  # state after y^1
         for _ in range(n):
             v = t[v]                     # ... up to y^(n+1)
         window = []
@@ -593,6 +590,12 @@ def union_free_syntax(r: Regex) -> Verdict:
     return Verdict.YES if is_union_free_syntax(r) else Verdict.UNKNOWN
 
 
+def _not_union_free(r: Regex) -> str:
+    """What keeps ``r`` from being union-free as written: a union, else ∅."""
+    has_union = fold(r, lambda node, kids: any(kids) or isinstance(node, Union))
+    return "union" if has_union else "∅"
+
+
 def _family_verdict(d: Dfa, label: FamilyLabel, caps: SearchCaps,
                     source_regex: Regex | None = None,
                     source_grammar: RightLinearGrammar | None = None
@@ -615,8 +618,9 @@ def _family_verdict(d: Dfa, label: FamilyLabel, caps: SearchCaps,
         if source_regex is None:
             return Verdict.UNKNOWN, "no source expression retained"
         v = union_free_syntax(source_regex)
-        return v, ("union-free expression as written" if v is Verdict.YES
-                   else "expression uses union; syntactic check only")
+        return v, ("union-free expression as written" if v is Verdict.YES else
+                   f"expression uses {_not_union_free(source_regex)}; "
+                   "syntactic check only")
     if kind == "REG_Z":
         m = len(minimize(d).states)
         return (Verdict.YES if m <= label.n else Verdict.NO,
@@ -736,7 +740,8 @@ def classify(d: Dfa, U: Alphabet, *, source_regex: Regex | None = None,
     if source_regex is not None:
         v = union_free_syntax(source_regex)
         note = ("the given expression is union-free" if v is Verdict.YES else
-                "given expression uses union; no union-free form was searched for")
+                f"given expression uses {_not_union_free(source_regex)}; "
+                "no union-free form was searched for")
         report.verdicts[UF] = v
         report.evidence[UF] = Evidence(note)
     else:

@@ -24,8 +24,8 @@ same chain, or None, and hit its node cap at the same node.
 
 from collections import deque
 
+from automata_oracle import access_words
 from icgram import subregular
-from icgram.automata import access_words
 from icgram.errors import ResourceLimitError
 from icgram.monoid import monoid_elements
 from icgram.subregular import Evidence, Verdict

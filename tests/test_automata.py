@@ -13,7 +13,7 @@ from automata_oracle import (empty_dfa, inclusion_witness, universal_dfa,
                              word_set_dfa)
 from conftest import all_words, random_dfa
 from icgram.automata import (Dfa, Nfa, _BOOL_OPS, _pair_word, _product,
-                             access_words, accepts, bfs_tree, combine, complement,
+                             accepts, bfs_tree, combine, complement,
                              dfa_to_table,
                              distinguishing_word, enumerate_regular, equivalent,
                              language_is_finite, minimize, nfa_to_dfa, parse_dfa_table,
@@ -21,6 +21,7 @@ from icgram.automata import (Dfa, Nfa, _BOOL_OPS, _pair_word, _product,
                              shortest_accepted)
 from icgram.errors import InvalidAutomatonError, TextFormatError
 from icgram.regex import parse_regex
+from icgram.subregular import _Analysis
 from icgram.words import Alphabet
 from regex_oracle import enumerate_regex
 
@@ -278,11 +279,12 @@ def test_search_words_are_shortlex_least(rng, n_states):
             first: dict = {}
             for w in short:
                 first.setdefault(d.run(w), w)
-            assert access_words(d) == first
-            for q in d.states:
-                assert shortest_accepted(d, q) == _first(
+            an = _Analysis(d)  # its access tree, on any DFA
+            assert {d.states[q]: an.access(q) for q in an.tree[0]} == first
+            for p, q in enumerate(d.states):
+                assert shortest_accepted(d, p) == _first(
                     short, lambda w: d.run(w, q) in d.accepting)
-            assert shortest_accepted(d) == shortest_accepted(d, d.initial)
+            assert shortest_accepted(d) == shortest_accepted(d, d.start)
 
             w = distinguishing_word(d, e)
             if w is None:
@@ -330,24 +332,32 @@ def _tree(start, successors, alphabet):
 
 
 def test_position_searches_match_the_state_name_searches():
-    """``bfs_tree`` on state positions and ``Dfa.rows`` visits the states
-    that the ``delta``-keyed ``bfs_words`` does, in the same order, and
-    spells the same words; so does the product search on ``p*n + q``
-    against tuple pairs, and ``_pair_word``, ``access_words`` and
-    ``shortest_accepted`` against their state-name forms."""
+    """``Dfa.start`` and ``Dfa.final`` are the initial state's position and
+    each position's acceptance, and reading them changes neither ``==`` nor
+    ``repr``.  ``bfs_tree`` on state positions and ``Dfa.rows`` visits the
+    states that the ``delta``-keyed ``bfs_words`` does, in the same order,
+    and spells the same words; so does the product search on ``p*n + q``
+    against tuple pairs, and ``_pair_word``, the access words of the
+    decider analysis and ``shortest_accepted`` against their state-name
+    forms."""
     dfas = list(_named_dfas(36, 300))
     assert any(isinstance(d.initial, str) for d in dfas)
     for d, e in zip(dfas, dfas[1:] + dfas[:1]):
         u = d.alphabet
+        twin, shown = d.replace(), repr(d)
+        assert d.states[d.start] == d.initial
+        assert d.final == tuple(q in d.accepting for q in d.states)
+        assert d == twin and repr(d) == shown
         cols = list(zip(*d.rows))
         step = lambda q, a: d.delta[(q, a)]
         for p in range(len(d.states)):
             want = list(automata_oracle.bfs_words(d.states[p], step, u))
             got = _tree(p, cols.__getitem__, u)
             assert [(d.states[q], w) for q, w in got] == want, dfa_to_table(d)
-            assert shortest_accepted(d, d.states[p]) == next(
+            assert shortest_accepted(d, p) == next(
                 (w for q, w in want if q in d.accepting), None)
-        assert list(access_words(d).items()) == list(
+        an = _Analysis(d)
+        assert [(d.states[q], an.access(q)) for q in an.tree[0]] == list(
             automata_oracle.access_words(d).items())
         if e.alphabet != u:
             continue

@@ -276,7 +276,7 @@ def test_unknown_witness_variant_exits_two(capsys):
 
 
 def test_member_validates_the_grammar_once(grammar_files, monkeypatch):
-    # reading the grammar compiles it, and compiling validates it
+    # reading the grammar validates it, and compiling reuses that check
     calls = []
     validate = contextual.validate
     monkeypatch.setattr(contextual, "validate",
@@ -606,6 +606,37 @@ def test_measure_a_grammar_per_pair():
         f"  rules: 2 (exact)  # {search}\n"
         "  as written: 1 nonterminal, 2 rules\n"
         for i, states in ((1, 3), (2, 2)))
+
+
+def test_a_command_that_does_not_derive_never_compiles(monkeypatch, tmp_path,
+                                                       capsys):
+    """Reading a ``.ctx`` file validates it without building the engine's
+    form; an invalid file still exits 2 with its diagnostics."""
+    def refuse(self, g):
+        raise AssertionError("compiled")
+    monkeypatch.setattr(contextual._Compiled, "__init__", refuse)
+    code, out = run_cli(["classify", "--grammar", EXPORT_L1])
+    assert code == 0 and out.startswith("language: selection of pair 1\n")
+    bad = tmp_path / "bad.ctx"
+    bad.write_text(Path(EXPORT_L1).read_text(encoding="utf-8")
+                   .replace("  context: (d, e)\n", ""), encoding="utf-8")
+    assert run_cli(["classify", "--grammar", str(bad)]) == (2, "")
+    assert "pair 2: pair has no contexts" in capsys.readouterr().err
+
+
+def test_the_uf_notes_name_the_empty_set_when_no_union_is_written():
+    """``∅`` is not union-free as written, though it holds no union; an
+    expression with a union keeps the union note."""
+    code, out = run_cli(["classify", "--regex", "∅", "--alphabet", "a"])
+    assert code == 0
+    assert ("UF: unknown  # given expression uses ∅; no union-free form was "
+            "searched for") in out.splitlines()
+    assert run_cli(["classify", "--regex", "∅", "--alphabet", "a", "--family",
+                    "UF"]) == (3, "UF: unknown  # expression uses ∅; "
+                                  "syntactic check only\n")
+    assert run_cli(["classify", "--regex", "a|∅", "--alphabet", "a", "--family",
+                    "UF"]) == (3, "UF: unknown  # expression uses union; "
+                                  "syntactic check only\n")
 
 
 def test_derive_successors_and_trace(grammar_files):

@@ -18,6 +18,13 @@ Inside the package, automata are walked on state positions and the
 integer letter rows of ``Dfa.rows``: no attribute named ``delta`` or
 ``step`` is read outside ``class Dfa`` and ``dfa_to_table``, the text
 form, so no search steps through the ``(state, symbol)``-keyed dict.
+Nor does a search translate state names: no ``.states.index(...)`` is
+called anywhere, and an attribute named ``initial`` or ``accepting`` is
+read only in the places that take or print names, ``_NAME_READERS``:
+``class Dfa``, which computes ``start`` and ``final`` from them; the
+NFA's own code, ``class Nfa`` and ``nfa_to_dfa``; the text form,
+``dfa_to_table`` and ``_parse_dfa_lines``; and ``accepts``, which runs a
+word to a state name.
 
 Every field of ``SearchCaps`` is read by some other module of the package,
 so each cap bounds a search.  The package also parses under the grammar of
@@ -198,6 +205,48 @@ def test_a_transition_dict_read_counts_wherever_it_is_outside_dfa():
         "def names_only(delta, step):\n    d.delta = delta\n    return step\n")
     assert _table_reads(tree) == ["7: d1.delta", "10: d.step",
                                   "12: d.delta", "12: d.step"]
+
+
+_NAME_READERS = ("Dfa", "Nfa", "nfa_to_dfa", "dfa_to_table", "_parse_dfa_lines",
+                 "accepts")
+
+
+def _name_reads(tree: ast.AST) -> list[str]:
+    """Each ``.states.index(...)`` call in ``tree``, and each read of an
+    attribute named ``initial`` or ``accepting`` outside the definitions
+    named in ``_NAME_READERS``, as ``line: expression``, in line order."""
+    allowed = {id(n) for s in ast.walk(tree)
+               if isinstance(s, (ast.ClassDef, ast.FunctionDef))
+               and s.name in _NAME_READERS for n in ast.walk(s)}
+    found = [n for n in ast.walk(tree)
+             if isinstance(n, ast.Call)
+             and ast.unparse(n.func).endswith(".states.index")
+             or isinstance(n, ast.Attribute) and n.attr in ("initial", "accepting")
+             and isinstance(n.ctx, ast.Load) and id(n) not in allowed]
+    return [f"{n.lineno}: {ast.unparse(n)}"
+            for n in sorted(found, key=lambda n: (n.lineno, n.col_offset))]
+
+
+def test_no_search_in_the_package_converts_state_names():
+    reads = [f"{path.name}:{read}"
+             for path in sorted((ROOT / "src" / "icgram").glob("*.py"))
+             for read in _name_reads(ast.parse(path.read_text()))]
+    assert not reads, f"read Dfa.start and Dfa.final instead: {reads}"
+
+
+def test_a_state_name_read_counts_wherever_it_is_outside_the_text_boundary():
+    tree = ast.parse(
+        "class Dfa:\n"
+        "    def start(self):\n        return self.states.index(self.initial)\n"
+        "def dfa_to_table(d):\n    return d.initial, d.accepting\n"
+        "def accepts(d, w):\n    return d.run(w) in d.accepting\n"
+        "def position(d):\n    return d.states.index(d.initial)\n"
+        "def final(d, q):\n    return q in d.accepting\n"
+        "def names_only(initial, accepting):\n"
+        "    d.initial = initial\n    return accepting\n")
+    assert _name_reads(tree) == [
+        "3: self.states.index(self.initial)", "9: d.states.index(d.initial)",
+        "9: d.initial", "11: d.accepting"]
 
 
 def test_every_search_cap_is_read_outside_its_record():

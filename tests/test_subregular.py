@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 import sys
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -643,12 +644,12 @@ def test_predicates_classify_and_selection_family_agree():
 
 def test_classify_runs_each_shared_search_once(monkeypatch):
     """One ``classify`` minimizes once, builds the pair graph once and walks
-    the transition monoid once, for NC and PS together; it finds access
-    words and useful states at most once per automaton that it analyses:
-    the minimal DFA, plus its complement when NIL needs it."""
+    the transition monoid once, for NC and PS together; it walks the access
+    tree and finds the distances into acceptance at most once per automaton
+    that it analyses: the minimal DFA, plus its complement when NIL needs
+    it."""
     calls = {name: [] for name in ("minimize", "_suffix_pairs",
-                                   "access_words", "_useful_states",
-                                   "monoid_elements")}
+                                   "_distance_to_accepting", "monoid_elements")}
     for name, seen in calls.items():
         def spy(d, *args, real=getattr(subregular, name), seen=seen):
             seen.append(d)
@@ -656,6 +657,11 @@ def test_classify_runs_each_shared_search_once(monkeypatch):
         for module in (subregular, automata):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy)
+    calls["tree"] = []  # the analysis's access tree, a cached property
+    tree = cached_property(lambda an, real=subregular._Analysis.tree.func:
+                           calls["tree"].append(an.dm) or real(an))
+    tree.__set_name__(subregular._Analysis, "tree")
+    monkeypatch.setattr(subregular._Analysis, "tree", tree)
     rng = random.Random(11)
     cases = [(_dfa("(aa)*", UA), UA)] + [
         (random_dfa(rng, rng.randrange(1, 9), UAB), UAB) for _ in range(40)]
@@ -667,9 +673,9 @@ def test_classify_runs_each_shared_search_once(monkeypatch):
         assert calls["minimize"] == [d]
         assert calls["_suffix_pairs"] == [dm]
         assert calls["monoid_elements"] == [dm]
-        for name in ("access_words", "_useful_states"):
+        for name in ("tree", "_distance_to_accepting"):
             seen = calls[name]
             assert all(seen.count(x) == 1 for x in seen), name
             assert all(x in (dm, complement(dm)) for x in seen), name
-        if i == 0:  # (aa)* is infinite and not cofinite: NIL analysed both
-            assert calls["_useful_states"] == [dm, complement(dm)]
+            if i == 0:  # (aa)* is infinite and not cofinite: NIL analysed both
+                assert seen == [dm, complement(dm)], name
